@@ -1,9 +1,8 @@
-"""Pure-Python mod-p kernels.
+"""Mod-p kernels: row reduction and matrix product on flat int lists.
 
-Reference implementation for the compiled extension: both backends must
-produce identical output (same pivoting order, same canonical form), so
-either can carry the test suite. Matrices are flat row-major int lists
-with entries already reduced into [0, p).
+Matrices are flat row-major int lists with entries already reduced into
+[0, p); results are reduced the same way. Python ints make every prime
+exact, however large.
 """
 
 BACKEND = "pure"

@@ -233,14 +233,10 @@ def build_parser():
         help="input JSON document; repeat for verbs that take several",
     )
     p.add_argument("--out", help="output path; stdout when omitted")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-    p.add_argument("--dim", type=int, help="core dimension (census)")
     p.add_argument(
-        "--mod-degree-bound",
-        type=int,
-        default=16,
-        help="degree cap for modular factorization probes",
+        "--seed", type=int, default=0, help="value recorded in the output document"
     )
+    p.add_argument("--dim", type=int, help="core dimension (census)")
     p.add_argument(
         "--unsafe-size",
         action="store_true",

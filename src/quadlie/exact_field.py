@@ -158,7 +158,13 @@ class Field:
                 return Fraction(v)
             raise ValidationError(f"not a rational scalar: {v!r}")
         if isinstance(v, str):
-            v = int(v)
+            num, slash, den = v.partition("/")
+            v = int(num)
+            if slash:
+                den = int(den)
+                if den % self.p == 0:
+                    raise ValidationError(f"denominator divisible by {self.p}")
+                v *= pow(den, self.p - 2, self.p)
         if isinstance(v, Fraction):
             if v.denominator % self.p == 0:
                 raise ValidationError(f"denominator divisible by {self.p}")

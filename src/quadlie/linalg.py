@@ -3,6 +3,11 @@
 Matrices are small (desk scale, n below ~40) and everything is computed
 exactly. Mod-p elimination and multiplication go through quadlie._fast;
 the rational path stays in Fraction arithmetic.
+
+Scalars are coerced once, where data enters: the public constructor,
+from_cols, diagonal, from_json, Subspace and the right-hand side of solve
+run Field.of. Results built here from entries that are already field
+elements go through the trusted Matrix._wrap instead.
 """
 
 from __future__ import annotations
@@ -25,9 +30,20 @@ class Matrix:
                 raise ValidationError("ragged matrix rows")
 
     @classmethod
+    def _wrap(cls, field, rows):
+        """Trusted constructor: rows of equal length whose entries are already
+        canonical field elements. Takes ownership of rows without copying."""
+        m = object.__new__(cls)
+        m.field = field
+        m.data = rows
+        m.nrows = len(rows)
+        m.ncols = len(rows[0]) if rows else 0
+        return m
+
+    @classmethod
     def zeros(cls, field, nrows, ncols=None):
         ncols = nrows if ncols is None else ncols
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)])
+        return cls._wrap(field, [[field.zero] * ncols for _ in range(nrows)])
 
     @classmethod
     def identity(cls, field, n):
@@ -76,7 +92,7 @@ class Matrix:
         return [self.col(j) for j in range(self.ncols)]
 
     def copy(self):
-        return Matrix(self.field, self.data)
+        return Matrix._wrap(self.field, [list(row) for row in self.data])
 
     def __eq__(self, other):
         return (
@@ -90,14 +106,11 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
     def transpose(self):
-        return Matrix(
-            self.field,
-            [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-        )
+        return Matrix._wrap(self.field, [list(col) for col in zip(*self.data)])
 
     def __add__(self, other):
         F = self.field
-        return Matrix(
+        return Matrix._wrap(
             F,
             [
                 [F.add(a, b) for a, b in zip(r1, r2)]
@@ -107,7 +120,7 @@ class Matrix:
 
     def __sub__(self, other):
         F = self.field
-        return Matrix(
+        return Matrix._wrap(
             F,
             [
                 [F.sub(a, b) for a, b in zip(r1, r2)]
@@ -117,12 +130,12 @@ class Matrix:
 
     def __neg__(self):
         F = self.field
-        return Matrix(F, [[F.neg(a) for a in row] for row in self.data])
+        return Matrix._wrap(F, [[F.neg(a) for a in row] for row in self.data])
 
     def scale(self, c):
         F = self.field
         c = F.of(c)
-        return Matrix(F, [[F.mul(c, a) for a in row] for row in self.data])
+        return Matrix._wrap(F, [[F.mul(c, a) for a in row] for row in self.data])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -140,9 +153,7 @@ class Matrix:
                     F.p,
                 )
                 m = other.ncols
-                out = Matrix.zeros(F, self.nrows, m)
-                out.data = [list(flat[i * m : (i + 1) * m]) for i in range(self.nrows)]
-                return out
+                return Matrix._wrap(F, [flat[i * m : (i + 1) * m] for i in range(self.nrows)])
             out = Matrix.zeros(F, self.nrows, other.ncols)
             for i in range(self.nrows):
                 row = self.data[i]
@@ -188,11 +199,8 @@ class Matrix:
             flat, pivots, rank = _fast.fp_rref(
                 [c for row in self.data for c in row], self.nrows, self.ncols, F.p
             )
-            R = Matrix.zeros(F, self.nrows, self.ncols)
-            R.data = [
-                list(flat[i * self.ncols : (i + 1) * self.ncols])
-                for i in range(self.nrows)
-            ]
+            nc = self.ncols
+            R = Matrix._wrap(F, [flat[i * nc : (i + 1) * nc] for i in range(self.nrows)])
             return R, tuple(pivots), rank
         m = [list(row) for row in self.data]
         pivots = []
@@ -214,8 +222,7 @@ class Matrix:
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
             pivots.append(c)
             r += 1
-        R = Matrix(F, m)
-        return R, tuple(pivots), r
+        return Matrix._wrap(F, m), tuple(pivots), r
 
     def rank(self):
         return self.rref()[2]
@@ -225,7 +232,7 @@ class Matrix:
             raise ValidationError("inverse of a non-square matrix")
         F = self.field
         n = self.nrows
-        aug = Matrix(
+        aug = Matrix._wrap(
             F,
             [
                 self.data[i] + [F.one if j == i else F.zero for j in range(n)]
@@ -235,7 +242,7 @@ class Matrix:
         R, pivots, rank = aug.rref()
         if rank < n or pivots[:n] != tuple(range(n)):
             raise ValidationError("matrix is singular")
-        return Matrix(F, [row[n:] for row in R.data])
+        return Matrix._wrap(F, [row[n:] for row in R.data])
 
     def det(self):
         if not self.is_square:
@@ -262,7 +269,7 @@ class Matrix:
     def solve(self, rhs):
         """One exact solution of self * x = rhs, or None if inconsistent."""
         F = self.field
-        aug = Matrix(F, [self.data[i] + [rhs[i]] for i in range(self.nrows)])
+        aug = Matrix._wrap(F, [self.data[i] + [F.of(rhs[i])] for i in range(self.nrows)])
         R, pivots, rank = aug.rref()
         if self.ncols in pivots:
             return None
@@ -315,7 +322,8 @@ class Subspace:
         return len(self.basis)
 
     def matrix(self):
-        return Matrix(self.field, self.basis or [[self.field.zero] * self.ambient_dim])
+        rows = [list(v) for v in self.basis] or [[self.field.zero] * self.ambient_dim]
+        return Matrix._wrap(self.field, rows)
 
     def __eq__(self, other):
         return (
@@ -345,7 +353,7 @@ class Subspace:
     def intersect(self, other):
         a = self.constraints()
         b = other.constraints()
-        stacked = Matrix(self.field, a.data + b.data)
+        stacked = Matrix._wrap(self.field, a.data + b.data)
         return kernel_basis(stacked)
 
     def constraints(self):
@@ -385,6 +393,14 @@ def image_basis(A):
     return Subspace(A.field, A.nrows, [A.col(j) for j in range(A.ncols)])
 
 
+def mat_pow(A, k):
+    """A^k for a square matrix A and k >= 0."""
+    P = Matrix.identity(A.field, A.nrows)
+    for _ in range(k):
+        P = P * A
+    return P
+
+
 def poly_at_matrix(p, A):
     """Evaluate a polynomial at a square matrix (Horner)."""
     F = A.field
@@ -394,6 +410,16 @@ def poly_at_matrix(p, A):
         acc = acc * A
         for i in range(n):
             acc.data[i][i] = F.add(acc.data[i][i], F.of(c))
+    return acc
+
+
+def _poly_at_unit(p, A, i):
+    """p(A) e_i by Horner on the vector, without forming p(A)."""
+    F = A.field
+    acc = [F.zero] * A.nrows
+    for c in reversed(p.coeffs):
+        acc = A.matvec(acc)
+        acc[i] = F.add(acc[i], c)
     return acc
 
 
@@ -414,7 +440,7 @@ def minimal_polynomial(A):
     m = Polynomial.one(F)
     for i in range(n):
         v = [F.one if j == i else F.zero for j in range(n)]
-        if m.degree > 0 and poly_at_matrix(m, A).matvec(v) == [F.zero] * n:
+        if m.degree > 0 and not any(_poly_at_unit(m, A, i)):
             continue
         krylov = [v]
         w = v
@@ -435,18 +461,14 @@ def minimal_polynomial(A):
 
 
 def primary_component(A, pi, k):
-    """Kernel of pi(A)^k, the primary component for an irreducible factor."""
-    m = minimal_polynomial(A)
-    power = Polynomial.one(pi.field)
-    for _ in range(k):
-        power = power * pi
-    if not (m % pi).is_zero:
+    """Kernel of pi(A)^k, the primary component for an irreducible factor.
+
+    For irreducible pi and k >= 1 the kernel is nonzero exactly when pi
+    divides the minimal polynomial of A, so that is checked on the kernel.
+    """
+    comp = kernel_basis(mat_pow(poly_at_matrix(pi, A), k))
+    if not comp.dim:
         raise ValidationError("factor does not divide the minimal polynomial")
-    M = poly_at_matrix(pi, A)
-    P = Matrix.identity(A.field, A.nrows)
-    for _ in range(k):
-        P = P * M
-    comp = kernel_basis(P)
     for v in comp.basis:
         if not comp.contains(A.matvec(v)):
             raise ValidationError("primary component is not invariant")

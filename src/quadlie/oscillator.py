@@ -22,6 +22,7 @@ from .linalg import (
     Subspace,
     image_basis,
     kernel_basis,
+    mat_pow,
     minimal_polynomial,
     primary_component,
 )
@@ -173,13 +174,6 @@ def build_double_extension(data):
 # structure verification against the delta-power predictions
 
 
-def _mat_pow(A, k):
-    P = Matrix.identity(A.field, A.nrows)
-    for _ in range(k):
-        P = P * A
-    return P
-
-
 def _embedded(data, sub, with_star):
     vecs = [data.embed(v) for v in sub.basis]
     if with_star:
@@ -217,7 +211,7 @@ def verify_structure(data):
     depth = max(2, m.degree + 1)
 
     for k in range(1, depth + 1):
-        D = _mat_pow(A, k)
+        D = mat_pow(A, k)
         if D.is_zero():
             pred_low = Subspace.zero(F, dim)
             pred_up = Subspace.full(F, dim)
@@ -246,7 +240,7 @@ def verify_structure(data):
     # derived tail: [A^2, A^2] lands in K delta* and is nonzero iff delta^3 is
     second = ders[2] if len(ders) > 2 else Subspace.zero(F, dim)
     star_line = Subspace(F, dim, [data.star_axis()])
-    cube_nonzero = not _mat_pow(A, 3).is_zero()
+    cube_nonzero = not mat_pow(A, 3).is_zero()
     expected_second = star_line if cube_nonzero else Subspace.zero(F, dim)
     if second != expected_second:
         raise ValidationError("second derived term disagrees with delta^3")

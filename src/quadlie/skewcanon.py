@@ -21,6 +21,7 @@ from .linalg import (
     Matrix,
     Subspace,
     kernel_basis,
+    mat_pow,
     minimal_polynomial,
     primary_component,
 )
@@ -50,13 +51,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # small vector/matrix helpers local to the canonical-form algorithms
-
-
-def _mat_pow(A, k):
-    P = Matrix.identity(A.field, A.nrows)
-    for _ in range(k):
-        P = P * A
-    return P
 
 
 def _apply_pow(A, v, m):
@@ -461,10 +455,10 @@ def canonical_pair_nonzero(f, pi):
         if k1 == 0 or _mult_in(mS, pi_neg) != k1:
             raise ValidationError("restricted multiplicities out of step")
         k = k1 - 1
-        Lk = _mat_pow(L, k)
+        Lk = mat_pow(L, k)
         # the lambda half of S is exactly what L^{k+1} kills there
         pos = S.intersect(kernel_basis(Lk * L))
-        neg = S.intersect(kernel_basis(_mat_pow(R, k1)))
+        neg = S.intersect(kernel_basis(mat_pow(R, k1)))
 
         v = None
         for b in pos.basis:
@@ -736,7 +730,7 @@ def _zero_even_step(f, S, k0):
     space, F = f.space, f.field
     A = f.matrix
     k = k0 - 1
-    fk = _mat_pow(A, k)
+    fk = mat_pow(A, k)
 
     v = None
     for b in S.basis:
@@ -788,7 +782,7 @@ def _zero_odd_generator(f, S, k0):
     A = f.matrix
     k = k0 - 1
     n = k // 2
-    fk = _mat_pow(A, k)
+    fk = mat_pow(A, k)
 
     v = None
     fallback = None

@@ -168,3 +168,13 @@ def test_field_override(tmp_path, capsys):
     code, doc = run(capsys, "classify-nilpotent", "--in", path, "--field", "Fp:5")
     assert code == 0
     assert doc["sizes"] == [3]
+    # fraction entries reread over F5: 1/2 becomes 3
+    d = OscillatorData(
+        OrthogonalSpace(Matrix(Q, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])),
+        Matrix(Q, [[0, 0, 0], ["1/2", 0, 0], [0, "-1/2", 0]]),
+    )
+    assert "1/2" in d.to_json()["delta"]["entries"]
+    path = write(tmp_path, "half.json", d.to_json())
+    code, doc = run(capsys, "classify-nilpotent", "--in", path, "--field", "Fp:5")
+    assert code == 0
+    assert doc["sizes"] == [3]

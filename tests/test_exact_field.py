@@ -55,6 +55,11 @@ def test_fp_ops_stay_reduced():
     assert F5.mul(F5.of(3), F5.of(4)) == 2
     assert F5.inv(F5.of(2)) == 3
     assert F5.half(F5.of(1)) == 3  # 2*3 = 6 = 1
+    # fraction strings, as Q documents write them
+    assert F5.of("1/2") == 3
+    assert F5.of("-3/4") == 3  # 4*3 = 12 = 2 = -3
+    with pytest.raises(ValidationError):
+        F5.of("1/10")
 
 
 def test_char_two_rejected():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadlie import _fast
 from quadlie.errors import ValidationError
 from quadlie.exact_field import Field, Polynomial
 from quadlie.linalg import (
@@ -18,6 +19,7 @@ from quadlie.linalg import (
 
 Q = Field.parse("Q")
 F5 = Field.parse("Fp:5")
+F_BIG = Field.parse("Fp:2305843009213693951")  # 2^61 - 1
 
 
 def jordan(field, n, lam=0):
@@ -73,14 +75,51 @@ def test_rref_canonical_and_idempotent():
     assert R2 == R
 
 
-@given(st.integers(0, 10**6))
+@given(st.integers(0, 10**6), st.sampled_from([F5, F_BIG]))
 @settings(max_examples=30)
-def test_rref_rank_matches_det(seed):
+def test_rref_rank_matches_det(seed, field):
     rng = random.Random(seed)
     n = rng.randint(1, 5)
-    A = random_matrix(F5, rng, n)
+    A = random_matrix(field, rng, n)
     _, _, rank = A.rref()
     assert (rank == n) == (A.det() != 0)
+    if rank == n:
+        assert A * A.inverse() == Matrix.identity(field, n)
+
+
+def _canonical(field, entries):
+    if field.is_rational:
+        return all(type(c) is Fraction for c in entries)
+    return all(type(c) is int and 0 <= c < field.p for c in entries)
+
+
+@pytest.mark.parametrize("field", [Q, F5])
+def test_results_stay_canonical(field):
+    # results are built without coercion, so they must come out canonical
+    A = Matrix(field, [[2, "-1/2"], [1, 3]])
+    B = Matrix(field, [[-4, 0], [7, -1]])
+    results = [
+        Matrix.zeros(field, 2, 3),
+        Matrix.identity(field, 2),
+        A.copy(),
+        A.transpose(),
+        A + B,
+        A - B,
+        -A,
+        A.scale(-3),
+        A * B,
+        A.rref()[0],
+        Matrix(field, [[1, 2, 3], [-2, -4, 5]]).rref()[0],
+        A.inverse(),
+    ]
+    for M in results:
+        assert _canonical(field, [c for row in M.data for c in row]), M
+    assert _canonical(field, A.solve([1, -2]))
+
+
+def test_fp_matmul_shape_error():
+    with pytest.raises(ValueError):
+        _fast.fp_matmul([1, 2], 1, 2, [1, 2, 3], 3, 1, 5)
 
 
 def test_solve_columns():
