@@ -55,13 +55,18 @@ def _field_arg(spec):
     return Field.parse(spec)
 
 
-def _data(doc, field):
+def _parsed(what, parse):
+    """parse(), with a malformed document reported as a ValidationError."""
     try:
-        return OscillatorData.from_json(doc, field=field)
+        return parse()
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as e:
-        raise ValidationError(f"input document is malformed: {e}")
+        raise ValidationError(f"{what} is malformed: {e}")
+
+
+def _data(doc, field):
+    return _parsed("input document", lambda: OscillatorData.from_json(doc, field=field))
 
 
 def _strs(F, vec):
@@ -136,10 +141,7 @@ def _run_iso(args, docs, field):
     d2 = _data(docs[1], field)
     F = d1.field
     if len(docs) == 3:
-        try:
-            w = IsoWitness.from_json(F, docs[2])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"witness document is malformed: {e}")
+        w = _parsed("witness document", lambda: IsoWitness.from_json(F, docs[2]))
         rep = verify_iso_witness(d1, d2, w)
         doc = {
             "mode": "verify",
@@ -176,10 +178,14 @@ def _run_lorentz(args, docs, field):
     F = field or Field.parse(doc.get("field", "Q"))
     if "lambda" not in doc:
         raise ValidationError("lorentz input needs a 'lambda' list")
-    lams = [F.of(c) for c in doc["lambda"]]
-    params = None
-    if "t" in doc or "s" in doc:
-        params = (F.of(doc.get("t", 0)), F.of(doc.get("s", 1)))
+
+    def parse():
+        lams = [F.of(c) for c in doc["lambda"]]
+        if "t" in doc or "s" in doc:
+            return lams, (F.of(doc.get("t", 0)), F.of(doc.get("s", 1)))
+        return lams, None
+
+    lams, params = _parsed("lorentz document", parse)
     key = lorentz_normalize(F, lams, params)
     out = key.to_json()
     out["s_class"] = F.to_str(square_class(F, key.form_params[1]))

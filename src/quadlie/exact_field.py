@@ -155,7 +155,10 @@ class Field:
             if isinstance(v, int):
                 return Fraction(v)
             if isinstance(v, str):
-                return Fraction(v)
+                try:
+                    return Fraction(v)
+                except (ValueError, ZeroDivisionError):
+                    pass
             raise ValidationError(f"not a rational scalar: {v!r}")
         if isinstance(v, str):
             num, slash, den = v.partition("/")

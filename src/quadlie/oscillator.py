@@ -16,7 +16,7 @@ witnesses and decisions, and the two parameter family of invariant forms.
 from itertools import product
 
 from .errors import CapabilityError, ValidationError
-from .exact_field import factor_poly, poly_star, sqrt_in_field, square_class
+from .exact_field import Polynomial, factor_poly, poly_star, sqrt_in_field, square_class
 from .linalg import (
     Matrix,
     Subspace,
@@ -33,7 +33,7 @@ from .quadspace import (
     isotropy_report,
     ortho_complement,
 )
-from .skewcanon import canonical_pair, canonical_pair_zero, spectral_form
+from .skewcanon import canonical_pair, canonical_pair_zero, primary_split, spectral_form
 from .liecore import (
     LieAlgebra,
     QuadraticLieAlgebra,
@@ -328,12 +328,12 @@ def classify_nilpotent(data):
     <= 2k. The sorted signature tuple, which carries the mu square classes
     of the odd blocks, is the key invariant under isometric base change.
     """
-    A = data.delta.matrix
-    m = minimal_polynomial(A)
-    if any(m.coeff(i) for i in range(m.degree)):
+    split = primary_split(data.delta)
+    x = Polynomial.x(data.field)
+    if any(pi != x for pi, _ in split.factors):
         raise ValidationError("classification needs a nilpotent seed map")
-    k = m.degree
-    blocks = sorted(canonical_pair_zero(data.delta), key=lambda b: b.sort_key())
+    k = split.factors[0][1] if split.factors else 0
+    blocks = sorted(canonical_pair_zero(split), key=lambda b: b.sort_key())
     for b in blocks:
         if b.size % 2 == 1:
             if b.size > k:
@@ -843,8 +843,9 @@ def _decide_definite(d1, d2, f1, f2):
         }
 
     saw_unknown = False
+    spec1 = spectral_form(d1.delta)
     for mu in (root, F.neg(root)):
-        out = _definite_witness(d1, d2, mu)
+        out = _definite_witness(d1, d2, mu, spec1)
         if out["verdict"] == "yes":
             return out
         if out["verdict"] == "unknown":
@@ -862,10 +863,14 @@ def _decide_definite(d1, d2, f1, f2):
     }
 
 
-def _definite_witness(d1, d2, mu):
+def _definite_witness(d1, d2, mu, spec1):
+    """Try to map d1 onto d2 at scale mu, plane by plane.
+
+    spec1 is spectral_form(d1.delta), shared by both candidate scales.
+    """
     F = d1.field
     n = d1.space.dim
-    S1, D1, P1 = spectral_form(d1.delta)
+    S1, D1, P1 = spec1
     S2, D2, P2 = spectral_form(SkewEndo(d2.space, d2.delta.matrix.scale(mu)))
     if S1 != S2:
         raise ValidationError("aligned spectra produced distinct companions")
@@ -883,8 +888,15 @@ def _definite_witness(d1, d2, mu):
 
     # g sends the source plane at1 to a target plane at2 in the same factor
     # group through a block alpha I + beta C, which commutes with the
-    # companion; matching by norm cosets is complete, so a greedy failure
-    # is a proof
+    # companion. This plane-by-plane search is incomplete when a factor
+    # group holds several planes: such a group is a Hermitian form over
+    # Q(sqrt(-m)), and a rank-2 definite one is classified by its
+    # determinant, not by its diagonal entries. On the repeated-lambda Q
+    # seeds answered "no" here, no source plane's norm equation is solvable
+    # against any target plane at either scale, yet the ratio of the
+    # plane-scalar products is a norm: an isometry exists, but it mixes
+    # planes. No matching, greedy or bipartite, can find it, so a "no"
+    # from here may be wrong.
     g = Matrix.zeros(F, n, n)
     for key in sorted(groups, key=lambda s: F.sort_key(F.of(s))):
         ats = groups[key]

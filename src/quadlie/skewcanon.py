@@ -77,14 +77,16 @@ def _is_zero_vec(F, x):
     return all(a == F.zero for a in x)
 
 
-def _mult_in(m, pi):
-    """Multiplicity of the factor pi in m (exact division count)."""
+def _chain_length(N, S):
+    """Least k with N^k S = 0, found by applying N to the basis of S."""
+    F = N.field
+    vecs = S.basis
     k = 0
-    while m.degree >= pi.degree:
-        q, r = m.divmod(pi)
-        if not r.is_zero:
-            break
-        m, k = q, k + 1
+    while vecs:
+        if k == S.dim:
+            raise ValidationError("map is not nilpotent on the part")
+        vecs = [w for w in (N.matvec(v) for v in vecs) if not _is_zero_vec(F, w)]
+        k += 1
     return k
 
 
@@ -114,6 +116,7 @@ def _pairs_to_zero(space, U, W):
 class PrimarySplit:
     """Primary decomposition of f together with the eigenvalue pairing.
 
+    endo        the skew map f that was split
     factors     [(pi, mult)] for the minimal polynomial, sorted
     components  generalized eigenspaces ker pi(f)^mult, same order
     pairing     partial involution i -> j matching pi_i to the factor
@@ -122,9 +125,10 @@ class PrimarySplit:
                 radical of phi, so for regular forms this is empty
     """
 
-    __slots__ = ("factors", "components", "pairing", "unpaired")
+    __slots__ = ("endo", "factors", "components", "pairing", "unpaired")
 
-    def __init__(self, factors, components, pairing, unpaired):
+    def __init__(self, endo, factors, components, pairing, unpaired):
+        self.endo = endo
         self.factors = factors
         self.components = components
         self.pairing = pairing
@@ -145,7 +149,7 @@ def primary_split(f):
     A, space, F = f.matrix, f.space, f.field
     n = A.nrows
     if n == 0:
-        return PrimarySplit([], [], {}, ())
+        return PrimarySplit(f, [], [], {}, ())
     m = minimal_polynomial(A)
     factors = factor_poly(m)
     components = [primary_component(A, pi, k) for pi, k in factors]
@@ -176,7 +180,7 @@ def primary_split(f):
         # skewness forces partnerless components into the radical
         if not components[i].is_subspace_of(rad):
             raise ValidationError("unpaired primary component escapes the radical")
-    return PrimarySplit(factors, components, pairing, tuple(unpaired))
+    return PrimarySplit(f, factors, components, pairing, tuple(unpaired))
 
 
 class FourPartSplit:
@@ -413,92 +417,35 @@ def _verify_block(f, block):
 
 
 # ---------------------------------------------------------------------------
-# chains at a nonzero eigenvalue
+# paired chains, shared by the +-lambda blocks and the even zero blocks
 
 
-def canonical_pair_nonzero(f, pi):
-    """Peel the +-lambda part of f into paired chain blocks.
+def _paired_chain(space, L, R, pos, neg, k):
+    """Generators (v, w) of a dual pair of chains of length k + 1.
 
-    pi must be a monic linear factor x - lambda of the minimal polynomial
-    with lambda nonzero; the zero eigenvalue has its own entry point. The
-    component pair at +-lambda splits into blocks
-    (diag(J_n(lambda), -J_n(lambda)^T), antidiag(I_n, I_n)), largest
-    chains first, each certified exactly against the ambient data.
+    v is the first vector of pos that L^k does not kill. The first vector
+    of neg pairing with L^k v, scaled so that pairing is one, is resolved
+    by _chain_dual into the w whose R-chain is dual to the L-chain of v.
     """
-    space, F = f.space, f.field
-    A = f.matrix
-    n_amb = A.nrows
-    if not space.regular:
-        raise ValidationError("canonical pairs require a regular form")
-    if pi.degree != 1 or not pi.is_monic:
-        raise ValidationError("expected a monic linear factor")
-    lam = F.neg(pi.coeff(0))
-    if lam == F.zero:
-        raise ValidationError("zero eigenvalue: use the nilpotent entry point")
-    m = minimal_polynomial(A)
-    if _mult_in(m, pi) == 0:
-        raise ValidationError("not an eigenvalue of the map")
-
-    pi_neg = poly_star(pi)  # x + lambda
-    if _mult_in(m, pi_neg) != _mult_in(m, pi):
-        raise ValidationError("skewness forces equal multiplicities at +-lambda")
-
-    L = A - Matrix.identity(F, n_amb).scale(lam)
-    R = A + Matrix.identity(F, n_amb).scale(lam)
-    S = primary_component(A, pi, _mult_in(m, pi)).sum_with(
-        primary_component(A, pi_neg, _mult_in(m, pi_neg)))
-
-    blocks = []
-    while S.dim > 0:
-        mS = minimal_polynomial(_restricted_matrix(A, S))
-        k1 = _mult_in(mS, pi)
-        if k1 == 0 or _mult_in(mS, pi_neg) != k1:
-            raise ValidationError("restricted multiplicities out of step")
-        k = k1 - 1
-        Lk = mat_pow(L, k)
-        # the lambda half of S is exactly what L^{k+1} kills there
-        pos = S.intersect(kernel_basis(Lk * L))
-        neg = S.intersect(kernel_basis(mat_pow(R, k1)))
-
-        v = None
-        for b in pos.basis:
-            if not _is_zero_vec(F, Lk.matvec(b)):
-                v = list(b)
-                break
-        if v is None:
-            raise ValidationError("no vector of full chain length at lambda")
-        top = Lk.matvec(v)
-        w = None
-        for b in neg.basis:
-            d = space.bilin(top, b)
-            if d != F.zero:
-                w = _vec_scale(F, F.inv(d), b)
-                break
-        if w is None:
-            raise ValidationError("regular form fails to pair the chains")
-
-        w1 = _chain_dual(space, F, L, R, v, w, k)
-        basis = [_apply_pow(L, v, k - r) for r in range(k + 1)]
-        sign = F.one
-        cur = w1
-        for _ in range(k + 1):
-            basis.append(_vec_scale(F, sign, cur))
-            sign = F.neg(sign)
-            cur = R.matvec(cur)
-
-        Ablk, Bblk = _paired_model(F, k + 1, lam)
-        block = CanonicalBlock("paired", 2 * (k + 1), pi, k + 1, Ablk, Bblk, vectors=basis)
-        _verify_block(f, block)
-        blocks.append(block)
-
-        U = Subspace(F, n_amb, basis)
-        if U.dim != 2 * (k + 1):
-            raise ValidationError("chain vectors are dependent")
-        S_next = S.intersect(ortho_complement(space, U))
-        if S_next.dim != S.dim - U.dim:
-            raise ValidationError("peeled block is not regular inside the part")
-        S = S_next
-    return blocks
+    F = space.field
+    Lk = mat_pow(L, k)
+    v = None
+    for b in pos:
+        if not _is_zero_vec(F, Lk.matvec(b)):
+            v = list(b)
+            break
+    if v is None:
+        raise ValidationError("no vector of full chain length")
+    top = Lk.matvec(v)
+    w = None
+    for b in neg:
+        d = space.bilin(top, b)
+        if d != F.zero:
+            w = _vec_scale(F, F.inv(d), b)
+            break
+    if w is None:
+        raise ValidationError("regular form fails to pair the chains")
+    return v, _chain_dual(space, F, L, R, v, w, k)
 
 
 def _chain_dual(space, F, L, R, v, w, k):
@@ -531,13 +478,91 @@ def _chain_dual(space, F, L, R, v, w, k):
     return out
 
 
+def _paired_basis(F, L, R, v, w, k):
+    """Columns of the paired model: L^k v, ..., L v, v, then w, -R w, R^2 w, ..."""
+    basis = [_apply_pow(L, v, k - r) for r in range(k + 1)]
+    sign = F.one
+    cur = w
+    for _ in range(k + 1):
+        basis.append(_vec_scale(F, sign, cur))
+        sign = F.neg(sign)
+        cur = R.matvec(cur)
+    return basis
+
+
+def _peel(space, parts, span):
+    """Split the f-stable span of a block off each f-stable part.
+
+    The span must be independent, and each part keeps its intersection
+    with the orthogonal complement; together they lose exactly len(span)
+    dimensions, which is what a regular block inside the parts leaves.
+    """
+    U = Subspace(space.field, space.dim, span)
+    if U.dim != len(span):
+        raise ValidationError("chain vectors are dependent")
+    perp = ortho_complement(space, U)
+    rest = [S.intersect(perp) for S in parts]
+    if sum(S.dim for S in rest) != sum(S.dim for S in parts) - len(span):
+        raise ValidationError("peeled block is not regular inside the part")
+    return rest
+
+
+# ---------------------------------------------------------------------------
+# chains at a nonzero eigenvalue
+
+
+def canonical_pair_nonzero(split, i):
+    """Peel the +-lambda part of a primary split into paired chain blocks.
+
+    split.factors[i] must be a monic linear factor x - lambda with lambda
+    nonzero; the zero eigenvalue has its own entry point. Its component
+    and that of its star partner x + lambda are the lambda and -lambda
+    parts. Each pass takes the longest chains left and splits them off as
+    a block (diag(J_n(lambda), -J_n(lambda)^T), antidiag(I_n, I_n)),
+    certified exactly against the ambient data; both parts keep their
+    orthogonal rest.
+    """
+    f = split.endo
+    space, F = f.space, f.field
+    A = f.matrix
+    if not space.regular:
+        raise ValidationError("canonical pairs require a regular form")
+    pi, mult = split.factors[i]
+    if pi.degree != 1 or not pi.is_monic:
+        raise ValidationError("expected a monic linear factor")
+    lam = F.neg(pi.coeff(0))
+    if lam == F.zero:
+        raise ValidationError("zero eigenvalue: use the nilpotent entry point")
+    j = split.pairing.get(i)
+    if j is None or split.factors[j][1] != mult:
+        raise ValidationError("skewness forces equal multiplicities at +-lambda")
+
+    L = A - Matrix.identity(F, A.nrows).scale(lam)
+    R = A + Matrix.identity(F, A.nrows).scale(lam)
+    pos, neg = split.components[i], split.components[j]
+    blocks = []
+    while pos.dim or neg.dim:
+        n = _chain_length(L, pos)
+        if n == 0 or _chain_length(R, neg) != n:
+            raise ValidationError("restricted multiplicities out of step")
+        v, w = _paired_chain(space, L, R, pos.basis, neg.basis, n - 1)
+        Ablk, Bblk = _paired_model(F, n, lam)
+        block = CanonicalBlock("paired", 2 * n, pi, n, Ablk, Bblk,
+                               vectors=_paired_basis(F, L, R, v, w, n - 1))
+        _verify_block(f, block)
+        blocks.append(block)
+        pos, neg = _peel(space, [pos, neg], block.vectors)
+    return blocks
+
+
 # ---------------------------------------------------------------------------
 # the nilpotent part
 
 
-def canonical_pair_zero(f):
-    """Canonical blocks for the generalized kernel of f.
+def canonical_pair_zero(split):
+    """Canonical blocks for the generalized kernel of a split map.
 
+    The generalized kernel is the component of the factor x in split.
     Chains of even length k0 come in dual pairs and produce one block of
     size 2*k0 modeled exactly like a paired block at lambda = 0. Chains
     of odd length 2n+1 are self-dual, each carrying a scalar mu, and the
@@ -552,48 +577,34 @@ def canonical_pair_zero(f):
     pair whenever odd chain lengths do not repeat. Blocks are emitted in
     the bordered convention; canonical_pair re-sorts them globally.
     """
+    f = split.endo
     space, F = f.space, f.field
     A = f.matrix
     n_amb = A.nrows
     if not space.regular:
         raise ValidationError("canonical pairs require a regular form")
-    if n_amb == 0:
-        return []
     x = Polynomial.x(F)
-    alpha = _mult_in(minimal_polynomial(A), x)
-    if alpha == 0:
+    kernels = [c for (pi, _), c in zip(split.factors, split.components) if pi == x]
+    if not kernels:
         return []
-    S = primary_component(A, x, alpha)
+    S = kernels[0]
     if S.dim and space.restrict_gram(S.basis).det() == F.zero:
         raise ValidationError("zero component carries a degenerate form")
 
     blocks = []
     odd_pending = {}
     while S.dim > 0:
-        MS = _restricted_matrix(A, S)
-        k0 = 1
-        P = MS
-        while not P.is_zero():
-            P = P * MS
-            k0 += 1
+        k0 = _chain_length(A, S)
         if k0 % 2 == 0:
             block = _zero_even_step(f, S, k0)
             _verify_block(f, block)
             blocks.append(block)
             span = block.vectors
-            size = block.size
         else:
             w, mu_raw = _zero_odd_generator(f, S, k0)
             odd_pending.setdefault(k0, []).append((w, mu_raw))
             span = [_apply_pow(A, w, i) for i in range(k0)]
-            size = k0
-        U = Subspace(F, n_amb, span)
-        if U.dim != size:
-            raise ValidationError("chain vectors are dependent")
-        S_next = S.intersect(ortho_complement(space, U))
-        if S_next.dim != S.dim - size:
-            raise ValidationError("peeled block is not regular inside the part")
-        S = S_next
+        [S] = _peel(space, [S], span)
 
     for k0 in sorted(odd_pending):
         group = odd_pending[k0]
@@ -689,33 +700,6 @@ def _fp_group_standardize(F, mus):
     return g, nus
 
 
-def _zero_resolve(space, F, A, v, w_span, k):
-    """Dual chain against f-powers: w' in span{f^i w_span} with
-    phi(f^t v, w') = delta_{t,k}."""
-    D = []
-    cur = list(v)
-    for _ in range(k + 1):
-        D.append(space.bilin(cur, w_span))
-        cur = A.matvec(cur)
-    if D[k] == F.zero:
-        raise ValidationError("dual chain lost its pairing")
-    alphas = [F.inv(D[k])]
-    for j in range(1, k + 1):
-        t = k - j
-        acc = F.zero
-        sign = F.one
-        for i in range(j):
-            acc = F.add(acc, F.mul(F.mul(sign, alphas[i]), D[t + i]))
-            sign = F.neg(sign)
-        alphas.append(F.neg(F.div(acc, F.mul(sign, D[k]))))
-    out = [F.zero] * len(v)
-    cur = list(w_span)
-    for a in alphas:
-        out = _vec_axpy(F, out, a, cur)
-        cur = A.matvec(cur)
-    return out
-
-
 def _zero_even_step(f, S, k0):
     """Peel one dual pair of chains of even length k0.
 
@@ -730,46 +714,21 @@ def _zero_even_step(f, S, k0):
     space, F = f.space, f.field
     A = f.matrix
     k = k0 - 1
-    fk = mat_pow(A, k)
-
-    v = None
-    for b in S.basis:
-        if not _is_zero_vec(F, fk.matvec(b)):
-            v = list(b)
-            break
-    if v is None:
-        raise ValidationError("no vector of full chain length")
-    top = fk.matvec(v)
-    w = None
-    for b in S.basis:
-        d = space.bilin(top, b)
-        if d != F.zero:
-            w = _vec_scale(F, F.inv(d), b)
-            break
-    if w is None:
-        raise ValidationError("regular form fails to pair the chains")
-    w1 = _zero_resolve(space, F, A, v, w, k)
+    v, w1 = _paired_chain(space, A, A, S.basis, S.basis, k)
 
     for m in range(k - 1, -1, -2):
         Xm = space.bilin(v, _apply_pow(A, v, m))
         if Xm != F.zero:
             v = _vec_axpy(F, v, F.half(Xm), _apply_pow(A, w1, k - m))
-            w1 = _zero_resolve(space, F, A, v, w1, k)
+            w1 = _chain_dual(space, F, A, A, v, w1, k)
     for m in range(k - 1, -1, -2):
         Ym = space.bilin(w1, _apply_pow(A, w1, m))
         if Ym != F.zero:
             w1 = _vec_axpy(F, w1, F.neg(F.half(Ym)), _apply_pow(A, v, k - m))
 
-    basis = [_apply_pow(A, v, k - r) for r in range(k + 1)]
-    sign = F.one
-    cur = w1
-    for _ in range(k + 1):
-        basis.append(_vec_scale(F, sign, cur))
-        sign = F.neg(sign)
-        cur = A.matvec(cur)
     Ablk, Bblk = _paired_model(F, k0, F.zero)
     return CanonicalBlock("zero_even", 2 * k0, Polynomial.x(F), k0, Ablk, Bblk,
-                          vectors=basis)
+                          vectors=_paired_basis(F, A, A, v, w1, k))
 
 
 def _zero_odd_generator(f, S, k0):
@@ -1044,8 +1003,9 @@ def canonical_pair(f):
     """Full canonical pair of f: exact blocks where the models apply,
     residual descriptors elsewhere.
 
-    The zero component and every +-lambda pair of linear factors split
-    into certified blocks. A nonlinear self-paired component whose
+    One primary split of f feeds every part. The zero component and
+    every +-lambda pair of linear factors split into certified blocks,
+    read off that split by the two chain peelers. A nonlinear self-paired component whose
     restricted form is anisotropic and whose factor is quadratic becomes
     a definite_semisimple block (companion planes, diagonal Gram); every
     other nonlinear component is reported untreated with its restricted
@@ -1069,11 +1029,11 @@ def canonical_pair(f):
         if j is None:
             raise ValidationError("regular forms cannot have unpaired components")
         if pi == x:
-            blocks.extend(canonical_pair_zero(f))
+            blocks.extend(canonical_pair_zero(ps))
         elif pi.degree == 1:
             if j < i:
                 continue  # orbit already emitted at its partner
-            blocks.extend(canonical_pair_nonzero(f, pi))
+            blocks.extend(canonical_pair_nonzero(ps, i))
         elif j == i:
             comp = ps.components[i]
             sub = OrthogonalSpace(space.restrict_gram(comp.basis))

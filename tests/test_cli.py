@@ -156,6 +156,48 @@ def test_validation_exit(tmp_path, capsys):
     assert "regular" in doc["error"]
 
 
+def _bad_canon(tmp_path, doc):
+    doc["delta"]["entries"][3] = "1/0"
+    return ["canon", "--in", write(tmp_path, "bad.json", doc)]
+
+
+def _bad_witness(tmp_path, doc):
+    a = write(tmp_path, "a.json", from_lambda_tuple(Q, (2, 4, 6)).to_json())
+    b = write(tmp_path, "b.json", from_lambda_tuple(Q, (1, 2, 3)).to_json())
+    w = IsoWitness(
+        Matrix.identity(Q, 6), [Q.zero] * 6, Q.of("1/2"), Q.of(2), Q.zero
+    ).to_json()
+    w["lambda"] = "1/0"
+    return ["iso", "--in", a, "--in", b, "--in", write(tmp_path, "w.json", w)]
+
+
+def _bad_lorentz(doc):
+    return lambda tmp_path, _: ["lorentz", "--in", write(tmp_path, "lor.json", doc)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _bad_canon,
+        _bad_witness,
+        _bad_lorentz({"field": "Q", "lambda": ["abc"]}),
+        _bad_lorentz({"field": "Q", "lambda": 5}),
+        _bad_lorentz({"field": "Q", "lambda": [1, 2], "s": "x"}),
+        _bad_lorentz({"field": "Q", "lambda": ["1/0"]}),
+    ],
+    ids=["canon-1/0", "witness-lambda-1/0", "lorentz-abc", "lorentz-int",
+         "lorentz-s-x", "lorentz-1/0"],
+)
+def test_malformed_input_exit(tmp_path, capsys, argv):
+    d = OscillatorData(
+        OrthogonalSpace(Matrix(Q, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])),
+        Matrix(Q, [[0, 0, 0], [1, 0, 0], [0, -1, 0]]),
+    )
+    code, doc = run(capsys, *argv(tmp_path, d.to_json()))
+    assert code == 1
+    assert doc["error"]
+
+
 def test_missing_input_exit(capsys):
     code, doc = run(capsys, "analyze")
     assert code == 1

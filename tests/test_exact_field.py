@@ -47,6 +47,9 @@ def test_rational_ops_are_fractions():
     assert Q.add(a, Q.of(1)) == Fraction(5, 3)
     assert Q.inv(a) == Fraction(3, 2)
     assert Q.half(Q.of(5)) == Fraction(5, 2)
+    for bad in ("1/0", "abc"):
+        with pytest.raises(ValidationError):
+            Q.of(bad)
 
 
 def test_fp_ops_stay_reduced():

@@ -7,10 +7,12 @@ import pytest
 from quadlie.errors import CapabilityError, ValidationError
 from quadlie.exact_field import Field
 from quadlie.linalg import Matrix
+from quadlie import skewcanon
 from quadlie.quadspace import OrthogonalSpace, SkewEndo
 from quadlie.skewcanon import (
     caalim_convert,
     canonical_pair,
+    canonical_pair_nonzero,
     canonical_pair_zero,
     four_part_split,
     primary_split,
@@ -147,6 +149,22 @@ def test_cross_pair_equidimensional_check():
 
 # ------------------------------------------------------ nonzero eigenvalues
 
+def test_nonzero_peeler_rejects_other_factors():
+    A = Matrix.block_diagonal(
+        Q, [Matrix(Q, [[0]]), Matrix.diagonal(Q, [Q.one, Q.of(-1)]),
+            Matrix(Q, [[0, -1], [1, 0]])])
+    B = Matrix.block_diagonal(
+        Q, [Matrix(Q, [[1]]),
+            Matrix(Q, [[0, 1], [1, 0]]), Matrix.identity(Q, 2)])
+    split = primary_split(skew(Q, A, B))
+    facs = {str(p): i for i, (p, _) in enumerate(split.factors)}
+    for name in ("x", "x^2 + 1"):
+        with pytest.raises(ValidationError):
+            canonical_pair_nonzero(split, facs[name])
+    blocks = canonical_pair_nonzero(split, facs["x - 1"])
+    assert [(b.kind, b.size) for b in blocks] == [("paired", 2)]
+
+
 def test_paired_block_split_eigenvalue():
     f = skew(Q, Matrix.diagonal(Q, [Q.one, Q.of(-1)]), Matrix(Q, [[0, 1], [1, 0]]))
     pair = canonical_pair(f)
@@ -231,7 +249,7 @@ def test_repeated_odd_sizes_fp_congruence():
 def test_raw_bordered_conversion_roundtrip():
     A, B = raw_zero_pair(F7, 5, 1)
     f = skew(F7, A, B)
-    blocks = canonical_pair_zero(f)
+    blocks = canonical_pair_zero(primary_split(f))
     assert len(blocks) == 1
     b = blocks[0]
     assert b.kind == "zero_odd" and b.form == "bordered" and b.size == 5
@@ -321,6 +339,69 @@ def test_spectral_form_rejects_isotropic():
     f = skew(Q, Matrix.diagonal(Q, [Q.one, Q.of(-1)]), Matrix(Q, [[0, 1], [1, 0]]))
     with pytest.raises(ValidationError):
         spectral_form(f)
+
+
+# --------------------------------------------------- one split, all parts
+
+def mixed_q_seed():
+    """Odd and even zero chains next to a +-3 pair of chain length 2, scrambled."""
+    parts = [raw_zero_pair(Q, 1, 2), paired_pair(Q, 2, 0), paired_pair(Q, 2, 3)]
+    f = skew(Q, Matrix.block_diagonal(Q, [a for a, _ in parts]),
+             Matrix.block_diagonal(Q, [b for _, b in parts]))
+    P = Matrix(Q, [
+        [1, -1, 0, 0, -1, -1, -1, 1, 1],
+        [0, 1, 0, 0, -1, 0, 0, -1, 1],
+        [0, 1, 1, 1, -1, -1, 1, 1, 1],
+        [1, 0, 1, 1, 1, -1, 0, 0, -1],
+        [0, 0, 0, 0, 1, -1, -1, 1, 1],
+        [0, -1, -1, 1, -1, 1, 0, 0, -1],
+        [1, 1, 1, 1, 1, -1, 1, 0, -1],
+        [1, 0, 0, 0, 1, -1, -1, 1, 1],
+        [1, -1, -1, 1, 1, 0, 0, 1, -1],
+    ])
+    return scramble(f, P)
+
+
+# canonical_pair(mixed_q_seed()).to_json(), frozen before the peelers
+# shared one primary split
+MIXED_Q_BLOCKS = [
+    {"factor": ["-3", "1"], "kind": "paired", "mu_class": None, "size": 4},
+    {"factor": ["0", "1"], "form": "bordered", "kind": "zero_odd", "mu": "2",
+     "mu_class": "2", "size": 1},
+    {"factor": ["0", "1"], "kind": "zero_even", "mu_class": None, "size": 4},
+]
+MIXED_Q_BASIS_CHANGE = [
+    "0", "0", "-1", "0", "0", "-1", "1", "0", "0",
+    "-3/2", "0", "1", "3/2", "0", "0", "1", "0", "1/2",
+    "0", "1", "-1/3", "1/2", "1/2", "-3/2", "1", "1", "1/2",
+    "0", "1", "-2/3", "-1/2", "1/2", "1/2", "-1", "0", "-1/2",
+    "3/4", "0", "-1", "-3/4", "1/2", "0", "-1/2", "0", "-1/4",
+    "-1/2", "5/3", "-4/3", "1/2", "1", "-2", "2", "1", "1/2",
+    "3/2", "-1", "-1", "-3/2", "0", "0", "0", "0", "-1/2",
+    "-1", "1/3", "1/3", "1", "0", "-1", "2", "1", "1",
+    "5/4", "1/3", "-5/3", "-5/4", "1/2", "0", "-1/2", "0", "-3/4",
+]
+
+
+def test_mixed_q_seed_frozen_json():
+    doc = canonical_pair(mixed_q_seed()).to_json()
+    assert doc["blocks"] == MIXED_Q_BLOCKS
+    assert doc["residual"] == []
+    assert doc["basis_change"] == {"rows": 9, "cols": 9, "entries": MIXED_Q_BASIS_CHANGE}
+
+
+def test_canonical_pair_computes_one_minimal_polynomial(monkeypatch):
+    calls = []
+    real = skewcanon.minimal_polynomial
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(skewcanon, "minimal_polynomial", counted)
+    pair = canonical_pair(mixed_q_seed())
+    assert {b.kind for b in pair.blocks} == {"paired", "zero_odd", "zero_even"}
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------ invariance
