@@ -175,6 +175,8 @@ def _run_classify(args, docs, field):
 def _run_lorentz(args, docs, field):
     _need(docs, "lorentz", 1)
     doc = docs[0]
+    if not isinstance(doc, dict):
+        raise ValidationError("lorentz input must be a JSON object")
     F = field or Field.parse(doc.get("field", "Q"))
     if "lambda" not in doc:
         raise ValidationError("lorentz input needs a 'lambda' list")

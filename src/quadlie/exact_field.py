@@ -123,7 +123,7 @@ class Field:
         """Parse a field spec string, 'Q' or 'Fp:<p>'."""
         if spec == "Q":
             return cls(0)
-        if spec.startswith("Fp:"):
+        if isinstance(spec, str) and spec.startswith("Fp:"):
             try:
                 return cls(int(spec[3:]))
             except ValueError:
@@ -418,20 +418,22 @@ class Polynomial:
 
     def eval(self, c):
         F = self.field
+        c = F.of(c)
         acc = F.zero
         for a in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, F.of(c)), a)
+            acc = F.add(F.mul(acc, c), a)
         return acc
 
     def shift_scale(self, mu):
         """The monic-compatible rescale mu^deg * p(x/mu); coeff a_j -> a_j mu^(d-j)."""
         F = self.field
+        mu = F.of(mu)
         d = self.degree
         out = []
         for j, a in enumerate(self.coeffs):
             m = F.one
             for _ in range(d - j):
-                m = F.mul(m, F.of(mu))
+                m = F.mul(m, mu)
             out.append(F.mul(a, m))
         return Polynomial(F, out)
 
@@ -523,7 +525,10 @@ def poly_star(p):
     return Polynomial(F, out)
 
 
-# factorization over F_p
+# factorization over F_p; the squarefree split serves Q as well
+
+FACTOR_SEED = 0  # seed of the randomized equal-degree splitting
+Q_FACTOR_DEGREE_BOUND = 16  # largest degree factored over Q
 
 
 def _fp_pth_root(f):
@@ -532,8 +537,12 @@ def _fp_pth_root(f):
     return Polynomial(f.field, [f.coeff(i) for i in range(0, len(f.coeffs), p)])
 
 
-def _fp_squarefree(f):
-    """[(g, m)] with g monic squarefree, product g^m = f (up to lc)."""
+def _squarefree(f):
+    """[(g, m)] with g monic squarefree, product g^m = f (up to lc).
+
+    Over Q (characteristic 0) the loop ends with g == 1 on its first pass,
+    so the p-th root branch is reached only over F_p.
+    """
     p = f.field.p
     out = []
     n = 1
@@ -601,10 +610,10 @@ def _fp_edf(f, d, rng):
     return _fp_edf(g.monic(), d, rng) + _fp_edf((f // g).monic(), d, rng)
 
 
-def _factor_fp(f, seed):
-    rng = random.Random(seed)
+def _factor_fp(f):
+    rng = random.Random(FACTOR_SEED)
     out = []
-    for g, m in _fp_squarefree(f):
+    for g, m in _squarefree(f):
         for h, d in _fp_ddf(g):
             for irr in _fp_edf(h.monic(), d, rng):
                 out.append((irr.monic(), m))
@@ -738,7 +747,7 @@ def _z_poly_divides(g, f):
     return quo
 
 
-def _factor_monic_squarefree_z(f_int, seed):
+def _factor_monic_squarefree_z(f_int):
     """Irreducible monic integer factors of a monic squarefree f over Z."""
     n = len(f_int) - 1
     if n <= 1:
@@ -756,7 +765,7 @@ def _factor_monic_squarefree_z(f_int, seed):
         q += 2
     modular = [
         [int(c) for c in g.coeffs]
-        for g, _ in sorted(_factor_fp(Polynomial(Fq, f_int), seed), key=lambda t: t[0].sort_key())
+        for g, _ in sorted(_factor_fp(Polynomial(Fq, f_int)), key=lambda t: t[0].sort_key())
     ]
     if len(modular) == 1:
         return [f_int]
@@ -795,31 +804,15 @@ def _factor_monic_squarefree_z(f_int, seed):
     return out
 
 
-def _factor_q(f, seed, degree_bound):
-    if f.degree > degree_bound:
+def _factor_q(f):
+    if f.degree > Q_FACTOR_DEGREE_BOUND:
         raise CapabilityError(
-            f"rational factorization capped at degree {degree_bound}"
+            f"rational factorization capped at degree {Q_FACTOR_DEGREE_BOUND}"
         )
     F = f.field
     out = []
-    # Yun squarefree decomposition, then Zassenhaus on each squarefree part
-    fm = f.monic()
-    d, _, _ = poly_gcd(fm, fm.derivative())
-    parts = []
-    if d.degree == 0:
-        parts.append((fm, 1))
-    else:
-        c = fm // d
-        w = fm.derivative() // d - c.derivative()
-        i = 1
-        while c.degree > 0:
-            a, _, _ = poly_gcd(c, w)
-            if a.degree > 0:
-                parts.append((a.monic(), i))
-            c = c // a
-            w = w // a - c.derivative()
-            i += 1
-    for g, mult in parts:
+    # squarefree decomposition, then Zassenhaus on each squarefree part
+    for g, mult in _squarefree(f):
         # clear denominators, then shift to a monic integer polynomial
         den = 1
         for c in g.coeffs:
@@ -835,7 +828,7 @@ def _factor_q(f, seed, degree_bound):
             ell = -ell
         n = len(ints) - 1
         shifted = [ints[j] * ell ** (n - 1 - j) if j < n else 1 for j in range(n + 1)]
-        for gi in _factor_monic_squarefree_z(shifted, seed):
+        for gi in _factor_monic_squarefree_z(shifted):
             # undo y = ell*x and re-normalize monic over Q
             dg = len(gi) - 1
             coeffs = [Fraction(gi[j]) * Fraction(ell) ** j for j in range(dg + 1)]
@@ -843,21 +836,21 @@ def _factor_q(f, seed, degree_bound):
     return out
 
 
-def factor_poly(p, seed=0, degree_bound=16):
+def factor_poly(p):
     """Factor into monic irreducibles: returns [(factor, multiplicity)].
 
     The product of factor^multiplicity equals p up to its leading
-    coefficient. Randomized splitting over F_p is seeded (default 0) so
-    results are reproducible. Over Q the degree is capped (default 16);
-    exceeding it raises CapabilityError.
+    coefficient. Randomized splitting over F_p is seeded with FACTOR_SEED
+    so results are reproducible. Over Q the degree is capped at
+    Q_FACTOR_DEGREE_BOUND; exceeding it raises CapabilityError.
     """
     if p.is_zero:
         raise ValidationError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
     if p.field.p == 0:
-        out = _factor_q(p, seed, degree_bound)
+        out = _factor_q(p)
     else:
-        out = _factor_fp(p, seed)
+        out = _factor_fp(p)
     out.sort(key=lambda t: t[0].sort_key())
     return out

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over a Field.
 
 Matrices are small (desk scale, n below ~40) and everything is computed
-exactly. Mod-p elimination and multiplication go through quadlie._fast;
-the rational path stays in Fraction arithmetic.
+exactly. Row reduction (and with it rank, inverse, solve and the
+determinant) and the matrix product go through the one kernel pair in
+quadlie._fast, which serves Q (Fraction entries) and F_p (ints mod p) alike.
 
 Scalars are coerced once, where data enters: the public constructor,
 from_cols, diagonal, from_json, Subspace and the right-hand side of solve
@@ -141,31 +142,11 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValidationError("inner dimensions differ")
-            F = self.field
-            if F.p:
-                flat = _fast.fp_matmul(
-                    [c for row in self.data for c in row],
-                    self.nrows,
-                    self.ncols,
-                    [c for row in other.data for c in row],
-                    other.nrows,
-                    other.ncols,
-                    F.p,
-                )
-                m = other.ncols
-                return Matrix._wrap(F, [flat[i * m : (i + 1) * m] for i in range(self.nrows)])
-            out = Matrix.zeros(F, self.nrows, other.ncols)
-            for i in range(self.nrows):
-                row = self.data[i]
-                orow = out.data[i]
-                for t in range(self.ncols):
-                    a = row[t]
-                    if not a:
-                        continue
-                    brow = other.data[t]
-                    for j in range(other.ncols):
-                        orow[j] += a * brow[j]
-            return out
+            rows = _fast.fp_matmul(
+                self.data, self.nrows, self.ncols,
+                other.data, other.nrows, other.ncols, self.field.p,
+            )
+            return Matrix._wrap(self.field, rows)
         raise TypeError("matrix multiplication needs a Matrix")
 
     def matvec(self, v):
@@ -194,35 +175,8 @@ class Matrix:
 
     def rref(self):
         """Canonical reduced row echelon form: (R, pivot columns, rank)."""
-        F = self.field
-        if F.p:
-            flat, pivots, rank = _fast.fp_rref(
-                [c for row in self.data for c in row], self.nrows, self.ncols, F.p
-            )
-            nc = self.ncols
-            R = Matrix._wrap(F, [flat[i * nc : (i + 1) * nc] for i in range(self.nrows)])
-            return R, tuple(pivots), rank
-        m = [list(row) for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            if r == self.nrows:
-                break
-            pr = next((i for i in range(r, self.nrows) if m[i][c]), -1)
-            if pr < 0:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = 1 / m[r][c]
-            if inv != 1:
-                m[r] = [a * inv for a in m[r]]
-            for i in range(self.nrows):
-                f = m[i][c]
-                if i == r or not f:
-                    continue
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix._wrap(F, m), tuple(pivots), r
+        rows, pivots, rank, _ = _fast.fp_rref(self.data, self.ncols, self.field.p)
+        return Matrix._wrap(self.field, rows), tuple(pivots), rank
 
     def rank(self):
         return self.rref()[2]
@@ -247,24 +201,8 @@ class Matrix:
     def det(self):
         if not self.is_square:
             raise ValidationError("determinant of a non-square matrix")
-        F = self.field
-        m = [list(row) for row in self.data]
-        n = self.nrows
-        det = F.one
-        for c in range(n):
-            pr = next((i for i in range(c, n) if m[i][c]), -1)
-            if pr < 0:
-                return F.zero
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = F.neg(det)
-            det = F.mul(det, m[c][c])
-            inv = F.inv(m[c][c])
-            for i in range(c + 1, n):
-                f = F.mul(m[i][c], inv)
-                if f:
-                    m[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(m[i], m[c])]
-        return det
+        _, _, rank, det = _fast.fp_rref(self.data, self.ncols, self.field.p)
+        return det if rank == self.nrows else self.field.zero
 
     def solve(self, rhs):
         """One exact solution of self * x = rhs, or None if inconsistent."""
@@ -409,7 +347,7 @@ def poly_at_matrix(p, A):
     for c in reversed(p.coeffs or (F.zero,)):
         acc = acc * A
         for i in range(n):
-            acc.data[i][i] = F.add(acc.data[i][i], F.of(c))
+            acc.data[i][i] = F.add(acc.data[i][i], c)
     return acc
 
 
@@ -479,7 +417,6 @@ def solve_triangular(T, rhs):
     """Exact solution of T x = rhs for triangular T with invertible diagonal."""
     if not T.is_square:
         raise ValidationError("triangular solve needs a square matrix")
-    F = T.field
     n = T.nrows
     lower = all(not T.data[i][j] for i in range(n) for j in range(i + 1, n))
     upper = all(not T.data[i][j] for i in range(n) for j in range(i))
@@ -488,14 +425,7 @@ def solve_triangular(T, rhs):
     for i in range(n):
         if not T.data[i][i]:
             raise ValidationError(f"zero diagonal entry at {i}")
-    x = [F.zero] * n
-    order = range(n) if lower else range(n - 1, -1, -1)
-    for i in order:
-        acc = rhs[i]
-        for j in range(n):
-            if j != i and T.data[i][j]:
-                acc = F.sub(acc, F.mul(T.data[i][j], x[j]))
-        x[i] = F.div(acc, T.data[i][i])
+    x = T.solve(rhs)
     if T.matvec(x) != list(rhs):
         raise ValidationError("triangular solve verification failed")
     return x

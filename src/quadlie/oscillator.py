@@ -360,12 +360,14 @@ def classify_nilpotent(data):
 # ---------------------------------------------------------------------------
 # locality
 
+LINE_CAP = 20000  # most lines enumerated when looking for minimal ideals
 
-def _ad_stable_lines(L, line_cap):
+
+def _ad_stable_lines(L):
     """All lines K x with [L, x] in K x, by enumeration over a prime field.
 
-    Returns None when the field is rational or the line count exceeds the
-    cap; each returned line is an ideal, and a one dimensional ideal is
+    Returns None when the field is rational or the line count exceeds
+    LINE_CAP; each returned line is an ideal, and a one dimensional ideal is
     automatically minimal.
     """
     F = L.field
@@ -374,7 +376,7 @@ def _ad_stable_lines(L, line_cap):
     if not p:
         return None
     count = (p**d - 1) // (p - 1)
-    if count > line_cap:
+    if count > LINE_CAP:
         return None
     ads = [L.ad(L.basis_vector(i)) for i in range(d)]
     lines = []
@@ -393,11 +395,11 @@ def _ad_stable_lines(L, line_cap):
     return lines
 
 
-def local_criteria(data, line_cap=20000):
+def local_criteria(data):
     """Five equivalent descriptions of locality, each computed on its own.
 
     (a) a unique minimal ideal: decided by enumerating ad-stable lines over
-        a prime field when the count fits under line_cap, otherwise through
+        a prime field when the count fits under LINE_CAP, otherwise through
         the invertibility criterion;
     (b) the seed axis complements the derived algebra;
     (c) the centre is a line;
@@ -429,7 +431,7 @@ def local_criteria(data, line_cap=20000):
     dq = len(forms)
     e_plane = dq == 2
 
-    lines = _ad_stable_lines(L, line_cap)
+    lines = _ad_stable_lines(L)
     if lines is None:
         a_unique = c_centre and d_inv
     else:
@@ -1249,22 +1251,26 @@ def witt1_certify(data):
 # ---------------------------------------------------------------------------
 # census
 
+CENSUS_MAX_DIM = 4  # largest core dimension enumerated without unsafe
+CENSUS_MAX_P = 7  # largest prime enumerated without unsafe
 
-def skew_census(field, dim, max_dim=4, max_p=7, unsafe=False):
+
+def skew_census(field, dim, unsafe=False):
     """Bucket every skew map on the standard form by its canonical key.
 
     Enumerates all matrices skew for the identity Gram over a prime field
     and groups them by the canonical block signature, keeping one
-    representative per bucket. Capped at dim 4 and p 7 unless unsafe is
-    set; the enumeration is p^(dim(dim-1)/2) strong.
+    representative per bucket. Capped at CENSUS_MAX_DIM and CENSUS_MAX_P
+    unless unsafe is set; the enumeration is p^(dim(dim-1)/2) strong.
     """
     from .quadspace import skew_basis
 
     if not field.p:
         raise CapabilityError("census enumeration needs a finite field")
-    if not unsafe and (dim > max_dim or field.p > max_p):
+    if not unsafe and (dim > CENSUS_MAX_DIM or field.p > CENSUS_MAX_P):
         raise CapabilityError(
-            f"census capped at dim {max_dim}, p {max_p}; pass unsafe to override"
+            f"census capped at dim {CENSUS_MAX_DIM}, p {CENSUS_MAX_P}; "
+            "pass unsafe to override"
         )
     space = OrthogonalSpace.standard(field, dim)
     basis = skew_basis(space)

@@ -212,12 +212,18 @@ class IsotropyReport:
         }
 
 
-def _fp_isotropic_vector(space, cap=200000):
+# isotropic vector searches: the largest coordinate height tried over Q,
+# and the most vectors one search may try (over F_p all p^n must fit)
+ISOTROPY_HEIGHT_BOUND = 10
+ISOTROPY_SEARCH_CAP = 200000
+
+
+def _fp_isotropic_vector(space):
     F = space.field
     p = F.p
     n = space.dim
     total = p**n
-    if total > cap:
+    if total > ISOTROPY_SEARCH_CAP:
         return None
     for idx in range(1, total):
         v = []
@@ -230,12 +236,13 @@ def _fp_isotropic_vector(space, cap=200000):
     return None
 
 
-def _q_box_isotropic(gram_rows, field, bound, cap):
-    """First isotropic vector with coordinates in [-h, h], h growing to bound."""
+def _q_box_isotropic(gram_rows, field):
+    """First isotropic vector with coordinates in [-h, h], h growing to
+    ISOTROPY_HEIGHT_BOUND."""
     n = len(gram_rows)
     space = OrthogonalSpace(Matrix(field, gram_rows))
     count = 0
-    for h in range(1, bound + 1):
+    for h in range(1, ISOTROPY_HEIGHT_BOUND + 1):
         rng = list(range(-h, h + 1))
         stack = [[]]
         while stack:
@@ -243,7 +250,7 @@ def _q_box_isotropic(gram_rows, field, bound, cap):
             if len(prefix) == n:
                 if any(prefix) and max(abs(c) for c in prefix) == h:
                     count += 1
-                    if count > cap:
+                    if count > ISOTROPY_SEARCH_CAP:
                         return None
                     if not space.quad([field.of(c) for c in prefix]):
                         return [field.of(c) for c in prefix]
@@ -253,7 +260,7 @@ def _q_box_isotropic(gram_rows, field, bound, cap):
     return None
 
 
-def _q_find_isotropic(gram, field, bound, cap):
+def _q_find_isotropic(gram, field):
     """Isotropic vector for a regular rational gram, or None.
 
     Tries the exact two-coordinate criterion on a diagonalization first
@@ -272,10 +279,10 @@ def _q_find_isotropic(gram, field, bound, cap):
                     coords[i] = field.one
                     coords[j] = r
                     return P.matvec(coords)
-    return _q_box_isotropic(gram.data, field, bound, cap)
+    return _q_box_isotropic(gram.data, field)
 
 
-def isotropy_report(space, height_bound=10, search_cap=200000):
+def isotropy_report(space):
     """Witt-type analysis of a regular space.
 
     Over F_p the Witt index and anisotropic dimension are exact (standard
@@ -301,7 +308,7 @@ def isotropy_report(space, height_bound=10, search_cap=200000):
             witt = m if square_class(F, disc) == square_class(F, sign) else m - 1
         else:
             witt = (n - 1) // 2
-        witness = _fp_isotropic_vector(space, search_cap) if witt > 0 else None
+        witness = _fp_isotropic_vector(space) if witt > 0 else None
         return IsotropyReport(
             field=F,
             dim=n,
@@ -343,7 +350,7 @@ def isotropy_report(space, height_bound=10, search_cap=200000):
         if all(c > 0 for c in dd) or all(c < 0 for c in dd):
             witt, aniso = splits, m
             break
-        w = _q_find_isotropic(G, F, height_bound, search_cap)
+        w = _q_find_isotropic(G, F)
         if w is None:
             witt, aniso = None, None
             break

@@ -161,6 +161,11 @@ def _bad_canon(tmp_path, doc):
     return ["canon", "--in", write(tmp_path, "bad.json", doc)]
 
 
+def _bad_canon_field(tmp_path, doc):
+    doc["field"] = 5
+    return ["canon", "--in", write(tmp_path, "bad.json", doc)]
+
+
 def _bad_witness(tmp_path, doc):
     a = write(tmp_path, "a.json", from_lambda_tuple(Q, (2, 4, 6)).to_json())
     b = write(tmp_path, "b.json", from_lambda_tuple(Q, (1, 2, 3)).to_json())
@@ -184,9 +189,11 @@ def _bad_lorentz(doc):
         _bad_lorentz({"field": "Q", "lambda": 5}),
         _bad_lorentz({"field": "Q", "lambda": [1, 2], "s": "x"}),
         _bad_lorentz({"field": "Q", "lambda": ["1/0"]}),
+        _bad_canon_field,
+        _bad_lorentz("abc"),
     ],
     ids=["canon-1/0", "witness-lambda-1/0", "lorentz-abc", "lorentz-int",
-         "lorentz-s-x", "lorentz-1/0"],
+         "lorentz-s-x", "lorentz-1/0", "canon-field-int", "lorentz-not-object"],
 )
 def test_malformed_input_exit(tmp_path, capsys, argv):
     d = OscillatorData(

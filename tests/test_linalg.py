@@ -75,14 +75,29 @@ def test_rref_canonical_and_idempotent():
     assert R2 == R
 
 
-@given(st.integers(0, 10**6), st.sampled_from([F5, F_BIG]))
-@settings(max_examples=30)
+def _cofactor_det(field, rows):
+    if not rows:
+        return field.one
+    det = field.zero
+    for j, c in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        term = field.mul(c, _cofactor_det(field, minor))
+        det = field.add(det, term) if j % 2 == 0 else field.sub(det, term)
+    return det
+
+
+@given(st.integers(0, 10**6), st.sampled_from([Q, F5, F_BIG]))
+@settings(max_examples=40)
 def test_rref_rank_matches_det(seed, field):
     rng = random.Random(seed)
     n = rng.randint(1, 5)
     A = random_matrix(field, rng, n)
+    B = random_matrix(field, rng, n)
     _, _, rank = A.rref()
     assert (rank == n) == (A.det() != 0)
+    assert (A * B).det() == field.mul(A.det(), B.det())
+    if n <= 4:
+        assert A.det() == _cofactor_det(field, A.data)
     if rank == n:
         assert A * A.inverse() == Matrix.identity(field, n)
 
@@ -111,15 +126,17 @@ def test_results_stay_canonical(field):
         A.rref()[0],
         Matrix(field, [[1, 2, 3], [-2, -4, 5]]).rref()[0],
         A.inverse(),
+        Matrix(field, [[0, 0], [1, 2]]) * B,
     ]
     for M in results:
         assert _canonical(field, [c for row in M.data for c in row]), M
     assert _canonical(field, A.solve([1, -2]))
+    assert _canonical(field, [A.det(), Matrix.zeros(field, 2).det()])
 
 
 def test_fp_matmul_shape_error():
     with pytest.raises(ValueError):
-        _fast.fp_matmul([1, 2], 1, 2, [1, 2, 3], 3, 1, 5)
+        _fast.fp_matmul([[1, 2]], 1, 2, [[1], [2], [3]], 3, 1, 5)
 
 
 def test_solve_columns():
