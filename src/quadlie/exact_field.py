@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd, isqrt
 
 from .errors import CapabilityError, ValidationError
@@ -290,7 +291,17 @@ def sqrt_in_field(field, c):
 
 
 class Polynomial:
-    """Univariate polynomial, coefficients ascending (coeffs[i] is on x^i)."""
+    """Univariate polynomial, coefficients ascending (coeffs[i] is on x^i).
+
+    The coefficients are canonical field elements: Fraction over Q, ints in
+    [0, p) over F_p, with no trailing zero. The public constructor (and
+    from_json, constant) coerces through Field.of, so that is where data
+    enters. Results of arithmetic on polynomials that are already canonical
+    go through the trusted Polynomial._wrap, which only trims; every
+    operation computes on the plain values with one reduction mod p.
+    Polynomials are immutable and hashable, which lets factor_poly keep
+    the factorization of each distinct input (FACTOR_CACHE_SIZE of them).
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -302,16 +313,27 @@ class Polynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _wrap(cls, field, coeffs):
+        """Trusted constructor: a list of canonical field elements. Trims
+        trailing zeros (consuming the list) and coerces nothing."""
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.coeffs = tuple(coeffs)
+        return poly
+
+    @classmethod
     def zero(cls, field):
-        return cls(field, [])
+        return cls._wrap(field, [])
 
     @classmethod
     def one(cls, field):
-        return cls(field, [1])
+        return cls._wrap(field, [field.one])
 
     @classmethod
     def x(cls, field):
-        return cls(field, [0, 1])
+        return cls._wrap(field, [field.zero, field.one])
 
     @classmethod
     def constant(cls, field, c):
@@ -353,51 +375,74 @@ class Polynomial:
         return hash((self.field, self.coeffs))
 
     def __add__(self, other):
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(F, [F.add(self.coeff(i), other.coeff(i)) for i in range(n)])
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        p = self.field.p
+        if p:
+            out = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            out = [x + y for x, y in zip(a, b)]
+        return Polynomial._wrap(self.field, out + list(a[len(b):]))
 
     def __sub__(self, other):
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(F, [F.sub(self.coeff(i), other.coeff(i)) for i in range(n)])
+        a, b = self.coeffs, other.coeffs
+        p = self.field.p
+        if p:
+            out = [(x - y) % p for x, y in zip(a, b)] + [-y % p for y in b[len(a):]]
+        else:
+            out = [x - y for x, y in zip(a, b)] + [-y for y in b[len(a):]]
+        return Polynomial._wrap(self.field, out + list(a[len(b):]))
 
     def __neg__(self):
-        F = self.field
-        return Polynomial(F, [F.neg(c) for c in self.coeffs])
+        p = self.field.p
+        if p:
+            return Polynomial._wrap(self.field, [-c % p for c in self.coeffs])
+        return Polynomial._wrap(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         F = self.field
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero(F)
-        out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return Polynomial(F, out)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return Polynomial._wrap(F, [])
+        out = [F.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        if F.p:
+            out = [c % F.p for c in out]
+        return Polynomial._wrap(F, out)
 
     def scale(self, c):
         F = self.field
-        return Polynomial(F, [F.mul(F.of(c), a) for a in self.coeffs])
+        c = F.of(c)
+        if F.p:
+            return Polynomial._wrap(F, [c * a % F.p for a in self.coeffs])
+        return Polynomial._wrap(F, [c * a for a in self.coeffs])
 
     def divmod(self, other):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
+        p = F.p
+        b = other.coeffs
+        d = len(b) - 1
+        ilc = F.inv(b[-1])
+        # over F_p the remainder stays unreduced until an entry is read
         rem = list(self.coeffs)
-        d = other.degree
-        ilc = F.inv(other.lc())
         quo = [F.zero] * max(0, len(rem) - d)
         for i in range(len(rem) - d - 1, -1, -1):
-            c = F.mul(rem[i + d], ilc)
+            c = rem[i + d] * ilc
+            if p:
+                c %= p
             if not c:
                 continue
             quo[i] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = F.sub(rem[i + j], F.mul(c, b))
-        return Polynomial(F, quo), Polynomial(F, rem[:d])
+            for j, y in enumerate(b, i):
+                rem[j] -= c * y
+        rem = [r % p for r in rem[:d]] if p else rem[:d]
+        return Polynomial._wrap(F, quo), Polynomial._wrap(F, rem)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -411,10 +456,12 @@ class Polynomial:
         return self.scale(self.field.inv(self.lc()))
 
     def derivative(self):
-        F = self.field
-        return Polynomial(
-            F, [F.mul(F.of(i), c) for i, c in enumerate(self.coeffs)][1:]
-        )
+        p = self.field.p
+        if p:
+            out = [i * c % p for i, c in enumerate(self.coeffs)]
+        else:
+            out = [i * c for i, c in enumerate(self.coeffs)]
+        return Polynomial._wrap(self.field, out[1:])
 
     def eval(self, c):
         F = self.field
@@ -435,7 +482,7 @@ class Polynomial:
             for _ in range(d - j):
                 m = F.mul(m, mu)
             out.append(F.mul(a, m))
-        return Polynomial(F, out)
+        return Polynomial._wrap(F, out)
 
     def pow_mod(self, e, modulus):
         result = Polynomial.one(self.field)
@@ -482,7 +529,7 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, field, data):
-        return cls(field, [field.of(c) for c in data])
+        return cls(field, data)
 
 
 def poly_gcd(a, b):
@@ -516,13 +563,12 @@ def poly_star(p):
     """
     if not p.is_monic:
         raise ValidationError("star is defined for monic polynomials")
-    F = p.field
-    d = p.degree
-    out = []
-    for i, c in enumerate(p.coeffs):
-        # sign (-1)^(d-i) = (-1)^d * (-1)^i
-        out.append(c if (d - i) % 2 == 0 else F.neg(c))
-    return Polynomial(F, out)
+    q = p.field.p
+    out = list(p.coeffs)
+    # sign (-1)^(d-i): negate every other coefficient below the leading one
+    for i in range(p.degree - 1, -1, -2):
+        out[i] = -out[i] % q if q else -out[i]
+    return Polynomial._wrap(p.field, out)
 
 
 # factorization over F_p; the squarefree split serves Q as well
@@ -533,8 +579,7 @@ Q_FACTOR_DEGREE_BOUND = 16  # largest degree factored over Q
 
 def _fp_pth_root(f):
     # f' == 0 over F_p means f(x) = h(x^p) and f = h(x)^p coefficientwise
-    p = f.field.p
-    return Polynomial(f.field, [f.coeff(i) for i in range(0, len(f.coeffs), p)])
+    return Polynomial._wrap(f.field, list(f.coeffs[:: f.field.p]))
 
 
 def _squarefree(f):
@@ -597,7 +642,7 @@ def _fp_edf(f, d, rng):
         return [f]
     e = (p**d - 1) // 2
     while True:
-        r = Polynomial(F, [rng.randrange(p) for _ in range(f.degree)])
+        r = Polynomial._wrap(F, [rng.randrange(p) for _ in range(f.degree)])
         if r.degree < 1:
             continue
         g, _, _ = poly_gcd(r, f)
@@ -836,6 +881,9 @@ def _factor_q(f):
     return out
 
 
+FACTOR_CACHE_SIZE = 4096  # distinct polynomials whose factorization is kept
+
+
 def factor_poly(p):
     """Factor into monic irreducibles: returns [(factor, multiplicity)].
 
@@ -843,14 +891,21 @@ def factor_poly(p):
     coefficient. Randomized splitting over F_p is seeded with FACTOR_SEED
     so results are reproducible. Over Q the degree is capped at
     Q_FACTOR_DEGREE_BOUND; exceeding it raises CapabilityError.
+    Each distinct p is factored once per process (a call that raises is not
+    cached); every call returns a new list.
     """
+    return list(_factor_cached(p))
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _factor_cached(p):
     if p.is_zero:
         raise ValidationError("cannot factor the zero polynomial")
     if p.degree == 0:
-        return []
+        return ()
     if p.field.p == 0:
         out = _factor_q(p)
     else:
         out = _factor_fp(p)
     out.sort(key=lambda t: t[0].sort_key())
-    return out
+    return tuple(out)

@@ -6,9 +6,11 @@ determinant) and the matrix product go through the one kernel pair in
 quadlie._fast, which serves Q (Fraction entries) and F_p (ints mod p) alike.
 
 Scalars are coerced once, where data enters: the public constructor,
-from_cols, diagonal, from_json, Subspace and the right-hand side of solve
-run Field.of. Results built here from entries that are already field
-elements go through the trusted Matrix._wrap instead.
+from_cols, diagonal, from_json, the public Subspace constructor and the
+right-hand side of solve run Field.of. Results built here from entries that
+are already field elements go through the trusted Matrix._wrap and
+Subspace._wrap instead; kernel_basis, image_basis, sum_with and contains
+row-reduce their canonical rows straight through the kernel.
 """
 
 from __future__ import annotations
@@ -153,15 +155,9 @@ class Matrix:
         F = self.field
         if len(v) != self.ncols:
             raise ValidationError("vector length mismatch")
-        out = []
-        for i in range(self.nrows):
-            acc = F.zero
-            row = self.data[i]
-            for j, c in enumerate(v):
-                if c:
-                    acc = F.add(acc, F.mul(row[j], c))
-            out.append(acc)
-        return out
+        nz = [(j, c) for j, c in enumerate(v) if c]
+        out = [sum([row[j] * c for j, c in nz], F.zero) for row in self.data]
+        return [c % F.p for c in out] if F.p else out
 
     def is_zero(self):
         return all(not c for row in self.data for c in row)
@@ -241,19 +237,25 @@ class Subspace:
     def __init__(self, field, ambient_dim, vectors):
         self.field = field
         self.ambient_dim = ambient_dim
-        if vectors:
-            R, _, rank = Matrix(field, vectors).rref()
-            self.basis = [R.data[i] for i in range(rank)]
-        else:
-            self.basis = []
+        self.basis = _echelon(field, Matrix(field, vectors).data if vectors else [])
+
+    @classmethod
+    def _wrap(cls, field, ambient_dim, rows):
+        """Trusted constructor: rows of equal length whose entries are already
+        canonical field elements; they are row-reduced, not coerced."""
+        s = object.__new__(cls)
+        s.field = field
+        s.ambient_dim = ambient_dim
+        s.basis = _echelon(field, rows)
+        return s
 
     @classmethod
     def zero(cls, field, ambient_dim):
-        return cls(field, ambient_dim, [])
+        return cls._wrap(field, ambient_dim, [])
 
     @classmethod
     def full(cls, field, ambient_dim):
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim).data)
+        return cls._wrap(field, ambient_dim, Matrix.identity(field, ambient_dim).data)
 
     @property
     def dim(self):
@@ -275,18 +277,18 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
     def contains(self, v):
+        """Membership of v, a vector of canonical field elements."""
         if all(not c for c in v):
             return True
         if not self.basis:
             return False
-        R, _, rank = Matrix(self.field, self.basis + [list(v)]).rref()
-        return rank == self.dim
+        return len(_echelon(self.field, self.basis + [list(v)])) == self.dim
 
     def is_subspace_of(self, other):
         return all(other.contains(v) for v in self.basis)
 
     def sum_with(self, other):
-        return Subspace(self.field, self.ambient_dim, self.basis + other.basis)
+        return Subspace._wrap(self.field, self.ambient_dim, self.basis + other.basis)
 
     def intersect(self, other):
         a = self.constraints()
@@ -311,6 +313,14 @@ class Subspace:
         return M.solve(list(v))
 
 
+def _echelon(field, rows):
+    """Nonzero rows of the reduced echelon form of canonical rows."""
+    if not rows:
+        return []
+    R, _, rank, _ = _fast.fp_rref(rows, len(rows[0]), field.p)
+    return R[:rank]
+
+
 def kernel_basis(A):
     """Canonical echelon basis of {v : A v = 0}."""
     R, pivots, rank = A.rref()
@@ -323,12 +333,12 @@ def kernel_basis(A):
         for r, c in enumerate(pivots):
             v[c] = F.neg(R.data[r][j])
         vectors.append(v)
-    return Subspace(F, A.ncols, vectors)
+    return Subspace._wrap(F, A.ncols, vectors)
 
 
 def image_basis(A):
     """Column space of A as a canonical Subspace."""
-    return Subspace(A.field, A.nrows, [A.col(j) for j in range(A.ncols)])
+    return Subspace._wrap(A.field, A.nrows, A.cols())
 
 
 def mat_pow(A, k):
@@ -384,11 +394,14 @@ def minimal_polynomial(A):
         w = v
         while True:
             w = A.matvec(w)
-            K = Matrix.from_cols(F, krylov)
+            K = Matrix._wrap(F, [list(row) for row in zip(*krylov)])
             sol = K.solve(w)
             if sol is not None:
-                ann = Polynomial(F, [F.neg(c) for c in sol] + [F.one])
-                m = poly_lcm(m, ann)
+                if F.p:
+                    ann = [-c % F.p for c in sol]
+                else:
+                    ann = [-c for c in sol]
+                m = poly_lcm(m, Polynomial._wrap(F, ann + [F.one]))
                 break
             krylov.append(w)
         if m.degree == n:
@@ -412,20 +425,3 @@ def primary_component(A, pi, k):
             raise ValidationError("primary component is not invariant")
     return comp
 
-
-def solve_triangular(T, rhs):
-    """Exact solution of T x = rhs for triangular T with invertible diagonal."""
-    if not T.is_square:
-        raise ValidationError("triangular solve needs a square matrix")
-    n = T.nrows
-    lower = all(not T.data[i][j] for i in range(n) for j in range(i + 1, n))
-    upper = all(not T.data[i][j] for i in range(n) for j in range(i))
-    if not (lower or upper):
-        raise ValidationError("matrix is not triangular")
-    for i in range(n):
-        if not T.data[i][i]:
-            raise ValidationError(f"zero diagonal entry at {i}")
-    x = T.solve(rhs)
-    if T.matvec(x) != list(rhs):
-        raise ValidationError("triangular solve verification failed")
-    return x

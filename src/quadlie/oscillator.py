@@ -1267,6 +1267,8 @@ def skew_census(field, dim, unsafe=False):
 
     if not field.p:
         raise CapabilityError("census enumeration needs a finite field")
+    if dim < 0:
+        raise ValidationError(f"census dimension must be nonnegative, got {dim}")
     if not unsafe and (dim > CENSUS_MAX_DIM or field.p > CENSUS_MAX_P):
         raise CapabilityError(
             f"census capped at dim {CENSUS_MAX_DIM}, p {CENSUS_MAX_P}; "

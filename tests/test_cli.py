@@ -191,9 +191,11 @@ def _bad_lorentz(doc):
         _bad_lorentz({"field": "Q", "lambda": ["1/0"]}),
         _bad_canon_field,
         _bad_lorentz("abc"),
+        lambda tmp_path, _: ["census", "--field", "Fp:3", "--dim", "-1"],
     ],
     ids=["canon-1/0", "witness-lambda-1/0", "lorentz-abc", "lorentz-int",
-         "lorentz-s-x", "lorentz-1/0", "canon-field-int", "lorentz-not-object"],
+         "lorentz-s-x", "lorentz-1/0", "canon-field-int", "lorentz-not-object",
+         "census-dim-negative"],
 )
 def test_malformed_input_exit(tmp_path, capsys, argv):
     d = OscillatorData(

@@ -150,6 +150,46 @@ def test_poly_gcd_bezout(ac, bc):
     assert (a % g).is_zero and (b % g).is_zero
 
 
+F_BIG = Field.parse("Fp:2305843009213693951")  # 2^61 - 1
+
+
+def _assert_canonical(P):
+    F = P.field
+    cs = P.coeffs
+    assert not cs or cs[-1]
+    if F.p:
+        assert all(type(c) is int and 0 <= c < F.p for c in cs)
+    else:
+        assert all(isinstance(c, Fraction) for c in cs)
+    assert P == Polynomial(F, list(cs))
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_poly_results_stay_canonical(data):
+    F = data.draw(st.sampled_from([Q, F5, F_BIG]))
+    if F.p:
+        scalars = st.integers(-(2**70), 2**70)
+    else:
+        scalars = st.fractions(max_denominator=9)
+    a = Polynomial(F, data.draw(st.lists(scalars, max_size=6)))
+    b = Polynomial(F, data.draw(st.lists(scalars, max_size=5)))
+    c = data.draw(scalars)
+    results = [a + b, a - b, b - a, -a, a * b, a.scale(c), a.monic(), a.derivative()]
+    if not b.is_zero:
+        q, r = a.divmod(b)
+        assert q * b + r == a and r.degree < b.degree
+        results += [q, r]
+    if not a.is_zero:
+        results.append(poly_star(a.monic()))
+    if not (a.is_zero and b.is_zero):
+        g, u, v = poly_gcd(a, b)
+        assert u * a + v * b == g
+        results += [g, u, v]
+    for P in results:
+        _assert_canonical(P)
+
+
 def test_poly_lcm():
     a = poly(Q, -1, 1)
     b = poly(Q, 1, 1)
@@ -216,6 +256,15 @@ def test_factor_against_sympy():
             p = Polynomial(F, coeffs + [F.one])
             ours = sorted((tuple(f.coeffs), k) for f, k in factor_poly(p))
             assert ours == _sympy_factor_multiset(p, F), p
+
+
+def test_factor_cache_returns_fresh_lists():
+    p = poly(F7, 1, 0, 0, 1)  # x^3 + 1
+    first = factor_poly(p)
+    second = factor_poly(p)
+    assert first == second and first is not second
+    first.clear()
+    assert second and factor_poly(p) == second
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=5))

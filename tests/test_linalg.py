@@ -14,7 +14,6 @@ from quadlie.linalg import (
     minimal_polynomial,
     poly_at_matrix,
     primary_component,
-    solve_triangular,
 )
 
 Q = Field.parse("Q")
@@ -227,15 +226,6 @@ def test_primary_component_splits_dimensions():
     U1 = primary_component(A, x - Polynomial.one(Q), 3)
     assert U0.dim == 2 and U1.dim == 3
     assert U0.intersect(U1).dim == 0
-
-
-def test_solve_triangular():
-    T = Matrix(Q, [[1, 2, 3], [0, 1, 4], [0, 0, 1]])
-    b = [Q.of(6), Q.of(5), Q.of(1)]
-    x = solve_triangular(T, b)
-    assert T.matvec(x) == b
-    with pytest.raises(ValidationError):
-        solve_triangular(Matrix(Q, [[0, 1], [1, 0]]), [Q.one, Q.one])
 
 
 # ------------------------------------------------------------- invariants

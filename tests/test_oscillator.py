@@ -1,5 +1,6 @@
 """Double extensions by a line: structure, classification, isomorphism."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadlie import exact_field, skewcanon
 from quadlie.errors import CapabilityError, ValidationError
 from quadlie.exact_field import Field
 from quadlie.linalg import Matrix
@@ -686,3 +688,42 @@ def test_census_caps():
         skew_census(F11, 2)
     c = skew_census(F11, 2, unsafe=True)
     assert c["total"] == 11
+    with pytest.raises(ValidationError):
+        skew_census(F3, -1)
+
+
+def test_census_factors_each_minimal_polynomial_once(monkeypatch):
+    factored, minpolys = [], set()
+    real_factor, real_minpoly = exact_field._factor_fp, skewcanon.minimal_polynomial
+
+    def factor(f):
+        factored.append(f)
+        return real_factor(f)
+
+    def minpoly(A):
+        m = real_minpoly(A)
+        minpolys.add(m)
+        return m
+
+    monkeypatch.setattr(exact_field, "_factor_fp", factor)
+    monkeypatch.setattr(skewcanon, "minimal_polynomial", minpoly)
+    exact_field._factor_cached.cache_clear()
+    skew_census(F3, 3)
+    assert len(factored) == len(set(factored)) == len(minpolys)
+    assert set(factored) == minpolys
+
+
+# sha256 of each census document serialized with sorted keys and indent 2;
+# a change in any bucket, count or representative changes the digest
+CENSUS_DIGESTS = {
+    (3, 4): "853e5a8341305f2b0feed1e78cdce392cbf171f0b4b7dca4cb84ae2fb6ada545",
+    (5, 3): "65d0ef3b8583668c4f87726c65a82173d5c039d95f16be3382f6a1994107d72f",
+    (7, 3): "8213f3c0ef99172ee12faab21e32e09352090abfc8aa9a9049bd18c6c38bfd49",
+}
+
+
+@pytest.mark.parametrize("p, n", sorted(CENSUS_DIGESTS))
+def test_census_frozen_digest(p, n):
+    doc = skew_census(Field.parse(f"Fp:{p}"), n)
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_DIGESTS[(p, n)]
