@@ -153,7 +153,7 @@ class Field:
         if self.p == 0:
             if isinstance(v, Fraction):
                 return v
-            if isinstance(v, int):
+            if type(v) is int:  # not bool, which JSON true/false arrive as
                 return Fraction(v)
             if isinstance(v, str):
                 try:
@@ -173,7 +173,7 @@ class Field:
             if v.denominator % self.p == 0:
                 raise ValidationError(f"denominator divisible by {self.p}")
             return v.numerator * pow(v.denominator, self.p - 2, self.p) % self.p
-        if isinstance(v, int):
+        if type(v) is int:
             return v % self.p
         raise ValidationError(f"not an F_{self.p} scalar: {v!r}")
 
@@ -239,10 +239,6 @@ def square_class(field, c):
     return "square" if pow(c, (field.p - 1) // 2, field.p) == 1 else "nonsquare"
 
 
-def same_square_class(field, a, b):
-    return square_class(field, a) == square_class(field, b)
-
-
 def least_nonsquare(field):
     """The smallest nonsquare in F_p; undefined over Q (every class has many)."""
     if field.p == 0:
@@ -283,11 +279,19 @@ def sqrt_in_field(field, c):
     p = field.p
     if pow(c, (p - 1) // 2, p) != 1:
         return None
-    # p is small in practice; a scan keeps this dependency-free
-    for r in range(1, p):
-        if r * r % p == c:
-            return r
-    return None
+    # Tonelli-Shanks, p - 1 = q 2^s with q odd; the smaller root is returned
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = pow(least_nonsquare(field), q, p)
+    t, r = pow(c, q, p), pow(c, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(z, 1 << (s - i - 1), p)
+        s, z, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
 
 
 class Polynomial:

@@ -1,97 +1,77 @@
-"""Lie algebras by structure constants, exact series, invariant forms.
+"""Lie algebras by a sparse bracket table, exact series, invariant forms.
 
-Everything here is basis-bound: an algebra is its structure tensor over an
-exact field, subspaces are echelonized row spaces, and every advertised
-identity (Jacobi, invariance, series duality) is checked by exact linear
-algebra rather than assumed.
+Everything here is basis-bound: an algebra is its table of nonzero brackets
+[e_i, e_j] for i < j over an exact field, subspaces are echelonized row
+spaces, and every advertised identity (Jacobi, invariance, series duality)
+is checked by exact linear algebra rather than assumed. Antisymmetry holds
+by construction: [e_j, e_i] is read as the negative of the stored entry.
 """
+
+from itertools import combinations
 
 from .errors import ValidationError
 from .linalg import Matrix, Subspace, kernel_basis
-from .quadspace import OrthogonalSpace, is_skew, ortho_complement
+from .quadspace import OrthogonalSpace, ortho_complement
 
 
 class LieAlgebra:
-    """Structure constants c[i][j] = coordinates of [e_i, e_j].
+    """table[(i, j)] = coordinates of [e_i, e_j] for i < j, nonzero only.
 
-    Antisymmetry is validated at construction; the Jacobi identity is not,
-    so candidate tensors can be inspected with jacobi_check first.
+    Each vector is coerced once, where it enters; absent pairs bracket to
+    zero and [e_j, e_i] = -[e_i, e_j]. The Jacobi identity is not checked
+    here, so candidate tables can be inspected with jacobi_check first.
     """
 
-    __slots__ = ("field", "dim", "structure")
+    __slots__ = ("field", "dim", "table")
 
-    def __init__(self, field, dim, structure):
-        if len(structure) != dim or any(len(row) != dim for row in structure):
-            raise ValidationError("structure tensor must be dim x dim")
+    def __init__(self, field, dim, brackets):
+        table = {}
+        for (i, j), vec in brackets.items():
+            if not 0 <= i < j < dim:
+                raise ValidationError("bracket keys must satisfy 0 <= i < j < dim")
+            if len(vec) != dim:
+                raise ValidationError("bracket vectors must have length dim")
+            vec = [field.of(c) for c in vec]
+            if any(vec):
+                table[(i, j)] = vec
         self.field = field
         self.dim = dim
-        self.structure = [
-            [[field.of(c) for c in vec] for vec in row] for row in structure
-        ]
-        for i in range(dim):
-            for j in range(dim):
-                vec = self.structure[i][j]
-                if len(vec) != dim:
-                    raise ValidationError("bracket vectors must have length dim")
-                if any(
-                    field.add(vec[r], self.structure[j][i][r]) != field.zero
-                    for r in range(dim)
-                ):
-                    raise ValidationError(
-                        f"structure tensor is not antisymmetric at ({i}, {j})"
-                    )
+        self.table = table
 
     @classmethod
     def from_brackets(cls, field, dim, brackets):
         """Build from a sparse {(i, j): vector} map given for i < j."""
-        zero = [field.zero] * dim
-        structure = [[list(zero) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), vec in brackets.items():
-            if not 0 <= i < j < dim:
-                raise ValidationError("bracket keys must satisfy 0 <= i < j < dim")
-            vec = [field.of(c) for c in vec]
-            structure[i][j] = vec
-            structure[j][i] = [field.neg(c) for c in vec]
-        return cls(field, dim, structure)
+        return cls(field, dim, brackets)
 
     @classmethod
     def abelian(cls, field, dim):
-        return cls.from_brackets(field, dim, {})
+        return cls(field, dim, {})
 
     def bracket(self, x, y):
         F = self.field
+        table = self.table
         out = [F.zero] * self.dim
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            row = self.structure[i]
             for j, yj in enumerate(y):
                 if not yj:
                     continue
-                c = F.mul(xi, yj)
-                vec = row[j]
-                for r in range(self.dim):
-                    if vec[r]:
-                        out[r] = F.add(out[r], F.mul(c, vec[r]))
+                if i < j:
+                    vec, c = table.get((i, j)), F.mul(xi, yj)
+                else:
+                    vec, c = table.get((j, i)), F.neg(F.mul(xi, yj))
+                if vec is None:
+                    continue
+                for r, v in enumerate(vec):
+                    if v:
+                        out[r] = F.add(out[r], F.mul(c, v))
         return out
 
     def ad(self, x):
-        """Matrix of y -> [x, y]."""
-        F = self.field
-        n = self.dim
-        A = Matrix.zeros(F, n, n)
-        for j in range(n):
-            col = [F.zero] * n
-            for i, xi in enumerate(x):
-                if not xi:
-                    continue
-                vec = self.structure[i][j]
-                for r in range(n):
-                    if vec[r]:
-                        col[r] = F.add(col[r], F.mul(xi, vec[r]))
-            for r in range(n):
-                A.data[r][j] = col[r]
-        return A
+        """Matrix of y -> [x, y]; its columns are the [x, e_j]."""
+        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
+        return Matrix._wrap(self.field, [list(row) for row in zip(*cols)])
 
     def basis_vector(self, i):
         v = [self.field.zero] * self.dim
@@ -100,46 +80,75 @@ class LieAlgebra:
 
     def to_json(self):
         F = self.field
-        brackets = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                vec = self.structure[i][j]
-                if any(vec):
-                    brackets.append(
-                        {"i": i, "j": j, "v": [F.to_str(c) for c in vec]}
-                    )
-        return {"dim": self.dim, "brackets": brackets}
+        return {
+            "dim": self.dim,
+            "brackets": [
+                {"i": i, "j": j, "v": [F.to_str(c) for c in vec]}
+                for (i, j), vec in sorted(self.table.items())
+            ],
+        }
 
     @classmethod
     def from_json(cls, field, doc):
-        brackets = {
-            (entry["i"], entry["j"]): [field.of(c) for c in entry["v"]]
-            for entry in doc["brackets"]
-        }
-        return cls.from_brackets(field, doc["dim"], brackets)
+        brackets = {(entry["i"], entry["j"]): entry["v"] for entry in doc["brackets"]}
+        return cls(field, doc["dim"], brackets)
 
     def __repr__(self):
         return f"LieAlgebra(dim {self.dim} over {self.field.spec()})"
 
 
+def _right_brackets(L):
+    """[{i: [e_i, e_j]} for each j]: the maps x -> [x, e_j], nonzero columns only."""
+    F = L.field
+    maps = [{} for _ in range(L.dim)]
+    for (i, j), vec in L.table.items():
+        maps[j][i] = vec
+        maps[i][j] = [F.neg(c) for c in vec]
+    return maps
+
+
 def jacobi_check(L):
     """(True, None) or (False, first offending basis triple i < j < k)."""
-    for i in range(L.dim):
-        ei = L.basis_vector(i)
-        for j in range(i + 1, L.dim):
-            ej = L.basis_vector(j)
-            bij = L.structure[i][j]
-            for k in range(j + 1, L.dim):
-                ek = L.basis_vector(k)
-                acc = L.bracket(bij, ek)
-                for term in (
-                    L.bracket(L.structure[j][k], ei),
-                    L.bracket(L.structure[k][i], ej),
-                ):
-                    acc = [L.field.add(a, t) for a, t in zip(acc, term)]
-                if any(acc):
-                    return False, (i, j, k)
+    F = L.field
+    e = [L.basis_vector(m) for m in range(L.dim)]
+    right = _right_brackets(L)
+    for i, j, k in combinations(range(L.dim), 3):
+        acc = [F.zero] * L.dim
+        # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+        for u, m in ((right[j].get(i), k), (right[k].get(j), i), (right[i].get(k), j)):
+            if u is not None:
+                acc = [F.add(a, b) for a, b in zip(acc, L.bracket(u, e[m]))]
+        if any(acc):
+            return False, (i, j, k)
     return True, None
+
+
+def invariance_check(L, space):
+    """(True, None) or (False, (i, (j, k))) for the first failure of invariance.
+
+    Invariance is phi([e_i,e_j], e_k) + phi(e_j, [e_i,e_k]) = 0 for all i,
+    j, k. The condition is symmetric in j, k and each of its nonzero terms
+    involves a stored bracket, so the full check runs over the stored
+    brackets, in both orders, against every k. The least failing
+    (i, (j, k)), j <= k, is the first nonzero entry of
+    ad(e_i)^T B + B ad(e_i) in row-major order.
+    """
+    F = L.field
+    n = L.dim
+    # pb[i][j][r] = phi(e_r, [e_i, e_j]) for each stored pair, in both orders
+    pb = [{} for _ in range(n)]
+    for j, cols in enumerate(_right_brackets(L)):
+        for i, vec in cols.items():
+            pb[i][j] = space.gram.matvec(vec)
+    zero = [F.zero] * n
+    fails = [
+        (i, (min(j, k), max(j, k)))
+        for i, row in enumerate(pb)
+        for j, g in row.items()
+        for k in range(n)
+        if F.add(g[k], row.get(k, zero)[j])
+    ]
+    return (False, min(fails)) if fails else (True, None)
 
 
 class QuadraticLieAlgebra:
@@ -155,13 +164,12 @@ class QuadraticLieAlgebra:
         ok, triple = jacobi_check(algebra)
         if not ok:
             raise ValidationError(f"Jacobi identity fails on basis triple {triple}")
-        # invariance of phi is exactly skewness of every ad(e_i)
-        for i in range(algebra.dim):
-            ok, bad = is_skew(space, algebra.ad(algebra.basis_vector(i)))
-            if not ok:
-                raise ValidationError(
-                    f"form is not invariant: ad(e_{i}) fails at entry {bad}"
-                )
+        ok, bad = invariance_check(algebra, space)
+        if not ok:
+            i, entry = bad
+            raise ValidationError(
+                f"form is not invariant: ad(e_{i}) fails at entry {entry}"
+            )
         self.algebra = algebra
         self.space = space
 
@@ -201,60 +209,56 @@ class QuadraticLieAlgebra:
 def bracket_span(L, U, W):
     """Echelonized span of all [u, w] for generators u of U, w of W."""
     vecs = [L.bracket(u, w) for u in U.basis for w in W.basis]
-    return Subspace(L.field, L.dim, vecs)
+    return Subspace._wrap(L.field, L.dim, vecs)
+
+
+def derived_algebra(L):
+    """L^2 = [L, L]: the span of the stored brackets."""
+    return Subspace._wrap(L.field, L.dim, list(L.table.values()))
+
+
+def _centralizer_mod(L, S):
+    """{x : [x, e_j] in S for every j}, a kernel over the maps x -> [x, e_j]."""
+    F = L.field
+    C = S.constraints() if S.dim else None  # S = 0 needs the maps themselves
+    rows = []
+    for cols in _right_brackets(L):
+        N = Matrix.zeros(F, L.dim)  # x -> [x, e_j]
+        for i, vec in cols.items():
+            for r, c in enumerate(vec):
+                N.data[r][i] = c
+        rows.extend((C * N).data if C else N.data)
+    return kernel_basis(Matrix._wrap(F, rows))
 
 
 def centre(L):
-    F = L.field
-    n = L.dim
-    if n == 0:
-        return Subspace.zero(F, 0)
-    rows = []
-    for j in range(n):
-        for r in range(n):
-            rows.append([L.structure[i][j][r] for i in range(n)])
-    return kernel_basis(Matrix(F, rows))
+    return _centralizer_mod(L, Subspace.zero(L.field, L.dim))
+
+
+def _stable_series(first, step):
+    """[first, step(first), step(step(first)), ...] up to the term step fixes."""
+    series = [first]
+    while True:
+        nxt = step(series[-1])
+        if nxt == series[-1]:
+            return series
+        series.append(nxt)
 
 
 def lower_central_series(L):
     """[L, [L,L], [[L,L],L], ...] down to the stable term, listed once."""
-    series = [Subspace.full(L.field, L.dim)]
-    while True:
-        nxt = bracket_span(L, series[-1], series[0])
-        if nxt == series[-1]:
-            return series
-        series.append(nxt)
+    full = Subspace.full(L.field, L.dim)
+    return _stable_series(full, lambda S: bracket_span(L, S, full))
 
 
 def derived_series(L):
-    series = [Subspace.full(L.field, L.dim)]
-    while True:
-        nxt = bracket_span(L, series[-1], series[-1])
-        if nxt == series[-1]:
-            return series
-        series.append(nxt)
+    full = Subspace.full(L.field, L.dim)
+    return _stable_series(full, lambda S: bracket_span(L, S, S))
 
 
 def upper_central_series(L):
     """[Z_1, Z_2, ...] ascending, stopping at the stable term."""
-    F = L.field
-    n = L.dim
-    series = [centre(L)]
-    while True:
-        prev = series[-1]
-        if prev.dim == n:
-            return series
-        C = prev.constraints()
-        rows = []
-        for j in range(n):
-            # rows of C applied to x -> [x, e_j]
-            N = Matrix(F, [[L.structure[i][j][r] for i in range(n)] for r in range(n)])
-            CN = C * N
-            rows.extend(CN.data)
-        nxt = kernel_basis(Matrix(F, rows))
-        if nxt == prev:
-            return series
-        series.append(nxt)
+    return _stable_series(centre(L), lambda S: _centralizer_mod(L, S))
 
 
 def is_nilpotent(L):
@@ -297,26 +301,24 @@ def invariant_forms_basis(L):
     def slot(p, q):
         return pos[(p, q)] if p <= q else pos[(q, p)]
 
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            cij = L.structure[i][j]
-            for k in range(j, n):  # S symmetric: (j, k) and (k, j) agree
-                row = [F.zero] * unknowns
-                for m in range(n):
-                    if cij[m]:
+    # the condition for (i, j, k) is symmetric in j, k: each stored
+    # [e_i, e_j] = v (either order) adds S(v, e_k) to the equation of
+    # (i, min(j, k), max(j, k)); at k = j its two equal terms are halved
+    eqs = {}
+    for j, cols in enumerate(_right_brackets(L)):
+        for i, v in cols.items():
+            for k in range(n):
+                row = eqs.setdefault((i, min(j, k), max(j, k)), [F.zero] * unknowns)
+                for m, c in enumerate(v):
+                    if c:
                         s = slot(m, k)
-                        row[s] = F.add(row[s], cij[m])
-                    cik = L.structure[i][k][m]
-                    if cik:
-                        s = slot(j, m)
-                        row[s] = F.add(row[s], cik)
-                if any(row):
-                    rows.append(row)
+                        row[s] = F.add(row[s], c)
+    # in (i, j, k) order: the kernel does not depend on it, the cost over Q does
+    rows = [row for _, row in sorted(eqs.items()) if any(row)]
     if not rows:
         sols = Subspace.full(F, unknowns)
     else:
-        sols = kernel_basis(Matrix(F, rows))
+        sols = kernel_basis(Matrix._wrap(F, rows))
     out = []
     for v in sols.basis:
         S = Matrix.zeros(F, n, n)
@@ -352,7 +354,7 @@ def dq_lower_bound_check(Q):
     needs brackets to separate the constructed forms.
     """
     L = Q.algebra
-    L2 = bracket_span(L, Subspace.full(L.field, L.dim), Subspace.full(L.field, L.dim))
+    L2 = derived_algebra(L)
     if L2.dim == 0:
         raise ValidationError("lower bound check applies to non-abelian algebras")
     r = centre(L).dim
@@ -368,7 +370,7 @@ def dq_lower_bound_check(Q):
 def is_reduced(Q):
     """Z(L) contained in L^2; accepts a quadratic or a bare algebra."""
     L = Q.algebra if isinstance(Q, QuadraticLieAlgebra) else Q
-    L2 = bracket_span(L, Subspace.full(L.field, L.dim), Subspace.full(L.field, L.dim))
+    L2 = derived_algebra(L)
     return centre(L).is_subspace_of(L2)
 
 
@@ -381,7 +383,7 @@ def is_heisenberg(L):
     """
     F = L.field
     n = L.dim
-    L2 = bracket_span(L, Subspace.full(F, n), Subspace.full(F, n))
+    L2 = derived_algebra(L)
     Z = centre(L)
     if L2.dim != 1 or Z.dim != 1 or L2 != Z:
         return False, None

@@ -224,6 +224,9 @@ class Matrix:
     def from_json(cls, field, doc):
         r, c = doc["rows"], doc["cols"]
         ent = doc["entries"]
+        if not all(type(k) is int and k >= 0 for k in (r, c)) or (r == 0 and c):
+            # a 0 x c matrix cannot exist: Matrix reads its column count off its rows
+            raise ValidationError(f"impossible matrix shape {r!r} x {c!r}")
         if len(ent) != r * c:
             raise ValidationError("matrix entry count does not match its shape")
         return cls(field, [ent[i * c : (i + 1) * c] for i in range(r)])

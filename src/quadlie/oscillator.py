@@ -29,7 +29,6 @@ from .linalg import (
 from .quadspace import (
     OrthogonalSpace,
     SkewEndo,
-    is_skew,
     isotropy_report,
     ortho_complement,
 )
@@ -37,10 +36,11 @@ from .skewcanon import canonical_pair, canonical_pair_zero, primary_split, spect
 from .liecore import (
     LieAlgebra,
     QuadraticLieAlgebra,
-    bracket_span,
     centre,
+    derived_algebra,
     derived_series,
     form_in_span,
+    invariance_check,
     invariant_forms_basis,
     is_heisenberg,
     is_nilpotent,
@@ -135,6 +135,22 @@ def from_lambda_tuple(field, lams):
     return OscillatorData(space, A)
 
 
+def _core_brackets(data, shift):
+    """[v_i, v_j] = phi(delta v_i, v_j) delta* for i < j, nonzero only, with
+    the core at indices shift..shift+n-1 and delta* last, at shift+n."""
+    F = data.field
+    n = data.space.dim
+    P = data.space.gram * data.delta.matrix  # P[j][i] = phi(delta v_i, v_j)
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if P.data[j][i]:
+                vec = [F.zero] * (shift + n + 1)
+                vec[shift + n] = P.data[j][i]
+                out[(shift + i, shift + j)] = vec
+    return out
+
+
 def build_double_extension(data):
     """The quadratic algebra d(V, phi, delta) on the basis (delta, V, delta*).
 
@@ -143,31 +159,24 @@ def build_double_extension(data):
     certificate that the seed really produces a quadratic algebra.
     """
     F = data.field
-    n = data.space.dim
-    dim = n + 2
     A = data.delta.matrix
-    brackets = {}
-    for j in range(n):
-        col = [A.data[i][j] for i in range(n)]
-        if any(col):
-            brackets[(0, j + 1)] = [F.zero] + col + [F.zero]
-    units = Matrix.identity(F, n).data
-    for i in range(n):
-        dv = A.matvec(units[i])
-        for j in range(i + 1, n):
-            c = data.space.bilin(dv, units[j])
-            if c:
-                vec = [F.zero] * dim
-                vec[n + 1] = c
-                brackets[(i + 1, j + 1)] = vec
-    L = LieAlgebra.from_brackets(F, dim, brackets)
-    G = Matrix.zeros(F, dim, dim)
-    G.data[0][n + 1] = F.one
-    G.data[n + 1][0] = F.one
-    for i in range(n):
-        for j in range(n):
-            G.data[i + 1][j + 1] = data.space.gram.data[i][j]
-    return QuadraticLieAlgebra(L, OrthogonalSpace(G))
+    brackets = {(0, j + 1): [F.zero] + col + [F.zero] for j, col in enumerate(A.cols())}
+    brackets.update(_core_brackets(data, 1))
+    L = LieAlgebra.from_brackets(F, data.space.dim + 2, brackets)
+    return QuadraticLieAlgebra(L, OrthogonalSpace(_extension_gram(data, F.zero, F.one)))
+
+
+def _extension_gram(data, t, s):
+    """Gram of phi_{t,s} on (delta, V, delta*): t at delta, s pairing delta
+    with delta* and scaling phi on V."""
+    F = data.field
+    n = data.space.dim
+    G = Matrix.zeros(F, n + 2, n + 2)
+    G.data[0][0] = t
+    G.data[0][n + 1] = G.data[n + 1][0] = s
+    for i, row in enumerate(data.space.gram.data):
+        G.data[i + 1][1 : n + 1] = [F.mul(s, c) for c in row]
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +284,8 @@ def _heisenberg_certificate(data):
     F = data.field
     n = data.space.dim
     A = data.delta.matrix
-    units = Matrix.identity(F, n).data
-    # the derived algebra on basis (v_1..v_n, delta*); its only brackets are
-    # [v_i, v_j] = phi(delta v_i, v_j) delta*
-    sub = {}
-    for i in range(n):
-        dv = A.matvec(units[i])
-        for j in range(i + 1, n):
-            c = data.space.bilin(dv, units[j])
-            if c:
-                vec = [F.zero] * (n + 1)
-                vec[n] = c
-                sub[(i, j)] = vec
-    H = LieAlgebra.from_brackets(F, n + 1, sub)
+    # the derived algebra on basis (v_1..v_n, delta*)
+    H = LieAlgebra.from_brackets(F, n + 1, _core_brackets(data, 0))
     ok, cert = is_heisenberg(H)
     if not ok:
         raise ValidationError("derived algebra of an invertible seed must be Heisenberg")
@@ -420,8 +418,7 @@ def local_criteria(data):
 
     d_inv = A.rank() == n
 
-    full = Subspace.full(F, dim)
-    L2 = bracket_span(L, full, full)
+    L2 = derived_algebra(L)
     axis = Subspace(F, dim, [data.delta_axis()])
     b_split = (not A.is_zero()) and L2.dim + 1 == dim and L2.sum_with(axis).dim == dim
 
@@ -535,11 +532,13 @@ def _extended_matrix(d1, d2, w):
 
 
 def _is_homomorphism(L1, L2, M):
-    dim = L1.dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            lhs = L2.bracket(M.matvec(L1.basis_vector(i)), M.matvec(L1.basis_vector(j)))
-            rhs = M.matvec(L1.bracket(L1.basis_vector(i), L1.basis_vector(j)))
+    """[M e_i, M e_j] = M [e_i, e_j] on every basis pair i < j of L1."""
+    images = M.cols()
+    zero = [L1.field.zero] * L1.dim
+    for i in range(L1.dim):
+        for j in range(i + 1, L1.dim):
+            lhs = L2.bracket(images[i], images[j])
+            rhs = M.matvec(L1.table.get((i, j), zero))
             if lhs != rhs:
                 return False, (i, j)
     return True, None
@@ -1002,15 +1001,7 @@ def phi_ts_form(data, t, s):
     t, s = F.of(t), F.of(s)
     if not s:
         raise ValidationError("the form parameter s must be nonzero")
-    n = data.space.dim
-    dim = n + 2
-    G = Matrix.zeros(F, dim, dim)
-    G.data[0][0] = t
-    G.data[0][n + 1] = s
-    G.data[n + 1][0] = s
-    for i in range(n):
-        for j in range(n):
-            G.data[i + 1][j + 1] = F.mul(s, data.space.gram.data[i][j])
+    G = _extension_gram(data, t, s)
     space = OrthogonalSpace(G)
     if not space.regular:
         raise ValidationError("the (t, s) form degenerated")
@@ -1018,10 +1009,9 @@ def phi_ts_form(data, t, s):
     forms = invariant_forms_basis(Q.algebra)
     if form_in_span(forms, G) is None:
         raise ValidationError("the (t, s) form escaped the invariant span")
-    for i in range(dim):
-        ok, bad = is_skew(space, Q.algebra.ad(Q.algebra.basis_vector(i)))
-        if not ok:
-            raise ValidationError(f"the (t, s) form is not invariant at {bad}")
+    ok, bad = invariance_check(Q.algebra, space)
+    if not ok:
+        raise ValidationError(f"the (t, s) form is not invariant at {bad[1]}")
     return space
 
 
@@ -1118,8 +1108,7 @@ def recover_double_extension(Q):
     z = list(Z.basis[0])
     if Q.space.quad(z):
         raise ValidationError("not a double extension: the centre is not isotropic")
-    full = Subspace.full(F, dim)
-    L2 = bracket_span(L, full, full)
+    L2 = derived_algebra(L)
     if L2.dim != dim - 1:
         raise ValidationError(
             "not a double extension: the derived algebra has codimension "

@@ -1,14 +1,30 @@
 """Command line round trips: verbs, exit codes, deterministic output."""
 
+import contextlib
+import hashlib
+import io
 import json
+import os
+import random
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlie import __version__
-from quadlie.cli import main
+from quadlie.cli import VERBS, main
 from quadlie.exact_field import Field
 from quadlie.linalg import Matrix
-from quadlie.oscillator import IsoWitness, OscillatorData, from_lambda_tuple
+from quadlie.liecore import LieAlgebra, QuadraticLieAlgebra
+from quadlie.oscillator import (
+    IsoWitness,
+    OscillatorData,
+    build_double_extension,
+    from_lambda_tuple,
+    recover_double_extension,
+)
 from quadlie.quadspace import OrthogonalSpace
 
 Q = Field.parse("Q")
@@ -176,6 +192,22 @@ def _bad_witness(tmp_path, doc):
     return ["iso", "--in", a, "--in", b, "--in", write(tmp_path, "w.json", w)]
 
 
+def _bad_shape(verb, shape):
+    def argv(tmp_path, doc):
+        doc["gram"] = dict(shape)
+        doc["delta"] = dict(shape)
+        return [verb, "--in", write(tmp_path, "bad.json", doc)]
+
+    return argv
+
+
+def _bad_canon_bool(tmp_path, doc):
+    # read as 1 and 0 these would be the document's own "1" and "0"
+    doc["delta"]["entries"][3] = True
+    doc["delta"]["entries"][0] = False
+    return ["canon", "--in", write(tmp_path, "bad.json", doc)]
+
+
 def _bad_lorentz(doc):
     return lambda tmp_path, _: ["lorentz", "--in", write(tmp_path, "lor.json", doc)]
 
@@ -192,10 +224,14 @@ def _bad_lorentz(doc):
         _bad_canon_field,
         _bad_lorentz("abc"),
         lambda tmp_path, _: ["census", "--field", "Fp:3", "--dim", "-1"],
+        _bad_shape("construct", {"rows": -1, "cols": -1, "entries": ["7"]}),
+        _bad_shape("canon", {"rows": 0, "cols": 3, "entries": []}),
+        _bad_canon_bool,
     ],
     ids=["canon-1/0", "witness-lambda-1/0", "lorentz-abc", "lorentz-int",
          "lorentz-s-x", "lorentz-1/0", "canon-field-int", "lorentz-not-object",
-         "census-dim-negative"],
+         "census-dim-negative", "construct-shape-negative", "canon-shape-0x3",
+         "canon-bool-entries"],
 )
 def test_malformed_input_exit(tmp_path, capsys, argv):
     d = OscillatorData(
@@ -229,3 +265,210 @@ def test_field_override(tmp_path, capsys):
     code, doc = run(capsys, "classify-nilpotent", "--in", path, "--field", "Fp:5")
     assert code == 0
     assert doc["sizes"] == [3]
+
+
+# --- frozen output bytes ------------------------------------------------------
+
+README_SEED = {
+    "field": "Q",
+    "gram": {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]},
+    "delta": {"rows": 2, "cols": 2, "entries": ["0", "-1", "1", "0"]},
+}
+
+
+def mixed_seed(F):
+    """A nilpotent 3-chain next to a rotation plane (x^2 + 4), scrambled."""
+    G = Matrix(F, [[0, 0, 1, 0, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0, 0],
+                   [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+    D = Matrix(F, [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, -1, 0, 0, 0],
+                   [0, 0, 0, 0, 2], [0, 0, 0, -2, 0]])
+    P = Matrix(F, [[1, 1, 0, 0, 1], [0, 1, 1, 0, 0], [1, 0, 1, 1, 0],
+                   [0, 0, 1, 1, 1], [1, 0, 0, 1, 1]])
+    return OscillatorData(OrthogonalSpace(P.transpose() * G * P), P.inverse() * D * P)
+
+
+def scrambled_extension(F, seed):
+    """Extension of an invertible seed (x^2 + 4 next to x^2 - 1) in a random basis."""
+    G = Matrix(F, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    D = Matrix(F, [[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+    Qx = build_double_extension(OscillatorData(OrthogonalSpace(G), D))
+    n = Qx.dim
+    rng = random.Random(seed)
+    while True:
+        P = Matrix(F, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if P.rank() == n:
+            break
+    Pi = P.inverse()
+    cols = P.cols()
+    brackets = {
+        (i, j): Pi.matvec(Qx.algebra.bracket(cols[i], cols[j]))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    return QuadraticLieAlgebra(
+        LieAlgebra.from_brackets(F, n, brackets),
+        OrthogonalSpace(P.transpose() * Qx.space.gram * P),
+    )
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of construct/analyze stdout and of the JSON of a scrambled and a
+# recovered algebra, frozen from the dense structure-tensor implementation
+FROZEN_SHA256 = {
+    "analyze:mixed-F7": "e6710b170ecbdd05f857394eca3e08a035de42ae9a87a5f7f3a46c94bc357279",
+    "analyze:mixed-Q": "e6710b170ecbdd05f857394eca3e08a035de42ae9a87a5f7f3a46c94bc357279",
+    "analyze:readme": "3d682722205b4511c2f4d08ec3116e12ca5df5d0426393e1e847a3edfce7a990",
+    "construct:mixed-F7": "757b305efc50fa5c864746c6cbb9b46d09bdb29a8ae03a2f883c4aef5174f00a",
+    "construct:mixed-Q": "6d97af46aeb93de8a6e115930b96ea00d95017ecb2584ff9884b45a70ba97cce",
+    "construct:readme": "da4a53dbf01f2020e0ab94ac4068c88e4d4e7cd34171a60ac58db39ffa0cbef4",
+    "recovered": "fdc0fabfa4580facf7ee5553abe702f32e3bf60828573070b52d7db36140c261",
+    "scrambled": "c5278dd4bac432419b926ad932dd876d2767b4bebd8e346c10481eada91edfb9",
+}
+
+
+def test_frozen_output_bytes(tmp_path, capsys):
+    seeds = {
+        "readme": README_SEED,
+        "mixed-Q": mixed_seed(Q).to_json(),
+        "mixed-F7": mixed_seed(Field.parse("Fp:7")).to_json(),
+    }
+    got = {}
+    for name, doc in seeds.items():
+        path = write(tmp_path, name + ".json", doc)
+        for verb in ("construct", "analyze"):
+            assert main([verb, "--in", path]) == 0
+            got[f"{verb}:{name}"] = _sha(capsys.readouterr().out)
+    Qs = scrambled_extension(Q, 11)
+    got["scrambled"] = _sha(json.dumps(Qs.to_json(), sort_keys=True))
+    rebuilt = build_double_extension(recover_double_extension(Qs))
+    got["recovered"] = _sha(json.dumps(rebuilt.to_json(), sort_keys=True))
+    assert got == FROZEN_SHA256
+
+
+# --- fuzzed documents ---------------------------------------------------------
+
+GOOD_FIELDS = ["Q", "Fp:3", "Fp:5", "Fp:7", "Fp:2305843009213693951"]
+BAD_FIELDS = ["Fp:2", "Fp:9", "Fp:15", "Fp:1", "Fp:x", "R", 5, None, True]
+fields = st.one_of(*[st.sampled_from(GOOD_FIELDS)] * 3, st.sampled_from(BAD_FIELDS))
+scalars = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.integers(-3, 3),
+    st.integers(2**64, 2**65),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["", "abc", "1.5", "1e3", " 2 ", "0x1"]),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+shapes = st.one_of(st.integers(-1, 3), st.sampled_from([1.0, "2", None, True]))
+
+
+@st.composite
+def raw_matrices(draw):
+    rows, cols = draw(shapes), draw(shapes)
+    if draw(st.booleans()) and all(type(k) is int and k >= 0 for k in (rows, cols)):
+        count = rows * cols
+    else:
+        count = draw(st.integers(0, 9))
+    doc = {"rows": rows, "cols": cols, "entries": draw(st.lists(scalars, min_size=count,
+                                                                 max_size=count))}
+    if draw(st.integers(0, 9)) == 0:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+@st.composite
+def skew_seeds(draw):
+    """Diagonal Gram (a zero entry makes it singular) and a phi-skew delta.
+
+    Cores stay below dimension 4, where the bounded isotropy search over Q
+    takes seconds per form.
+    """
+    n = draw(st.integers(0, 3))
+    g = draw(st.lists(st.sampled_from([1, 1, 2, -1, 3, 0]), min_size=n, max_size=n))
+    delta = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = draw(st.integers(-2, 2))
+            delta[i][j] = str(a)
+            # g_i delta_ij + g_j delta_ji = 0
+            delta[j][i] = str(Fraction(-g[i] * a, g[j])) if g[j] else "0"
+    gram = [str(g[i]) if i == j else "0" for i in range(n) for j in range(n)]
+    return {
+        "field": draw(fields),
+        "gram": {"rows": n, "cols": n, "entries": gram},
+        "delta": {"rows": n, "cols": n, "entries": [c for row in delta for c in row]},
+    }
+
+
+@st.composite
+def raw_seeds(draw):
+    return {"field": draw(fields), "gram": draw(raw_matrices()),
+            "delta": draw(raw_matrices())}
+
+
+seed_docs = st.one_of(skew_seeds(), skew_seeds(), skew_seeds(), raw_seeds(),
+                      st.sampled_from([[], "abc", 3, None, {}]))
+lambdas = st.one_of(st.lists(st.integers(1, 4).map(str), min_size=1, max_size=3),
+                    st.lists(scalars, max_size=3), scalars)
+lorentz_docs = st.one_of(
+    st.fixed_dictionaries({"field": fields, "lambda": lambdas},
+                          optional={"t": scalars, "s": scalars}),
+    st.fixed_dictionaries({"lambda": lambdas}),
+    st.fixed_dictionaries({"lambda": lambdas}),
+    seed_docs,
+)
+witness_docs = st.one_of(
+    st.fixed_dictionaries({"f": raw_matrices(), "z": st.lists(scalars, max_size=3),
+                           "lambda": scalars, "mu": scalars, "nu": scalars}),
+    seed_docs,
+)
+
+
+@st.composite
+def invocations(draw):
+    verb = draw(st.sampled_from(VERBS))
+    if verb == "census":
+        docs = []
+    elif verb == "lorentz":
+        docs = [draw(lorentz_docs)]
+    elif verb == "iso":
+        first = draw(seed_docs)
+        docs = [first, draw(st.one_of(st.just(first), seed_docs))]
+        if draw(st.booleans()):
+            docs.append(draw(witness_docs))
+    else:
+        docs = [draw(seed_docs)]
+    flags = []
+    spec = fields.filter(lambda f: isinstance(f, str))
+    field = draw(st.one_of(st.none(), st.none(), spec))
+    if field is not None or verb == "census":
+        flags += ["--field", field or "Fp:3"]
+    if verb == "census":
+        flags += ["--dim", str(draw(st.integers(-1, 3)))]
+    return verb, docs, flags
+
+
+@settings(max_examples=300, deadline=None)
+@given(invocations())
+def test_fuzzed_documents_exit_cleanly(invocation):
+    # every verb ends with exit 0, 1 or 2 and one JSON document, never a traceback
+    verb, docs, flags = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [verb] + flags
+        for k, doc in enumerate(docs):
+            path = os.path.join(tmp, f"{k}.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            argv += ["--in", path]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    doc = json.loads(out.getvalue())
+    assert doc["verb"] == verb and doc["version"] == __version__
+    assert ("error" in doc) == (code == 1 or (code == 2 and "verdict" not in doc))

@@ -65,6 +65,15 @@ def test_fp_ops_stay_reduced():
         F5.of("1/10")
 
 
+def test_booleans_and_floats_are_not_scalars():
+    # JSON true/false arrive as bool, an int subclass; neither reads as 1 or 0
+    for F in (Q, F5):
+        for bad in (True, False, 1.0):
+            with pytest.raises(ValidationError):
+                F.of(bad)
+        assert F.of(1) == F.one and F.of(0) == F.zero
+
+
 def test_char_two_rejected():
     with pytest.raises(ValidationError):
         Field.parse("Fp:2")
@@ -101,6 +110,22 @@ def test_sqrt_in_field():
     assert sqrt_in_field(Q, Q.of(2)) is None
     assert sqrt_in_field(F5, F5.of(4)) in (2, 3)
     assert sqrt_in_field(F5, F5.of(2)) is None
+
+
+def test_sqrt_in_field_is_least_root():
+    # p - 1 of 2-adic valuation 1, 2, 3, 4, 5, 6 and 8
+    for p in (3, 7, 5, 13, 17, 41, 97, 193, 257, 8191):
+        F = Field.parse(f"Fp:{p}")
+        least = {r * r % p: r for r in range(p - 1, -1, -1)}
+        for c in range(p):
+            assert sqrt_in_field(F, c) == least.get(c)
+    big = Field.parse("Fp:2305843009213693951")  # 2^61 - 1
+    for c in (2, 3, big.of(-3), 10**17 + 3):
+        r = sqrt_in_field(big, c)
+        if r is None:
+            assert pow(c, (big.p - 1) // 2, big.p) == big.p - 1
+        else:
+            assert r * r % big.p == c and r <= big.p - r
 
 
 # ------------------------------------------------------------- polynomials

@@ -1,6 +1,7 @@
 """Lie algebra core: series, centre, invariant forms, quadratic dimension."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,11 @@ from quadlie.liecore import (
     LieAlgebra,
     QuadraticLieAlgebra,
     centre,
+    derived_algebra,
     derived_series,
     dq_lower_bound_check,
     form_in_span,
+    invariance_check,
     invariant_forms_basis,
     is_heisenberg,
     is_nilpotent,
@@ -28,7 +31,7 @@ from quadlie.liecore import (
     upper_central_series,
 )
 from quadlie.linalg import Matrix
-from quadlie.quadspace import OrthogonalSpace, ortho_complement
+from quadlie.quadspace import OrthogonalSpace, is_skew, ortho_complement
 
 Q = Field.parse("Q")
 F5 = Field.parse("Fp:5")
@@ -117,6 +120,70 @@ def test_quadratic_constructor_rejects_bad_jacobi():
     bad = LieAlgebra.from_brackets(Q, 3, {(0, 1): [1, 0, 0], (0, 2): [0, 1, 0]})
     with pytest.raises(ValidationError, match="Jacobi"):
         QuadraticLieAlgebra(bad, OrthogonalSpace.standard(Q, 3))
+
+
+def test_bracket_table_is_sparse_and_checked():
+    L = LieAlgebra.from_brackets(
+        Q, 3, {(0, 1): ["0", "0", "1/2"], (0, 2): [0, 0, 0], (1, 2): ["0", "0", "0"]}
+    )
+    assert L.table == {(0, 1): [Q.zero, Q.zero, Q.of("1/2")]}
+    e = [L.basis_vector(i) for i in range(3)]
+    assert L.bracket(e[1], e[0]) == [Q.zero, Q.zero, Q.of("-1/2")]
+    assert L.ad(e[1]).col(0) == [Q.zero, Q.zero, Q.of("-1/2")]
+    assert derived_algebra(L) == lower_central_series(L)[1]
+    for bad in (
+        {(1, 1): [0, 0, 1]},
+        {(2, 1): [0, 0, 1]},
+        {(-1, 1): [0, 0, 1]},
+        {(0, 3): [0, 0, 1]},
+        {(0, 1): [0, 1]},
+        {(0, 1): [0, 0, 0, 1]},
+    ):
+        with pytest.raises(ValidationError):
+            LieAlgebra.from_brackets(Q, 3, bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([Q, F5]), st.sampled_from([n23, n32]),
+       st.booleans())
+def test_invariance_check_matches_skew_ad(seed, field, build, invariant):
+    # oracle: the form is invariant exactly when every ad(e_i) is skew for it
+    rng = random.Random(seed)
+    N = build(field)
+    n = N.dim
+    P = random_invertible(rng, field, n)
+    L = conjugate(N.algebra, P)
+    G = P.transpose() * N.space.gram * P
+    if not invariant:
+        i, j = rng.randrange(n), rng.randrange(n)
+        E = Matrix.zeros(field, n, n)
+        E.data[i][j] = E.data[j][i] = field.of(rng.randrange(1, 5))
+        G = G + E
+    space = OrthogonalSpace(G)
+    skew = [is_skew(space, L.ad(L.basis_vector(k))) for k in range(n)]
+    first = next(((k, bad) for k, (ok, bad) in enumerate(skew) if not ok), None)
+    assert invariance_check(L, space) == (first is None, first)
+    if first is None:
+        assert form_in_span(invariant_forms_basis(L), G) is not None
+    if not space.regular:
+        return
+    if first is None:
+        assert QuadraticLieAlgebra(L, space).algebra is L
+    else:
+        k, bad = first
+        msg = f"form is not invariant: ad(e_{k}) fails at entry {bad}"
+        with pytest.raises(ValidationError, match=re.escape(msg)):
+            QuadraticLieAlgebra(L, space)
+
+
+def test_invariance_is_checked_in_both_bracket_orders():
+    # [e0, e1] = e2, [e0, e2] = -e1: every condition with i = 0 holds for the
+    # standard form, and the first failure sits in ad(e_1) at (0, 2)
+    L = LieAlgebra.from_brackets(Q, 3, {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0]})
+    space = OrthogonalSpace.standard(Q, 3)
+    assert is_skew(space, L.ad(L.basis_vector(0)))[0]
+    assert invariance_check(L, space) == (False, (1, (0, 2)))
+    assert is_skew(space, L.ad(L.basis_vector(1))) == (False, (0, 2))
 
 
 def test_quadratic_constructor_rejects_noninvariant_form():
@@ -239,7 +306,7 @@ def test_json_round_trip():
     N = n32(Q)
     doc = N.to_json()
     back = QuadraticLieAlgebra.from_json(doc)
-    assert back.algebra.structure == N.algebra.structure
+    assert back.algebra.table == N.algebra.table
     assert back.space.gram == N.space.gram
 
 

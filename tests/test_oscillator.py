@@ -122,11 +122,11 @@ def random_skew(rng, space):
 def test_build_brackets():
     L = build_double_extension(n23_data())
     assert L.dim == 5
-    s = L.algebra.structure
-    assert s[0][1] == [Q.of(c) for c in (0, 0, 1, 0, 0)]
-    assert s[0][2] == [Q.of(c) for c in (0, 0, 0, -1, 0)]
-    assert s[1][2] == [Q.of(c) for c in (0, 0, 0, 0, 1)]
-    assert s[0][4] == [Q.zero] * 5
+    t = L.algebra.table
+    assert t[(0, 1)] == [Q.of(c) for c in (0, 0, 1, 0, 0)]
+    assert t[(0, 2)] == [Q.of(c) for c in (0, 0, 0, -1, 0)]
+    assert t[(1, 2)] == [Q.of(c) for c in (0, 0, 0, 0, 1)]
+    assert (0, 4) not in t
     G = L.space.gram
     assert G.data[0][4] == Q.one and G.data[0][0] == Q.zero
     assert G.data[2][2] == Q.one
