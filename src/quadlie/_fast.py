@@ -2,13 +2,24 @@
 
 p is the characteristic: an odd prime means F_p, with int entries already
 reduced into [0, p); p == 0 means Q, with Fraction entries. Results are
-canonical field elements of the same kind. Python ints make every prime
-exact, however large.
+canonical field elements of the same kind. All arithmetic is on Python
+ints, which makes every prime exact, however large. Over Q each row is
+brought to integers over the lcm of its denominators, the work is done on
+those integers, and one Fraction is built per entry of the result.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 BACKEND = "pure"
+
+_ZERO = Fraction(0)
+
+
+def _integer_row(row):
+    """(integers, denominator): row == [a / denominator for a in integers]."""
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row], den
 
 
 def fp_rref(rows, ncols, p):
@@ -17,10 +28,12 @@ def fp_rref(rows, ncols, p):
     The pivot product is signed by the row swaps, so for a square input of
     full rank it is the determinant. The input rows are left untouched.
     """
+    if not p:
+        return _rref_rational(rows, ncols)
     m = [list(row) for row in rows]
     nrows = len(m)
     pivots = []
-    det = 1 if p else Fraction(1)
+    det = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -36,36 +49,116 @@ def fp_rref(rows, ncols, p):
         piv = m[r][c]
         det *= piv
         if piv != 1:
-            if p:
-                inv = pow(piv, p - 2, p)
-                m[r] = [a * inv % p for a in m[r]]
-            else:
-                inv = 1 / piv
-                m[r] = [a * inv for a in m[r]]
+            inv = pow(piv, p - 2, p)
+            m[r] = [a * inv % p for a in m[r]]
         prow = m[r]
         for i in range(nrows):
             f = m[i][c]
             if not f or i == r:
                 continue
-            if p:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], prow)]
-            else:
-                m[i] = [a - f * b for a, b in zip(m[i], prow)]
+            m[i] = [(a - f * b) % p for a, b in zip(m[i], prow)]
         pivots.append(c)
         r += 1
-    return m, pivots, r, det % p if p else det
+    return m, pivots, r, det % p
+
+
+def _rref_rational(rows, ncols):
+    """fp_rref over Q, fraction-free.
+
+    Until it pivots, row i of the Gauss-Jordan elimination on the input is
+    m[i] * num[i] / den[i], with m[i] an int row of content 1. Eliminating
+    column c from m[i] with pivot row m[r] gives ((pivot/g) m[i] - (f/g)
+    m[r]) / k, where f = m[i][c], g = gcd(pivot, f) and k is the content;
+    the Gauss-Jordan row is that times k / (pivot/g) of its old scale, so
+    num[i] takes k and den[i] takes pivot/g. Each pivot of the elimination,
+    m[r][c] * num[r] / den[r], is thus exact, and so is their signed
+    product. The pivot rows are divided by their pivots once, at the end.
+    """
+    m = []
+    num = []
+    den = []
+    for row in rows:
+        ints, d = _integer_row(row)
+        g = gcd(*ints)
+        if g > 1:
+            ints = [a // g for a in ints]
+        m.append(ints)
+        num.append(g)
+        den.append(d)
+    nrows = len(m)
+    pivots = []
+    det_num = det_den = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            num[r], num[i] = num[i], num[r]
+            den[r], den[i] = den[i], den[r]
+            det_num = -det_num
+        prow = m[r]
+        piv = prow[c]
+        det_num *= piv * num[r]
+        det_den *= den[r]
+        for i in range(nrows):
+            f = m[i][c]
+            if not f or i == r:
+                continue
+            g = gcd(piv, f)
+            a, b = piv // g, f // g
+            row = [a * x - b * y for x, y in zip(m[i], prow)]
+            k = gcd(*row)  # 0 on a row that cancels: it never pivots again
+            if k > 1:
+                row = [x // k for x in row]
+            m[i] = row
+            num[i] *= k
+            den[i] *= a
+        pivots.append(c)
+        r += 1
+    out = []
+    for i, c in enumerate(pivots):
+        piv = m[i][c]
+        out.append([Fraction(x, piv) if x else _ZERO for x in m[i]])
+    out.extend([_ZERO] * ncols for _ in range(r, nrows))
+    return out, pivots, r, Fraction(det_num, det_den)
 
 
 def fp_matmul(a, n, k, b, k2, m, p):
-    """(n x k) times (k x m) product, both given as lists of rows."""
+    """(n x k) times (k x m) product, both given as lists of rows.
+
+    Over Q the rows of b are brought to integers, each row of a is put over
+    one common denominator, and each output entry is one Fraction of an
+    integer dot product.
+    """
     if k != k2:
         raise ValueError("inner dimensions differ")
-    zero = 0 if p else Fraction(0)
     out = []
+    if p:
+        for arow in a:
+            orow = [0] * m
+            for av, brow in zip(arow, b):
+                if av:
+                    orow = [o + av * bv for o, bv in zip(orow, brow)]
+            out.append([o % p for o in orow])
+        return out
+    bints = [_integer_row(brow) for brow in b]
     for arow in a:
-        orow = [zero] * m
-        for av, brow in zip(arow, b):
-            if av:
-                orow = [o + av * bv for o, bv in zip(orow, brow)]
-        out.append([o % p for o in orow] if p else orow)
+        # a[j] * b[j] == (a[j] / d_j) * ints_j, each a[j] / d_j over one denominator
+        terms = [
+            (av.numerator, av.denominator * d, ints)
+            for av, (ints, d) in zip(arow, bints)
+            if av
+        ]
+        den = lcm(*[t[1] for t in terms])
+        orow = [0] * m
+        for av, d, ints in terms:
+            av *= den // d
+            orow = [o + av * bv for o, bv in zip(orow, ints)]
+        out.append([Fraction(o, den) if o else _ZERO for o in orow])
     return out

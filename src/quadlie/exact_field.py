@@ -150,25 +150,18 @@ class Field:
     # element construction
 
     def of(self, v):
+        if isinstance(v, str):
+            # one parser for both fields: F_p reduces the rational Q reads
+            try:
+                v = Fraction(v)
+            except (ValueError, ZeroDivisionError):
+                pass  # rejected below, the string named in the message
         if self.p == 0:
             if isinstance(v, Fraction):
                 return v
             if type(v) is int:  # not bool, which JSON true/false arrive as
                 return Fraction(v)
-            if isinstance(v, str):
-                try:
-                    return Fraction(v)
-                except (ValueError, ZeroDivisionError):
-                    pass
             raise ValidationError(f"not a rational scalar: {v!r}")
-        if isinstance(v, str):
-            num, slash, den = v.partition("/")
-            v = int(num)
-            if slash:
-                den = int(den)
-                if den % self.p == 0:
-                    raise ValidationError(f"denominator divisible by {self.p}")
-                v *= pow(den, self.p - 2, self.p)
         if isinstance(v, Fraction):
             if v.denominator % self.p == 0:
                 raise ValidationError(f"denominator divisible by {self.p}")

@@ -7,7 +7,9 @@ is checked by exact linear algebra rather than assumed. Antisymmetry holds
 by construction: [e_j, e_i] is read as the negative of the stored entry.
 """
 
+import operator
 from itertools import combinations
+from math import lcm
 
 from .errors import ValidationError
 from .linalg import Matrix, Subspace, kernel_basis
@@ -97,28 +99,59 @@ class LieAlgebra:
         return f"LieAlgebra(dim {self.dim} over {self.field.spec()})"
 
 
-def _right_brackets(L):
-    """[{i: [e_i, e_j]} for each j]: the maps x -> [x, e_j], nonzero columns only."""
-    F = L.field
+def _integer_vectors(F, vecs):
+    """vecs as int lists: over Q times one common denominator, over F_p as
+    they are. A condition that is homogeneous of one degree in the vectors
+    keeps its zero pattern, with the zero test taken mod p over F_p."""
+    if F.p:
+        return vecs
+    d = lcm(*[c.denominator for v in vecs for c in v])
+    return [[c.numerator * (d // c.denominator) for c in v] for v in vecs]
+
+
+def _nonzero(s, p):
+    """Whether the int s is nonzero in the field of characteristic p."""
+    return s % p if p else s
+
+
+def _right_brackets(L, integer=False):
+    """[{i: [e_i, e_j]} for each j]: the maps x -> [x, e_j], nonzero columns only.
+
+    With integer=True the vectors are the table's _integer_vectors, and
+    their negatives are plain int negatives.
+    """
+    vecs = list(L.table.values())
+    if integer:
+        vecs, neg = _integer_vectors(L.field, vecs), operator.neg
+    else:
+        neg = L.field.neg
     maps = [{} for _ in range(L.dim)]
-    for (i, j), vec in L.table.items():
+    for (i, j), vec in zip(L.table, vecs):
         maps[j][i] = vec
-        maps[i][j] = [F.neg(c) for c in vec]
+        maps[i][j] = [neg(c) for c in vec]
     return maps
 
 
 def jacobi_check(L):
-    """(True, None) or (False, first offending basis triple i < j < k)."""
-    F = L.field
-    e = [L.basis_vector(m) for m in range(L.dim)]
-    right = _right_brackets(L)
+    """(True, None) or (False, first offending basis triple i < j < k).
+
+    Runs on the integer table (_integer_vectors): every term of the
+    identity is quadratic in the table, so scaling the table by d scales
+    each Jacobi sum by d^2 and leaves its zero pattern alone.
+    """
+    p = L.field.p
+    right = _right_brackets(L, integer=True)
     for i, j, k in combinations(range(L.dim), 3):
-        acc = [F.zero] * L.dim
+        acc = [0] * L.dim
         # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
         for u, m in ((right[j].get(i), k), (right[k].get(j), i), (right[i].get(k), j)):
-            if u is not None:
-                acc = [F.add(a, b) for a, b in zip(acc, L.bracket(u, e[m]))]
-        if any(acc):
+            if u is None:
+                continue
+            cols = right[m]  # [u, e_m] = sum of u[r] [e_r, e_m]
+            for r, c in enumerate(u):
+                if c and r in cols:
+                    acc = [a + c * b for a, b in zip(acc, cols[r])]
+        if any(_nonzero(a, p) for a in acc):
             return False, (i, j, k)
     return True, None
 
@@ -131,22 +164,26 @@ def invariance_check(L, space):
     involves a stored bracket, so the full check runs over the stored
     brackets, in both orders, against every k. The least failing
     (i, (j, k)), j <= k, is the first nonzero entry of
-    ad(e_i)^T B + B ad(e_i) in row-major order.
+    ad(e_i)^T B + B ad(e_i) in row-major order. It runs on the integer
+    table and the integer Gram (_integer_vectors, each with its own
+    denominator): the condition is linear in each.
     """
-    F = L.field
+    p = L.field.p
     n = L.dim
+    gram = _integer_vectors(L.field, space.gram.data)
     # pb[i][j][r] = phi(e_r, [e_i, e_j]) for each stored pair, in both orders
     pb = [{} for _ in range(n)]
-    for j, cols in enumerate(_right_brackets(L)):
+    for j, cols in enumerate(_right_brackets(L, integer=True)):
         for i, vec in cols.items():
-            pb[i][j] = space.gram.matvec(vec)
-    zero = [F.zero] * n
+            nz = [(m, c) for m, c in enumerate(vec) if c]
+            pb[i][j] = [sum([row[m] * c for m, c in nz]) for row in gram]
+    zero = [0] * n
     fails = [
         (i, (min(j, k), max(j, k)))
         for i, row in enumerate(pb)
         for j, g in row.items()
         for k in range(n)
-        if F.add(g[k], row.get(k, zero)[j])
+        if _nonzero(g[k] + row.get(k, zero)[j], p)
     ]
     return (False, min(fails)) if fails else (True, None)
 

@@ -3,7 +3,9 @@
 Matrices are small (desk scale, n below ~40) and everything is computed
 exactly. Row reduction (and with it rank, inverse, solve and the
 determinant) and the matrix product go through the one kernel pair in
-quadlie._fast, which serves Q (Fraction entries) and F_p (ints mod p) alike.
+quadlie._fast, which serves Q (Fraction entries) and F_p (ints mod p) alike
+and computes on ints for both: over Q fraction-free, on rows scaled to
+integers, with one Fraction built per entry of the result.
 
 Scalars are coerced once, where data enters: the public constructor,
 from_cols, diagonal, from_json, the public Subspace constructor and the

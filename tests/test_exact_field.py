@@ -74,6 +74,28 @@ def test_booleans_and_floats_are_not_scalars():
         assert F.of(1) == F.one and F.of(0) == F.zero
 
 
+def _outcome(F, v):
+    try:
+        return F.of(v)
+    except ValidationError:
+        return ValidationError
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.text(alphabet="0123456789/-+. e_", max_size=6),
+    st.sampled_from(["1/-2", "2/ 3", "abc", "1.5", "1e3", " 3/4 ", "1/0", "5/5", "1/10"]),
+))
+def test_fp_reads_scalar_strings_as_q_does(s):
+    # a string raises ValidationError over both fields, or reads over F_p as
+    # its rational value reduced mod p (which raises when p divides the
+    # reduced denominator)
+    q = _outcome(Q, s)
+    for F in (F5, Field.parse("Fp:7")):
+        expect = ValidationError if q is ValidationError else _outcome(F, q)
+        assert _outcome(F, s) == expect
+
+
 def test_char_two_rejected():
     with pytest.raises(ValidationError):
         Field.parse("Fp:2")

@@ -2,6 +2,7 @@
 
 import random
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,12 @@ def conjugate(L, P):
     return LieAlgebra.from_brackets(field, L.dim, brackets)
 
 
+def unit(rng, field):
+    """A random fraction that is a unit over Q and over F5."""
+    units = (1, 2, 3, 4, 6, 7, 8)
+    return field.of(f"{rng.choice(units)}/{rng.choice(units)}")
+
+
 def random_invertible(rng, field, n):
     while True:
         M = Matrix(field, [[field.of(rng.randrange(5)) for _ in range(n)] for _ in range(n)])
@@ -114,6 +121,42 @@ def test_jacobi_failure_reports_triple():
     ok, triple = jacobi_check(bad)
     assert not ok
     assert triple == (0, 1, 2)
+
+
+def _fraction_jacobi_check(L):
+    """Reference for jacobi_check: each term through L.bracket, in field arithmetic."""
+    F = L.field
+    e = [L.basis_vector(m) for m in range(L.dim)]
+    for i, j, k in combinations(range(L.dim), 3):
+        acc = [F.zero] * L.dim
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            term = L.bracket(L.bracket(e[x], e[y]), e[z])
+            acc = [F.add(a, b) for a, b in zip(acc, term)]
+        if any(acc):
+            return False, (i, j, k)
+    return True, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([Q, F5]),
+       st.sampled_from([heisenberg, sl2_like, n23, n32]), st.booleans())
+def test_jacobi_check_matches_fraction_oracle(seed, field, build, perturb):
+    rng = random.Random(seed)
+    L = build(field)
+    L = getattr(L, "algebra", L)
+    n = L.dim
+    P = random_invertible(rng, field, n)
+    P = P * Matrix.diagonal(field, [unit(rng, field) for _ in range(n)])
+    L = conjugate(L, P)  # fractional structure constants over Q
+    if perturb:
+        brackets = dict(L.table)
+        key = rng.choice(list(combinations(range(n), 2)))
+        vec = list(brackets.get(key, [field.zero] * n))
+        r = rng.randrange(n)
+        vec[r] = field.add(vec[r], unit(rng, field))
+        brackets[key] = vec
+        L = LieAlgebra.from_brackets(field, n, brackets)
+    assert jacobi_check(L) == _fraction_jacobi_check(L)
 
 
 def test_quadratic_constructor_rejects_bad_jacobi():
@@ -151,13 +194,19 @@ def test_invariance_check_matches_skew_ad(seed, field, build, invariant):
     rng = random.Random(seed)
     N = build(field)
     n = N.dim
-    P = random_invertible(rng, field, n)
+    # columns scaled by fractions: over Q the rows of the Gram then have
+    # different denominators
+    P = random_invertible(rng, field, n) * Matrix.diagonal(
+        field, [unit(rng, field) for _ in range(n)]
+    )
     L = conjugate(N.algebra, P)
     G = P.transpose() * N.space.gram * P
     if not invariant:
         i, j = rng.randrange(n), rng.randrange(n)
         E = Matrix.zeros(field, n, n)
-        E.data[i][j] = E.data[j][i] = field.of(rng.randrange(1, 5))
+        # a non-integer perturbation: over Q the Gram and the table then
+        # have different denominators
+        E.data[i][j] = E.data[j][i] = field.of(f"{rng.randrange(1, 5)}/7")
         G = G + E
     space = OrthogonalSpace(G)
     skew = [is_skew(space, L.ad(L.basis_vector(k))) for k in range(n)]

@@ -138,6 +138,82 @@ def test_fp_matmul_shape_error():
         _fast.fp_matmul([[1, 2]], 1, 2, [[1], [2], [3]], 3, 1, 5)
 
 
+def _gauss_jordan(rows, ncols):
+    """Reference for fp_rref over Q: Gauss-Jordan on Fractions."""
+    m = [list(row) for row in rows]
+    pivots = []
+    det = Fraction(1)
+    r = 0
+    for c in range(ncols):
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            det = -det
+        piv = m[r][c]
+        det *= piv
+        m[r] = [a / piv for a in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots, r, det
+
+
+def _triple_loop_product(a, b, m):
+    """Reference for fp_matmul over Q."""
+    return [
+        [sum((arow[j] * b[j][c] for j in range(len(b))), Fraction(0)) for c in range(m)]
+        for arow in a
+    ]
+
+
+_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 60)),
+)
+
+
+@st.composite
+def _rational_matrices(draw, n, m):
+    """n x m, with zero, repeated and proportional rows; the tests draw
+    wide, tall, empty and 0-column shapes."""
+    base = draw(st.lists(st.lists(_rationals, min_size=m, max_size=m), min_size=1, max_size=4))
+    rows = []
+    for _ in range(n):
+        row = draw(st.sampled_from(base + [[Fraction(0)] * m]))
+        scale = draw(st.sampled_from([Fraction(1), Fraction(-3, 7), Fraction(59, 2)]))
+        rows.append([scale * c for c in row])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 7), st.data())
+def test_rational_rref_matches_gauss_jordan(nrows, ncols, data):
+    rows = data.draw(_rational_matrices(nrows, ncols))
+    before = [list(row) for row in rows]
+    got = _fast.fp_rref(rows, ncols, 0)
+    assert rows == before
+    assert got == _gauss_jordan(before, ncols)
+    assert all(type(c) is Fraction for row in got[0] for c in row)
+    assert type(got[3]) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_rational_matmul_matches_triple_loop(n, k, m, data):
+    a = data.draw(_rational_matrices(n, k))
+    b = data.draw(_rational_matrices(k, m))
+    before = ([list(row) for row in a], [list(row) for row in b])
+    got = _fast.fp_matmul(a, n, k, b, k, m, 0)
+    assert (a, b) == before
+    assert got == _triple_loop_product(a, b, m)
+    assert all(type(c) is Fraction for row in got for c in row)
+
+
 def test_solve_columns():
     A = Matrix(Q, [[1, 2], [3, 4]])
     b = [Q.of(5), Q.of(11)]
