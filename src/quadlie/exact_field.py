@@ -9,6 +9,7 @@ the form algorithms.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd, isqrt
@@ -16,6 +17,22 @@ from math import gcd as _int_gcd, isqrt
 from .errors import CapabilityError, ValidationError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Largest decimal exponent |e| a scalar string such as "1e300" may carry.
+# Fraction builds 10**|e| exactly, so without a bound one short string
+# ("1e1000000") stalls the parse; 10**1000 takes microseconds.
+SCALAR_EXPONENT_BOUND = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def _exponent_in_range(s):
+    m = _EXPONENT.search(s)
+    if m is None:
+        return True
+    digits = m.group(1).replace("_", "").lstrip("0")
+    # the length test first: the exponent string itself may be huge
+    return (len(digits) <= len(str(SCALAR_EXPONENT_BOUND))
+            and int(digits or "0") <= SCALAR_EXPONENT_BOUND)
 
 
 def _is_prime(n):
@@ -151,6 +168,10 @@ class Field:
 
     def of(self, v):
         if isinstance(v, str):
+            if not _exponent_in_range(v):
+                raise ValidationError(
+                    f"scalar exponent beyond {SCALAR_EXPONENT_BOUND} in magnitude: {v!r}"
+                )
             # one parser for both fields: F_p reduces the rational Q reads
             try:
                 v = Fraction(v)

@@ -16,7 +16,7 @@ witnesses and decisions, and the two parameter family of invariant forms.
 from itertools import product
 
 from .errors import CapabilityError, ValidationError
-from .exact_field import Polynomial, factor_poly, poly_star, sqrt_in_field, square_class
+from .exact_field import Polynomial, poly_star, sqrt_in_field, square_class
 from .linalg import (
     Matrix,
     Subspace,
@@ -24,7 +24,6 @@ from .linalg import (
     kernel_basis,
     mat_pow,
     minimal_polynomial,
-    primary_component,
 )
 from .quadspace import (
     OrthogonalSpace,
@@ -660,10 +659,9 @@ def decide_isometric(d1, d2):
     if d2.space.dim != n:
         return {"verdict": "no", "reason": "core dimensions differ", "witness": None}
 
-    m1 = minimal_polynomial(A1)
-    m2 = minimal_polynomial(A2)
-    f1 = factor_poly(m1)
-    f2 = factor_poly(m2)
+    s1 = primary_split(d1.delta)
+    s2 = primary_split(d2.delta)
+    f1, f2 = s1.factors, s2.factors
     if _factor_shape(f1) != _factor_shape(f2):
         return {
             "verdict": "no",
@@ -674,13 +672,13 @@ def decide_isometric(d1, d2):
     r1 = _linear_roots(f1)
     r2 = _linear_roots(f2)
     if r1 is not None and r2 is not None:
-        return _decide_split(d1, d2, m1, m2, r1, r2)
+        return _decide_split(d1, d2, s1.minpoly, s2.minpoly, r1, r2)
 
     if F.p == 0:
         rep1 = isotropy_report(d1.space)
         rep2 = isotropy_report(d2.space)
         if rep1.verdict == "anisotropic-definite" and rep2.verdict == "anisotropic-definite":
-            return _decide_definite(d1, d2, f1, f2)
+            return _decide_definite(d1, d2, s1, s2)
         if rep1.verdict == "undecided" or rep2.verdict == "undecided":
             return {
                 "verdict": "undecided",
@@ -793,9 +791,9 @@ def _norm_equation(F, m, c):
     return ("unsolvable" if not nontrivial else "unknown"), None
 
 
-def _decide_definite(d1, d2, f1, f2):
+def _decide_definite(d1, d2, split1, split2):
     F = d1.field
-    for pi, k in f1 + f2:
+    for pi, k in split1.factors + split2.factors:
         if pi.degree > 2:
             return {
                 "verdict": "undecided",
@@ -807,20 +805,16 @@ def _decide_definite(d1, d2, f1, f2):
         if pi.coeff(1):
             raise ValidationError("definite seeds force even quadratic factors")
 
-    def spectrum(d, fs):
-        A = d.delta.matrix
-        out = []
-        for pi, _ in fs:
-            m = pi.coeff(0)
-            count = primary_component(A, pi, 1).dim // 2
-            out.append((m, count))
-        # numeric order: a positive square scale preserves it, so ascending
-        # lists pair correctly; the deterministic key would not
-        out.sort(key=lambda t: t[0])
-        return out
+    def spectrum(split):
+        # (m, planes) per factor x^2 + m; numeric order: a positive square
+        # scale preserves it, so ascending lists pair correctly; the
+        # deterministic key would not
+        pairs = zip(split.factors, split.components)
+        return sorted(((pi.coeff(0), comp.dim // 2) for (pi, _), comp in pairs),
+                      key=lambda t: t[0])
 
-    s1 = spectrum(d1, f1)
-    s2 = spectrum(d2, f2)
+    s1 = spectrum(split1)
+    s2 = spectrum(split2)
     if [c for _, c in s1] != [c for _, c in s2]:
         return {
             "verdict": "no",
@@ -1219,8 +1213,7 @@ def witt1_certify(data):
         report["core_witness"] = rep.witness
         return report
 
-    m = minimal_polynomial(A)
-    factors = factor_poly(m)
+    factors = primary_split(data.delta).factors
     for pi, k in factors:
         if k != 1:
             raise ValidationError("anisotropic cores force squarefree minimal polynomials")
@@ -1292,7 +1285,7 @@ def skew_census(field, dim, unsafe=False):
         buckets[key] = buckets.get(key, 0) + 1
         if key not in reps:
             reps[key] = [row[:] for row in M.data]
-            m = minimal_polynomial(M)
+            m = primary_split(f).minpoly
             if not any(m.coeff(i) for i in range(m.degree)):
                 nilpotent[key] = m.degree
     return {

@@ -88,7 +88,15 @@ def is_skew(space, A):
 
 
 class SkewEndo:
-    __slots__ = ("space", "matrix")
+    """A phi-skew map: its matrix and the space it acts on.
+
+    Skewness is checked once, here, so a SkewEndo is treated as immutable:
+    its matrix is not changed after construction. That is what lets split
+    hold the map's primary decomposition, computed by
+    skewcanon.primary_split on first use and shared by every later reader.
+    """
+
+    __slots__ = ("space", "matrix", "split")
 
     def __init__(self, space, matrix):
         ok, bad = is_skew(space, matrix)
@@ -96,6 +104,7 @@ class SkewEndo:
             raise ValidationError(f"matrix is not skew-adjoint, offending entry {bad}")
         self.space = space
         self.matrix = matrix
+        self.split = None
 
     @property
     def field(self):

@@ -50,63 +50,51 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# small vector/matrix helpers local to the canonical-form algorithms
+# chains, combinations and restrictions, all on the shared kernels; vectors
+# here are lists of canonical field elements and are never coerced again
 
 
-def _apply_pow(A, v, m):
-    cur = list(v)
-    for _ in range(m):
-        cur = A.matvec(cur)
-    return cur
+def _chain(A, v, k):
+    """[v, A v, ..., A^k v]."""
+    out = [v]
+    for _ in range(k):
+        out.append(A.matvec(out[-1]))
+    return out
 
 
-def _vec_add(F, x, y):
-    return [F.add(a, b) for a, b in zip(x, y)]
-
-
-def _vec_scale(F, c, x):
-    return [F.mul(c, a) for a in x]
-
-
-def _vec_axpy(F, x, c, y):
-    # x + c*y
-    return [F.add(a, F.mul(c, b)) for a, b in zip(x, y)]
-
-
-def _is_zero_vec(F, x):
-    return all(a == F.zero for a in x)
+def _combine(F, coeffs, vecs):
+    """sum_i coeffs[i] vecs[i], one row times the rows of vecs."""
+    return (Matrix._wrap(F, [coeffs]) * Matrix._wrap(F, vecs)).data[0]
 
 
 def _chain_length(N, S):
     """Least k with N^k S = 0, found by applying N to the basis of S."""
-    F = N.field
     vecs = S.basis
     k = 0
     while vecs:
         if k == S.dim:
             raise ValidationError("map is not nilpotent on the part")
-        vecs = [w for w in (N.matvec(v) for v in vecs) if not _is_zero_vec(F, w)]
+        vecs = [w for w in (N.matvec(v) for v in vecs) if any(w)]
         k += 1
     return k
 
 
 def _restricted_matrix(A, S):
     """Matrix of A acting on the invariant subspace S, in S's echelon basis."""
-    F = A.field
     cols = []
     for b in S.basis:
         c = S.coords_of(A.matvec(b))
         if c is None:
             raise ValidationError("subspace is not invariant under the map")
         cols.append(c)
-    return Matrix.from_cols(F, cols) if cols else Matrix(F, [])
+    return Matrix._wrap(A.field, cols).transpose()
 
 
 def _pairs_to_zero(space, U, W):
     if U.dim == 0 or W.dim == 0:
         return True
     F = space.field
-    return (Matrix(F, U.basis) * space.gram * Matrix(F, W.basis).transpose()).is_zero()
+    return (Matrix._wrap(F, U.basis) * space.gram * Matrix._wrap(F, W.basis).transpose()).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +105,24 @@ class PrimarySplit:
     """Primary decomposition of f together with the eigenvalue pairing.
 
     endo        the skew map f that was split
+    minpoly     the minimal polynomial of f
     factors     [(pi, mult)] for the minimal polynomial, sorted
     components  generalized eigenspaces ker pi(f)^mult, same order
     pairing     partial involution i -> j matching pi_i to the factor
                 with negated roots, where that factor is present
     unpaired    indices with no partner; their components lie inside the
                 radical of phi, so for regular forms this is empty
+
+    primary_split keeps the split on f, so every reader of one map's
+    factors or components shares this one object; it is read-only, and
+    chain generators taken from its component bases are not copied.
     """
 
-    __slots__ = ("endo", "factors", "components", "pairing", "unpaired")
+    __slots__ = ("endo", "minpoly", "factors", "components", "pairing", "unpaired")
 
-    def __init__(self, endo, factors, components, pairing, unpaired):
+    def __init__(self, endo, minpoly, factors, components, pairing, unpaired):
         self.endo = endo
+        self.minpoly = minpoly
         self.factors = factors
         self.components = components
         self.pairing = pairing
@@ -144,12 +138,17 @@ def primary_split(f):
 
     The pairing sends the factor with root c to the factor with root -c
     (star conjugation); components whose partner factor is absent are
-    reported unpaired and verified to sit inside the radical of phi.
+    reported unpaired and verified to sit inside the radical of phi. The
+    split is computed once per map: it is kept on f and returned again on
+    later calls.
     """
+    if f.split is not None:
+        return f.split
     A, space, F = f.matrix, f.space, f.field
     n = A.nrows
     if n == 0:
-        return PrimarySplit(f, [], [], {}, ())
+        f.split = PrimarySplit(f, Polynomial.one(F), [], [], {}, ())
+        return f.split
     m = minimal_polynomial(A)
     factors = factor_poly(m)
     components = [primary_component(A, pi, k) for pi, k in factors]
@@ -180,7 +179,8 @@ def primary_split(f):
         # skewness forces partnerless components into the radical
         if not components[i].is_subspace_of(rad):
             raise ValidationError("unpaired primary component escapes the radical")
-    return PrimarySplit(f, factors, components, pairing, tuple(unpaired))
+    f.split = PrimarySplit(f, m, factors, components, pairing, tuple(unpaired))
+    return f.split
 
 
 class FourPartSplit:
@@ -396,24 +396,14 @@ class CanonicalBlock:
 
 
 def _verify_block(f, block):
-    """Entry-exact check that block.vectors realize (block.matrix, block.gram)."""
-    space, F = f.space, f.field
-    A = f.matrix
-    vecs = block.vectors
-    M, G = block.matrix, block.gram
-    for r, v in enumerate(vecs):
-        img = A.matvec(v)
-        model = [F.zero] * len(v)
-        for s, w in enumerate(vecs):
-            c = M.data[s][r]
-            if c != F.zero:
-                model = _vec_axpy(F, model, c, w)
-        if img != model:
-            raise ValidationError("block certificate failed: map action mismatch")
-    for r in range(len(vecs)):
-        for s in range(r, len(vecs)):
-            if space.bilin(vecs[r], vecs[s]) != G.data[r][s]:
-                raise ValidationError("block certificate failed: Gram mismatch")
+    """Entry-exact check that block.vectors realize (block.matrix, block.gram):
+    A V = V M and V^T B V = G, with the vectors as the columns of V."""
+    Vt = Matrix._wrap(f.field, block.vectors)
+    V = Vt.transpose()
+    if f.matrix * V != V * block.matrix:
+        raise ValidationError("block certificate failed: map action mismatch")
+    if Vt * f.space.gram * V != block.gram:
+        raise ValidationError("block certificate failed: Gram mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -424,41 +414,29 @@ def _paired_chain(space, L, R, pos, neg, k):
     """Generators (v, w) of a dual pair of chains of length k + 1.
 
     v is the first vector of pos that L^k does not kill. The first vector
-    of neg pairing with L^k v, scaled so that pairing is one, is resolved
-    by _chain_dual into the w whose R-chain is dual to the L-chain of v.
+    of neg pairing with L^k v is resolved by _chain_dual into the w whose
+    R-chain is dual to the L-chain of v.
     """
-    F = space.field
     Lk = mat_pow(L, k)
-    v = None
-    for b in pos:
-        if not _is_zero_vec(F, Lk.matvec(b)):
-            v = list(b)
-            break
+    v = next((b for b in pos if any(Lk.matvec(b))), None)
     if v is None:
         raise ValidationError("no vector of full chain length")
     top = Lk.matvec(v)
-    w = None
-    for b in neg:
-        d = space.bilin(top, b)
-        if d != F.zero:
-            w = _vec_scale(F, F.inv(d), b)
-            break
+    w = next((b for b in neg if space.bilin(top, b)), None)
     if w is None:
         raise ValidationError("regular form fails to pair the chains")
-    return v, _chain_dual(space, F, L, R, v, w, k)
+    return v, _chain_dual(space, L, R, v, w, k)
 
 
-def _chain_dual(space, F, L, R, v, w, k):
+def _chain_dual(space, L, R, v, w, k):
     """Solve for w' in span{R^i w} with phi(L^t v, w') = delta_{t,k}.
 
     phi(L^t v, R^i w) = (-1)^i phi(L^{t+i} v, w) and phi(L^s v, w) = 0 for
-    s > k make the system triangular with invertible diagonal.
+    s > k make the system triangular with invertible diagonal. w' does not
+    depend on the scale of w.
     """
-    D = []
-    cur = list(v)
-    for _ in range(k + 1):
-        D.append(space.bilin(cur, w))
-        cur = L.matvec(cur)
+    F = space.field
+    D = [space.bilin(u, w) for u in _chain(L, v, k)]
     if D[k] == F.zero:
         raise ValidationError("dual chain lost its pairing")
     alphas = [F.inv(D[k])]
@@ -470,24 +448,12 @@ def _chain_dual(space, F, L, R, v, w, k):
             acc = F.add(acc, F.mul(F.mul(sign, alphas[i]), D[t + i]))
             sign = F.neg(sign)
         alphas.append(F.neg(F.div(acc, F.mul(sign, D[k]))))
-    out = [F.zero] * len(v)
-    cur = list(w)
-    for a in alphas:
-        out = _vec_axpy(F, out, a, cur)
-        cur = R.matvec(cur)
-    return out
+    return _combine(F, alphas, _chain(R, w, k))
 
 
-def _paired_basis(F, L, R, v, w, k):
+def _paired_basis(L, R, v, w, k):
     """Columns of the paired model: L^k v, ..., L v, v, then w, -R w, R^2 w, ..."""
-    basis = [_apply_pow(L, v, k - r) for r in range(k + 1)]
-    sign = F.one
-    cur = w
-    for _ in range(k + 1):
-        basis.append(_vec_scale(F, sign, cur))
-        sign = F.neg(sign)
-        cur = R.matvec(cur)
-    return basis
+    return _chain(L, v, k)[::-1] + _chain(-R, w, k)
 
 
 def _peel(space, parts, span):
@@ -497,7 +463,7 @@ def _peel(space, parts, span):
     with the orthogonal complement; together they lose exactly len(span)
     dimensions, which is what a regular block inside the parts leaves.
     """
-    U = Subspace(space.field, space.dim, span)
+    U = Subspace._wrap(space.field, space.dim, span)
     if U.dim != len(span):
         raise ValidationError("chain vectors are dependent")
     perp = ortho_complement(space, U)
@@ -548,7 +514,7 @@ def canonical_pair_nonzero(split, i):
         v, w = _paired_chain(space, L, R, pos.basis, neg.basis, n - 1)
         Ablk, Bblk = _paired_model(F, n, lam)
         block = CanonicalBlock("paired", 2 * n, pi, n, Ablk, Bblk,
-                               vectors=_paired_basis(F, L, R, v, w, n - 1))
+                               vectors=_paired_basis(L, R, v, w, n - 1))
         _verify_block(f, block)
         blocks.append(block)
         pos, neg = _peel(space, [pos, neg], block.vectors)
@@ -580,7 +546,6 @@ def canonical_pair_zero(split):
     f = split.endo
     space, F = f.space, f.field
     A = f.matrix
-    n_amb = A.nrows
     if not space.regular:
         raise ValidationError("canonical pairs require a regular form")
     x = Polynomial.x(F)
@@ -603,7 +568,7 @@ def canonical_pair_zero(split):
         else:
             w, mu_raw = _zero_odd_generator(f, S, k0)
             odd_pending.setdefault(k0, []).append((w, mu_raw))
-            span = [_apply_pow(A, w, i) for i in range(k0)]
+            span = _chain(A, w, k0 - 1)
         [S] = _peel(space, [S], span)
 
     for k0 in sorted(odd_pending):
@@ -612,13 +577,10 @@ def canonical_pair_zero(split):
             gens = [w for w, _ in group]
             mus = [mu for _, mu in group]
             g, nus = _fp_group_standardize(F, mus)
+            # generator i of the standardized group: sum_j g[j][i] gens[j]
+            mixed = (g.transpose() * Matrix._wrap(F, gens)).data
             for i, nu in enumerate(nus):
-                mixed = [F.zero] * n_amb
-                for jj, wgen in enumerate(gens):
-                    c = g.data[jj][i]
-                    if c != F.zero:
-                        mixed = _vec_axpy(F, mixed, c, wgen)
-                block = _emit_odd_block(f, mixed, nu, group[i][1], k0)
+                block = _emit_odd_block(f, mixed[i], nu, group[i][1], k0)
                 _verify_block(f, block)
                 blocks.append(block)
         else:
@@ -627,7 +589,7 @@ def canonical_pair_zero(split):
                 scale = sqrt_in_field(F, F.div(mu_raw, rep))
                 if scale is None:
                     raise ValidationError("square-class normalization failed")
-                block = _emit_odd_block(f, _vec_scale(F, F.inv(scale), w), rep, mu_raw, k0)
+                block = _emit_odd_block(f, _combine(F, [F.inv(scale)], [w]), rep, mu_raw, k0)
                 _verify_block(f, block)
                 blocks.append(block)
     return blocks
@@ -652,20 +614,16 @@ def _fp_group_standardize(F, mus):
     cols = []
     S = Subspace.full(F, m)
     for _ in range(m - 1):
-        sub = OrthogonalSpace(Matrix(F, [[q(a, b) for b in S.basis] for a in S.basis]))
+        sub = OrthogonalSpace(Matrix._wrap(F, [[q(a, b) for b in S.basis] for a in S.basis]))
         P0, d0 = diagonalize_form(sub)
-
-        def lift(coords):
-            out = [F.zero] * m
-            for c, b in zip(coords, S.basis):
-                out = _vec_axpy(F, out, c, b)
-            return out
+        # the diagonalizing basis of sub, in ambient coordinates
+        lifted = (P0.transpose() * Matrix._wrap(F, S.basis)).data
 
         x = None
         for i, di in enumerate(d0):
             r = sqrt_in_field(F, di)
             if r is not None:
-                x = _vec_scale(F, F.inv(r), lift(P0.col(i)))
+                x = _combine(F, [F.inv(r)], [lifted[i]])
                 break
         if x is None:
             # every diagonal value is a nonsquare; combine the first two
@@ -674,27 +632,26 @@ def _fp_group_standardize(F, mus):
                 rhs = F.div(F.sub(F.one, F.mul(d0[0], F.mul(av, av))), d0[1])
                 b = sqrt_in_field(F, rhs)
                 if b is not None:
-                    x = _vec_add(F, _vec_scale(F, av, lift(P0.col(0))),
-                                 _vec_scale(F, b, lift(P0.col(1))))
+                    x = _combine(F, [av, b], lifted[:2])
                     break
         if x is None or q(x, x) != F.one:
             raise ValidationError("unit vector construction failed")
         cols.append(x)
-        constraints = Matrix(F, [[F.mul(mus[idx], x[idx]) for idx in range(m)]])
+        constraints = Matrix._wrap(F, [[F.mul(mus[idx], x[idx]) for idx in range(m)]])
         S = S.intersect(kernel_basis(constraints))
         if S.dim != m - len(cols):
             raise ValidationError("group standardization lost a dimension")
 
-    last = list(S.basis[0])
+    last = S.basis[0]
     val = q(last, last)
     if val == F.zero:
         raise ValidationError("degenerate leftover in group standardization")
     rep = square_class_representative(F, val)
     r = sqrt_in_field(F, F.div(val, rep))
-    cols.append(_vec_scale(F, F.inv(r), last))
+    cols.append(_combine(F, [F.inv(r)], [last]))
     nus = [F.one] * (m - 1) + [rep]
 
-    g = Matrix.from_cols(F, cols)
+    g = Matrix._wrap(F, cols).transpose()
     if g.transpose() * diag * g != Matrix.diagonal(F, nus):
         raise ValidationError("group standardization certificate failed")
     return g, nus
@@ -716,19 +673,22 @@ def _zero_even_step(f, S, k0):
     k = k0 - 1
     v, w1 = _paired_chain(space, A, A, S.basis, S.basis, k)
 
+    cv, cw = _chain(A, v, k), _chain(A, w1, k)
     for m in range(k - 1, -1, -2):
-        Xm = space.bilin(v, _apply_pow(A, v, m))
+        Xm = space.bilin(v, cv[m])
         if Xm != F.zero:
-            v = _vec_axpy(F, v, F.half(Xm), _apply_pow(A, w1, k - m))
-            w1 = _chain_dual(space, F, A, A, v, w1, k)
+            v = _combine(F, [F.one, F.half(Xm)], [v, cw[k - m]])
+            w1 = _chain_dual(space, A, A, v, w1, k)
+            cv, cw = _chain(A, v, k), _chain(A, w1, k)
     for m in range(k - 1, -1, -2):
-        Ym = space.bilin(w1, _apply_pow(A, w1, m))
+        Ym = space.bilin(w1, cw[m])
         if Ym != F.zero:
-            w1 = _vec_axpy(F, w1, F.neg(F.half(Ym)), _apply_pow(A, v, k - m))
+            w1 = _combine(F, [F.one, F.neg(F.half(Ym))], [w1, cv[k - m]])
+            cw = _chain(A, w1, k)
 
     Ablk, Bblk = _paired_model(F, k0, F.zero)
     return CanonicalBlock("zero_even", 2 * k0, Polynomial.x(F), k0, Ablk, Bblk,
-                          vectors=_paired_basis(F, A, A, v, w1, k))
+                          vectors=_paired_basis(A, A, v, w1, k))
 
 
 def _zero_odd_generator(f, S, k0):
@@ -747,12 +707,12 @@ def _zero_odd_generator(f, S, k0):
     fallback = None
     for b in S.basis:
         img = fk.matvec(b)
-        if _is_zero_vec(F, img):
+        if not any(img):
             continue
         if fallback is None:
-            fallback = list(b)
+            fallback = b
         if space.bilin(b, img) != F.zero:
-            v = list(b)
+            v = b
             break
     if v is None:
         # self-product vanishes on every full-length basis vector; mix in
@@ -761,26 +721,24 @@ def _zero_odd_generator(f, S, k0):
         if u is None:
             raise ValidationError("no vector of full chain length")
         top = fk.matvec(u)
-        w = None
-        for b in S.basis:
-            if space.bilin(b, top) != F.zero:
-                w = list(b)
-                break
+        w = next((b for b in S.basis if space.bilin(b, top)), None)
         if w is None:
             raise ValidationError("regular form fails to pair the chain")
-        v = w if space.bilin(w, fk.matvec(w)) != F.zero else _vec_add(F, u, w)
+        v = w if space.bilin(w, fk.matvec(w)) != F.zero else _combine(F, [F.one, F.one], [u, w])
         if space.bilin(v, fk.matvec(v)) == F.zero:
             raise ValidationError("chain generator repair failed")
 
     # clear phi(w, f^{k-2j} w) for j = 1..n; the top product is untouched
     w = v
+    chain = _chain(A, w, k)
     for j in range(1, n + 1):
-        topval = space.bilin(w, _apply_pow(A, w, k))
-        low = space.bilin(w, _apply_pow(A, w, k - 2 * j))
+        low = space.bilin(w, chain[k - 2 * j])
         if low != F.zero:
-            c = F.div(low, F.add(topval, topval))
-            w = _vec_axpy(F, w, F.neg(c), _apply_pow(A, w, 2 * j))
-    return w, space.bilin(w, _apply_pow(A, w, k))
+            top = space.bilin(w, chain[k])
+            c = F.div(low, F.add(top, top))
+            w = _combine(F, [F.one, F.neg(c)], [w, chain[2 * j]])
+            chain = _chain(A, w, k)
+    return w, space.bilin(w, chain[k])
 
 
 def _emit_odd_block(f, w, mu, mu_raw, k0):
@@ -789,12 +747,12 @@ def _emit_odd_block(f, w, mu, mu_raw, k0):
     A = f.matrix
     k = k0 - 1
     n = k // 2
-    if space.bilin(w, _apply_pow(A, w, k)) != mu:
+    chain = _chain(A, w, k)
+    if space.bilin(w, chain[k]) != mu:
         raise ValidationError("odd block generator does not carry its scalar")
-    raw_vectors = [_apply_pow(A, w, k - i) for i in range(k + 1)]
     Araw, Braw = _raw_model(F, n, mu)
     raw = CanonicalBlock(
-        "zero_odd", k0, Polynomial.x(F), n, Araw, Braw, vectors=raw_vectors,
+        "zero_odd", k0, Polynomial.x(F), n, Araw, Braw, vectors=chain[::-1],
         mu=mu, mu_raw=mu_raw, mu_class=square_class(F, mu), form="raw",
     )
     return caalim_convert(raw)
@@ -853,16 +811,9 @@ def caalim_convert(block):
 
     vectors = None
     if block.vectors is not None:
+        # new vector r is sum_i M[i][r] old_i
         M = T if block.form == "raw" else Tinv
-        size = 2 * n + 1
-        vectors = []
-        for r in range(size):
-            acc = [F.zero] * len(block.vectors[0])
-            for i in range(size):
-                c = M.data[i][r]
-                if c != F.zero:
-                    acc = _vec_axpy(F, acc, c, block.vectors[i])
-            vectors.append(acc)
+        vectors = (M.transpose() * Matrix._wrap(F, block.vectors)).data
     return CanonicalBlock(
         "zero_odd", block.size, block.factor, n, targetA, targetB,
         vectors=vectors, mu=block.mu, mu_raw=block.mu_raw,
@@ -970,21 +921,17 @@ def _definite_planes(f, comp, pi):
     vectors, ds = [], []
     S = comp
     while S.dim > 0:
-        v = None
-        for b in S.basis:
-            if space.quad(b) != F.zero:
-                v = list(b)
-                break
+        v = next((b for b in S.basis if space.quad(b)), None)
         if v is None:
             raise ValidationError("anisotropic component contains an isotropic line")
         fv = A.matvec(v)
         vectors.extend([v, fv])
         ds.append(space.quad(v))
-        U = Subspace(F, A.nrows, [v, fv])
+        U = Subspace._wrap(F, A.nrows, [v, fv])
         if U.dim != 2:
             raise ValidationError("spectral plane collapsed")
         S = S.intersect(ortho_complement(space, U))
-    piece = Matrix(F, [[F.zero, F.neg(mu)], [F.one, F.zero]])
+    piece = Matrix._wrap(F, [[F.zero, F.neg(mu)], [F.one, F.zero]])
     Ablk = Matrix.block_diagonal(F, [piece] * len(ds))
     diag = []
     for d in ds:
@@ -1079,7 +1026,7 @@ def canonical_pair(f):
             cols.extend(r.vectors)
     if len(cols) != n:
         raise ValidationError("canonical columns do not span the space")
-    P = Matrix.from_cols(F, cols) if cols else Matrix(F, [])
+    P = Matrix._wrap(F, cols).transpose()
     pair = CanonicalPair(f, blocks, residual, P)
     pair.verify()
     return pair
@@ -1111,50 +1058,42 @@ def spectral_form(f):
     if n == 0:
         return Matrix(F, []), Matrix(F, []), Matrix(F, [])
 
-    m = minimal_polynomial(A)
-    factors = factor_poly(m)
-    big = [pi for pi, _ in factors if pi.degree > 2]
+    ps = primary_split(f)
+    big = [pi for pi, _ in ps.factors if pi.degree > 2]
     if big:
         raise CapabilityError(
             "factors beyond quadratics are not constructed: "
             + ", ".join(str(p) for p in big)
         )
-    for pi, k in factors:
+    for pi, k in ps.factors:
         if k != 1:
             raise ValidationError("anisotropic spaces force a squarefree minimal polynomial")
 
     x = Polynomial.x(F)
+    parts = list(zip(ps.factors, ps.components))
     cols, amats, grams = [], [], []
-    for pi, k in factors:
+    for (pi, _), comp in parts:
         if pi != x:
-            continue
-        comp = primary_component(A, pi, k)
-        if comp.dim == 0:
             continue
         sub = OrthogonalSpace(space.restrict_gram(comp.basis))
         P0, d0 = diagonalize_form(sub)
-        for jcol in range(comp.dim):
-            acc = [F.zero] * n
-            for c, b in zip(P0.col(jcol), comp.basis):
-                acc = _vec_axpy(F, acc, c, b)
-            cols.append(acc)
+        cols.extend((P0.transpose() * Matrix._wrap(F, comp.basis)).data)
         amats.append(Matrix.zeros(F, comp.dim))
         grams.append(Matrix.diagonal(F, d0))
 
-    for pi, k in factors:
+    for (pi, _), comp in parts:
         if pi == x:
             continue
         if pi.degree == 1:
             raise ValidationError("anisotropic spaces admit no nonzero eigenvalues")
         if pi.coeff(1) != F.zero:
             raise ValidationError("cross-paired factors cannot appear on an anisotropic space")
-        comp = primary_component(A, pi, k)
         vecs, Ablk, Bblk, _ = _definite_planes(f, comp, pi)
         cols.extend(vecs)
         amats.append(Ablk)
         grams.append(Bblk)
 
-    P = Matrix.from_cols(F, cols)
+    P = Matrix._wrap(F, cols).transpose()
     A_canon = Matrix.block_diagonal(F, amats)
     B_canon = Matrix.block_diagonal(F, grams)
     if P.inverse() * A * P != A_canon:

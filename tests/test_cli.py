@@ -42,12 +42,15 @@ def run(capsys, *argv):
     return code, json.loads(out)
 
 
-def n23_doc(tmp_path):
-    d = OscillatorData(
+def n23_seed():
+    return OscillatorData(
         OrthogonalSpace(Matrix(Q, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])),
         Matrix(Q, [[0, 0, 0], [1, 0, 0], [0, -1, 0]]),
     )
-    return write(tmp_path, "n23.json", d.to_json())
+
+
+def n23_doc(tmp_path):
+    return write(tmp_path, "n23.json", n23_seed().to_json())
 
 
 def test_construct(tmp_path, capsys):
@@ -177,6 +180,12 @@ def _bad_canon(tmp_path, doc):
     return ["canon", "--in", write(tmp_path, "bad.json", doc)]
 
 
+def _bad_canon_exponent(tmp_path, doc):
+    # 10**40000000 would be built exactly before anything else could fail
+    doc["delta"]["entries"][3] = "1e40000000"
+    return ["canon", "--in", write(tmp_path, "bad.json", doc)]
+
+
 def _bad_canon_field(tmp_path, doc):
     doc["field"] = 5
     return ["canon", "--in", write(tmp_path, "bad.json", doc)]
@@ -227,11 +236,12 @@ def _bad_lorentz(doc):
         _bad_shape("construct", {"rows": -1, "cols": -1, "entries": ["7"]}),
         _bad_shape("canon", {"rows": 0, "cols": 3, "entries": []}),
         _bad_canon_bool,
+        _bad_canon_exponent,
     ],
     ids=["canon-1/0", "witness-lambda-1/0", "lorentz-abc", "lorentz-int",
          "lorentz-s-x", "lorentz-1/0", "canon-field-int", "lorentz-not-object",
          "census-dim-negative", "construct-shape-negative", "canon-shape-0x3",
-         "canon-bool-entries"],
+         "canon-bool-entries", "canon-huge-exponent"],
 )
 def test_malformed_input_exit(tmp_path, capsys, argv):
     d = OscillatorData(
@@ -311,21 +321,78 @@ def scrambled_extension(F, seed):
     )
 
 
+def scrambled_seed(d, rows):
+    """The seed d in the basis given by the columns of rows."""
+    P = Matrix(d.field, rows)
+    return OscillatorData(OrthogonalSpace(P.transpose() * d.space.gram * P),
+                          P.inverse() * d.delta.matrix * P)
+
+
+def iso_pairs():
+    """Decision pairs: definite Q (yes, with a witness), split F5 (yes at
+    scale 2), repeated rotation scalar over Q (answered "no")."""
+    definite = from_lambda_tuple(Q, (1, 2))
+    F5 = Field.parse("Fp:5")
+    G = Matrix(F5, [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    split = OscillatorData(OrthogonalSpace(G), Matrix.diagonal(F5, [1, 3, 4, 2]))
+    split2 = scrambled_seed(split, [[1, 2, 0, 1], [0, 1, 3, 0], [1, 0, 1, 0], [0, 1, 0, 1]])
+    repeated = from_lambda_tuple(Q, (3, 3))
+    return {
+        "definite-Q": (definite, scrambled_seed(
+            definite, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])),
+        "split-F5": (split, OscillatorData(split2.space, split2.delta.matrix.scale(2))),
+        "repeated-Q": (repeated, scrambled_seed(
+            repeated, [[0, -1, 0, 1], [-1, 1, -1, -1], [1, -1, 0, 0], [-1, 0, -1, -1]])),
+    }
+
+
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 # sha256 of construct/analyze stdout and of the JSON of a scrambled and a
-# recovered algebra, frozen from the dense structure-tensor implementation
+# recovered algebra, frozen from the dense structure-tensor implementation;
+# canon, spectral, classify-nilpotent and iso stdout frozen before the
+# canonical-form code moved onto the shared chain and product helpers
 FROZEN_SHA256 = {
     "analyze:mixed-F7": "e6710b170ecbdd05f857394eca3e08a035de42ae9a87a5f7f3a46c94bc357279",
     "analyze:mixed-Q": "e6710b170ecbdd05f857394eca3e08a035de42ae9a87a5f7f3a46c94bc357279",
+    "analyze:n23": "06962a435ba8ae00ada1bee97cb86c9ca8dc87b5875987a7394068f6fdc8f5a1",
     "analyze:readme": "3d682722205b4511c2f4d08ec3116e12ca5df5d0426393e1e847a3edfce7a990",
+    "canon:mixed-F7": "f2bccc668981d8698cab8afdd2d7074ace7b637d99930237a26478af3ceb568d",
+    "canon:mixed-Q": "666f0589223f9464639a7190ef465ebf84fa98b9f321e2025276e4d0978ce4a5",
+    "canon:n23": "5b7f0343fed7a347c795408ebd69c6708b7cf5ae28e3db5a39a2fe65796e1dc8",
+    "canon:readme": "fa8d5981312f45eaf1df9c929b38acb03f60e6b47c9723716c55853ebc32a555",
+    "classify-nilpotent:mixed-F7": "98e311fa20c6f2147771a199e39f6c2809e848fe9808805f0cb147b70862e8e7",
+    "classify-nilpotent:mixed-Q": "98e311fa20c6f2147771a199e39f6c2809e848fe9808805f0cb147b70862e8e7",
+    "classify-nilpotent:n23": "2603bc6d951528fd81cef7057f0995cced741db01393b0daef35822cd516f278",
+    "classify-nilpotent:readme": "98e311fa20c6f2147771a199e39f6c2809e848fe9808805f0cb147b70862e8e7",
     "construct:mixed-F7": "757b305efc50fa5c864746c6cbb9b46d09bdb29a8ae03a2f883c4aef5174f00a",
     "construct:mixed-Q": "6d97af46aeb93de8a6e115930b96ea00d95017ecb2584ff9884b45a70ba97cce",
+    "construct:n23": "744d7908e9a9e73532a202c1fa968c6eb951f84b20e59153e9514a33c4397cd8",
     "construct:readme": "da4a53dbf01f2020e0ab94ac4068c88e4d4e7cd34171a60ac58db39ffa0cbef4",
+    "iso-verify:definite-Q": "b7c3fa0866ff5347314e90d4d5bd8ac32104cda2694bb41700c8328240329808",
+    "iso-verify:split-F5": "b7c3fa0866ff5347314e90d4d5bd8ac32104cda2694bb41700c8328240329808",
+    "iso:definite-Q": "ec4535dbe1874a8b2b8f8b2e346f8f1b2d03ab1120fdb92dd7b11f0eabf1c116",
+    "iso:repeated-Q": "d724ddee1ca4529ad3731576d01460275acce2305a8306039e07f94710aef460",
+    "iso:split-F5": "7c154f85718e103849503c132cf9625b6cfa61a34311b1af613b57f5f0e58680",
     "recovered": "fdc0fabfa4580facf7ee5553abe702f32e3bf60828573070b52d7db36140c261",
     "scrambled": "c5278dd4bac432419b926ad932dd876d2767b4bebd8e346c10481eada91edfb9",
+    "spectral:mixed-F7": "ab85b615d1fc0a258404cdcf085807229be2b743b2a7de6229e1d4964b50848a",
+    "spectral:mixed-Q": "ab85b615d1fc0a258404cdcf085807229be2b743b2a7de6229e1d4964b50848a",
+    "spectral:n23": "ab85b615d1fc0a258404cdcf085807229be2b743b2a7de6229e1d4964b50848a",
+    "spectral:readme": "7b257b2e3aee0ae19cdd7af1710a10d68823d8cc745486a07683b34bce952dc1",
+}
+
+# exit codes of the frozen runs that do not exit 0: only the readme seed is
+# anisotropic, only n23 is nilpotent
+FROZEN_FAILED_EXIT = {
+    "classify-nilpotent:mixed-F7": 1,
+    "classify-nilpotent:mixed-Q": 1,
+    "classify-nilpotent:readme": 1,
+    "spectral:mixed-F7": 1,
+    "spectral:mixed-Q": 1,
+    "spectral:n23": 1,
 }
 
 
@@ -334,13 +401,30 @@ def test_frozen_output_bytes(tmp_path, capsys):
         "readme": README_SEED,
         "mixed-Q": mixed_seed(Q).to_json(),
         "mixed-F7": mixed_seed(Field.parse("Fp:7")).to_json(),
+        "n23": n23_seed().to_json(),
     }
-    got = {}
+    got, failed = {}, {}
     for name, doc in seeds.items():
         path = write(tmp_path, name + ".json", doc)
-        for verb in ("construct", "analyze"):
-            assert main([verb, "--in", path]) == 0
+        for verb in ("construct", "analyze", "canon", "spectral", "classify-nilpotent"):
+            code = main([verb, "--in", path])
             got[f"{verb}:{name}"] = _sha(capsys.readouterr().out)
+            if code:
+                failed[f"{verb}:{name}"] = code
+    verdicts = {}
+    for name, (d1, d2) in iso_pairs().items():
+        paths = [write(tmp_path, f"{name}-{i}.json", d.to_json()) for i, d in enumerate((d1, d2))]
+        assert main(["iso", "--in", paths[0], "--in", paths[1]]) == 0
+        out = capsys.readouterr().out
+        got[f"iso:{name}"] = _sha(out)
+        verdicts[name] = json.loads(out)["verdict"]
+        witness = json.loads(out)["witness"]
+        if witness is not None:
+            wpath = write(tmp_path, f"{name}-w.json", witness)
+            assert main(["iso", "--in", paths[0], "--in", paths[1], "--in", wpath]) == 0
+            got[f"iso-verify:{name}"] = _sha(capsys.readouterr().out)
+    assert failed == FROZEN_FAILED_EXIT
+    assert verdicts == {"definite-Q": "yes", "split-F5": "yes", "repeated-Q": "no"}
     Qs = scrambled_extension(Q, 11)
     got["scrambled"] = _sha(json.dumps(Qs.to_json(), sort_keys=True))
     rebuilt = build_double_extension(recover_double_extension(Qs))

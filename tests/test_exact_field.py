@@ -1,6 +1,7 @@
 """Field contexts, polynomials, factorization, square classes."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from quadlie.errors import ValidationError
 from quadlie.exact_field import (
+    SCALAR_EXPONENT_BOUND,
     Field,
     Polynomial,
     factor_poly,
@@ -85,6 +87,8 @@ def _outcome(F, v):
 @given(st.one_of(
     st.text(alphabet="0123456789/-+. e_", max_size=6),
     st.sampled_from(["1/-2", "2/ 3", "abc", "1.5", "1e3", " 3/4 ", "1/0", "5/5", "1/10"]),
+    st.tuples(st.sampled_from(["1", "-2.5", "7.", "3_0"]), st.sampled_from("eE"),
+              st.integers(-10**8, 10**8)).map(lambda t: f"{t[0]}{t[1]}{t[2]}"),
 ))
 def test_fp_reads_scalar_strings_as_q_does(s):
     # a string raises ValidationError over both fields, or reads over F_p as
@@ -94,6 +98,23 @@ def test_fp_reads_scalar_strings_as_q_does(s):
     for F in (F5, Field.parse("Fp:7")):
         expect = ValidationError if q is ValidationError else _outcome(F, q)
         assert _outcome(F, s) == expect
+
+
+def test_huge_scalar_exponents_are_refused():
+    B = SCALAR_EXPONENT_BOUND
+    assert Q.of("1e3") == 1000
+    assert Q.of("1.5") == Fraction(3, 2)
+    assert Q.of("-2.5e-3") == Fraction(-1, 400)
+    assert Q.of(f"1e{B}") == 10**B and Q.of(f"1e-{B}") == Fraction(1, 10**B)
+    assert F7.of(f"2E+{B}") == F7.of(2 * 10**B)
+    start = time.process_time()
+    # each of these took seconds to parse, or could not finish, without the bound
+    for s in (f"1e{B + 1}", f"1e-{B + 1}", "1e1000000", "-3.5E+40000000",
+              "1e-999999999", "1e" + "9" * 5000, "1e1_000_000", " 1e+40000000 "):
+        for F in (Q, F5, F7):
+            with pytest.raises(ValidationError, match="exponent"):
+                F.of(s)
+    assert time.process_time() - start < 1.0
 
 
 def test_char_two_rejected():

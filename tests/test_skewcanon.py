@@ -7,9 +7,12 @@ import pytest
 from quadlie.errors import CapabilityError, ValidationError
 from quadlie.exact_field import Field
 from quadlie.linalg import Matrix
-from quadlie import skewcanon
+from quadlie import oscillator, skewcanon
+from quadlie.oscillator import OscillatorData, decide_isometric, from_lambda_tuple, witt1_certify
 from quadlie.quadspace import OrthogonalSpace, SkewEndo
 from quadlie.skewcanon import (
+    CanonicalBlock,
+    CanonicalPair,
     caalim_convert,
     canonical_pair,
     canonical_pair_nonzero,
@@ -390,18 +393,103 @@ def test_mixed_q_seed_frozen_json():
     assert doc["basis_change"] == {"rows": 9, "cols": 9, "entries": MIXED_Q_BASIS_CHANGE}
 
 
+def definite_q_seed(lams):
+    """Rotation planes with the given scalars, in a scrambled basis."""
+    d = from_lambda_tuple(Q, lams)
+    P = Matrix(Q, [[1, 1, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 1, 2]])
+    f = scramble(d.delta, P)
+    return OscillatorData(f.space, f)
+
+
+def _pair_then_spectral():
+    f = definite_q_seed((1, 2)).delta
+    pair = canonical_pair(f)
+    assert [b.kind for b in pair.blocks] == ["definite_semisimple"] * 2
+    spectral_form(f)
+
+
+def _mixed_pair():
+    pair = canonical_pair(mixed_q_seed())
+    assert {b.kind for b in pair.blocks} == {"paired", "zero_odd", "zero_even"}
+
+
+def _definite_decision():
+    # scale 2 carries the (1, 2) rotations onto the (2, 4) ones
+    out = decide_isometric(from_lambda_tuple(Q, (2, 4)), definite_q_seed((1, 2)))
+    assert out["verdict"] == "yes" and out["mu"] == 2
+
+
 def test_canonical_pair_computes_one_minimal_polynomial(monkeypatch):
     calls = []
     real = skewcanon.minimal_polynomial
 
     def counted(A):
-        calls.append(A)
+        calls.append(tuple(map(tuple, A.data)))
         return real(A)
 
-    monkeypatch.setattr(skewcanon, "minimal_polynomial", counted)
+    for module in (skewcanon, oscillator):
+        monkeypatch.setattr(module, "minimal_polynomial", counted)
+    # one per map, however many readers share the map's split
+    for run, maps in [
+        (_mixed_pair, 1),
+        (_pair_then_spectral, 1),
+        (lambda: witt1_certify(definite_q_seed((1, 3))), 1),
+        (_definite_decision, 3),  # d1, d2 and d2 scaled by 2
+    ]:
+        calls.clear()
+        run()
+        assert len(calls) == len(set(calls)) == maps
+
+
+# -------------------------------------------------------- tampered certificates
+
+def _bumped(M, i, j):
+    F = M.field
+    out = M.copy()
+    out.data[i][j] = F.add(out.data[i][j], F.one)
+    return out
+
+
+def _with(block, **changes):
+    fields = {k: getattr(block, k) for k in CanonicalBlock.__slots__}
+    fields.update(changes)
+    return CanonicalBlock(**fields)
+
+
+def test_tampered_block_vectors_fail_the_map_check():
+    f = mixed_q_seed()
+    for block in canonical_pair(f).blocks:
+        skewcanon._verify_block(f, block)
+        vecs = [list(v) for v in block.vectors]
+        vecs[0][0] = Q.add(vecs[0][0], Q.one)
+        with pytest.raises(ValidationError, match="map action mismatch"):
+            skewcanon._verify_block(f, _with(block, vectors=vecs))
+
+
+def test_tampered_model_gram_fails_the_gram_check():
+    f = mixed_q_seed()
+    for block in canonical_pair(f).blocks:
+        with pytest.raises(ValidationError, match="block certificate failed: Gram mismatch"):
+            skewcanon._verify_block(f, _with(block, gram=_bumped(block.gram, 0, block.size - 1)))
+
+
+def test_tampered_converted_block_fails_the_model():
+    A, B = raw_zero_pair(Q, 3, 2)
+    f = scramble(skew(Q, A, B), Matrix(Q, [[1, 1, 0], [0, 1, 1], [1, 0, 2]]))
+    [block] = canonical_pair_zero(primary_split(f))
+    assert block.form == "bordered"
+    assert caalim_convert(block).form == "raw"
+    for changed in ({"gram": _bumped(block.gram, 0, 2)}, {"matrix": _bumped(block.matrix, 1, 0)}):
+        with pytest.raises(ValidationError, match="chain conversion does not match the model"):
+            caalim_convert(_with(block, **changed))
+
+
+def test_tampered_basis_change_fails_the_pair_certificate():
     pair = canonical_pair(mixed_q_seed())
-    assert {b.kind for b in pair.blocks} == {"paired", "zero_odd", "zero_even"}
-    assert len(calls) == 1
+    assert pair.verify()
+    bad = CanonicalPair(pair.endo, pair.blocks, pair.residual, _bumped(pair.basis_change, 0, 0))
+    with pytest.raises(ValidationError, match="canonical certificate failed on the map"):
+        bad.verify()
 
 
 # ------------------------------------------------------------ invariance
