@@ -35,6 +35,25 @@ def _exponent_in_range(s):
             and int(digits or "0") <= SCALAR_EXPONENT_BOUND)
 
 
+# Ints up to this many bits (602 decimal digits) are printed by str():
+# below 640, the least limit sys.set_int_max_str_digits accepts.
+_STR_BITS = 2000
+
+
+def _int_str(n):
+    """Decimal digits of the int n, whatever sys.get_int_max_str_digits says.
+
+    Larger ints are split at a power of ten into halves printed apart.
+    """
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    hi, lo = divmod(n, 10**k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
+
+
 def _is_prime(n):
     if n < 2:
         return False
@@ -225,7 +244,15 @@ class Field:
         return self.div(a, self.of(2))
 
     def to_str(self, a):
-        return str(a)
+        """str(a), also where str() refuses an int beyond the process's
+        digit limit (sys.get_int_max_str_digits): _int_str prints it."""
+        try:
+            return str(a)
+        except ValueError:
+            if not isinstance(a, Fraction):
+                return _int_str(a)
+            num = _int_str(a.numerator)
+            return num if a.denominator == 1 else f"{num}/{_int_str(a.denominator)}"
 
     def sort_key(self, a):
         # total order used only to make outputs deterministic

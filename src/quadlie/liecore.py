@@ -8,23 +8,30 @@ by construction: [e_j, e_i] is read as the negative of the stored entry.
 """
 
 import operator
+from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
+from ._fast import _integer_row
 from .errors import ValidationError
 from .linalg import Matrix, Subspace, kernel_basis
 from .quadspace import OrthogonalSpace, ortho_complement
+
+_ZERO = Fraction(0)
 
 
 class LieAlgebra:
     """table[(i, j)] = coordinates of [e_i, e_j] for i < j, nonzero only.
 
     Each vector is coerced once, where it enters; absent pairs bracket to
-    zero and [e_j, e_i] = -[e_i, e_j]. The Jacobi identity is not checked
-    here, so candidate tables can be inspected with jacobi_check first.
+    zero and [e_j, e_i] = -[e_i, e_j]. The table is treated as immutable:
+    its integer image (_build_integer_image), on which every bracket is
+    computed, is built on first use and kept. The Jacobi identity is not
+    checked here, so candidate tables can be inspected with jacobi_check
+    first.
     """
 
-    __slots__ = ("field", "dim", "table")
+    __slots__ = ("field", "dim", "table", "_image")
 
     def __init__(self, field, dim, brackets):
         table = {}
@@ -39,6 +46,7 @@ class LieAlgebra:
         self.field = field
         self.dim = dim
         self.table = table
+        self._image = None
 
     @classmethod
     def from_brackets(cls, field, dim, brackets):
@@ -49,26 +57,28 @@ class LieAlgebra:
     def abelian(cls, field, dim):
         return cls(field, dim, {})
 
+    def _integer_image(self):
+        """(d, right) of _build_integer_image, built once per algebra."""
+        if self._image is None:
+            self._image = _build_integer_image(self)
+        return self._image
+
     def bracket(self, x, y):
+        """[x, y] for canonical vectors x, y.
+
+        x and y are brought to integers over their own denominators, the
+        bracket is taken on the integer image, and the result is divided
+        once by d dx dy (reduced mod p over F_p).
+        """
         F = self.field
-        table = self.table
-        out = [F.zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                if i < j:
-                    vec, c = table.get((i, j)), F.mul(xi, yj)
-                else:
-                    vec, c = table.get((j, i)), F.neg(F.mul(xi, yj))
-                if vec is None:
-                    continue
-                for r, v in enumerate(vec):
-                    if v:
-                        out[r] = F.add(out[r], F.mul(c, v))
-        return out
+        d, right = self._integer_image()
+        xs, dx = _scaled(F, x)
+        ys, dy = _scaled(F, y)
+        acc = _apply(xs, _right_action(right, ys), self.dim)
+        if F.p:
+            return [a % F.p for a in acc]
+        den = d * dx * dy
+        return [Fraction(a, den) if a else _ZERO for a in acc]
 
     def ad(self, x):
         """Matrix of y -> [x, y]; its columns are the [x, e_j]."""
@@ -100,13 +110,19 @@ class LieAlgebra:
 
 
 def _integer_vectors(F, vecs):
-    """vecs as int lists: over Q times one common denominator, over F_p as
-    they are. A condition that is homogeneous of one degree in the vectors
-    keeps its zero pattern, with the zero test taken mod p over F_p."""
+    """(ints, d): vecs as int lists, over Q times their common denominator d,
+    over F_p as they are with d = 1. A condition that is homogeneous of one
+    degree in the vectors keeps its zero pattern, with the zero test taken
+    mod p over F_p."""
     if F.p:
-        return vecs
+        return vecs, 1
     d = lcm(*[c.denominator for v in vecs for c in v])
-    return [[c.numerator * (d // c.denominator) for c in v] for v in vecs]
+    return [[c.numerator * (d // c.denominator) for c in v] for v in vecs], d
+
+
+def _scaled(F, v):
+    """(ints, dv): the vector v as dv times an int list (dv = 1 over F_p)."""
+    return (v, 1) if F.p else _integer_row(v)
 
 
 def _nonzero(s, p):
@@ -114,17 +130,9 @@ def _nonzero(s, p):
     return s % p if p else s
 
 
-def _right_brackets(L, integer=False):
-    """[{i: [e_i, e_j]} for each j]: the maps x -> [x, e_j], nonzero columns only.
-
-    With integer=True the vectors are the table's _integer_vectors, and
-    their negatives are plain int negatives.
-    """
-    vecs = list(L.table.values())
-    if integer:
-        vecs, neg = _integer_vectors(L.field, vecs), operator.neg
-    else:
-        neg = L.field.neg
+def _right_maps(L, vecs, neg):
+    """[{i: [e_i, e_j]} for each j], nonzero columns only, from the table's
+    vectors in table order (vecs) and their negation (neg)."""
     maps = [{} for _ in range(L.dim)]
     for (i, j), vec in zip(L.table, vecs):
         maps[j][i] = vec
@@ -132,15 +140,56 @@ def _right_brackets(L, integer=False):
     return maps
 
 
+def _right_brackets(L):
+    """The maps x -> [x, e_j] in field elements (see _right_maps)."""
+    return _right_maps(L, L.table.values(), L.field.neg)
+
+
+def _build_integer_image(L):
+    """(d, right): d is the common denominator of the table (1 over F_p)
+    and right[j] = {i: d [e_i, e_j]} the integer maps x -> d [x, e_j].
+
+    Negatives are plain int negatives, so over F_p the entries lie in
+    (-p, p) and every result is reduced mod p by its reader.
+    """
+    vecs, d = _integer_vectors(L.field, list(L.table.values()))
+    return d, _right_maps(L, vecs, operator.neg)
+
+
+def _right_action(right, y):
+    """{r: d [e_r, y]} for an int vector y, on the integer maps right."""
+    cols = {}
+    for m, ym in enumerate(y):
+        if not ym:
+            continue
+        for r, vec in right[m].items():
+            col = cols.get(r)
+            if col is None:
+                cols[r] = [ym * v for v in vec]
+            else:
+                cols[r] = [a + ym * v for a, v in zip(col, vec)]
+    return cols
+
+
+def _apply(x, cols, n):
+    """sum of x[r] cols[r]: d [x, y] from cols = _right_action(right, y)."""
+    acc = [0] * n
+    for r, col in cols.items():
+        c = x[r]
+        if c:
+            acc = [a + c * v for a, v in zip(acc, col)]
+    return acc
+
+
 def jacobi_check(L):
     """(True, None) or (False, first offending basis triple i < j < k).
 
-    Runs on the integer table (_integer_vectors): every term of the
-    identity is quadratic in the table, so scaling the table by d scales
-    each Jacobi sum by d^2 and leaves its zero pattern alone.
+    Runs on the integer image: every term of the identity is quadratic in
+    the table, so scaling the table by d scales each Jacobi sum by d^2 and
+    leaves its zero pattern alone.
     """
     p = L.field.p
-    right = _right_brackets(L, integer=True)
+    _, right = L._integer_image()
     for i, j, k in combinations(range(L.dim), 3):
         acc = [0] * L.dim
         # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
@@ -165,15 +214,16 @@ def invariance_check(L, space):
     brackets, in both orders, against every k. The least failing
     (i, (j, k)), j <= k, is the first nonzero entry of
     ad(e_i)^T B + B ad(e_i) in row-major order. It runs on the integer
-    table and the integer Gram (_integer_vectors, each with its own
-    denominator): the condition is linear in each.
+    image of the table and the integer Gram (_integer_vectors, each with
+    its own denominator): the condition is linear in each.
     """
     p = L.field.p
     n = L.dim
-    gram = _integer_vectors(L.field, space.gram.data)
+    gram, _ = _integer_vectors(L.field, space.gram.data)
     # pb[i][j][r] = phi(e_r, [e_i, e_j]) for each stored pair, in both orders
     pb = [{} for _ in range(n)]
-    for j, cols in enumerate(_right_brackets(L, integer=True)):
+    _, right = L._integer_image()
+    for j, cols in enumerate(right):
         for i, vec in cols.items():
             nz = [(m, c) for m, c in enumerate(vec) if c]
             pb[i][j] = [sum([row[m] * c for m, c in nz]) for row in gram]
@@ -244,9 +294,20 @@ class QuadraticLieAlgebra:
 
 
 def bracket_span(L, U, W):
-    """Echelonized span of all [u, w] for generators u of U, w of W."""
-    vecs = [L.bracket(u, w) for u in U.basis for w in W.basis]
-    return Subspace._wrap(L.field, L.dim, vecs)
+    """Echelonized span of all [u, w] for generators u of U, w of W.
+
+    Runs on the integer image: each generator is scaled to integers, which
+    keeps the span, and the integer brackets (reduced mod p over F_p; over
+    Q ints, which the kernel reads as rationals) are row-reduced once.
+    """
+    F = L.field
+    _, right = L._integer_image()
+    us = [_scaled(F, u)[0] for u in U.basis]
+    acts = [_right_action(right, _scaled(F, w)[0]) for w in W.basis]
+    vecs = [_apply(u, cols, L.dim) for u in us for cols in acts]
+    if F.p:
+        vecs = [[a % F.p for a in v] for v in vecs]
+    return Subspace._wrap(F, L.dim, vecs)
 
 
 def derived_algebra(L):

@@ -35,6 +35,11 @@ from .skewcanon import canonical_pair, canonical_pair_zero, primary_split, spect
 from .liecore import (
     LieAlgebra,
     QuadraticLieAlgebra,
+    _apply,
+    _integer_vectors,
+    _nonzero,
+    _right_action,
+    _scaled,
     centre,
     derived_algebra,
     derived_series,
@@ -531,14 +536,34 @@ def _extended_matrix(d1, d2, w):
 
 
 def _is_homomorphism(L1, L2, M):
-    """[M e_i, M e_j] = M [e_i, e_j] on every basis pair i < j of L1."""
-    images = M.cols()
-    zero = [L1.field.zero] * L1.dim
+    """[M e_i, M e_j] = M [e_i, e_j] on every basis pair i < j of L1.
+
+    (True, None), or (False, (i, j)) for the first failing pair. Runs on
+    ints: with M' = D M (D the common denominator of M, 1 over F_p) and
+    the integer images d1 T1, d2 T2 of the two tables, the condition is
+    d1 [M' e_i, M' e_j]_{d2 T2} = D d2 M' (d1 T1)(e_i, e_j). The left side
+    is quadratic in M and the right side linear, so the factors d1 and
+    D d2 bring both to the one scale D^2 d1 d2. Over F_p the two sides
+    are compared mod p.
+    """
+    p = L1.field.p
+    d1, right1 = L1._integer_image()
+    d2, right2 = L2._integer_image()
+    rows, D = _integer_vectors(L1.field, M.data)
+    images = [list(col) for col in zip(*rows)]  # M' e_j
+    acts = [_right_action(right2, u) for u in images]  # d2 [x, M' e_j] from x
+    s = D * d2
     for i in range(L1.dim):
         for j in range(i + 1, L1.dim):
-            lhs = L2.bracket(images[i], images[j])
-            rhs = M.matvec(L1.table.get((i, j), zero))
-            if lhs != rhs:
+            lhs = _apply(images[i], acts[j], L2.dim)
+            t = right1[j].get(i)  # d1 [e_i, e_j]
+            if t is None:
+                bad = any(_nonzero(a, p) for a in lhs)
+            else:
+                nz = [(r, c) for r, c in enumerate(t) if c]
+                rhs = [sum([row[r] * c for r, c in nz]) for row in rows]
+                bad = any(_nonzero(d1 * a - s * b, p) for a, b in zip(lhs, rhs))
+            if bad:
                 return False, (i, j)
     return True, None
 
@@ -767,14 +792,12 @@ def _norm_equation(F, m, c):
         return "unsolvable", None
     nontrivial = False
     for sol in sols:
-        syms = set()
-        for e in sol:
-            syms |= sympy.sympify(e).free_symbols
-        grids = [()] if not syms else product(range(-3, 4), repeat=len(syms))
-        syms = sorted(syms, key=str)
-        for point in grids:
-            vals = dict(zip(syms, point))
-            u, v, w = [int(sympy.sympify(e).subs(vals)) for e in sol]
+        exprs = [sympy.sympify(e) for e in sol]
+        syms = sorted(set().union(*[e.free_symbols for e in exprs]), key=str)
+        # the parametric solution at each point of a small grid, exactly
+        for point in product(range(-3, 4), repeat=len(syms)):
+            vals = {t: sympy.Integer(a) for t, a in zip(syms, point)}
+            u, v, w = [int(e.xreplace(vals)) for e in exprs]
             if u or v or w:
                 nontrivial = True
             if w:
@@ -1121,7 +1144,7 @@ def recover_double_extension(Q):
     corr = F.half(Q.space.quad(x))
     x = [F.sub(x[i], F.mul(corr, z[i])) for i in range(dim)]
 
-    plane = Subspace(F, dim, [x, z])
+    plane = Subspace._wrap(F, dim, [x, z])
     if plane.dim != 2:
         raise ValidationError("not a double extension: hyperbolic plane collapsed")
     core = ortho_complement(Q.space, plane)
@@ -1130,20 +1153,28 @@ def recover_double_extension(Q):
     if not space.regular:
         raise ValidationError("not a double extension: the carved core is degenerate")
 
-    cols = []
-    for v in core_vecs:
-        coords = core.coords_of(L.bracket(x, v))
-        if coords is None:
-            raise ValidationError(
-                "not a double extension: ad x does not preserve the carved core"
-            )
-        cols.append(coords)
-    delta = Matrix.from_cols(F, cols)
-
+    # coordinates of every [x, v] in the core basis, from one reduction of
+    # [core vectors as columns | the brackets]: the core columns are
+    # independent, so a pivot right of them is a bracket outside the core
     nv = len(core_vecs)
+    ad_x = [L.bracket(x, v) for v in core_vecs]
+    R, _, rank = Matrix._wrap(F, [list(row) for row in zip(*core_vecs, *ad_x)]).rref()
+    if rank > nv:
+        raise ValidationError(
+            "not a double extension: ad x does not preserve the carved core"
+        )
+    delta = Matrix._wrap(F, [row[nv:] for row in R.data[:nv]])
+
+    # [v_i, v_j] on the centre line: z_k w = w_k z on ints, z_k != 0
+    _, right = L._integer_image()
+    zs = _scaled(F, z)[0]
+    k = next(r for r, c in enumerate(zs) if c)
+    vs = [_scaled(F, v)[0] for v in core_vecs]
+    acts = [_right_action(right, v) for v in vs]
     for i in range(nv):
         for j in range(i + 1, nv):
-            if not Z.contains(L.bracket(core_vecs[i], core_vecs[j])):
+            w = _apply(vs[i], acts[j], dim)
+            if any(_nonzero(zs[k] * a - w[k] * c, F.p) for a, c in zip(w, zs)):
                 raise ValidationError(
                     "not a double extension: core brackets leave the centre line"
                 )
@@ -1152,7 +1183,7 @@ def recover_double_extension(Q):
     built = build_double_extension(data)
 
     # base change (delta, V, delta*) -> (x, core vectors, z), columns in Q
-    U = Matrix.from_cols(F, [x] + core_vecs + [z])
+    U = Matrix._wrap(F, [list(row) for row in zip(x, *core_vecs, z)])
     ok, bad = _is_homomorphism(built.algebra, L, U)
     if not ok:
         raise ValidationError(f"recovery base change failed re-derivation at {bad}")

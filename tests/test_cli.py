@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -251,6 +252,33 @@ def test_malformed_input_exit(tmp_path, capsys, argv):
     code, doc = run(capsys, *argv(tmp_path, d.to_json()))
     assert code == 1
     assert doc["error"]
+
+
+@pytest.mark.parametrize("limit, nines", [(None, 1500), (640, 600)],
+                         ids=["spectral-huge-digits", "limit-640"])
+def test_huge_digits_are_printed_exactly(tmp_path, capsys, limit, nines):
+    # a = (10^nines - 1) 10^1000 is accepted as input (its mantissa is within
+    # the limit); the companion matrix holds -a^2, whose digits are beyond
+    # what str() of an int may print under the limit (4300 by default, 640
+    # the least), and printing it must not touch the limit
+    big = "9" * nines + "e1000"
+    doc = from_lambda_tuple(Q, (1,)).to_json()
+    doc["delta"]["entries"] = ["0", "-" + big, big, "0"]
+    path = write(tmp_path, "huge.json", doc)
+    before = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        code = main(["spectral", "--in", path])
+        out = capsys.readouterr().out
+        assert sys.get_int_max_str_digits() == (limit or before)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert code == 0
+    result = json.loads(out)
+    a_squared = "9" * (nines - 1) + "8" + "0" * (nines - 1) + "1" + "0" * 2000
+    assert result["companion"]["entries"] == ["0", "-" + a_squared, "1", "0"]
+    assert result["gram"]["entries"][3] == a_squared
 
 
 def test_missing_input_exit(capsys):

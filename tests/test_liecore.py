@@ -28,14 +28,17 @@ from quadlie.liecore import (
     lower_central_series,
     nilpotency_index,
     quadratic_dimension,
+    bracket_span,
     series_duality_check,
     upper_central_series,
 )
-from quadlie.linalg import Matrix
+from quadlie.linalg import Matrix, Subspace
+from quadlie.oscillator import _is_homomorphism, build_double_extension, from_lambda_tuple
 from quadlie.quadspace import OrthogonalSpace, is_skew, ortho_complement
 
 Q = Field.parse("Q")
 F5 = Field.parse("Fp:5")
+P61 = Field.parse("Fp:2305843009213693951")  # 2^61 - 1
 
 
 def heisenberg(field, m=1):
@@ -157,6 +160,126 @@ def test_jacobi_check_matches_fraction_oracle(seed, field, build, perturb):
         brackets[key] = vec
         L = LieAlgebra.from_brackets(field, n, brackets)
     assert jacobi_check(L) == _fraction_jacobi_check(L)
+
+
+def _fraction_bracket(L, x, y):
+    """Reference for LieAlgebra.bracket: the table loop in field arithmetic."""
+    F = L.field
+    out = [F.zero] * L.dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            if i < j:
+                vec, c = L.table.get((i, j)), F.mul(xi, yj)
+            else:
+                vec, c = L.table.get((j, i)), F.neg(F.mul(xi, yj))
+            if vec is None:
+                continue
+            for r, v in enumerate(vec):
+                if v:
+                    out[r] = F.add(out[r], F.mul(c, v))
+    return out
+
+
+def _fraction_is_homomorphism(L1, L2, M):
+    """Reference for _is_homomorphism: both sides in field arithmetic."""
+    images = M.cols()
+    zero = [L1.field.zero] * L1.dim
+    for i in range(L1.dim):
+        for j in range(i + 1, L1.dim):
+            lhs = _fraction_bracket(L2, images[i], images[j])
+            if lhs != M.matvec(L1.table.get((i, j), zero)):
+                return False, (i, j)
+    return True, None
+
+
+def rotation(field):
+    """A solvable, non-nilpotent extension: two rotation planes."""
+    return build_double_extension(from_lambda_tuple(field, (1, 2)))
+
+
+def scrambled(rng, field, build):
+    """(L, L0, P): L0 = build(field), and L the same algebra on the basis
+    of the columns of P, which are scaled by fractions, so that over Q the
+    table of L and the entries of P have denominators."""
+    L0 = build(field)
+    L0 = getattr(L0, "algebra", L0)
+    n = L0.dim
+    P = random_invertible(rng, field, n) * Matrix.diagonal(
+        field, [unit(rng, field) for _ in range(n)]
+    )
+    return conjugate(L0, P), L0, P
+
+
+def random_vector(rng, field, n):
+    return [unit(rng, field) if rng.random() < 0.7 else field.zero for _ in range(n)]
+
+
+def canonical(field, vec):
+    """Entries of the field's own kind (Fraction over Q), reduced over F_p."""
+    return all(type(c) is type(field.zero) and field.of(c) == c for c in vec)
+
+
+KERNEL_FIELDS = [Q, F5, P61]
+KERNEL_ALGEBRAS = [heisenberg, sl2_like, n23, n32, rotation]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(KERNEL_FIELDS),
+       st.sampled_from(KERNEL_ALGEBRAS))
+def test_bracket_matches_fraction_oracle(seed, field, build):
+    rng = random.Random(seed)
+    L, _, _ = scrambled(rng, field, build)
+    n = L.dim
+    e = [L.basis_vector(i) for i in range(n)]
+    pairs = [(e[i], e[j]) for i in range(n) for j in range(n)]
+    pairs += [(random_vector(rng, field, n), random_vector(rng, field, n)) for _ in range(6)]
+    for x, y in pairs:
+        got = L.bracket(x, y)
+        assert got == _fraction_bracket(L, x, y)
+        assert canonical(field, got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(KERNEL_FIELDS),
+       st.sampled_from(KERNEL_ALGEBRAS))
+def test_bracket_span_matches_fraction_oracle(seed, field, build):
+    rng = random.Random(seed)
+    L, _, _ = scrambled(rng, field, build)
+    n = L.dim
+
+    def subspace(k):
+        return Subspace(field, n, [random_vector(rng, field, n) for _ in range(k)])
+
+    U, W = subspace(rng.randint(0, n)), subspace(rng.randint(1, n))
+    full = Subspace.full(field, n)
+    for A, B in ((U, W), (W, W), (W, full), (full, full)):
+        S = bracket_span(L, A, B)
+        assert S == Subspace(field, n, [_fraction_bracket(L, a, b)
+                                        for a in A.basis for b in B.basis])
+        assert all(canonical(field, v) for v in S.basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(KERNEL_FIELDS),
+       st.sampled_from(KERNEL_ALGEBRAS), st.booleans())
+def test_is_homomorphism_matches_fraction_oracle(seed, field, build, perturb):
+    rng = random.Random(seed)
+    L, L0, P = scrambled(rng, field, build)
+    n = L.dim
+    # e_i -> P e_i carries L onto L0, and P^-1 carries L0 back onto L
+    for L1, L2, M in ((L, L0, P), (L0, L, P.inverse())):
+        if perturb:
+            M = M.copy()
+            i, j = rng.randrange(n), rng.randrange(n)
+            M.data[i][j] = field.add(M.data[i][j], unit(rng, field))
+        got = _is_homomorphism(L1, L2, M)
+        assert got == _fraction_is_homomorphism(L1, L2, M)
+        if not perturb:
+            assert got == (True, None)
 
 
 def test_quadratic_constructor_rejects_bad_jacobi():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadlie import exact_field, skewcanon
+from quadlie import exact_field, liecore, skewcanon
 from quadlie.errors import CapabilityError, ValidationError
 from quadlie.exact_field import Field
 from quadlie.linalg import Matrix
@@ -570,6 +570,48 @@ def test_recover_scrambled_prime_field():
     for _ in range(3):
         rec = recover_double_extension(scramble_quadratic(rng, Qx))
         check_yes(d, rec)
+
+
+def test_integer_image_is_built_once_per_algebra(monkeypatch):
+    built = []
+    real_build = liecore._build_integer_image
+
+    def build(L):
+        built.append(L)  # keeps L alive, so ids stay distinct
+        return real_build(L)
+
+    brackets = []
+    real_bracket = LieAlgebra.bracket
+
+    def bracket(self, x, y):
+        brackets.append(self)
+        return real_bracket(self, x, y)
+
+    monkeypatch.setattr(liecore, "_build_integer_image", build)
+    monkeypatch.setattr(LieAlgebra, "bracket", bracket)
+    d = from_lambda_tuple(Q, (1, 2))
+    Qx = scramble_quadratic(random.Random(11), build_double_extension(d))
+    assert any(L is Qx.algebra for L in built)
+    brackets.clear()
+    rec = recover_double_extension(Qx)
+    assert any(L is Qx.algebra for L in brackets)
+    check_yes(d, rec)
+    assert len(built) == len({id(L) for L in built})
+
+
+def test_recovery_certifies_ad_x_on_the_core(monkeypatch):
+    # recovery brackets through LieAlgebra.bracket only for ad x; adding x
+    # itself moves [x, v] off the core, since x pairs with the centre
+    real_bracket = LieAlgebra.bracket
+
+    def bracket(self, x, y):
+        return [a + b for a, b in zip(real_bracket(self, x, y), x)]
+
+    d = from_lambda_tuple(Q, (1, 2))
+    Qx = scramble_quadratic(random.Random(11), build_double_extension(d))
+    monkeypatch.setattr(LieAlgebra, "bracket", bracket)
+    with pytest.raises(ValidationError, match="ad x does not preserve the carved core"):
+        recover_double_extension(Qx)
 
 
 def test_recover_needs_small_centre():
