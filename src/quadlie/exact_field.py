@@ -77,24 +77,56 @@ def _is_prime(n):
     return True
 
 
-def _pollard_rho(n, seed=1):
-    # n odd composite, no small factors; returns a nontrivial factor
+# Work one _factor_int may do after trial division, counted in Pollard-rho
+# steps of three modular squarings each. A primality test of a b-bit
+# cofactor is charged 4b steps, twelve Miller-Rabin rounds of b squarings.
+# The bound caps work, not digits: a 60-digit semiprime of two 30-digit
+# primes would need about 10^15 rho steps and is refused in milliseconds;
+# so is a 2500-digit integer, whose first primality test alone is over the
+# bound. Within it, cofactors up to 2048 bits are tested and prime factors
+# up to about 10^7 are found (rho finds q in about sqrt(q) steps); trial
+# division has removed every prime below 10^5 already.
+FACTOR_STEP_BOUND = 1 << 13
+
+
+def _spend(budget, steps, n):
+    """budget - steps, or CapabilityError when steps exceed the budget."""
+    if steps > budget:
+        raise CapabilityError(
+            f"integer factorization capped at {FACTOR_STEP_BOUND} steps "
+            f"({n.bit_length()}-bit cofactor)"
+        )
+    return budget - steps
+
+
+def _pollard_rho(n, budget):
+    """A nontrivial factor of n and the steps left of budget.
+
+    n is odd, composite and free of small factors.
+    """
+    seed = 1
     while True:
         seed += 1
         x = y = seed % n
         c = seed
         d = 1
         while d == 1:
+            budget = _spend(budget, 1, n)
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = _int_gcd(abs(x - y), n)
         if d != n:
-            return d
+            return d, budget
 
 
 def _factor_int(n):
-    """Prime factorization of n >= 1 as a dict prime -> exponent."""
+    """Prime factorization of n >= 1 as a dict prime -> exponent.
+
+    Raises CapabilityError past FACTOR_STEP_BOUND steps of work.
+    """
+    if n < 1:
+        raise ValidationError(f"cannot factor {n}: not a positive integer")
     out = {}
     for q in (2, 3, 5, 7, 11, 13):
         while n % q == 0:
@@ -106,11 +138,13 @@ def _factor_int(n):
             out[q] = out.get(q, 0) + 1
             n //= q
         q += 2
+    budget = FACTOR_STEP_BOUND
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if m == 1:
             continue
+        budget = _spend(budget, len(_MR_BASES) * m.bit_length() // 3, m)
         if _is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
@@ -118,7 +152,7 @@ def _factor_int(n):
         if r * r == m:
             stack.extend([r, r])
             continue
-        d = _pollard_rho(m)
+        d, budget = _pollard_rho(m, budget)
         stack.extend([d, m // d])
     return out
 
@@ -278,6 +312,60 @@ def square_class(field, c):
         c = Fraction(c)
         return _squarefree_part(c.numerator * c.denominator)
     return "square" if pow(c, (field.p - 1) // 2, field.p) == 1 else "nonsquare"
+
+
+def _split_power(n, p):
+    """(e, u) with n = p^e u and p not dividing u; n a nonzero int."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
+def hilbert_symbol(a, b, p):
+    """The Hilbert symbol (a, b)_p of nonzero integers a and b.
+
+    It is 1 when z^2 = a x^2 + b y^2 has a nonzero solution over Q_p and -1
+    otherwise. p is a prime, or 0 for the real place. Serre's formula (A
+    Course in Arithmetic, III.1.2, Theorem 1): with a = p^s u, b = p^t v
+    and u, v units, (a, b)_p = (-1)^(s t e(p)) (u/p)^t (v/p)^s for odd p,
+    and (-1)^(e(u) e(v) + s w(v) + t w(u)) for p = 2, where e(x) = (x - 1)/2
+    and w(x) = (x^2 - 1)/8 mod 2.
+    """
+    if not a or not b:
+        raise ValidationError("the Hilbert symbol needs nonzero integers")
+    if p == 0:
+        return -1 if a < 0 and b < 0 else 1
+    if not _is_prime(p):
+        raise ValidationError(f"{p} is not prime")
+    s, u = _split_power(a, p)
+    t, v = _split_power(b, p)
+    if p == 2:
+        e = (u - 1) // 2 * ((v - 1) // 2) + s * ((v * v - 1) // 8) + t * ((u * u - 1) // 8)
+        return -1 if e % 2 else 1
+    sign = -1 if s * t * ((p - 1) // 2) % 2 else 1
+    if t % 2 and pow(u, (p - 1) // 2, p) != 1:
+        sign = -sign
+    if s % 2 and pow(v, (p - 1) // 2, p) != 1:
+        sign = -sign
+    return sign
+
+
+def hilbert_obstructions(a, b):
+    """The places where (a, b) is -1, ascending, the real place 0 first.
+
+    a and b are nonzero integers. An empty list means z^2 = a x^2 + b y^2
+    has a nonzero rational solution (Hasse-Minkowski). Only the real place
+    and the primes dividing 2ab can give -1, and by the product formula they
+    do so an even number of times; an odd count raises ValidationError.
+    Raises CapabilityError where factoring ab does (FACTOR_STEP_BOUND).
+    """
+    places = [0] + sorted(_factor_int(abs(2 * a * b)))
+    out = [v for v in places if hilbert_symbol(a, b, v) == -1]
+    if len(out) % 2:
+        raise ValidationError(f"Hilbert symbols of ({a}, {b}) break the product formula")
+    return out
 
 
 def least_nonsquare(field):

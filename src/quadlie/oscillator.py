@@ -16,7 +16,13 @@ witnesses and decisions, and the two parameter family of invariant forms.
 from itertools import product
 
 from .errors import CapabilityError, ValidationError
-from .exact_field import Polynomial, poly_star, sqrt_in_field, square_class
+from .exact_field import (
+    Polynomial,
+    hilbert_obstructions,
+    poly_star,
+    sqrt_in_field,
+    square_class,
+)
 from .linalg import (
     Matrix,
     Subspace,
@@ -766,9 +772,13 @@ def _decide_split(d1, d2, m1, m2, r1, r2):
 def _norm_equation(F, m, c):
     """Solve alpha^2 + m beta^2 = c over the rationals, m > 0, c > 0.
 
-    Returns ('solved', (alpha, beta)), ('unsolvable', None) when descent
-    proves there is no solution, or ('unknown', None) if the search could
-    not settle it.
+    Returns ('solved', (alpha, beta)), checked exactly; ('unsolvable', qs)
+    with qs the primes where the Hilbert symbol (-M, C) is -1, M and C the
+    squarefree classes of m and c; or ('unknown', None). Local
+    solvability everywhere means a solution exists (Hasse-Minkowski), and
+    sympy builds it from u^2 + M v^2 = C w^2. 'unknown' is left only
+    when that equation is locally solvable but sympy fails, or no point of
+    its parametric solution on the grid [-3, 3] has w != 0.
     """
     r = sqrt_in_field(F, c)
     if r is not None:
@@ -776,42 +786,38 @@ def _norm_equation(F, m, c):
     r = sqrt_in_field(F, F.div(c, m))
     if r is not None:
         return "solved", (F.zero, r)
+    M, C = square_class(F, m), square_class(F, c)
+    # the real place never obstructs: C > 0
+    qs = hilbert_obstructions(-M, C)
+    if qs:
+        return "unsolvable", qs
+    # m = M t_m^2 and c = C t_c^2
+    t_m, t_c = sqrt_in_field(F, m / M), sqrt_in_field(F, c / C)
     try:
         import sympy
         from sympy.solvers.diophantine import diophantine
     except Exception:
         return "unknown", None
-    M = m.numerator * m.denominator
-    C = c.numerator * c.denominator
     U, V, W = sympy.symbols("u v w", integer=True)
     try:
         sols = diophantine(U**2 + M * V**2 - C * W**2)
     except Exception:
         return "unknown", None
-    if not sols:
-        return "unsolvable", None
-    nontrivial = False
-    for sol in sols:
+    # a set: a fixed order keeps the witness bytes free of the hash seed
+    for sol in sorted(sols, key=str):
         exprs = [sympy.sympify(e) for e in sol]
         syms = sorted(set().union(*[e.free_symbols for e in exprs]), key=str)
         # the parametric solution at each point of a small grid, exactly
         for point in product(range(-3, 4), repeat=len(syms)):
             vals = {t: sympy.Integer(a) for t, a in zip(syms, point)}
             u, v, w = [int(e.xreplace(vals)) for e in exprs]
-            if u or v or w:
-                nontrivial = True
             if w:
-                # back-substitute through the denominator clearing
-                alpha = F.div(F.of(u), F.mul(F.of(c.denominator), F.of(w)))
-                beta = F.div(
-                    F.mul(F.of(m.denominator), F.of(v)),
-                    F.mul(F.of(c.denominator), F.of(w)),
-                )
-                if F.add(F.mul(alpha, alpha), F.mul(m, F.mul(beta, beta))) != c:
+                alpha = t_c * u / w
+                beta = t_c * v / (t_m * w)
+                if alpha * alpha + m * beta * beta != c:
                     raise ValidationError("norm equation certificate failed")
                 return "solved", (alpha, beta)
-    # u^2 + M v^2 = 0 forces u = v = 0, so only the trivial tuple stays at w = 0
-    return ("unsolvable" if not nontrivial else "unknown"), None
+    return "unknown", None
 
 
 def _decide_definite(d1, d2, split1, split2):

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadlie
 from quadlie import __version__
 from quadlie.cli import VERBS, main
 from quadlie.exact_field import Field
@@ -130,6 +132,40 @@ def test_iso_undecided_exit(tmp_path, capsys):
     code, doc = run(capsys, "iso", "--in", path, "--in", path)
     assert code == 2
     assert doc["verdict"] == "undecided"
+
+
+def test_iso_witness_built_by_sympy(tmp_path, capsys, monkeypatch):
+    # the (1, 2) seed against a scrambled copy: the plane norm equation
+    # alpha^2 + 4 beta^2 = 4/5 has no square-root shortcut, so sympy builds
+    # the witness; sympy returns sets, so the bytes must not depend on the
+    # hash seed
+    import sympy.solvers.diophantine  # noqa: F401
+
+    d1 = from_lambda_tuple(Q, (1, 2))
+    d2 = scrambled_seed(d1, [[0, 1, -1, 1], [-1, 0, -1, -1], [-1, 1, 1, -1], [0, 1, -1, 0]])
+    a = write(tmp_path, "a.json", d1.to_json())
+    b = write(tmp_path, "b.json", d2.to_json())
+    dmod = sys.modules["sympy.solvers.diophantine"]
+    calls = []
+    real = dmod.diophantine
+    monkeypatch.setattr(dmod, "diophantine", lambda *args: calls.append(args) or real(*args))
+    code, doc = run(capsys, "iso", "--in", a, "--in", b)
+    assert code == 0 and doc["verdict"] == "yes"
+    assert len(calls) == 1
+    w = write(tmp_path, "w.json", doc["witness"])
+    code, rep = run(capsys, "iso", "--in", a, "--in", b, "--in", w)
+    assert code == 0 and rep["verdict"] == "isometric-isomorphism"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadlie.__file__)))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "quadlie", "iso", "--in", a, "--in", b],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0]) == doc
 
 
 def test_lorentz(tmp_path, capsys):
@@ -279,6 +315,18 @@ def test_huge_digits_are_printed_exactly(tmp_path, capsys, limit, nines):
     a_squared = "9" * (nines - 1) + "8" + "0" * (nines - 1) + "1" + "0" * 2000
     assert result["companion"]["entries"] == ["0", "-" + a_squared, "1", "0"]
     assert result["gram"]["entries"][3] == a_squared
+
+
+def test_canon_refuses_an_unfactorable_scalar(tmp_path, capsys):
+    # the rotation scalar's square class needs the squarefree part of a
+    # ~2500-digit integer; factoring it stalled before FACTOR_STEP_BOUND
+    big = "9" * 1500 + "e1000"
+    doc = from_lambda_tuple(Q, (1,)).to_json()
+    doc["delta"]["entries"] = ["0", "-" + big, big, "0"]
+    path = write(tmp_path, "huge.json", doc)
+    code, out = run(capsys, "canon", "--in", path)
+    assert code == 2
+    assert "integer factorization capped" in out["error"]
 
 
 def test_missing_input_exit(capsys):

@@ -8,12 +8,17 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from quadlie.errors import ValidationError
+from quadlie import exact_field
+from quadlie.errors import CapabilityError, ValidationError
 from quadlie.exact_field import (
+    FACTOR_STEP_BOUND,
     SCALAR_EXPONENT_BOUND,
     Field,
     Polynomial,
+    _factor_int,
     factor_poly,
+    hilbert_obstructions,
+    hilbert_symbol,
     least_nonsquare,
     poly_gcd,
     poly_lcm,
@@ -169,6 +174,83 @@ def test_sqrt_in_field_is_least_root():
             assert pow(c, (big.p - 1) // 2, big.p) == big.p - 1
         else:
             assert r * r % big.p == c and r <= big.p - r
+
+
+# ---------------------------------------------------------- Hilbert symbols
+
+# nonzero ints with their powers of 2 and 3 drawn apart, negatives included
+hilbert_ints = st.builds(
+    lambda sign, e2, e3, u: sign * 2**e2 * 3**e3 * u,
+    st.sampled_from([1, -1]), st.integers(0, 7), st.integers(0, 5), st.integers(1, 300),
+)
+
+
+def _places(*ints):
+    """The real place 0 and every prime dividing 2 * prod(ints)."""
+    primes = {2}
+    for n in ints:
+        primes |= set(_factor_int(abs(n)))
+    return [0] + sorted(primes)
+
+
+def test_hilbert_symbol_values():
+    # Serre III.1: (-1, -1) is -1 exactly at 2 and at the real place
+    assert [hilbert_symbol(-1, -1, v) for v in (0, 2, 3, 5)] == [-1, -1, 1, 1]
+    assert hilbert_symbol(-1, 3, 3) == -1  # -1 is not a square mod 3
+    assert hilbert_symbol(2, 5, 5) == -1 and hilbert_symbol(2, 7, 7) == 1
+    assert hilbert_symbol(2, 3, 2) == -1 and hilbert_symbol(2, 3, 3) == -1
+    assert hilbert_symbol(5, 7, 2) == 1 and hilbert_symbol(3, 7, 2) == -1
+    assert hilbert_symbol(-12, 18, 3) == hilbert_symbol(-3, 2, 3)  # squares drop out
+    assert hilbert_obstructions(-1, -1) == [0, 2]
+    assert hilbert_obstructions(-1, 3) == [2, 3]  # x^2 + y^2 = 3 z^2
+    assert hilbert_obstructions(-2, 3) == []  # 1 + 2 = 3
+    assert hilbert_obstructions(-3, 5) == [3, 5]  # 5 is inert in Q(sqrt(-3))
+    for bad in ((0, 3, 3), (3, 0, 2), (2, 3, 4), (2, 3, 1)):
+        with pytest.raises(ValidationError):
+            hilbert_symbol(*bad)
+    with pytest.raises(ValidationError):  # factoring 0 never returned
+        hilbert_obstructions(0, 3)
+
+
+@settings(max_examples=200)
+@given(hilbert_ints, hilbert_ints, hilbert_ints)
+def test_hilbert_symbol_identities(a, b, c):
+    for v in _places(a, b, c, (1 - a) or 1):
+        assert hilbert_symbol(a, b, v) == hilbert_symbol(b, a, v)
+        assert hilbert_symbol(a, -a, v) == 1
+        if a != 1:
+            assert hilbert_symbol(a, 1 - a, v) == 1
+        # bilinear: (a, bc) = (a, b)(a, c)
+        assert hilbert_symbol(a, b * c, v) == hilbert_symbol(a, b, v) * hilbert_symbol(a, c, v)
+    # the product formula; every other place gives 1
+    product = 1
+    for v in _places(a, b):
+        product *= hilbert_symbol(a, b, v)
+    assert product == 1
+    assert all(hilbert_symbol(a, b, q) == 1 for q in (5, 7, 11, 13) if (a * b) % q)
+
+
+def test_hilbert_obstructions_check_the_product_formula(monkeypatch):
+    # a symbol that is -1 at 3 alone breaks the product formula
+    monkeypatch.setattr(exact_field, "hilbert_symbol", lambda a, b, v: -1 if v == 3 else 1)
+    with pytest.raises(ValidationError, match="product formula"):
+        hilbert_obstructions(-1, 3)
+
+
+def test_factor_int_work_is_bounded():
+    assert _factor_int(1000003 * 10000019 * (2**61 - 1) * 3**4) == {
+        3: 4, 1000003: 1, 10000019: 1, 2**61 - 1: 1}
+    p30, q30 = sympy.nextprime(10**29), sympy.nextprime(10**30)
+    assert _factor_int(p30 * 12) == {2: 2, 3: 1, p30: 1}
+    # a 60-digit semiprime needs about 10^15 rho steps; a 2500-digit
+    # cofactor's primality test alone is over the bound
+    start = time.process_time()
+    for n in (p30 * q30, (10**1500 - 1) * 10**1000 * 7, sympy.nextprime(2**2100)):
+        with pytest.raises(CapabilityError, match=f"capped at {FACTOR_STEP_BOUND} steps"):
+            _factor_int(n)
+        with pytest.raises(CapabilityError):
+            square_class(Q, Q.of(Fraction(1, n)))
+    assert time.process_time() - start < 5.0
 
 
 # ------------------------------------------------------------- polynomials

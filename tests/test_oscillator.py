@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 
 from quadlie import exact_field, liecore, skewcanon
 from quadlie.errors import CapabilityError, ValidationError
-from quadlie.exact_field import Field
+from quadlie.exact_field import Field, hilbert_symbol, sqrt_in_field, square_class
 from quadlie.linalg import Matrix
 from quadlie.liecore import LieAlgebra, QuadraticLieAlgebra
 from quadlie.oscillator import (
     IsoWitness,
     OscillatorData,
+    _norm_equation,
     build_double_extension,
     classify_nilpotent,
     decide_isometric,
@@ -459,6 +461,61 @@ def test_decide_scaling_family(lams, c):
     d1 = from_lambda_tuple(Q, [c * v for v in lams])
     d2 = from_lambda_tuple(Q, lams)
     check_yes(d1, d2, mu=Q.of(c))
+
+
+def _sympy_norm_status(m, c):
+    """Status of alpha^2 + m beta^2 = c from sympy alone: diophantine on
+    u^2 + (num m den m) v^2 = (num c den c) w^2, read on the grid [-3, 3]."""
+    import sympy
+    from sympy.solvers.diophantine import diophantine
+
+    if sqrt_in_field(Q, c) is not None or sqrt_in_field(Q, c / m) is not None:
+        return "solved"
+    U, V, W = sympy.symbols("u v w", integer=True)
+    M, C = m.numerator * m.denominator, c.numerator * c.denominator
+    nontrivial = False
+    for sol in diophantine(U**2 + M * V**2 - C * W**2):
+        exprs = [sympy.sympify(e) for e in sol]
+        syms = sorted(set().union(*[e.free_symbols for e in exprs]), key=str)
+        for point in product(range(-3, 4), repeat=len(syms)):
+            vals = {t: sympy.Integer(a) for t, a in zip(syms, point)}
+            u, v, w = [int(e.xreplace(vals)) for e in exprs]
+            nontrivial = nontrivial or any((u, v, w))
+            if w:
+                return "solved"
+    return "unknown" if nontrivial else "unsolvable"
+
+
+positive_rationals = st.builds(Fraction, st.integers(1, 60), st.integers(1, 12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(positive_rationals, positive_rationals.map(lambda x: x * x)),
+    positive_rationals,
+)
+def test_norm_equation_matches_sympy(m, c):
+    status, pair = _norm_equation(Q, m, c)
+    assert status == _sympy_norm_status(m, c)
+    if status == "solved":
+        alpha, beta = pair
+        assert alpha * alpha + m * beta * beta == c
+    elif status == "unsolvable":
+        M, C = square_class(Q, m), square_class(Q, c)
+        assert pair and all(hilbert_symbol(-M, C, q) == -1 for q in pair)
+
+
+def test_norm_equation_classical():
+    assert _norm_equation(Q, Q.one, Q.of(3)) == ("unsolvable", [2, 3])
+    assert _norm_equation(Q, Q.of(3), Q.of(5)) == ("unsolvable", [3, 5])
+    assert _norm_equation(Q, Q.of("4/9"), Q.of(21)) == ("unsolvable", [3, 7])
+    for m, c in ((1, 2), (1, "13/5"), (2, 3), ("4/9", "5/4"), (7, 11), (5, 6)):
+        m, c = Q.of(m), Q.of(c)
+        status, (alpha, beta) = _norm_equation(Q, m, c)
+        assert status == "solved" and beta and alpha * alpha + m * beta * beta == c
+    # the square-root shortcuts
+    assert _norm_equation(Q, Q.of(2), Q.of("9/4")) == ("solved", (Q.of("3/2"), Q.zero))
+    assert _norm_equation(Q, Q.of(2), Q.of(8)) == ("solved", (Q.zero, Q.of(2)))
 
 
 # --- the Lorentzian catalogue ------------------------------------------------
