@@ -423,6 +423,17 @@ def sqrt_in_field(field, c):
     return min(r, p - r)
 
 
+def solve_binary(field, a, b, c):
+    """(x, y) with a x^2 + b y^2 = c over F_p, a and b nonzero: x is the least
+    of 0, ..., p - 1 with (c - a x^2) / b a square, y its sqrt_in_field root.
+    One exists, since a regular binary form over F_p reaches every value."""
+    for x in range(field.p):
+        y = sqrt_in_field(field, field.div(field.sub(c, field.mul(a, x * x)), b))
+        if y is not None:
+            return x, y
+    raise ValidationError(f"{a} x^2 + {b} y^2 = {c} has no solution over F_{field.p}")
+
+
 class Polynomial:
     """Univariate polynomial, coefficients ascending (coeffs[i] is on x^i).
 

@@ -18,6 +18,7 @@ from itertools import product
 from .errors import CapabilityError, ValidationError
 from .exact_field import (
     Polynomial,
+    factor_poly,
     hilbert_obstructions,
     poly_star,
     sqrt_in_field,
@@ -368,47 +369,40 @@ def classify_nilpotent(data):
 # ---------------------------------------------------------------------------
 # locality
 
-LINE_CAP = 20000  # most lines enumerated when looking for minimal ideals
 
+def _weight_spaces(L):
+    """The joint weight spaces {x : [e_i, x] = c_i x for every i}, c in F^d;
+    a line is an ideal exactly when it lies in one of them.
 
-def _ad_stable_lines(L):
-    """All lines K x with [L, x] in K x, by enumeration over a prime field.
-
-    Returns None when the field is rational or the line count exceeds
-    LINE_CAP; each returned line is an ideal, and a one dimensional ideal is
-    automatically minimal.
+    Every weight vanishes on [L, L], so the search starts in the ideal
+    ann([L, L]), where the ad e_i commute: each space is split by the next
+    ad e_i along the roots in F of the minimal polynomial of its restriction.
     """
     F = L.field
-    p = F.p
-    d = L.dim
-    if not p:
-        return None
-    count = (p**d - 1) // (p - 1)
-    if count > LINE_CAP:
-        return None
-    ads = [L.ad(L.basis_vector(i)) for i in range(d)]
-    lines = []
-    for lead in range(d):
-        for tail in product(range(p), repeat=d - lead - 1):
-            x = [0] * lead + [1] + list(tail)
-            ok = True
-            for M in ads:
-                w = M.matvec(x)
-                c = w[lead]
-                if any(w[r] != (c * x[r]) % p for r in range(d)):
-                    ok = False
-                    break
-            if ok:
-                lines.append(x)
-    return lines
+    rows = [row for y in derived_algebra(L).basis for row in L.ad(y).data]
+    spaces = [kernel_basis(Matrix._wrap(F, rows)) if rows else Subspace.full(F, L.dim)]
+    for i in range(L.dim):
+        ad = L.ad(L.basis_vector(i))
+        split = []
+        for W in spaces:
+            B = W.matrix()
+            cols = [W.coords_of(ad.matvec(b)) for b in W.basis]
+            R = Matrix._wrap(F, [list(row) for row in zip(*cols)])  # ad e_i on W
+            for pi, _ in factor_poly(minimal_polynomial(R)):
+                if pi.degree == 1:  # the root -pi(0) lies in F
+                    c = F.neg(pi.coeff(0))
+                    K = kernel_basis(R - Matrix.identity(F, W.dim).scale(c))
+                    split.append(Subspace._wrap(F, L.dim, (K.matrix() * B).data))
+        spaces = split
+    return spaces
 
 
 def local_criteria(data):
     """Five equivalent descriptions of locality, each computed on its own.
 
-    (a) a unique minimal ideal: decided by enumerating ad-stable lines over
-        a prime field when the count fits under LINE_CAP, otherwise through
-        the invertibility criterion;
+    (a) a unique minimal ideal: exactly one joint weight space of ad L,
+        and it is a line (the ad-stable lines are the lines inside the
+        weight spaces);
     (b) the seed axis complements the derived algebra;
     (c) the centre is a line;
     (d) delta is invertible;
@@ -438,11 +432,8 @@ def local_criteria(data):
     dq = len(forms)
     e_plane = dq == 2
 
-    lines = _ad_stable_lines(L)
-    if lines is None:
-        a_unique = c_centre and d_inv
-    else:
-        a_unique = len(lines) == 1
+    weights = _weight_spaces(L)
+    a_unique = len(weights) == 1 and weights[0].dim == 1
 
     votes = {
         "unique_minimal_ideal": a_unique,
@@ -469,7 +460,7 @@ def local_criteria(data):
     report["agree"] = True
     report["local"] = a_unique
     report["dq"] = dq
-    report["stable_lines"] = None if lines is None else len(lines)
+    report["stable_lines"] = sum((F.p**W.dim - 1) // (F.p - 1) for W in weights) if F.p else None
     report["plane_spanned_by_canonical_forms"] = span_ok
     return report
 
@@ -986,9 +977,9 @@ class LorentzKey:
 
     def to_json(self):
         return {
-            "lambda": [str(c) for c in self.lam],
-            "t": str(self.form_params[0]),
-            "s": str(self.form_params[1]),
+            "lambda": [self.field.to_str(c) for c in self.lam],
+            "t": self.field.to_str(self.form_params[0]),
+            "s": self.field.to_str(self.form_params[1]),
         }
 
 

@@ -8,7 +8,7 @@ wraps a matrix A with A^T B = -B A, the matrix form of a phi-skew map.
 from __future__ import annotations
 
 from .errors import ValidationError
-from .exact_field import sqrt_in_field, square_class
+from .exact_field import solve_binary, sqrt_in_field, square_class
 from .linalg import Matrix, Subspace, kernel_basis
 
 
@@ -221,28 +221,24 @@ class IsotropyReport:
         }
 
 
-# isotropic vector searches: the largest coordinate height tried over Q,
-# and the most vectors one search may try (over F_p all p^n must fit)
+# the isotropic vector search over Q: the largest coordinate height tried,
+# and the most vectors one search may try
 ISOTROPY_HEIGHT_BOUND = 10
 ISOTROPY_SEARCH_CAP = 200000
 
 
-def _fp_isotropic_vector(space):
-    F = space.field
-    p = F.p
-    n = space.dim
-    total = p**n
-    if total > ISOTROPY_SEARCH_CAP:
-        return None
-    for idx in range(1, total):
-        v = []
-        t = idx
-        for _ in range(n):
-            v.append(t % p)
-            t //= p
-        if not space.quad(v):
-            return v
-    return None
+def _fp_isotropic_vector(P, d):
+    """Isotropic vector of a regular F_p form with P^T B P = diag(d), Witt
+    index at least one: P (1, t) with d_0 + d_1 t^2 = 0 in rank two, and
+    P (x, y, 1, 0, ...) with d_0 x^2 + d_1 y^2 = -d_2 from rank three on."""
+    F = P.field
+    n = len(d)
+    if n == 2:
+        coords = [F.one, sqrt_in_field(F, F.neg(F.div(d[0], d[1])))]
+    else:
+        x, y = solve_binary(F, d[0], d[1], F.neg(d[2]))
+        coords = [x, y, F.one] + [F.zero] * (n - 3)
+    return P.matvec(coords)
 
 
 def _q_box_isotropic(gram_rows, field):
@@ -295,10 +291,11 @@ def isotropy_report(space):
     """Witt-type analysis of a regular space.
 
     Over F_p the Witt index and anisotropic dimension are exact (standard
-    finite-field form theory; any regular form of dim >= 3 is isotropic).
-    Over Q the verdict is three-valued: definite forms are recognized from
-    a diagonalization, isotropic ones come with a witness vector, and the
-    remainder is honestly 'undecided'. The rational Witt index is computed
+    finite-field form theory; any regular form of dim >= 3 is isotropic),
+    and an isotropic form's witness is built from the diagonalization for
+    every p. Over Q the verdict is three-valued: definite forms are
+    recognized from a diagonalization, isotropic ones come with a witness
+    vector, and the remainder is honestly 'undecided'. The rational Witt index is computed
     by splitting off hyperbolic planes while witnesses can be found.
     """
     if not space.regular:
@@ -307,7 +304,7 @@ def isotropy_report(space):
     n = space.dim
 
     if F.p:
-        _, d = diagonalize_form(space)
+        P, d = diagonalize_form(space)
         disc = F.one
         for c in d:
             disc = F.mul(disc, c)
@@ -317,7 +314,9 @@ def isotropy_report(space):
             witt = m if square_class(F, disc) == square_class(F, sign) else m - 1
         else:
             witt = (n - 1) // 2
-        witness = _fp_isotropic_vector(space) if witt > 0 else None
+        witness = _fp_isotropic_vector(P, d) if witt > 0 else None
+        if witness is not None and space.quad(witness):
+            raise ValidationError("isotropy witness verification failed")
         return IsotropyReport(
             field=F,
             dim=n,

@@ -13,6 +13,7 @@ from .exact_field import (
     Polynomial,
     factor_poly,
     poly_star,
+    solve_binary,
     square_class,
     square_class_representative,
     sqrt_in_field,
@@ -600,7 +601,10 @@ def _fp_group_standardize(F, mus):
 
     delta is the square-class representative of the determinant. Exists
     because every regular form over F_p of dimension at least 2 reaches
-    every nonzero value. The identity is verified exactly before return.
+    every nonzero value: each unit vector is a square diagonal value's
+    basis vector over its root, or, when every diagonal value is a
+    nonsquare, the point solve_binary finds on the first two. The identity
+    is verified exactly before return.
     """
     m = len(mus)
     diag = Matrix.diagonal(F, mus)
@@ -627,14 +631,8 @@ def _fp_group_standardize(F, mus):
                 break
         if x is None:
             # every diagonal value is a nonsquare; combine the first two
-            for a in range(F.p):
-                av = F.of(a)
-                rhs = F.div(F.sub(F.one, F.mul(d0[0], F.mul(av, av))), d0[1])
-                b = sqrt_in_field(F, rhs)
-                if b is not None:
-                    x = _combine(F, [av, b], lifted[:2])
-                    break
-        if x is None or q(x, x) != F.one:
+            x = _combine(F, list(solve_binary(F, d0[0], d0[1], F.one)), lifted[:2])
+        if q(x, x) != F.one:
             raise ValidationError("unit vector construction failed")
         cols.append(x)
         constraints = Matrix._wrap(F, [[F.mul(mus[idx], x[idx]) for idx in range(m)]])

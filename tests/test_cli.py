@@ -176,6 +176,15 @@ def test_lorentz(tmp_path, capsys):
     assert doc["s_class"] == "1"
 
 
+def test_lorentz_prints_huge_entries(tmp_path, capsys):
+    # 5000 digits: beyond what str() of an int may print by default
+    big = "9" * 4000 + "e1000"
+    path = write(tmp_path, "lor.json", {"field": "Q", "lambda": ["1", big]})
+    code, doc = run(capsys, "lorentz", "--in", path)
+    assert code == 0
+    assert doc["lambda"] == ["1", "9" * 4000 + "0" * 1000]
+
+
 def test_classify(tmp_path, capsys):
     code, doc = run(capsys, "classify-nilpotent", "--in", n23_doc(tmp_path))
     assert code == 0

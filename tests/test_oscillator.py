@@ -19,6 +19,7 @@ from quadlie.oscillator import (
     IsoWitness,
     OscillatorData,
     _norm_equation,
+    _weight_spaces,
     build_double_extension,
     classify_nilpotent,
     decide_isometric,
@@ -303,6 +304,53 @@ def test_not_local_nilpotent_seed():
     assert not rep["local"]
     assert not rep["seed_invertible"]
     assert rep["dq"] == 4
+
+
+@pytest.mark.parametrize(
+    "data",
+    [from_lambda_tuple(Field.parse("Fp:101"), (1, 2)), from_lambda_tuple(F5, (1, 2, 2))],
+    ids=["rotation-F101", "rotation-F5-core-6"],
+)
+def test_local_stable_lines_on_large_line_counts(data):
+    # about 10^10 and 97,656 lines: the count comes from the weight spaces
+    rep = local_criteria(data)
+    assert rep["local"] and rep["agree"]
+    assert rep["stable_lines"] == 1
+
+
+def _enumerated_line_count(L):
+    """Number of lines K x with [L, x] in K x over F_p, by enumerating every
+    line: the oracle for the weight-space count of local_criteria."""
+    p, d = L.field.p, L.dim
+    ads = [L.ad(L.basis_vector(i)) for i in range(d)]
+    count = 0
+    for lead in range(d):
+        for tail in product(range(p), repeat=d - lead - 1):
+            x = [0] * lead + [1] + list(tail)
+            ws = (M.matvec(x) for M in ads)
+            if all(all(w[r] == w[lead] * x[r] % p for r in range(d)) for w in ws):
+                count += 1
+    return count
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 4), st.integers(0, 10**6))
+def test_stable_lines_match_enumeration(p, n, seed):
+    # at most (7^6 - 1) / 6 = 19,608 lines to enumerate
+    F = Field.parse(f"Fp:{p}")
+    rng = random.Random(seed)
+    space = OrthogonalSpace.standard(F, n)
+    data = scramble_data(rng, OscillatorData(space, random_skew(rng, space)))
+    rep = local_criteria(data)
+    assert rep["stable_lines"] == _enumerated_line_count(build_double_extension(data).algebra)
+
+    # an extension's ad-stable lines are all central; e_0 acting on F^n by a
+    # random D gives nonzero weights and several weight spaces
+    D = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    brackets = {(0, j + 1): [0] + [D[r][j] for r in range(n)] for j in range(n)}
+    L = LieAlgebra.from_brackets(F, n + 1, brackets)
+    count = sum((p**W.dim - 1) // (p - 1) for W in _weight_spaces(L))
+    assert count == _enumerated_line_count(L)
 
 
 def test_local_empty_core_rejected():
