@@ -7,6 +7,7 @@ commands on identical inputs produce byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -218,8 +219,11 @@ _DISPATCH = {
 def _emit(doc, out_path):
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ValidationError(f"cannot write output: {e}")
     else:
         sys.stdout.write(text)
 
@@ -253,26 +257,44 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: parse_args keeps no state in it
+    (append copies its default list before adding to it)."""
+    return build_parser()
+
+
+def _fail(verb, kind, code, error, out_path):
+    """Report an error: its kind and message on stderr, the JSON error
+    document to out_path (stdout when None). When out_path cannot be
+    written, that failure is reported the same way on stdout, exit 1."""
+    print(f"{kind} error: {error}", file=sys.stderr)
+    try:
+        _emit({"version": __version__, "verb": verb, "error": str(error)}, out_path)
+    except ValidationError as e:
+        return _fail(verb, "validation", 1, e, None)
+    return code
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     verb = args.verb
     try:
         field = _field_arg(args.field)
         docs = [_load(path) for path in args.inputs]
         code, doc = _DISPATCH[verb](args, docs, field)
     except ValidationError as e:
-        _emit({"version": __version__, "verb": verb, "error": str(e)}, args.out)
-        print(f"validation error: {e}", file=sys.stderr)
-        return 1
+        return _fail(verb, "validation", 1, e, args.out)
     except CapabilityError as e:
-        _emit({"version": __version__, "verb": verb, "error": str(e)}, args.out)
-        print(f"capability error: {e}", file=sys.stderr)
-        return 2
+        return _fail(verb, "capability", 2, e, args.out)
     doc = dict(doc)
     doc["version"] = __version__
     doc["verb"] = verb
     doc["seed"] = args.seed
-    _emit(doc, args.out)
+    try:
+        _emit(doc, args.out)
+    except ValidationError as e:
+        return _fail(verb, "validation", 1, e, None)
     return code
 
 

@@ -12,13 +12,14 @@ from_cols, diagonal, from_json, the public Subspace constructor and the
 right-hand side of solve run Field.of. Results built here from entries that
 are already field elements go through the trusted Matrix._wrap and
 Subspace._wrap instead; kernel_basis, image_basis, sum_with and contains
-row-reduce their canonical rows straight through the kernel.
+row-reduce their canonical rows straight through the kernel, and
+meet_kernel keeps rows that are already in echelon form as they are.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
-from .exact_field import Polynomial, poly_lcm
+from .exact_field import Polynomial
 from . import _fast
 
 
@@ -248,10 +249,16 @@ class Subspace:
     def _wrap(cls, field, ambient_dim, rows):
         """Trusted constructor: rows of equal length whose entries are already
         canonical field elements; they are row-reduced, not coerced."""
+        return cls._echelon_wrap(field, ambient_dim, _echelon(field, rows))
+
+    @classmethod
+    def _echelon_wrap(cls, field, ambient_dim, basis):
+        """Trusted constructor: basis is already the nonzero rows of a
+        reduced echelon form, of canonical field elements."""
         s = object.__new__(cls)
         s.field = field
         s.ambient_dim = ambient_dim
-        s.basis = _echelon(field, rows)
+        s.basis = basis
         return s
 
     @classmethod
@@ -296,10 +303,27 @@ class Subspace:
         return Subspace._wrap(self.field, self.ambient_dim, self.basis + other.basis)
 
     def intersect(self, other):
-        a = self.constraints()
-        b = other.constraints()
-        stacked = Matrix._wrap(self.field, a.data + b.data)
-        return kernel_basis(stacked)
+        """Intersection with other: the vectors of self that the constraints
+        of other kill, one meet_kernel."""
+        return self.meet_kernel(other.constraints())
+
+    def meet_kernel(self, C):
+        """{v in self : C v = 0}, for C with ambient_dim columns.
+
+        With S the matrix of the echelon basis, v = y S lies in the meet
+        exactly when (C S^T) y = 0, so this is the kernel of the small
+        matrix C S^T mapped back through S. S is in reduced echelon form,
+        so the entries of y S at the pivot columns of S are y itself: the
+        echelon basis of the kernel maps to the echelon basis of the meet,
+        and nothing is reduced again.
+        """
+        F = self.field
+        if not self.basis:
+            return self
+        S = Matrix._wrap(F, self.basis)
+        ys = kernel_basis(C * S.transpose()).basis
+        rows = (Matrix._wrap(F, ys) * S).data if ys else []
+        return Subspace._echelon_wrap(F, self.ambient_dim, rows)
 
     def constraints(self):
         """Matrix C with self = {v : C v = 0}."""
@@ -347,20 +371,36 @@ def image_basis(A):
 
 
 def mat_pow(A, k):
-    """A^k for a square matrix A and k >= 0."""
-    P = Matrix.identity(A.field, A.nrows)
-    for _ in range(k):
+    """A^k for a square matrix A and k >= 0, always a fresh matrix."""
+    if k == 0:
+        return Matrix.identity(A.field, A.nrows)
+    P = A.copy()
+    for _ in range(k - 1):
         P = P * A
     return P
 
 
 def poly_at_matrix(p, A):
-    """Evaluate a polynomial at a square matrix (Horner)."""
+    """Evaluate a polynomial at a square matrix (Horner).
+
+    Horner starts from the leading coefficient times A, so a polynomial of
+    degree d >= 1 costs d - 1 products, and a constant none.
+    """
     F = A.field
     n = A.nrows
-    acc = Matrix.zeros(F, n, n)
-    for c in reversed(p.coeffs or (F.zero,)):
-        acc = acc * A
+    if not p.coeffs:
+        return Matrix.zeros(F, n, n)
+    *lower, lead = p.coeffs
+    if not lower:
+        acc = Matrix.zeros(F, n, n)
+        lower = [lead]
+    elif lead == F.one:
+        acc = A.copy()
+    else:
+        acc = Matrix._wrap(F, [[F.mul(lead, a) for a in row] for row in A.data])
+    for k, c in enumerate(reversed(lower)):
+        if k:
+            acc = acc * A
         for i in range(n):
             acc.data[i][i] = F.add(acc.data[i][i], c)
     return acc
@@ -376,41 +416,67 @@ def _poly_at_unit(p, A, i):
     return acc
 
 
+def _vector_annihilator(A, u):
+    """Monic least-degree polynomial a with a(A) u = 0, for u nonzero.
+
+    One forward elimination over the Krylov sequence u, A u, A^2 u, ...:
+    each new vector is reduced against the rows kept so far, and each kept
+    row carries its coefficients in the sequence, so the first vector that
+    reduces to zero gives the annihilator. Over F_p the entries stay
+    unreduced between the reads that need them reduced.
+    """
+    F = A.field
+    p = F.p
+    n = A.nrows
+    rows = []  # (pivot, row scaled to 1 at the pivot, its coefficients)
+    w = u
+    k = 0
+    while True:
+        vec = w
+        co = [F.zero] * (n + 1)
+        co[k] = F.one
+        for piv, row, rco in rows:
+            f = vec[piv] % p if p else vec[piv]
+            if f:
+                vec = [a - f * b for a, b in zip(vec, row)]
+                co = [a - f * b for a, b in zip(co, rco)]
+        if p:
+            vec = [a % p for a in vec]
+        piv = next((j for j, a in enumerate(vec) if a), None)
+        if piv is None:
+            if p:
+                co = [a % p for a in co]
+            return Polynomial._wrap(F, co[: k + 1])
+        inv = F.inv(vec[piv])
+        if p:
+            rows.append((piv, [a * inv % p for a in vec], [a * inv % p for a in co]))
+        else:
+            rows.append((piv, [a * inv for a in vec], [a * inv for a in co]))
+        w = A.matvec(w)
+        k += 1
+
+
 def minimal_polynomial(A):
     """Monic least-degree annihilator of a square matrix.
 
-    Computed per basis vector: the first linear dependence in the Krylov
-    sequence e_i, A e_i, A^2 e_i, ... gives an annihilator of that vector,
-    and the lcm over i annihilates everything. The result is re-verified
-    by evaluating it at A.
+    Built one basis vector at a time: with m the annihilator of e_0, ...,
+    e_(i-1) so far, u = m(A) e_i is skipped when zero, and otherwise m
+    becomes m * ann(u), which is lcm(m, ann(e_i)) because ann(u) is
+    ann(e_i) / gcd(ann(e_i), m). Each ann(u) is one forward elimination of
+    the Krylov sequence of u. The result is re-verified by evaluating it
+    at A.
     """
     if not A.is_square:
         raise ValidationError("minimal polynomial of a non-square matrix")
     F = A.field
     n = A.nrows
-    if n == 0:
-        return Polynomial.one(F)
     m = Polynomial.one(F)
     for i in range(n):
-        v = [F.one if j == i else F.zero for j in range(n)]
-        if m.degree > 0 and not any(_poly_at_unit(m, A, i)):
-            continue
-        krylov = [v]
-        w = v
-        while True:
-            w = A.matvec(w)
-            K = Matrix._wrap(F, [list(row) for row in zip(*krylov)])
-            sol = K.solve(w)
-            if sol is not None:
-                if F.p:
-                    ann = [-c % F.p for c in sol]
-                else:
-                    ann = [-c for c in sol]
-                m = poly_lcm(m, Polynomial._wrap(F, ann + [F.one]))
-                break
-            krylov.append(w)
         if m.degree == n:
             break
+        u = _poly_at_unit(m, A, i)
+        if any(u):
+            m = m * _vector_annihilator(A, u)
     if not poly_at_matrix(m, A).is_zero():
         raise ValidationError("annihilator verification failed")
     return m
@@ -421,12 +487,14 @@ def primary_component(A, pi, k):
 
     For irreducible pi and k >= 1 the kernel is nonzero exactly when pi
     divides the minimal polynomial of A, so that is checked on the kernel.
+    Invariance under A is checked by one echelon of the basis together with
+    its images: the rank must stay the dimension.
     """
     comp = kernel_basis(mat_pow(poly_at_matrix(pi, A), k))
     if not comp.dim:
         raise ValidationError("factor does not divide the minimal polynomial")
-    for v in comp.basis:
-        if not comp.contains(A.matvec(v)):
-            raise ValidationError("primary component is not invariant")
+    images = [A.matvec(v) for v in comp.basis]
+    if len(_echelon(A.field, comp.basis + images)) != comp.dim:
+        raise ValidationError("primary component is not invariant")
     return comp
 

@@ -21,7 +21,6 @@ from .exact_field import (
 from .linalg import (
     Matrix,
     Subspace,
-    kernel_basis,
     mat_pow,
     minimal_polynomial,
     primary_component,
@@ -30,7 +29,6 @@ from .quadspace import (
     OrthogonalSpace,
     diagonalize_form,
     isotropy_report,
-    ortho_complement,
     radical,
 )
 
@@ -154,12 +152,9 @@ def primary_split(f):
     factors = factor_poly(m)
     components = [primary_component(A, pi, k) for pi, k in factors]
 
-    total = Subspace.zero(F, n)
-    dims = 0
-    for comp in components:
-        total = total.sum_with(comp)
-        dims += comp.dim
-    if dims != n or total.dim != n:
+    # one echelon over every component basis: the sum is direct and fills V
+    total = Subspace._wrap(F, n, [v for comp in components for v in comp.basis])
+    if sum(comp.dim for comp in components) != n or total.dim != n:
         raise ValidationError("primary components do not decompose the space")
 
     index = {tuple(pi.coeffs): i for i, (pi, _) in enumerate(factors)}
@@ -175,7 +170,7 @@ def primary_split(f):
         if pairing.get(j) != i:
             raise ValidationError("eigenvalue pairing is not an involution")
 
-    rad = radical(space)
+    rad = radical(space) if unpaired else None
     for i in unpaired:
         # skewness forces partnerless components into the radical
         if not components[i].is_subspace_of(rad):
@@ -460,15 +455,16 @@ def _paired_basis(L, R, v, w, k):
 def _peel(space, parts, span):
     """Split the f-stable span of a block off each f-stable part.
 
-    The span must be independent, and each part keeps its intersection
-    with the orthogonal complement; together they lose exactly len(span)
-    dimensions, which is what a regular block inside the parts leaves.
+    The span must be independent, and each part keeps its meet with the
+    orthogonal complement, the kernel of U G for U the span and G the Gram
+    matrix; together they lose exactly len(span) dimensions, which is what
+    a regular block inside the parts leaves.
     """
     U = Subspace._wrap(space.field, space.dim, span)
     if U.dim != len(span):
         raise ValidationError("chain vectors are dependent")
-    perp = ortho_complement(space, U)
-    rest = [S.intersect(perp) for S in parts]
+    C = U.matrix() * space.gram
+    rest = [S.meet_kernel(C) for S in parts]
     if sum(S.dim for S in rest) != sum(S.dim for S in parts) - len(span):
         raise ValidationError("peeled block is not regular inside the part")
     return rest
@@ -635,8 +631,7 @@ def _fp_group_standardize(F, mus):
         if q(x, x) != F.one:
             raise ValidationError("unit vector construction failed")
         cols.append(x)
-        constraints = Matrix._wrap(F, [[F.mul(mus[idx], x[idx]) for idx in range(m)]])
-        S = S.intersect(kernel_basis(constraints))
+        S = S.meet_kernel(Matrix._wrap(F, [[F.mul(mus[idx], x[idx]) for idx in range(m)]]))
         if S.dim != m - len(cols):
             raise ValidationError("group standardization lost a dimension")
 
@@ -928,7 +923,7 @@ def _definite_planes(f, comp, pi):
         U = Subspace._wrap(F, A.nrows, [v, fv])
         if U.dim != 2:
             raise ValidationError("spectral plane collapsed")
-        S = S.intersect(ortho_complement(space, U))
+        S = S.meet_kernel(U.matrix() * space.gram)
     piece = Matrix._wrap(F, [[F.zero, F.neg(mu)], [F.one, F.zero]])
     Ablk = Matrix.block_diagonal(F, [piece] * len(ds))
     diag = []

@@ -344,6 +344,44 @@ def test_missing_input_exit(capsys):
     assert "--in" in doc["error"]
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+@pytest.mark.parametrize("argv", [
+    ["census", "--field", "Fp:3", "--dim", "1"],  # a result that cannot be written
+    ["census", "--field", "Fp:3"],  # an error document that cannot be written
+])
+def test_unwritable_output_exit(tmp_path, capsys, where, argv):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "c.json"
+    code = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    doc = json.loads(captured.out)
+    assert doc["verb"] == "census" and doc["version"] == __version__
+    assert doc["error"].startswith("cannot write output:")
+    assert captured.err.splitlines()[-1] == f"validation error: {doc['error']}"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
+    n23 = n23_doc(tmp_path)
+    rot = write(tmp_path, "rot.json", from_lambda_tuple(Q, (1, 2)).to_json())
+    code, first = run(capsys, "classify-nilpotent", "--in", n23, "--seed", "7")
+    assert (code, first["seed"], first["sizes"]) == (0, 7, [3])
+    # two --in documents after one: the earlier list does not grow
+    code, doc = run(capsys, "iso", "--in", rot, "--in", rot)
+    assert (code, doc["seed"], doc["verdict"]) == (0, 0, "yes")
+    # no --in after two, and no --seed or --field after both were given
+    code, doc = run(capsys, "analyze")
+    assert code == 1 and "got 0" in doc["error"]
+    code, doc = run(capsys, "classify-nilpotent", "--in", n23, "--field", "Fp:5", "--seed", "3")
+    assert (code, doc["seed"], doc["sizes"]) == (0, 3, [3])
+    code, doc = run(capsys, "classify-nilpotent", "--in", n23)
+    assert doc == dict(first, seed=0)
+    out = tmp_path / "c.json"
+    assert main(["census", "--field", "Fp:3", "--dim", "1", "--out", str(out)]) == 0
+    code, doc = run(capsys, "census", "--field", "Fp:3", "--dim", "1")
+    assert code == 0 and doc == json.loads(out.read_text())
+
+
 def test_field_override(tmp_path, capsys):
     # a rational document reread over F5: entries coerce, -1 becomes 4
     path = n23_doc(tmp_path)

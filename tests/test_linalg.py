@@ -6,18 +6,22 @@ from hypothesis import given, settings, strategies as st
 
 from quadlie import _fast
 from quadlie.errors import ValidationError
-from quadlie.exact_field import Field, Polynomial
+from quadlie import linalg
+from quadlie.exact_field import Field, Polynomial, poly_lcm
 from quadlie.linalg import (
     Matrix,
     Subspace,
     kernel_basis,
+    mat_pow,
     minimal_polynomial,
     poly_at_matrix,
     primary_component,
 )
 
 Q = Field.parse("Q")
+F3 = Field.parse("Fp:3")
 F5 = Field.parse("Fp:5")
+F7 = Field.parse("Fp:7")
 F_BIG = Field.parse("Fp:2305843009213693951")  # 2^61 - 1
 
 
@@ -314,3 +318,141 @@ def test_minpoly_similarity_invariant(seed):
     A = random_matrix(F5, rng, n)
     P = random_invertible(F5, rng, n)
     assert minimal_polynomial(P.inverse() * A * P) == minimal_polynomial(A)
+
+
+# ------------------------------------------- oracles for the one-elimination paths
+
+def krylov_lcm_minpoly(A):
+    """The minimal polynomial the slow way: for each unit vector, a fresh
+    solve of the Krylov matrix at every step, merged by poly_lcm."""
+    F = A.field
+    n = A.nrows
+    m = Polynomial.one(F)
+    for i in range(n):
+        krylov = [[F.one if j == i else F.zero for j in range(n)]]
+        while True:
+            w = A.matvec(krylov[-1])
+            sol = Matrix._wrap(F, [list(row) for row in zip(*krylov)]).solve(w)
+            if sol is not None:
+                ann = Polynomial._wrap(F, [F.neg(c) for c in sol] + [F.one])
+                m = poly_lcm(m, ann)
+                break
+            krylov.append(w)
+    return m
+
+
+def _structured_matrix(field, rng, n, kind):
+    """An n x n matrix with the minimal polynomial shapes that stress the
+    annihilator: nilpotent, repeated eigenvalues, repeated factors."""
+    if kind == "random" or n == 0:
+        return random_matrix(field, rng, n)
+    if kind == "nilpotent":
+        A = Matrix._wrap(field, [[field.random(rng) if j > i else field.zero for j in range(n)]
+                                 for i in range(n)])
+    else:
+        blocks = []
+        left = n
+        while left:
+            size = rng.randint(1, left)
+            if kind == "jordan":
+                # eigenvalues from {0, 1}: repeated eigenvalues, often in several blocks
+                blocks.append(jordan(field, size, rng.randint(0, 1)))
+            else:
+                # companion matrices of one polynomial, repeated: repeated factors
+                c = [field.random(rng) for _ in range(size)]
+                blocks.append(Matrix._wrap(field, [
+                    [field.one if j + 1 == i else field.zero for j in range(size - 1)]
+                    + [field.neg(c[i])] for i in range(size)]))
+                if size <= left - size:
+                    blocks.append(blocks[-1])
+                    left -= size
+            left -= size
+        A = Matrix.block_diagonal(field, blocks)
+    P = random_invertible(field, rng, n)
+    return P.inverse() * A * P
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([Q, F3, F5, F7, F_BIG]),
+    st.integers(0, 6),
+    st.sampled_from(["random", "nilpotent", "jordan", "companion"]),
+    st.integers(0, 10**6),
+)
+def test_minpoly_matches_krylov_solve_lcm(field, n, kind, seed):
+    A = _structured_matrix(field, random.Random(seed), n, kind)
+    assert minimal_polynomial(A) == krylov_lcm_minpoly(A)
+
+
+def stacked_meet(S, C):
+    """{v in S : C v = 0} as the kernel of S's constraints stacked on C."""
+    return kernel_basis(Matrix._wrap(S.field, S.constraints().data + C.data))
+
+
+def _random_subspace(field, rng, n):
+    k = rng.randint(0, n + 1)
+    vecs = [[field.random(rng) for _ in range(n)] for _ in range(k)]
+    if vecs and rng.random() < 0.3:
+        vecs.append(list(vecs[0]))  # a dependent generator
+    return Subspace._wrap(field, n, vecs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([Q, F3, F5, F_BIG]), st.integers(1, 6), st.integers(0, 10**6))
+def test_meet_kernel_and_intersect_match_the_constraint_stack(field, n, seed):
+    rng = random.Random(seed)
+    S = _random_subspace(field, rng, n)
+    C = random_matrix(field, rng, rng.randint(1, n + 1), n)
+    if rng.random() < 0.3:
+        C = Matrix.zeros(field, 1, n)
+    got = S.meet_kernel(C)
+    assert got == stacked_meet(S, C)
+    assert got.basis == Subspace._wrap(field, n, got.basis).basis  # already echelon
+    W = _random_subspace(field, rng, n)
+    assert S.intersect(W) == stacked_meet(S, W.constraints())
+    assert S.intersect(W) == W.intersect(S)
+
+
+def test_meet_kernel_of_the_zero_and_full_spaces():
+    C = Matrix(F5, [[1, 2, 0]])
+    assert Subspace.zero(F5, 3).meet_kernel(C).dim == 0
+    assert Subspace.full(F5, 3).meet_kernel(C) == kernel_basis(C)
+
+
+def test_invariance_certificate_fires_on_a_tampered_kernel(monkeypatch):
+    A = jordan(Q, 2, 0)  # A e_1 = e_0, A e_0 = 0
+    x = Polynomial.x(Q)
+    assert primary_component(A, x, 2).dim == 2
+    # a kernel routine that drops e_0 leaves span{e_1}, which A moves
+    monkeypatch.setattr(linalg, "kernel_basis", lambda M: Subspace(Q, 2, [[0, 1]]))
+    with pytest.raises(ValidationError, match="primary component is not invariant"):
+        primary_component(A, x, 2)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_mat_pow_returns_a_fresh_matrix(k):
+    A = Matrix(F5, [[1, 2], [3, 4]])
+    before = A.copy()
+    P = mat_pow(A, k)
+    assert P is not A
+    P.data[0][0] = F5.add(P.data[0][0], F5.one)
+    assert A == before
+    expected = Matrix.identity(F5, 2)
+    for _ in range(k):
+        expected = expected * A
+    assert mat_pow(A, k) == expected
+
+
+@pytest.mark.parametrize("field", [Q, F5])
+def test_poly_at_matrix_zero_constant_and_non_monic(field):
+    A = Matrix(field, [[1, 2], [3, 4]])
+    assert poly_at_matrix(Polynomial.zero(field), A) == Matrix.zeros(field, 2, 2)
+    assert poly_at_matrix(Polynomial(field, [3]), A) == Matrix.diagonal(field, [3, 3])
+    assert poly_at_matrix(Polynomial(field, [3]), Matrix.zeros(field, 0, 0)).nrows == 0
+    # 2 x^2 + 1: leading coefficient other than one
+    p = Polynomial(field, [1, 0, 2])
+    assert poly_at_matrix(p, A) == (A * A).scale(2) + Matrix.identity(field, 2)
+    # the result is fresh: mutating it leaves A alone
+    before = A.copy()
+    poly_at_matrix(Polynomial.x(field), A).data[0][0] = field.zero
+    assert A == before

@@ -6,7 +6,7 @@ import pytest
 
 from quadlie.errors import CapabilityError, ValidationError
 from quadlie.exact_field import Field
-from quadlie.linalg import Matrix
+from quadlie.linalg import Matrix, Subspace, primary_component
 from quadlie import oscillator, skewcanon
 from quadlie.oscillator import OscillatorData, decide_isometric, from_lambda_tuple, witt1_certify
 from quadlie.quadspace import OrthogonalSpace, SkewEndo
@@ -482,6 +482,33 @@ def test_tampered_converted_block_fails_the_model():
     for changed in ({"gram": _bumped(block.gram, 0, 2)}, {"matrix": _bumped(block.matrix, 1, 0)}):
         with pytest.raises(ValidationError, match="chain conversion does not match the model"):
             caalim_convert(_with(block, **changed))
+
+
+def test_tampered_components_fail_the_decomposition_check(monkeypatch):
+    A, B = paired_pair(F5, 1, 2)  # components x - 2 and x + 2, one line each
+    assert [c.dim for c in primary_split(skew(F5, A, B)).components] == [1, 1]
+    first = []
+
+    def same_line(A, pi, k):
+        # every factor gets the first component: the dimensions add up to n
+        # but the sum is one line
+        first.append(first[0] if first else primary_component(A, pi, k))
+        return first[-1]
+
+    monkeypatch.setattr(skewcanon, "primary_component", same_line)
+    with pytest.raises(ValidationError, match="primary components do not decompose the space"):
+        primary_split(skew(F5, A, B))
+
+
+def test_tampered_meet_fails_the_peel_check(monkeypatch):
+    A, B = paired_pair(F5, 2, 1)
+    f = skew(F5, A, B)
+    split = primary_split(f)
+    assert len(canonical_pair_nonzero(split, 0)) == 1
+    # a meet that keeps the whole part: the peeled block leaves no dimension
+    monkeypatch.setattr(Subspace, "meet_kernel", lambda S, C: S)
+    with pytest.raises(ValidationError, match="peeled block is not regular inside the part"):
+        canonical_pair_nonzero(split, 0)
 
 
 def test_tampered_basis_change_fails_the_pair_certificate():
