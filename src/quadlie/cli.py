@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import CapabilityError, ValidationError
+from .errors import CapabilityError, ValidationError, json_list
 from .exact_field import Field, square_class
 from .liecore import invariant_forms_basis
 from .oscillator import (
@@ -183,7 +183,7 @@ def _run_lorentz(args, docs, field):
         raise ValidationError("lorentz input needs a 'lambda' list")
 
     def parse():
-        lams = [F.of(c) for c in doc["lambda"]]
+        lams = [F.of(c) for c in json_list(doc["lambda"], "lorentz 'lambda'")]
         if "t" in doc or "s" in doc:
             return lams, (F.of(doc.get("t", 0)), F.of(doc.get("s", 1)))
         return lams, None

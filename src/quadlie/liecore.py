@@ -5,15 +5,19 @@ Everything here is basis-bound: an algebra is its table of nonzero brackets
 spaces, and every advertised identity (Jacobi, invariance, series duality)
 is checked by exact linear algebra rather than assumed. Antisymmetry holds
 by construction: [e_j, e_i] is read as the negative of the stored entry.
+
+Every operation that reads the brackets reads them from one integer image
+of the table (_build_integer_image), built once per algebra: bracket,
+bracket_span, is_homomorphism, the Jacobi and invariance checks, the
+centralizers behind centre and the upper central series, and the
+equations of invariant_forms_basis. Its format stays inside this module.
 """
 
-import operator
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from ._fast import _integer_row
-from .errors import ValidationError
+from .errors import ValidationError, json_list
 from .linalg import Matrix, Subspace, kernel_basis
 from .quadspace import OrthogonalSpace, ortho_complement
 
@@ -25,10 +29,10 @@ class LieAlgebra:
 
     Each vector is coerced once, where it enters; absent pairs bracket to
     zero and [e_j, e_i] = -[e_i, e_j]. The table is treated as immutable:
-    its integer image (_build_integer_image), on which every bracket is
-    computed, is built on first use and kept. The Jacobi identity is not
-    checked here, so candidate tables can be inspected with jacobi_check
-    first.
+    its integer image (_build_integer_image) is built on first use and
+    kept, and it is the only form the brackets are computed in.
+    The Jacobi identity is not checked here, so candidate tables can be
+    inspected with jacobi_check first.
     """
 
     __slots__ = ("field", "dim", "table", "_image")
@@ -66,18 +70,17 @@ class LieAlgebra:
     def bracket(self, x, y):
         """[x, y] for canonical vectors x, y.
 
-        x and y are brought to integers over their own denominators, the
-        bracket is taken on the integer image, and the result is divided
-        once by d dx dy (reduced mod p over F_p).
+        x and y are brought to integers over their common denominator s,
+        the bracket is taken on the integer image, and the result is
+        divided once by d s^2 (reduced mod p over F_p).
         """
         F = self.field
         d, right = self._integer_image()
-        xs, dx = _scaled(F, x)
-        ys, dy = _scaled(F, y)
+        (xs, ys), s = _integer_vectors(F, [x, y])
         acc = _apply(xs, _right_action(right, ys), self.dim)
         if F.p:
             return [a % F.p for a in acc]
-        den = d * dx * dy
+        den = d * s * s
         return [Fraction(a, den) if a else _ZERO for a in acc]
 
     def ad(self, x):
@@ -102,7 +105,10 @@ class LieAlgebra:
 
     @classmethod
     def from_json(cls, field, doc):
-        brackets = {(entry["i"], entry["j"]): entry["v"] for entry in doc["brackets"]}
+        brackets = {
+            (entry["i"], entry["j"]): json_list(entry["v"], "a bracket vector 'v'")
+            for entry in json_list(doc["brackets"], "'brackets'")
+        }
         return cls(field, doc["dim"], brackets)
 
     def __repr__(self):
@@ -120,40 +126,25 @@ def _integer_vectors(F, vecs):
     return [[c.numerator * (d // c.denominator) for c in v] for v in vecs], d
 
 
-def _scaled(F, v):
-    """(ints, dv): the vector v as dv times an int list (dv = 1 over F_p)."""
-    return (v, 1) if F.p else _integer_row(v)
-
-
 def _nonzero(s, p):
     """Whether the int s is nonzero in the field of characteristic p."""
     return s % p if p else s
 
 
-def _right_maps(L, vecs, neg):
-    """[{i: [e_i, e_j]} for each j], nonzero columns only, from the table's
-    vectors in table order (vecs) and their negation (neg)."""
-    maps = [{} for _ in range(L.dim)]
-    for (i, j), vec in zip(L.table, vecs):
-        maps[j][i] = vec
-        maps[i][j] = [neg(c) for c in vec]
-    return maps
-
-
-def _right_brackets(L):
-    """The maps x -> [x, e_j] in field elements (see _right_maps)."""
-    return _right_maps(L, L.table.values(), L.field.neg)
-
-
 def _build_integer_image(L):
     """(d, right): d is the common denominator of the table (1 over F_p)
-    and right[j] = {i: d [e_i, e_j]} the integer maps x -> d [x, e_j].
+    and right[j] = {i: d [e_i, e_j]} the integer maps x -> d [x, e_j],
+    nonzero columns only.
 
     Negatives are plain int negatives, so over F_p the entries lie in
     (-p, p) and every result is reduced mod p by its reader.
     """
     vecs, d = _integer_vectors(L.field, list(L.table.values()))
-    return d, _right_maps(L, vecs, operator.neg)
+    right = [{} for _ in range(L.dim)]
+    for (i, j), vec in zip(L.table, vecs):
+        right[j][i] = vec
+        right[i][j] = [-c for c in vec]
+    return d, right
 
 
 def _right_action(right, y):
@@ -238,6 +229,39 @@ def invariance_check(L, space):
     return (False, min(fails)) if fails else (True, None)
 
 
+def is_homomorphism(L1, L2, M):
+    """[M e_i, M e_j] = M [e_i, e_j] on every basis pair i < j of L1.
+
+    (True, None), or (False, (i, j)) for the first failing pair. Runs on
+    ints: with M' = D M (D the common denominator of M, 1 over F_p) and
+    the integer images d1 T1, d2 T2 of the two tables, the condition is
+    d1 [M' e_i, M' e_j]_{d2 T2} = D d2 M' (d1 T1)(e_i, e_j). The left side
+    is quadratic in M and the right side linear, so the factors d1 and
+    D d2 bring both to the one scale D^2 d1 d2. Over F_p the two sides
+    are compared mod p.
+    """
+    p = L1.field.p
+    d1, right1 = L1._integer_image()
+    d2, right2 = L2._integer_image()
+    rows, D = _integer_vectors(L1.field, M.data)
+    images = [list(col) for col in zip(*rows)]  # M' e_j
+    acts = [_right_action(right2, u) for u in images]  # d2 [x, M' e_j] from x
+    s = D * d2
+    for i in range(L1.dim):
+        for j in range(i + 1, L1.dim):
+            lhs = _apply(images[i], acts[j], L2.dim)
+            t = right1[j].get(i)  # d1 [e_i, e_j]
+            if t is None:
+                bad = any(_nonzero(a, p) for a in lhs)
+            else:
+                nz = [(r, c) for r, c in enumerate(t) if c]
+                rhs = [sum([row[r] * c for r, c in nz]) for row in rows]
+                bad = any(_nonzero(d1 * a - s * b, p) for a, b in zip(lhs, rhs))
+            if bad:
+                return False, (i, j)
+    return True, None
+
+
 class QuadraticLieAlgebra:
     """A Lie algebra with a regular invariant symmetric form on its basis."""
 
@@ -296,14 +320,16 @@ class QuadraticLieAlgebra:
 def bracket_span(L, U, W):
     """Echelonized span of all [u, w] for generators u of U, w of W.
 
-    Runs on the integer image: each generator is scaled to integers, which
-    keeps the span, and the integer brackets (reduced mod p over F_p; over
-    Q ints, which the kernel reads as rationals) are row-reduced once.
+    Runs on the integer image: the generators of U and of W are scaled to
+    integers, which keeps the span, and the integer brackets (reduced mod p
+    over F_p; over Q ints, which the kernel reads as rationals) are
+    row-reduced once.
     """
     F = L.field
     _, right = L._integer_image()
-    us = [_scaled(F, u)[0] for u in U.basis]
-    acts = [_right_action(right, _scaled(F, w)[0]) for w in W.basis]
+    us, _ = _integer_vectors(F, U.basis)
+    ws, _ = _integer_vectors(F, W.basis)
+    acts = [_right_action(right, w) for w in ws]
     vecs = [_apply(u, cols, L.dim) for u in us for cols in acts]
     if F.p:
         vecs = [[a % F.p for a in v] for v in vecs]
@@ -316,16 +342,19 @@ def derived_algebra(L):
 
 
 def _centralizer_mod(L, S):
-    """{x : [x, e_j] in S for every j}, a kernel over the maps x -> [x, e_j]."""
+    """{x : [x, e_j] in S for every j}, a kernel over the integer maps
+    x -> d [x, e_j] (reduced mod p over F_p), which scaling by d keeps."""
     F = L.field
+    n = L.dim
+    _, right = L._integer_image()
     C = S.constraints() if S.dim else None  # S = 0 needs the maps themselves
     rows = []
-    for cols in _right_brackets(L):
-        N = Matrix.zeros(F, L.dim)  # x -> [x, e_j]
+    for cols in right:
+        N = [[0] * n for _ in range(n)]  # x -> d [x, e_j]
         for i, vec in cols.items():
             for r, c in enumerate(vec):
-                N.data[r][i] = c
-        rows.extend((C * N).data if C else N.data)
+                N[r][i] = c % F.p if F.p else c
+        rows.extend((C * Matrix._wrap(F, N)).data if C else N)
     return kernel_basis(Matrix._wrap(F, rows))
 
 
@@ -383,8 +412,10 @@ def invariant_forms_basis(L):
     """Basis of symmetric S with S([x,y],z) + S(y,[x,z]) = 0, echelonized.
 
     Unknowns are the upper-triangle entries of S; one linear equation per
-    basis triple (i, j, k). The returned matrices are the canonical kernel
-    basis unpacked back into full symmetric form.
+    basis triple (i, j, k), with integer coefficients read off the integer
+    image: each equation is d times its field form (reduced mod p over
+    F_p), so the kernel is the same. The returned matrices are the
+    canonical kernel basis unpacked back into full symmetric form.
     """
     F = L.field
     n = L.dim
@@ -402,17 +433,18 @@ def invariant_forms_basis(L):
     # the condition for (i, j, k) is symmetric in j, k: each stored
     # [e_i, e_j] = v (either order) adds S(v, e_k) to the equation of
     # (i, min(j, k), max(j, k)); at k = j its two equal terms are halved
+    _, right = L._integer_image()
     eqs = {}
-    for j, cols in enumerate(_right_brackets(L)):
+    for j, cols in enumerate(right):
         for i, v in cols.items():
             for k in range(n):
-                row = eqs.setdefault((i, min(j, k), max(j, k)), [F.zero] * unknowns)
+                row = eqs.setdefault((i, min(j, k), max(j, k)), [0] * unknowns)
                 for m, c in enumerate(v):
                     if c:
-                        s = slot(m, k)
-                        row[s] = F.add(row[s], c)
+                        row[slot(m, k)] += c
     # in (i, j, k) order: the kernel does not depend on it, the cost over Q does
-    rows = [row for _, row in sorted(eqs.items()) if any(row)]
+    rows = [[c % F.p for c in row] if F.p else row for _, row in sorted(eqs.items())]
+    rows = [row for row in rows if any(row)]
     if not rows:
         sols = Subspace.full(F, unknowns)
     else:

@@ -18,7 +18,7 @@ meet_kernel keeps rows that are already in echelon form as they are.
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from .errors import ValidationError, json_list
 from .exact_field import Polynomial
 from . import _fast
 
@@ -226,7 +226,7 @@ class Matrix:
     @classmethod
     def from_json(cls, field, doc):
         r, c = doc["rows"], doc["cols"]
-        ent = doc["entries"]
+        ent = json_list(doc["entries"], "matrix 'entries'")
         if not all(type(k) is int and k >= 0 for k in (r, c)) or (r == 0 and c):
             # a 0 x c matrix cannot exist: Matrix reads its column count off its rows
             raise ValidationError(f"impossible matrix shape {r!r} x {c!r}")

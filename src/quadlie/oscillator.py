@@ -15,7 +15,7 @@ witnesses and decisions, and the two parameter family of invariant forms.
 
 from itertools import product
 
-from .errors import CapabilityError, ValidationError
+from .errors import CapabilityError, ValidationError, json_list
 from .exact_field import (
     Polynomial,
     factor_poly,
@@ -29,7 +29,6 @@ from .linalg import (
     Subspace,
     image_basis,
     kernel_basis,
-    mat_pow,
     minimal_polynomial,
 )
 from .quadspace import (
@@ -42,11 +41,7 @@ from .skewcanon import canonical_pair, canonical_pair_zero, primary_split, spect
 from .liecore import (
     LieAlgebra,
     QuadraticLieAlgebra,
-    _apply,
-    _integer_vectors,
-    _nonzero,
-    _right_action,
-    _scaled,
+    bracket_span,
     centre,
     derived_algebra,
     derived_series,
@@ -54,10 +49,9 @@ from .liecore import (
     invariance_check,
     invariant_forms_basis,
     is_heisenberg,
-    is_nilpotent,
+    is_homomorphism,
     is_solvable,
     lower_central_series,
-    nilpotency_index,
     upper_central_series,
 )
 
@@ -230,8 +224,11 @@ def verify_structure(data):
     m = minimal_polynomial(A)
     depth = max(2, m.degree + 1)
 
+    powers = [A]  # delta^k at index k - 1, one product per step
+    while len(powers) < max(depth, 3):
+        powers.append(powers[-1] * A)
     for k in range(1, depth + 1):
-        D = mat_pow(A, k)
+        D = powers[k - 1]
         if D.is_zero():
             pred_low = Subspace.zero(F, dim)
             pred_up = Subspace.full(F, dim)
@@ -248,11 +245,11 @@ def verify_structure(data):
             raise ValidationError(f"series duality fails at step {k}")
 
     delta_nilpotent = not any(m.coeff(i) for i in range(m.degree))
-    if is_nilpotent(L) != delta_nilpotent:
+    if (lower[-1].dim == 0) != delta_nilpotent:
         raise ValidationError("nilpotency of the extension disagrees with the seed")
     index = None
     if delta_nilpotent:
-        index = nilpotency_index(L)
+        index = len(lower) - 1
         # an empty or zero seed still leaves a one-step abelian algebra
         if index != max(1, m.degree):
             raise ValidationError("nilpotency index differs from deg m_delta")
@@ -260,7 +257,7 @@ def verify_structure(data):
     # derived tail: [A^2, A^2] lands in K delta* and is nonzero iff delta^3 is
     second = ders[2] if len(ders) > 2 else Subspace.zero(F, dim)
     star_line = Subspace(F, dim, [data.star_axis()])
-    cube_nonzero = not mat_pow(A, 3).is_zero()
+    cube_nonzero = not powers[2].is_zero()
     expected_second = star_line if cube_nonzero else Subspace.zero(F, dim)
     if second != expected_second:
         raise ValidationError("second derived term disagrees with delta^3")
@@ -500,7 +497,7 @@ class IsoWitness:
     def from_json(cls, field, doc):
         return cls(
             Matrix.from_json(field, doc["f"]),
-            [field.of(c) for c in doc["z"]],
+            [field.of(c) for c in json_list(doc["z"], "witness 'z'")],
             field.of(doc["lambda"]),
             field.of(doc["mu"]),
             field.of(doc["nu"]),
@@ -530,39 +527,6 @@ def _extended_matrix(d1, d2, w):
         M.data[n + 1][j + 1] = d2.space.bilin(dz, w.f.matvec(A1inv.matvec(units[j])))
     M.data[n + 1][n + 1] = w.lam
     return M
-
-
-def _is_homomorphism(L1, L2, M):
-    """[M e_i, M e_j] = M [e_i, e_j] on every basis pair i < j of L1.
-
-    (True, None), or (False, (i, j)) for the first failing pair. Runs on
-    ints: with M' = D M (D the common denominator of M, 1 over F_p) and
-    the integer images d1 T1, d2 T2 of the two tables, the condition is
-    d1 [M' e_i, M' e_j]_{d2 T2} = D d2 M' (d1 T1)(e_i, e_j). The left side
-    is quadratic in M and the right side linear, so the factors d1 and
-    D d2 bring both to the one scale D^2 d1 d2. Over F_p the two sides
-    are compared mod p.
-    """
-    p = L1.field.p
-    d1, right1 = L1._integer_image()
-    d2, right2 = L2._integer_image()
-    rows, D = _integer_vectors(L1.field, M.data)
-    images = [list(col) for col in zip(*rows)]  # M' e_j
-    acts = [_right_action(right2, u) for u in images]  # d2 [x, M' e_j] from x
-    s = D * d2
-    for i in range(L1.dim):
-        for j in range(i + 1, L1.dim):
-            lhs = _apply(images[i], acts[j], L2.dim)
-            t = right1[j].get(i)  # d1 [e_i, e_j]
-            if t is None:
-                bad = any(_nonzero(a, p) for a in lhs)
-            else:
-                nz = [(r, c) for r, c in enumerate(t) if c]
-                rhs = [sum([row[r] * c for r, c in nz]) for row in rows]
-                bad = any(_nonzero(d1 * a - s * b, p) for a, b in zip(lhs, rhs))
-            if bad:
-                return False, (i, j)
-    return True, None
 
 
 def verify_iso_witness(d1, d2, witness):
@@ -603,7 +567,7 @@ def verify_iso_witness(d1, d2, witness):
     Q1 = build_double_extension(d1)
     Q2 = build_double_extension(d2)
     M = _extended_matrix(d1, d2, witness)
-    ok, bad = _is_homomorphism(Q1.algebra, Q2.algebra, M)
+    ok, bad = is_homomorphism(Q1.algebra, Q2.algebra, M)
     if not ok:
         raise ValidationError(f"induced map failed re-derivation at pair {bad}")
     if M.rank() != n + 2:
@@ -1079,7 +1043,7 @@ def phi_ts_isometry(data, ts1, ts2):
     M.data[n + 1][n + 1] = gamma
 
     Q = build_double_extension(data)
-    ok, bad = _is_homomorphism(Q.algebra, Q.algebra, M)
+    ok, bad = is_homomorphism(Q.algebra, Q.algebra, M)
     if not ok:
         raise ValidationError(f"diagonal map failed re-derivation at pair {bad}")
     G1 = phi_ts_form(data, t1, s1).gram
@@ -1162,26 +1126,18 @@ def recover_double_extension(Q):
         )
     delta = Matrix._wrap(F, [row[nv:] for row in R.data[:nv]])
 
-    # [v_i, v_j] on the centre line: z_k w = w_k z on ints, z_k != 0
-    _, right = L._integer_image()
-    zs = _scaled(F, z)[0]
-    k = next(r for r, c in enumerate(zs) if c)
-    vs = [_scaled(F, v)[0] for v in core_vecs]
-    acts = [_right_action(right, v) for v in vs]
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            w = _apply(vs[i], acts[j], dim)
-            if any(_nonzero(zs[k] * a - w[k] * c, F.p) for a, c in zip(w, zs)):
-                raise ValidationError(
-                    "not a double extension: core brackets leave the centre line"
-                )
+    # every [v_i, v_j] on the centre line
+    if not bracket_span(L, core, core).is_subspace_of(Z):
+        raise ValidationError(
+            "not a double extension: core brackets leave the centre line"
+        )
 
     data = OscillatorData(space, delta)
     built = build_double_extension(data)
 
     # base change (delta, V, delta*) -> (x, core vectors, z), columns in Q
     U = Matrix._wrap(F, [list(row) for row in zip(x, *core_vecs, z)])
-    ok, bad = _is_homomorphism(built.algebra, L, U)
+    ok, bad = is_homomorphism(built.algebra, L, U)
     if not ok:
         raise ValidationError(f"recovery base change failed re-derivation at {bad}")
     if U.rank() != dim:

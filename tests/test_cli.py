@@ -263,6 +263,27 @@ def _bad_canon_bool(tmp_path, doc):
     return ["canon", "--in", write(tmp_path, "bad.json", doc)]
 
 
+def _string_gram(tmp_path, doc):
+    # read one character per entry, "1001" would be the identity form
+    doc["gram"] = {"rows": 2, "cols": 2, "entries": "1001"}
+    doc["delta"] = {"rows": 2, "cols": 2, "entries": ["0", "1", "-1", "0"]}
+    return ["canon", "--in", write(tmp_path, "bad.json", doc)]
+
+
+def _string_witness(part):
+    # read one character per entry, each would be a valid identity witness
+    def argv(tmp_path, _):
+        seed = write(tmp_path, "a.json", from_lambda_tuple(Q, (1,)).to_json())
+        w = IsoWitness(Matrix.identity(Q, 2), [Q.zero] * 2, Q.one, Q.one, Q.zero).to_json()
+        if part == "f":
+            w["f"]["entries"] = "1001"
+        else:
+            w["z"] = "00"
+        return ["iso", "--in", seed, "--in", seed, "--in", write(tmp_path, "w.json", w)]
+
+    return argv
+
+
 def _bad_lorentz(doc):
     return lambda tmp_path, _: ["lorentz", "--in", write(tmp_path, "lor.json", doc)]
 
@@ -283,11 +304,16 @@ def _bad_lorentz(doc):
         _bad_shape("canon", {"rows": 0, "cols": 3, "entries": []}),
         _bad_canon_bool,
         _bad_canon_exponent,
+        _bad_lorentz({"field": "Q", "lambda": "123"}),
+        _string_gram,
+        _string_witness("f"),
+        _string_witness("z"),
     ],
     ids=["canon-1/0", "witness-lambda-1/0", "lorentz-abc", "lorentz-int",
          "lorentz-s-x", "lorentz-1/0", "canon-field-int", "lorentz-not-object",
          "census-dim-negative", "construct-shape-negative", "canon-shape-0x3",
-         "canon-bool-entries", "canon-huge-exponent"],
+         "canon-bool-entries", "canon-huge-exponent", "lorentz-lambda-string",
+         "canon-gram-entries-string", "witness-f-entries-string", "witness-z-string"],
 )
 def test_malformed_input_exit(tmp_path, capsys, argv):
     d = OscillatorData(

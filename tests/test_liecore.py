@@ -21,6 +21,7 @@ from quadlie.liecore import (
     invariance_check,
     invariant_forms_basis,
     is_heisenberg,
+    is_homomorphism as _is_homomorphism,
     is_nilpotent,
     is_reduced,
     is_solvable,
@@ -32,8 +33,8 @@ from quadlie.liecore import (
     series_duality_check,
     upper_central_series,
 )
-from quadlie.linalg import Matrix, Subspace
-from quadlie.oscillator import _is_homomorphism, build_double_extension, from_lambda_tuple
+from quadlie.linalg import Matrix, Subspace, kernel_basis
+from quadlie.oscillator import build_double_extension, from_lambda_tuple
 from quadlie.quadspace import OrthogonalSpace, is_skew, ortho_complement
 
 Q = Field.parse("Q")
@@ -282,6 +283,80 @@ def test_is_homomorphism_matches_fraction_oracle(seed, field, build, perturb):
             assert got == (True, None)
 
 
+def _fraction_right_brackets(L):
+    """[{i: [e_i, e_j]} for each j] in field elements, nonzero columns only."""
+    maps = [{} for _ in range(L.dim)]
+    for (i, j), vec in L.table.items():
+        maps[j][i] = vec
+        maps[i][j] = [L.field.neg(c) for c in vec]
+    return maps
+
+
+def _fraction_centralizer_mod(L, S):
+    """Reference for the centralizers behind centre and upper_central_series:
+    {x : [x, e_j] in S for every j} from the maps in field elements."""
+    F = L.field
+    C = S.constraints() if S.dim else None
+    rows = []
+    for cols in _fraction_right_brackets(L):
+        N = Matrix.zeros(F, L.dim)  # x -> [x, e_j]
+        for i, vec in cols.items():
+            for r, c in enumerate(vec):
+                N.data[r][i] = c
+        rows.extend((C * N).data if C else N.data)
+    return kernel_basis(Matrix._wrap(F, rows))
+
+
+def _fraction_upper_central_series(L):
+    series = [_fraction_centralizer_mod(L, Subspace.zero(L.field, L.dim))]
+    while True:
+        nxt = _fraction_centralizer_mod(L, series[-1])
+        if nxt == series[-1]:
+            return series
+        series.append(nxt)
+
+
+def _fraction_invariant_forms_basis(L):
+    """Reference for invariant_forms_basis: the equations in field elements."""
+    F = L.field
+    n = L.dim
+    pairs = [(p, q) for p in range(n) for q in range(p, n)]
+    pos = {key: idx for idx, key in enumerate(pairs)}
+    eqs = {}
+    for j, cols in enumerate(_fraction_right_brackets(L)):
+        for i, v in cols.items():
+            for k in range(n):
+                row = eqs.setdefault((i, min(j, k), max(j, k)), [F.zero] * len(pos))
+                for m, c in enumerate(v):
+                    if c:
+                        s = pos[(min(m, k), max(m, k))]
+                        row[s] = F.add(row[s], c)
+    rows = [row for _, row in sorted(eqs.items()) if any(row)]
+    sols = kernel_basis(Matrix._wrap(F, rows)) if rows else Subspace.full(F, len(pos))
+    out = []
+    for v in sols.basis:
+        S = Matrix.zeros(F, n, n)
+        for (p, q), idx in pos.items():
+            S.data[p][q] = S.data[q][p] = v[idx]
+        out.append(S)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(KERNEL_FIELDS),
+       st.sampled_from(KERNEL_ALGEBRAS))
+def test_centre_series_and_forms_match_fraction_oracle(seed, field, build):
+    rng = random.Random(seed)
+    L, _, _ = scrambled(rng, field, build)
+    upper = _fraction_upper_central_series(L)
+    assert centre(L) == upper[0]
+    assert upper_central_series(L) == upper
+    assert all(canonical(field, v) for S in upper for v in S.basis)
+    forms = invariant_forms_basis(L)
+    assert forms == _fraction_invariant_forms_basis(L)
+    assert all(canonical(field, row) for S in forms for row in S.data)
+
+
 def test_quadratic_constructor_rejects_bad_jacobi():
     bad = LieAlgebra.from_brackets(Q, 3, {(0, 1): [1, 0, 0], (0, 2): [0, 1, 0]})
     with pytest.raises(ValidationError, match="Jacobi"):
@@ -307,6 +382,13 @@ def test_bracket_table_is_sparse_and_checked():
     ):
         with pytest.raises(ValidationError):
             LieAlgebra.from_brackets(Q, 3, bad)
+    # a string where a list belongs is not read one character per entry
+    for doc in (
+        {"dim": 3, "brackets": [{"i": 0, "j": 1, "v": "002"}]},
+        {"dim": 3, "brackets": "[]"},
+    ):
+        with pytest.raises(ValidationError, match="must be a JSON list"):
+            LieAlgebra.from_json(Q, doc)
 
 
 @settings(max_examples=40, deadline=None)

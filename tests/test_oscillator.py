@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from quadlie import exact_field, liecore, skewcanon
 from quadlie.errors import CapabilityError, ValidationError
 from quadlie.exact_field import Field, hilbert_symbol, sqrt_in_field, square_class
-from quadlie.linalg import Matrix
+from quadlie.linalg import Matrix, kernel_basis
 from quadlie.liecore import LieAlgebra, QuadraticLieAlgebra
 from quadlie.oscillator import (
     IsoWitness,
@@ -743,6 +743,77 @@ def test_recover_diagnostics():
     )
     with pytest.raises(ValidationError, match="not a double extension.*isotropic"):
         recover_double_extension(point)
+
+
+def skew_derivations(Qn):
+    """Basis of the derivations of Qn.algebra that are skew for its form,
+    as matrices acting on columns: the kernel of D[e_i, e_j] = [D e_i, e_j]
+    + [e_i, D e_j] and G D + (G D)^T = 0 in the entries D[r][s]."""
+    F, n = Qn.field, Qn.dim
+    L, G = Qn.algebra, Qn.space.gram
+    e = [L.basis_vector(i) for i in range(n)]
+    c = [[L.bracket(e[a], e[b]) for b in range(n)] for a in range(n)]
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for r in range(n):
+                row = [F.zero] * (n * n)
+                for s in range(n):
+                    row[r * n + s] = F.add(row[r * n + s], c[i][j][s])
+                    row[s * n + i] = F.sub(row[s * n + i], c[s][j][r])
+                    row[s * n + j] = F.sub(row[s * n + j], c[i][s][r])
+                rows.append(row)
+    for a in range(n):
+        for b in range(a, n):
+            row = [F.zero] * (n * n)
+            for s in range(n):
+                row[s * n + b] = F.add(row[s * n + b], G.data[a][s])
+                row[s * n + a] = F.add(row[s * n + a], G.data[b][s])
+            rows.append(row)
+    return [
+        Matrix(F, [v[r * n:(r + 1) * n] for r in range(n)])
+        for v in kernel_basis(Matrix(F, rows)).basis
+    ]
+
+
+def double_extend(Qn, D):
+    """Double extension of the quadratic algebra Qn by its skew derivation
+    D, on the basis (D, Qn's basis, D*): [D, x] = D x and
+    [x, y] = [x, y]_Qn + phi(D x, y) D*, with D paired to D*."""
+    F, n = Qn.field, Qn.dim
+    L = Qn.algebra
+    e = [L.basis_vector(i) for i in range(n)]
+    brackets = {}
+    for i in range(n):
+        brackets[(0, i + 1)] = [F.zero] + D.col(i) + [F.zero]
+        for j in range(i + 1, n):
+            phi = Qn.space.bilin(D.col(i), e[j])
+            brackets[(i + 1, j + 1)] = [F.zero] + L.bracket(e[i], e[j]) + [phi]
+    G = Matrix.zeros(F, n + 2)
+    G.data[0][n + 1] = G.data[n + 1][0] = F.one
+    for i in range(n):
+        G.data[i + 1][1:n + 1] = Qn.space.gram.row(i)
+    return QuadraticLieAlgebra(
+        LieAlgebra.from_brackets(F, n + 2, brackets), OrthogonalSpace(G)
+    )
+
+
+@pytest.mark.parametrize(
+    "field, seed", [(Q, 0), (Q, 1), (F5, 0), (F5, 1)], ids=["Q-0", "Q-1", "F5-0", "F5-1"]
+)
+def test_recover_rejects_core_brackets_off_the_centre_line(field, seed):
+    # extending the non-abelian 5-dimensional n23 extension once more, by a
+    # random skew derivation, leaves (for these draws) a 1-dimensional
+    # isotropic centre; the carved core then brackets into the old algebra,
+    # not onto the centre line
+    rng = random.Random(seed)
+    Qn = build_double_extension(n23_data(field))
+    D = Matrix.zeros(field, Qn.dim)
+    for B in skew_derivations(Qn):
+        D = D + B.scale(rng.randrange(-3, 4))
+    Qx = double_extend(Qn, D)
+    with pytest.raises(ValidationError, match="core brackets leave the centre line"):
+        recover_double_extension(Qx)
 
 
 # --- Witt index certificates --------------------------------------------------
