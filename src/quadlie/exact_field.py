@@ -12,9 +12,9 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd, isqrt
+from math import gcd, isqrt, lcm
 
-from .errors import CapabilityError, ValidationError
+from .errors import CapabilityError, ValidationError, json_list
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -115,7 +115,7 @@ def _pollard_rho(n, budget):
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = _int_gcd(abs(x - y), n)
+            d = gcd(abs(x - y), n)
         if d != n:
             return d, budget
 
@@ -673,7 +673,7 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, field, data):
-        return cls(field, data)
+        return cls(field, json_list(data, "polynomial coefficients"))
 
 
 def poly_gcd(a, b):
@@ -809,108 +809,52 @@ def _factor_fp(f):
     return out
 
 
-# factorization over Q: monic shift, factor mod q, Hensel lift, recombine.
-# Lifting works on plain int coefficient lists modulo m (ascending order).
+# factorization over Q: monic shift, factor mod q, linear Hensel lift, recombine.
+# The lift corrects the factors with Polynomial arithmetic over F_q; the
+# lifted factors themselves are int coefficient lists (ascending) in Z[x].
 
 
-def _zm_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _z_prod(polys):
+    """Product over Z of int coefficient lists."""
+    out = [1]
+    for b in polys:
+        a, out = out, [0] * (len(out) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+    return out
 
 
-def _zm_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % m
-    return _zm_trim(out)
+def _hensel_lift(f_int, modular, target):
+    """Lift the monic factors of a monic f mod q to mod m = q^k >= target.
 
-
-def _zm_add(a, b, m):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    return _zm_trim(out)
-
-
-def _zm_sub(a, b, m):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    return _zm_trim(out)
-
-
-def _zm_divmod_monic(a, b, m):
-    # b monic; valid over Z/m for any m
-    a = list(a)
-    db = len(b) - 1
-    if len(a) < len(b):
-        return [], _zm_trim(a)
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = a[i + db] % m
-        if not c:
-            continue
-        quo[i] = c
-        for j, y in enumerate(b):
-            a[i + j] = (a[i + j] - c * y) % m
-    return _zm_trim(quo), _zm_trim(a[:db])
-
-
-def _hensel_step(f, g, h, s, t, m):
-    """One quadratic lift: from f = g*h, s*g + t*h = 1 (mod m) to mod m^2."""
-    M = m * m
-    e = _zm_sub(f, _zm_mul(g, h, M), M)
-    q, r = _zm_divmod_monic(_zm_mul(s, e, M), h, M)
-    g1 = _zm_add(g, _zm_add(_zm_mul(t, e, M), _zm_mul(q, g, M), M), M)
-    h1 = _zm_add(h, r, M)
-    b = _zm_sub(_zm_add(_zm_mul(s, g1, M), _zm_mul(t, h1, M), M), [1], M)
-    c, d = _zm_divmod_monic(_zm_mul(s, b, M), h1, M)
-    s1 = _zm_sub(s, d, M)
-    t1 = _zm_sub(t, _zm_add(_zm_mul(t, b, M), _zm_mul(c, g1, M), M), M)
-    return g1, h1, s1, t1
-
-
-def _lift_pair(f_int, g, h, q, target):
-    """Lift f = g*h from mod q to mod m >= target; returns (g, h, m)."""
-    Fq = Field(q)
-    gq = Polynomial(Fq, g)
-    hq = Polynomial(Fq, h)
-    one, s, t = poly_gcd(gq, hq)
-    if not one.is_one:
-        raise ValidationError("modular factors are not coprime")
-    s = [int(c) for c in s.coeffs]
-    t = [int(c) for c in t.coeffs]
-    m = q
+    modular holds the pairwise coprime monic factors of f mod q, as
+    Polynomials over F_q. Linear lifting: with s_i = (prod_{j != i} g_j)^-1
+    mod g_i, found once by poly_gcd, the s_i prod_{j != i} g_j sum to 1, so
+    each step takes e = (f - prod g_i) / m mod q and adds m ((e s_i) mod g_i)
+    to each g_i. Returns (the lifted factors, m).
+    """
+    Fq = modular[0].field
+    s = []
+    for i, g in enumerate(modular):
+        rest = Polynomial.one(Fq)
+        for h in modular[:i] + modular[i + 1:]:
+            rest = rest * h
+        one, u, _ = poly_gcd(rest, g)
+        if not one.is_one:
+            raise ValidationError("modular factors are not coprime")
+        s.append(u)
+    lifted = [list(g.coeffs) for g in modular]
+    m = Fq.p
     while m < target:
-        fm = [c % (m * m) for c in f_int]
-        g, h, s, t = _hensel_step(fm, g, h, s, t, m)
-        m *= m
-    return g, h, m
-
-
-def _lift_factorization(f_int, factors, q, target):
-    """Hensel-lift a list of monic mod-q factors of monic f to mod >= target."""
-    if len(factors) == 1:
-        m = q
-        while m < target:
-            m *= m
-        return [[c % m for c in f_int]], m
-    k = len(factors) // 2
-    gs, hs = factors[:k], factors[k:]
-    g = [1]
-    for a in gs:
-        g = _zm_mul(g, a, q) or [0]
-    h = [1]
-    for a in hs:
-        h = _zm_mul(h, a, q) or [0]
-    g, h, m = _lift_pair(f_int, g, h, q, target)
-    left, _ = _lift_factorization(g, gs, q, target)
-    right, _ = _lift_factorization(h, hs, q, target)
-    return left + right, m
+        prod = _z_prod(lifted)
+        e = Polynomial._wrap(Fq, [(a - b) // m % Fq.p for a, b in zip(f_int, prod)])
+        for g, gq, si in zip(lifted, modular, s):
+            for j, c in enumerate((e * si % gq).coeffs):
+                g[j] += m * c
+        m *= Fq.p
+    return lifted, m
 
 
 def _balanced(c, m):
@@ -952,17 +896,13 @@ def _factor_monic_squarefree_z(f_int):
                 if not d.is_zero and poly_gcd(fq, d)[0].is_one:
                     break
         q += 2
-    modular = [
-        [int(c) for c in g.coeffs]
-        for g, _ in sorted(_factor_fp(Polynomial(Fq, f_int)), key=lambda t: t[0].sort_key())
-    ]
+    modular = sorted((g for g, _ in _factor_fp(fq)), key=Polynomial.sort_key)
     if len(modular) == 1:
         return [f_int]
     # Landau-Mignotte: factor coefficients are below 2^n * l2norm(f)
     norm = isqrt(sum(c * c for c in f_int)) + 1
     target = 2 * (2**n) * norm + 1
-    lifted, m = _lift_factorization(list(f_int), modular, q, target)
-    lifted = [[c % m for c in g] for g in lifted]
+    lifted, m = _hensel_lift(f_int, modular, target)
 
     from itertools import combinations
 
@@ -973,12 +913,7 @@ def _factor_monic_squarefree_z(f_int):
     while 2 * size <= len(remaining):
         hit = False
         for subset in combinations(remaining, size):
-            g = [1]
-            for i in subset:
-                g = _zm_mul(g, lifted[i], m) or [0]
-            g = [_balanced(c, m) for c in g]
-            if not g or g[-1] != 1:
-                continue
+            g = [_balanced(c, m) for c in _z_prod(lifted[i] for i in subset)]
             quo = _z_poly_divides(g, f_cur)
             if quo is not None:
                 out.append(g)
@@ -1003,13 +938,9 @@ def _factor_q(f):
     # squarefree decomposition, then Zassenhaus on each squarefree part
     for g, mult in _squarefree(f):
         # clear denominators, then shift to a monic integer polynomial
-        den = 1
-        for c in g.coeffs:
-            den = den * c.denominator // _int_gcd(den, c.denominator)
+        den = lcm(*(c.denominator for c in g.coeffs))
         ints = [int(c * den) for c in g.coeffs]
-        content = 0
-        for c in ints:
-            content = _int_gcd(content, c)
+        content = gcd(*ints)
         ints = [c // content for c in ints]
         ell = ints[-1]
         if ell < 0:
@@ -1033,8 +964,11 @@ def factor_poly(p):
 
     The product of factor^multiplicity equals p up to its leading
     coefficient. Randomized splitting over F_p is seeded with FACTOR_SEED
-    so results are reproducible. Over Q the degree is capped at
-    Q_FACTOR_DEGREE_BOUND; exceeding it raises CapabilityError.
+    so results are reproducible. Over Q each squarefree part is made a
+    monic integer polynomial, factored mod a small prime q, lifted linearly
+    to mod q^k past the Landau-Mignotte bound with corrections computed
+    over F_q, and recombined by exact division over Z. The degree is
+    capped at Q_FACTOR_DEGREE_BOUND; exceeding it raises CapabilityError.
     Each distinct p is factored once per process (a call that raises is not
     cached); every call returns a new list.
     """

@@ -370,16 +370,6 @@ def image_basis(A):
     return Subspace._wrap(A.field, A.nrows, A.cols())
 
 
-def mat_pow(A, k):
-    """A^k for a square matrix A and k >= 0, always a fresh matrix."""
-    if k == 0:
-        return Matrix.identity(A.field, A.nrows)
-    P = A.copy()
-    for _ in range(k - 1):
-        P = P * A
-    return P
-
-
 def poly_at_matrix(p, A):
     """Evaluate a polynomial at a square matrix (Horner).
 
@@ -485,12 +475,16 @@ def minimal_polynomial(A):
 def primary_component(A, pi, k):
     """Kernel of pi(A)^k, the primary component for an irreducible factor.
 
+    pi^k is formed as a polynomial and evaluated once by poly_at_matrix.
     For irreducible pi and k >= 1 the kernel is nonzero exactly when pi
     divides the minimal polynomial of A, so that is checked on the kernel.
     Invariance under A is checked by one echelon of the basis together with
     its images: the rank must stay the dimension.
     """
-    comp = kernel_basis(mat_pow(poly_at_matrix(pi, A), k))
+    pik = Polynomial.one(A.field)
+    for _ in range(k):
+        pik = pik * pi
+    comp = kernel_basis(poly_at_matrix(pik, A))
     if not comp.dim:
         raise ValidationError("factor does not divide the minimal polynomial")
     images = [A.matvec(v) for v in comp.basis]

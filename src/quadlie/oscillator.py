@@ -30,6 +30,7 @@ from .linalg import (
     image_basis,
     kernel_basis,
     minimal_polynomial,
+    poly_at_matrix,
 )
 from .quadspace import (
     OrthogonalSpace,
@@ -387,8 +388,7 @@ def _weight_spaces(L):
             R = Matrix._wrap(F, [list(row) for row in zip(*cols)])  # ad e_i on W
             for pi, _ in factor_poly(minimal_polynomial(R)):
                 if pi.degree == 1:  # the root -pi(0) lies in F
-                    c = F.neg(pi.coeff(0))
-                    K = kernel_basis(R - Matrix.identity(F, W.dim).scale(c))
+                    K = kernel_basis(poly_at_matrix(pi, R))
                     split.append(Subspace._wrap(F, L.dim, (K.matrix() * B).data))
         spaces = split
     return spaces

@@ -21,8 +21,8 @@ from .exact_field import (
 from .linalg import (
     Matrix,
     Subspace,
-    mat_pow,
     minimal_polynomial,
+    poly_at_matrix,
     primary_component,
 )
 from .quadspace import (
@@ -413,11 +413,12 @@ def _paired_chain(space, L, R, pos, neg, k):
     of neg pairing with L^k v is resolved by _chain_dual into the w whose
     R-chain is dual to the L-chain of v.
     """
-    Lk = mat_pow(L, k)
-    v = next((b for b in pos if any(Lk.matvec(b))), None)
-    if v is None:
+    for v in pos:
+        top = _chain(L, v, k)[k]
+        if any(top):
+            break
+    else:
         raise ValidationError("no vector of full chain length")
-    top = Lk.matvec(v)
     w = next((b for b in neg if space.bilin(top, b)), None)
     if w is None:
         raise ValidationError("regular form fails to pair the chains")
@@ -500,8 +501,8 @@ def canonical_pair_nonzero(split, i):
     if j is None or split.factors[j][1] != mult:
         raise ValidationError("skewness forces equal multiplicities at +-lambda")
 
-    L = A - Matrix.identity(F, A.nrows).scale(lam)
-    R = A + Matrix.identity(F, A.nrows).scale(lam)
+    L = poly_at_matrix(pi, A)
+    R = poly_at_matrix(split.factors[j][0], A)  # the star partner x + lambda
     pos, neg = split.components[i], split.components[j]
     blocks = []
     while pos.dim or neg.dim:
@@ -694,12 +695,11 @@ def _zero_odd_generator(f, S, k0):
     A = f.matrix
     k = k0 - 1
     n = k // 2
-    fk = mat_pow(A, k)
 
     v = None
     fallback = None
     for b in S.basis:
-        img = fk.matvec(b)
+        img = _chain(A, b, k)[k]
         if not any(img):
             continue
         if fallback is None:
@@ -713,12 +713,14 @@ def _zero_odd_generator(f, S, k0):
         u = fallback
         if u is None:
             raise ValidationError("no vector of full chain length")
-        top = fk.matvec(u)
+        top = _chain(A, u, k)[k]
         w = next((b for b in S.basis if space.bilin(b, top)), None)
         if w is None:
             raise ValidationError("regular form fails to pair the chain")
-        v = w if space.bilin(w, fk.matvec(w)) != F.zero else _combine(F, [F.one, F.one], [u, w])
-        if space.bilin(v, fk.matvec(v)) == F.zero:
+        v = w
+        if space.bilin(w, _chain(A, w, k)[k]) == F.zero:
+            v = _combine(F, [F.one, F.one], [u, w])
+        if space.bilin(v, _chain(A, v, k)[k]) == F.zero:
             raise ValidationError("chain generator repair failed")
 
     # clear phi(w, f^{k-2j} w) for j = 1..n; the top product is untouched

@@ -168,6 +168,19 @@ def test_iso_witness_built_by_sympy(tmp_path, capsys, monkeypatch):
     assert json.loads(outs[0]) == doc
 
 
+def test_importing_quadlie_loads_no_sympy():
+    # sympy is imported only where a norm-equation witness is built
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadlie.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, quadlie, quadlie.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_lorentz(tmp_path, capsys):
     path = write(tmp_path, "lor.json", {"field": "Q", "lambda": [5, 5]})
     code, doc = run(capsys, "lorentz", "--in", path)

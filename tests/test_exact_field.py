@@ -12,6 +12,7 @@ from quadlie import exact_field
 from quadlie.errors import CapabilityError, ValidationError
 from quadlie.exact_field import (
     FACTOR_STEP_BOUND,
+    Q_FACTOR_DEGREE_BOUND,
     SCALAR_EXPONENT_BOUND,
     Field,
     Polynomial,
@@ -264,6 +265,14 @@ def test_poly_arith_basics():
     assert p.derivative() == poly(Q, 0, 2)
 
 
+def test_poly_from_json_rejects_a_string():
+    assert Polynomial.from_json(Q, ["1", "2", "3"]) == poly(Q, 1, 2, 3)
+    # a string would be read one character per coefficient: "123" as 3x^2 + 2x + 1
+    for F in (Q, F5):
+        with pytest.raises(ValidationError, match="JSON list"):
+            Polynomial.from_json(F, "123")
+
+
 def test_poly_star_oracle():
     # star of x^2+3x+2 flips odd coefficients
     p = poly(Q, 2, 3, 1)
@@ -406,6 +415,57 @@ def test_factor_against_sympy():
             p = Polynomial(F, coeffs + [F.one])
             ours = sorted((tuple(f.coeffs), k) for f, k in factor_poly(p))
             assert ours == _sympy_factor_multiset(p, F), p
+
+
+def _rational_products(rng, count):
+    """Products of 1-5 non-monic rational factors of degree 1-4, total
+    degree <= 16; each new factor has coefficient heights up to 10, 10^2 or
+    10^3, and about a quarter of the factors repeat an earlier one."""
+    out = []
+    while len(out) < count:
+        factors = []
+        for _ in range(rng.randint(1, 5)):
+            if factors and rng.random() < 0.25:
+                factors.append(rng.choice(factors))
+                continue
+            deg, h = rng.randint(1, 4), rng.choice((10, 100, 1000))
+            cs = [Fraction(rng.randint(-h, h), rng.randint(1, h)) for _ in range(deg)]
+            lead = Fraction(rng.choice((-1, 1)) * rng.randint(1, h), rng.randint(1, h))
+            factors.append(Polynomial(Q, cs + [lead]))
+        if sum(f.degree for f in factors) > Q_FACTOR_DEGREE_BOUND:
+            continue
+        p = Polynomial.one(Q)
+        for f in factors:
+            p = p * f
+        out.append(p)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_factor_rational_products_against_sympy():
+    # multifactor lifting and recombination: random products, not the
+    # almost always irreducible random polynomials above
+    for p in _rational_products(random.Random(14), 210):
+        ours = sorted((tuple(f.coeffs), k) for f, k in factor_poly(p))
+        assert ours == _sympy_factor_multiset(p, Q), p
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_factor_rational_fixed_cases():
+    swinnerton_dyer = poly(Q, 1, 0, -10, 0, 1)  # irreducible, splits mod every prime
+    assert factor_poly(swinnerton_dyer) == [(swinnerton_dyer, 1)]
+    x12 = poly(Q, -1, *[0] * 11, 1)
+    assert len(factor_poly(x12)) == 6  # the cyclotomics of 1, 2, 3, 4, 6, 12
+    deg16 = swinnerton_dyer * poly(Q, 1, 0, 0, 0, 1)
+    for f in (poly(Q, -2, 0, 1), poly(Q, -2, 0, 1), poly(Q, 1, 1, 1), poly(Q, 3, 1),
+              poly(Q, Fraction(-1, 2), 1)):
+        deg16 = deg16 * f
+    assert deg16.degree == Q_FACTOR_DEGREE_BOUND
+    for p in (x12, deg16):
+        ours = sorted((tuple(f.coeffs), k) for f, k in factor_poly(p))
+        assert ours == _sympy_factor_multiset(p, Q), p
+    with pytest.raises(CapabilityError, match="capped at degree"):
+        factor_poly(poly(Q, -1, *[0] * Q_FACTOR_DEGREE_BOUND, 1))
 
 
 def test_factor_cache_returns_fresh_lists():

@@ -12,7 +12,6 @@ from quadlie.linalg import (
     Matrix,
     Subspace,
     kernel_basis,
-    mat_pow,
     minimal_polynomial,
     poly_at_matrix,
     primary_component,
@@ -308,6 +307,21 @@ def test_primary_component_splits_dimensions():
     assert U0.intersect(U1).dim == 0
 
 
+@pytest.mark.parametrize("field", [Q, F3])
+def test_primary_component_of_a_quadratic_factor_squared(field):
+    # companion block of (x^2 + 1)^2 = x^4 + 2x^2 + 1 beside the eigenvalue 2,
+    # conjugated; x^2 + 1 is irreducible over Q and over F3
+    C = Matrix(field, [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, -2], [0, 0, 1, 0]])
+    D = Matrix.block_diagonal(field, [C, Matrix(field, [[2]])])
+    P = Matrix(field, [[1 if j >= i else 0 for j in range(5)] for i in range(5)])
+    A = P.inverse() * D * P
+    pi = Polynomial(field, [1, 0, 1])
+    piA = A * A + Matrix.identity(field, 5)
+    U = primary_component(A, pi, 2)
+    assert U.dim == 4
+    assert U == kernel_basis(piA * piA)
+
+
 # ------------------------------------------------------------- invariants
 
 @given(st.integers(0, 10**6))
@@ -427,20 +441,6 @@ def test_invariance_certificate_fires_on_a_tampered_kernel(monkeypatch):
     monkeypatch.setattr(linalg, "kernel_basis", lambda M: Subspace(Q, 2, [[0, 1]]))
     with pytest.raises(ValidationError, match="primary component is not invariant"):
         primary_component(A, x, 2)
-
-
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_mat_pow_returns_a_fresh_matrix(k):
-    A = Matrix(F5, [[1, 2], [3, 4]])
-    before = A.copy()
-    P = mat_pow(A, k)
-    assert P is not A
-    P.data[0][0] = F5.add(P.data[0][0], F5.one)
-    assert A == before
-    expected = Matrix.identity(F5, 2)
-    for _ in range(k):
-        expected = expected * A
-    assert mat_pow(A, k) == expected
 
 
 @pytest.mark.parametrize("field", [Q, F5])
