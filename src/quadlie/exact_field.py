@@ -16,7 +16,11 @@ from math import gcd, isqrt, lcm
 
 from .errors import CapabilityError, ValidationError, json_list
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin to the 13 bases above is deterministic below this composite,
+# the least strong pseudoprime to all of them (Sorenson and Webster, Math.
+# Comp. 86 (2017)); from it on _is_prime runs Baillie-PSW instead.
+_MR_DETERMINISTIC = 3317044064679887385961981
 
 # Largest decimal exponent |e| a scalar string such as "1e300" may carry.
 # Fraction builds 10**|e| exactly, so without a bound one short string
@@ -55,31 +59,97 @@ def _int_str(n):
 
 
 def _is_prime(n):
+    """Primality: Miller-Rabin to the bases _MR_BASES below
+    _MR_DETERMINISTIC, where it is exact; Baillie-PSW (Miller-Rabin to base
+    2 and a strong Lucas test) from there on, with no known counterexample."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
+    if n < _MR_DETERMINISTIC:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n, a):
+    """Miller-Rabin round to base a for odd n > a."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a, n):
+    """Jacobi symbol (a / n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n):
+    """Strong Lucas test with Selfridge's parameters, for odd n free of
+    small factors: D the first of 5, -7, 9, -11, ... with (D / n) = -1,
+    P = 1 and Q = (1 - D) / 4; with n + 1 = d 2^s, n passes when U_d = 0
+    or V_(d 2^r) = 0 for some r < s, all mod n."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D would ever be found
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
             return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(t):
+        return (t + n if t % 2 else t) // 2
+
+    # (U_k, V_k, Q^k) from k = 1, left to right over the bits of d:
+    # U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k, and with P = 1
+    # U_(k+1) = (U_k + V_k) / 2, V_(k+1) = (D U_k + V_k) / 2
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half((U + V) % n), half((D * U + V) % n), Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 # Work one _factor_int may do after trial division, counted in Pollard-rho
 # steps of three modular squarings each. A primality test of a b-bit
-# cofactor is charged 4b steps, twelve Miller-Rabin rounds of b squarings.
+# cofactor is charged 4b steps, twelve Miller-Rabin rounds of b squarings:
+# Baillie-PSW, which runs from 82 bits on, costs less than that, and the
+# thirteen rounds below 82 bits take at most about 1100 squarings.
 # The bound caps work, not digits: a 60-digit semiprime of two 30-digit
 # primes would need about 10^15 rho steps and is refused in milliseconds;
 # so is a 2500-digit integer, whose first primality test alone is over the
@@ -144,7 +214,7 @@ def _factor_int(n):
         m = stack.pop()
         if m == 1:
             continue
-        budget = _spend(budget, len(_MR_BASES) * m.bit_length() // 3, m)
+        budget = _spend(budget, 4 * m.bit_length(), m)
         if _is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

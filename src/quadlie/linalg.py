@@ -11,9 +11,12 @@ Scalars are coerced once, where data enters: the public constructor,
 from_cols, diagonal, from_json, the public Subspace constructor and the
 right-hand side of solve run Field.of. Results built here from entries that
 are already field elements go through the trusted Matrix._wrap and
-Subspace._wrap instead; kernel_basis, image_basis, sum_with and contains
-row-reduce their canonical rows straight through the kernel, and
-meet_kernel keeps rows that are already in echelon form as they are.
+Subspace._wrap instead; kernel_basis, image_basis and sum_with row-reduce
+their canonical rows straight through the kernel, and meet_kernel keeps
+rows that are already in echelon form as they are.
+Subspace.coords reads coordinates off the echelon basis at its pivot
+columns, checked by one product; membership, inclusion and restriction are
+that one reading.
 """
 
 from __future__ import annotations
@@ -227,8 +230,9 @@ class Matrix:
     def from_json(cls, field, doc):
         r, c = doc["rows"], doc["cols"]
         ent = json_list(doc["entries"], "matrix 'entries'")
-        if not all(type(k) is int and k >= 0 for k in (r, c)) or (r == 0 and c):
-            # a 0 x c matrix cannot exist: Matrix reads its column count off its rows
+        if not all(type(k) is int and k >= 0 for k in (r, c)) or (r == 0) != (c == 0):
+            # Matrix reads its column count off its rows, so 0 x c cannot
+            # exist, and r x 0 would be r empty rows no verb can use
             raise ValidationError(f"impossible matrix shape {r!r} x {c!r}")
         if len(ent) != r * c:
             raise ValidationError("matrix entry count does not match its shape")
@@ -236,7 +240,8 @@ class Matrix:
 
 
 class Subspace:
-    """Row space held in reduced echelon form, so == is structural equality."""
+    """Row space held in reduced echelon form, so == is structural equality
+    and the coordinates of a member are its entries at the pivot columns."""
 
     __slots__ = ("field", "ambient_dim", "basis")
 
@@ -288,16 +293,45 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
+    def coords(self, vecs):
+        """Coefficient rows of vecs, vectors of canonical field elements, in
+        the echelon basis, or None when one of them lies outside.
+
+        Each basis row has a leading 1 at its pivot and zeros at the other
+        pivots, so a member's coefficients are its entries at the pivot
+        columns; one product C S checks that they rebuild every vector.
+        """
+        vecs = [list(v) for v in vecs]
+        if not self.basis:
+            return [[] for _ in vecs] if not any(c for v in vecs for c in v) else None
+        if not vecs:
+            return []
+        F = self.field
+        pivots = [next(j for j, c in enumerate(row) if c) for row in self.basis]
+        C = [[v[j] for j in pivots] for v in vecs]
+        if (Matrix._wrap(F, C) * Matrix._wrap(F, self.basis)).data != vecs:
+            return None
+        return C
+
+    def coords_of(self, v):
+        """Coefficients of v in the echelon basis, or None if outside."""
+        c = self.coords([v])
+        return None if c is None else c[0]
+
     def contains(self, v):
         """Membership of v, a vector of canonical field elements."""
-        if all(not c for c in v):
-            return True
-        if not self.basis:
-            return False
-        return len(_echelon(self.field, self.basis + [list(v)])) == self.dim
+        return self.coords([v]) is not None
 
     def is_subspace_of(self, other):
-        return all(other.contains(v) for v in self.basis)
+        return other.coords(self.basis) is not None
+
+    def restrict(self, A):
+        """Matrix of A on this A-invariant subspace, in the echelon basis:
+        column j holds the coordinates of A b_j."""
+        C = self.coords([A.matvec(b) for b in self.basis])
+        if C is None:
+            raise ValidationError("subspace is not invariant under the map")
+        return Matrix._wrap(self.field, C).transpose()
 
     def sum_with(self, other):
         return Subspace._wrap(self.field, self.ambient_dim, self.basis + other.basis)
@@ -333,13 +367,6 @@ class Subspace:
         if not ker.basis:
             return Matrix.zeros(self.field, 1, self.ambient_dim)
         return ker.matrix()
-
-    def coords_of(self, v):
-        """Coefficients of v in the echelon basis, or None if outside."""
-        if not self.basis:
-            return [] if all(not c for c in v) else None
-        M = self.matrix().transpose()
-        return M.solve(list(v))
 
 
 def _echelon(field, rows):
@@ -478,8 +505,8 @@ def primary_component(A, pi, k):
     pi^k is formed as a polynomial and evaluated once by poly_at_matrix.
     For irreducible pi and k >= 1 the kernel is nonzero exactly when pi
     divides the minimal polynomial of A, so that is checked on the kernel.
-    Invariance under A is checked by one echelon of the basis together with
-    its images: the rank must stay the dimension.
+    Invariance under A is checked by reading the coordinates of the images
+    of the basis in the component.
     """
     pik = Polynomial.one(A.field)
     for _ in range(k):
@@ -487,8 +514,7 @@ def primary_component(A, pi, k):
     comp = kernel_basis(poly_at_matrix(pik, A))
     if not comp.dim:
         raise ValidationError("factor does not divide the minimal polynomial")
-    images = [A.matvec(v) for v in comp.basis]
-    if len(_echelon(A.field, comp.basis + images)) != comp.dim:
+    if comp.coords([A.matvec(v) for v in comp.basis]) is None:
         raise ValidationError("primary component is not invariant")
     return comp
 

@@ -288,7 +288,8 @@ def _heisenberg_certificate(data):
     """Symplectic basis of the derived algebra of an invertible seed.
 
     Returns vectors v_*, w_* of V with phi(delta(v_i), w_j) = delta_ij and
-    phi(delta(v_i), v_j) = phi(delta(w_i), w_j) = 0, all checked exactly.
+    phi(delta(v_i), v_j) = phi(delta(w_i), w_j) = 0, all checked exactly,
+    as three matrix products.
     """
     F = data.field
     n = data.space.dim
@@ -303,20 +304,13 @@ def _heisenberg_certificate(data):
         raise ValidationError("derived line escaped the star axis")
     pv = [v[:n] for v in vs]
     pw = [w[:n] for w in ws]
-    for i, v in enumerate(pv):
-        dv = A.matvec(v)
-        for j in range(len(pw)):
-            want = F.one if i == j else F.zero
-            if data.space.bilin(dv, pw[j]) != want:
-                raise ValidationError("symplectic pairing certificate failed")
-        for j in range(len(pv)):
-            if data.space.bilin(dv, pv[j]):
-                raise ValidationError("symplectic pairing certificate failed")
-    for i, w in enumerate(pw):
-        dw = A.matvec(w)
-        for j in range(len(pw)):
-            if data.space.bilin(dw, pw[j]):
-                raise ValidationError("symplectic pairing certificate failed")
+    # phi(delta x, y) = x Omega y^T with Omega = A^T B
+    omega = A.transpose() * data.space.gram
+    V, W = Matrix._wrap(F, pv), Matrix._wrap(F, pw)
+    if (V * omega * W.transpose() != Matrix.identity(F, len(pv))
+            or not (V * omega * V.transpose()).is_zero()
+            or not (W * omega * W.transpose()).is_zero()):
+        raise ValidationError("symplectic pairing certificate failed")
     rank = Matrix(F, pv + pw).rank()
     if rank != n:
         raise ValidationError("symplectic vectors do not span the core")
@@ -384,8 +378,7 @@ def _weight_spaces(L):
         split = []
         for W in spaces:
             B = W.matrix()
-            cols = [W.coords_of(ad.matvec(b)) for b in W.basis]
-            R = Matrix._wrap(F, [list(row) for row in zip(*cols)])  # ad e_i on W
+            R = W.restrict(ad)
             for pi, _ in factor_poly(minimal_polynomial(R)):
                 if pi.degree == 1:  # the root -pi(0) lies in F
                     K = kernel_basis(poly_at_matrix(pi, R))
@@ -508,25 +501,30 @@ class IsoWitness:
 
 
 def _extended_matrix(d1, d2, w):
-    """Matrix of the induced map on (delta, V, delta*) coordinates."""
+    """Matrix of the induced map on (delta, V, delta*) coordinates.
+
+    The delta column is (mu, z, nu), the core block is f, and the delta*
+    row reads phi_2(delta_2 z, f delta_1^{-1} e_j) off the one row product
+    (delta_2 z)^T B_2 f delta_1^{-1}; lam closes the corner.
+    """
     F = d1.field
     n = d1.space.dim
-    A1inv = d1.delta.matrix.inverse()
-    A2 = d2.delta.matrix
-    dz = A2.matvec(w.z)
-    M = Matrix.zeros(F, n + 2, n + 2)
-    M.data[0][0] = w.mu
-    for i in range(n):
-        M.data[i + 1][0] = w.z[i]
-    M.data[n + 1][0] = w.nu
-    units = Matrix.identity(F, n).data
-    for j in range(n):
-        fx = w.f.matvec(units[j])
-        for i in range(n):
-            M.data[i + 1][j + 1] = fx[i]
-        M.data[n + 1][j + 1] = d2.space.bilin(dz, w.f.matvec(A1inv.matvec(units[j])))
-    M.data[n + 1][n + 1] = w.lam
-    return M
+    dz = d2.delta.matrix.matvec(w.z)
+    star = Matrix._wrap(F, [dz]) * d2.space.gram * w.f * d1.delta.matrix.inverse()
+    rows = [[w.mu] + [F.zero] * (n + 1)]
+    rows += [[c] + list(row) + [F.zero] for c, row in zip(w.z, w.f.data)]
+    rows.append([w.nu] + star.data[0] + [w.lam])
+    return Matrix._wrap(F, rows)
+
+
+def _check_isomorphism(L1, L2, M, what):
+    """Certify M as an invertible bracket homomorphism L1 -> L2: every
+    basis pair is re-derived, then the rank is read."""
+    ok, bad = is_homomorphism(L1, L2, M)
+    if not ok:
+        raise ValidationError(f"{what} failed re-derivation at pair {bad}")
+    if M.rank() != L1.dim:
+        raise ValidationError(f"{what} is singular")
 
 
 def verify_iso_witness(d1, d2, witness):
@@ -535,8 +533,11 @@ def verify_iso_witness(d1, d2, witness):
     Verdicts: 'invalid' with a reason, 'isomorphism', or
     'isometric-isomorphism'. The intertwining and scaling conditions on
     (f, lam, mu) are checked first; the induced map is then rebuilt and
-    re-derived as a bracket homomorphism on every basis pair, and the
+    certified as an invertible bracket homomorphism, and the stated
     isometry conditions are compared against the transported Gram matrix.
+    The cross terms mu phi_2(delta_2 z, f delta_1^{-1} e_j) are read off
+    the delta* row of the induced map, and phi_2(z, f e_j) comes from the
+    one product z^T B_2 f.
     """
     if d1.field != d2.field:
         raise ValidationError("witnesses need a common base field")
@@ -567,25 +568,13 @@ def verify_iso_witness(d1, d2, witness):
     Q1 = build_double_extension(d1)
     Q2 = build_double_extension(d2)
     M = _extended_matrix(d1, d2, witness)
-    ok, bad = is_homomorphism(Q1.algebra, Q2.algebra, M)
-    if not ok:
-        raise ValidationError(f"induced map failed re-derivation at pair {bad}")
-    if M.rank() != n + 2:
-        raise ValidationError("induced map failed to be invertible")
+    _check_isomorphism(Q1.algebra, Q2.algebra, M, "induced map")
 
     lm_one = F.mul(witness.lam, witness.mu) == F.one
-    dz = A2.matvec(witness.z)
-    A1inv = A1.inverse()
-    units = Matrix.identity(F, n).data
-    cross_ok = True
-    for j in range(n):
-        term = F.add(
-            F.mul(witness.mu, d2.space.bilin(dz, witness.f.matvec(A1inv.matvec(units[j])))),
-            d2.space.bilin(witness.z, witness.f.matvec(units[j])),
-        )
-        if term:
-            cross_ok = False
-            break
+    zBf = (Matrix._wrap(F, [witness.z]) * B2 * witness.f).data[0]
+    cross_ok = not any(
+        F.add(F.mul(witness.mu, a), b) for a, b in zip(M.data[n + 1][1 : n + 1], zBf)
+    )
     diag_ok = not F.add(
         F.mul(F.of(2), F.mul(witness.mu, witness.nu)), d2.space.bilin(witness.z, witness.z)
     )
@@ -682,16 +671,7 @@ def decide_isometric(d1, d2):
 def _decide_split(d1, d2, m1, m2, r1, r2):
     F = d1.field
     A2 = d2.delta.matrix
-    seen = set()
-    candidates = []
-    for a in r1:
-        for b in r2:
-            mu = F.div(a, b)
-            key = F.to_str(mu)
-            if key not in seen:
-                seen.add(key)
-                candidates.append(mu)
-    candidates.sort(key=F.sort_key)
+    candidates = sorted({F.div(a, b) for a in r1 for b in r2}, key=F.sort_key)
 
     cp1 = canonical_pair(d1.delta)
     if cp1.residual:
@@ -710,12 +690,7 @@ def _decide_split(d1, d2, m1, m2, r1, r2):
         # equal signatures pin identical model assemblies in the split case
         if cp1.assembly() != cp2.assembly():
             raise ValidationError("matching signatures produced distinct assemblies")
-        f = cp2.basis_change * cp1.basis_change.inverse()
-        w = IsoWitness(f, [F.zero] * d1.space.dim, F.inv(mu), mu, F.zero)
-        rep = verify_iso_witness(d1, d2, w)
-        if rep["verdict"] != "isometric-isomorphism":
-            raise ValidationError("constructed witness failed verification")
-        return {"verdict": "yes", "mu": mu, "witness": w, "report": rep}
+        return _scaled_witness(d1, d2, mu, cp2.basis_change * cp1.basis_change.inverse())
     return {
         "verdict": "no",
         "reason": "no scale matches the canonical blocks",
@@ -855,15 +830,10 @@ def _definite_witness(d1, d2, mu, spec1):
         raise ValidationError("aligned spectra produced distinct companions")
 
     # walk the plane layout: factors ascending, each plane Gram diag(d, m d)
-    m_seq = []
-    pos = 0
-    while pos < n:
-        m = F.neg(S1.data[pos][pos + 1])  # companion [[0, -m], [1, 0]]
-        m_seq.append((m, pos))
-        pos += 2
     groups = {}
-    for m, at in m_seq:
-        groups.setdefault(F.to_str(m), []).append(at)
+    for at in range(0, n, 2):
+        m = F.neg(S1.data[at][at + 1])  # companion [[0, -m], [1, 0]]
+        groups.setdefault(m, []).append(at)
 
     # g sends the source plane at1 to a target plane at2 in the same factor
     # group through a block alpha I + beta C, which commutes with the
@@ -877,9 +847,8 @@ def _definite_witness(d1, d2, mu, spec1):
     # planes. No matching, greedy or bipartite, can find it, so a "no"
     # from here may be wrong.
     g = Matrix.zeros(F, n, n)
-    for key in sorted(groups, key=lambda s: F.sort_key(F.of(s))):
-        ats = groups[key]
-        m = F.of(key)
+    for m in sorted(groups, key=F.sort_key):
+        ats = groups[m]
         avail = list(ats)
         for at1 in ats:
             a = D1.data[at1][at1]
@@ -901,11 +870,17 @@ def _definite_witness(d1, d2, mu, spec1):
             if not placed:
                 return {"verdict": "no", "witness": None}
 
-    f = P2 * g * P1.inverse()
-    w = IsoWitness(f, [F.zero] * n, F.inv(mu), mu, F.zero)
+    return _scaled_witness(d1, d2, mu, P2 * g * P1.inverse())
+
+
+def _scaled_witness(d1, d2, mu, f):
+    """The 'yes' answer for f at scale mu: the witness (f, 0, 1/mu, mu, 0),
+    verified as an isometric isomorphism."""
+    F = d1.field
+    w = IsoWitness(f, [F.zero] * d1.space.dim, F.inv(mu), mu, F.zero)
     rep = verify_iso_witness(d1, d2, w)
     if rep["verdict"] != "isometric-isomorphism":
-        raise ValidationError("constructed definite witness failed verification")
+        raise ValidationError("constructed witness failed verification")
     return {"verdict": "yes", "mu": mu, "witness": w, "report": rep}
 
 
@@ -1043,9 +1018,7 @@ def phi_ts_isometry(data, ts1, ts2):
     M.data[n + 1][n + 1] = gamma
 
     Q = build_double_extension(data)
-    ok, bad = is_homomorphism(Q.algebra, Q.algebra, M)
-    if not ok:
-        raise ValidationError(f"diagonal map failed re-derivation at pair {bad}")
+    _check_isomorphism(Q.algebra, Q.algebra, M, "diagonal map")
     G1 = phi_ts_form(data, t1, s1).gram
     G2 = phi_ts_form(data, t2, s2).gram
     if M.transpose() * G2 * M != G1:
@@ -1114,17 +1087,13 @@ def recover_double_extension(Q):
     if not space.regular:
         raise ValidationError("not a double extension: the carved core is degenerate")
 
-    # coordinates of every [x, v] in the core basis, from one reduction of
-    # [core vectors as columns | the brackets]: the core columns are
-    # independent, so a pivot right of them is a bracket outside the core
-    nv = len(core_vecs)
-    ad_x = [L.bracket(x, v) for v in core_vecs]
-    R, _, rank = Matrix._wrap(F, [list(row) for row in zip(*core_vecs, *ad_x)]).rref()
-    if rank > nv:
+    # column j of delta: the coordinates of [x, v_j] in the core basis
+    C = core.coords([L.bracket(x, v) for v in core_vecs])
+    if C is None:
         raise ValidationError(
             "not a double extension: ad x does not preserve the carved core"
         )
-    delta = Matrix._wrap(F, [row[nv:] for row in R.data[:nv]])
+    delta = Matrix._wrap(F, C).transpose()
 
     # every [v_i, v_j] on the centre line
     if not bracket_span(L, core, core).is_subspace_of(Z):
@@ -1137,11 +1106,7 @@ def recover_double_extension(Q):
 
     # base change (delta, V, delta*) -> (x, core vectors, z), columns in Q
     U = Matrix._wrap(F, [list(row) for row in zip(x, *core_vecs, z)])
-    ok, bad = is_homomorphism(built.algebra, L, U)
-    if not ok:
-        raise ValidationError(f"recovery base change failed re-derivation at {bad}")
-    if U.rank() != dim:
-        raise ValidationError("recovery base change is singular")
+    _check_isomorphism(built.algebra, L, U, "recovery base change")
     if U.transpose() * Q.space.gram * U != built.space.gram:
         raise ValidationError("recovery base change failed the isometry check")
 

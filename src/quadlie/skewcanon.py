@@ -78,17 +78,6 @@ def _chain_length(N, S):
     return k
 
 
-def _restricted_matrix(A, S):
-    """Matrix of A acting on the invariant subspace S, in S's echelon basis."""
-    cols = []
-    for b in S.basis:
-        c = S.coords_of(A.matvec(b))
-        if c is None:
-            raise ValidationError("subspace is not invariant under the map")
-        cols.append(c)
-    return Matrix._wrap(A.field, cols).transpose()
-
-
 def _pairs_to_zero(space, U, W):
     if U.dim == 0 or W.dim == 0:
         return True
@@ -320,8 +309,8 @@ class CanonicalBlock:
     matrix/gram hold the model pair; vectors, when present, are ambient
     columns P_r with f(P_r) = sum_s matrix[s][r] P_s and phi(P_r, P_s) =
     gram[r][s]. For zero_odd blocks mu is the normalized square-class
-    representative, mu_raw the value the construction produced, and form
-    records which chain convention ('raw' or 'bordered') matrix/gram use.
+    representative, and form records which chain convention ('raw' or
+    'bordered') matrix/gram use.
     definite_semisimple blocks keep their plane scalars in mu_data.
     """
 
@@ -331,7 +320,6 @@ class CanonicalBlock:
         "factor",
         "n",
         "mu",
-        "mu_raw",
         "mu_class",
         "form",
         "mu_data",
@@ -341,7 +329,7 @@ class CanonicalBlock:
     )
 
     def __init__(self, kind, size, factor, n, matrix, gram, vectors=None,
-                 mu=None, mu_raw=None, mu_class=None, form=None, mu_data=None):
+                 mu=None, mu_class=None, form=None, mu_data=None):
         self.kind = kind
         self.size = size
         self.factor = factor
@@ -350,7 +338,6 @@ class CanonicalBlock:
         self.gram = gram
         self.vectors = vectors
         self.mu = mu
-        self.mu_raw = mu_raw
         self.mu_class = mu_class
         self.form = form
         self.mu_data = mu_data
@@ -578,7 +565,7 @@ def canonical_pair_zero(split):
             # generator i of the standardized group: sum_j g[j][i] gens[j]
             mixed = (g.transpose() * Matrix._wrap(F, gens)).data
             for i, nu in enumerate(nus):
-                block = _emit_odd_block(f, mixed[i], nu, group[i][1], k0)
+                block = _emit_odd_block(f, mixed[i], nu, k0)
                 _verify_block(f, block)
                 blocks.append(block)
         else:
@@ -587,7 +574,7 @@ def canonical_pair_zero(split):
                 scale = sqrt_in_field(F, F.div(mu_raw, rep))
                 if scale is None:
                     raise ValidationError("square-class normalization failed")
-                block = _emit_odd_block(f, _combine(F, [F.inv(scale)], [w]), rep, mu_raw, k0)
+                block = _emit_odd_block(f, _combine(F, [F.inv(scale)], [w]), rep, k0)
                 _verify_block(f, block)
                 blocks.append(block)
     return blocks
@@ -736,21 +723,26 @@ def _zero_odd_generator(f, S, k0):
     return w, space.bilin(w, chain[k])
 
 
-def _emit_odd_block(f, w, mu, mu_raw, k0):
-    """Bordered block for a straightened generator with top value mu."""
-    space, F = f.space, f.field
-    A = f.matrix
+def _emit_odd_block(f, w, mu, k0):
+    """Bordered block for a straightened generator with top value mu.
+
+    The raw chain basis is the chain of w read from its top; the bordered
+    basis is T^T applied to it, T the conversion matrix. The caller
+    certifies the block against the map and the form.
+    """
+    F = f.field
     k = k0 - 1
     n = k // 2
-    chain = _chain(A, w, k)
-    if space.bilin(w, chain[k]) != mu:
+    chain = _chain(f.matrix, w, k)
+    if f.space.bilin(w, chain[k]) != mu:
         raise ValidationError("odd block generator does not carry its scalar")
-    Araw, Braw = _raw_model(F, n, mu)
-    raw = CanonicalBlock(
-        "zero_odd", k0, Polynomial.x(F), n, Araw, Braw, vectors=chain[::-1],
-        mu=mu, mu_raw=mu_raw, mu_class=square_class(F, mu), form="raw",
+    A, B = _bordered_model(F, n, mu)
+    T = _conversion_matrix(F, n)
+    vectors = (T.transpose() * Matrix._wrap(F, chain[::-1])).data
+    return CanonicalBlock(
+        "zero_odd", k0, Polynomial.x(F), n, A, B, vectors=vectors,
+        mu=mu, mu_class=square_class(F, mu), form="bordered",
     )
-    return caalim_convert(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +780,7 @@ def caalim_convert(block):
     F = block.factor.field
     n = block.n
     T = _conversion_matrix(F, n)
-    Tinv = T.inverse()
+    Tinv = T.transpose()  # T is a signed permutation
     if block.form == "raw":
         newA = Tinv * block.matrix * T
         newB = T.transpose() * block.gram * T
@@ -811,8 +803,7 @@ def caalim_convert(block):
         vectors = (M.transpose() * Matrix._wrap(F, block.vectors)).data
     return CanonicalBlock(
         "zero_odd", block.size, block.factor, n, targetA, targetB,
-        vectors=vectors, mu=block.mu, mu_raw=block.mu_raw,
-        mu_class=block.mu_class, form=new_form,
+        vectors=vectors, mu=block.mu, mu_class=block.mu_class, form=new_form,
     )
 
 
@@ -996,7 +987,7 @@ def canonical_pair(f):
                 residual.append(ResidualPart(
                     "untreated", [pi], k, comp.dim,
                     [list(b) for b in comp.basis],
-                    _restricted_matrix(A, comp),
+                    comp.restrict(A),
                     space.restrict_gram(comp.basis),
                 ))
         elif i < j:
@@ -1006,7 +997,7 @@ def canonical_pair(f):
                 "untreated", sorted([pi, pj], key=lambda q: q.sort_key()),
                 k, group.dim,
                 [list(b) for b in group.basis],
-                _restricted_matrix(A, group),
+                group.restrict(A),
                 space.restrict_gram(group.basis),
             ))
 

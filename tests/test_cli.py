@@ -315,6 +315,7 @@ def _bad_lorentz(doc):
         lambda tmp_path, _: ["census", "--field", "Fp:3", "--dim", "-1"],
         _bad_shape("construct", {"rows": -1, "cols": -1, "entries": ["7"]}),
         _bad_shape("canon", {"rows": 0, "cols": 3, "entries": []}),
+        _bad_shape("canon", {"rows": 3, "cols": 0, "entries": []}),
         _bad_canon_bool,
         _bad_canon_exponent,
         _bad_lorentz({"field": "Q", "lambda": "123"}),
@@ -325,6 +326,7 @@ def _bad_lorentz(doc):
     ids=["canon-1/0", "witness-lambda-1/0", "lorentz-abc", "lorentz-int",
          "lorentz-s-x", "lorentz-1/0", "canon-field-int", "lorentz-not-object",
          "census-dim-negative", "construct-shape-negative", "canon-shape-0x3",
+         "canon-shape-3x0",
          "canon-bool-entries", "canon-huge-exponent", "lorentz-lambda-string",
          "canon-gram-entries-string", "witness-f-entries-string", "witness-z-string"],
 )

@@ -17,6 +17,7 @@ from quadlie.exact_field import (
     Field,
     Polynomial,
     _factor_int,
+    _is_prime,
     factor_poly,
     hilbert_obstructions,
     hilbert_symbol,
@@ -252,6 +253,39 @@ def test_factor_int_work_is_bounded():
         with pytest.raises(CapabilityError):
             square_class(Q, Q.of(Fraction(1, n)))
     assert time.process_time() - start < 5.0
+
+
+def _chernick_carmichael(rng, bits):
+    """(6k+1)(12k+1)(18k+1) with all three factors prime, about bits bits."""
+    kbits = (bits - 10) // 3
+    k = rng.getrandbits(kbits) | 1 << (kbits - 1)
+    while not all(sympy.isprime(c * k + 1) for c in (6, 12, 18)):
+        k += 1
+    return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_matches_sympy():
+    # the least strong pseudoprimes to the first 12 and 13 prime bases
+    for n in (318665857834031151167461, 3317044064679887385961981):
+        assert not _is_prime(n)
+        with pytest.raises(ValidationError, match="not prime"):
+            Field(n)
+        with pytest.raises(ValidationError):
+            Field.parse(f"Fp:{n}")
+        # a false prime would factor n^2 as {n: 2}
+        with pytest.raises(CapabilityError):
+            _factor_int(n * n)
+    assert [n for n in range(10**5) if _is_prime(n) != sympy.isprime(n)] == []
+    rng = random.Random(15)
+    for bits in (64, 96, 128, 192, 256):
+        assert not _is_prime(_chernick_carmichael(rng, bits))
+        for _ in range(4):
+            p = sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+            q = sympy.nextprime(rng.getrandbits(bits // 2) | 1 << (bits // 2 - 1))
+            assert _is_prime(p) and _is_prime(q)
+            assert not _is_prime(p * q)
+            n = rng.getrandbits(bits) | 1
+            assert _is_prime(n) == sympy.isprime(n)
 
 
 # ------------------------------------------------------------- polynomials

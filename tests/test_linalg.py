@@ -264,6 +264,62 @@ def test_subspace_coords_roundtrip():
         assert S.coords_of(v) == c
 
 
+def _solve_coords(S, v):
+    """Coordinates the old way: solve on the transposed echelon basis."""
+    if not S.basis:
+        return [] if not any(v) else None
+    return Matrix._wrap(S.field, S.basis).transpose().solve(v)
+
+
+@given(st.integers(0, 10**6), st.sampled_from([Q, F5]))
+@settings(max_examples=40, deadline=None)
+def test_subspace_coords_match_solve(seed, F):
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    S = Subspace(F, n, [[F.random(rng, 2) for _ in range(n)] for _ in range(rng.randint(0, n))])
+    members = []
+    for _ in range(3):
+        c = [F.random(rng, 3) for _ in range(S.dim)]
+        v = [F.zero] * n
+        for ck, row in zip(c, S.basis):
+            v = [F.add(a, F.mul(ck, b)) for a, b in zip(v, row)]
+        members.append(v)
+    others = [[F.random(rng) for _ in range(n)] for _ in range(3)]
+    for v in members + others + [[F.zero] * n]:
+        want = _solve_coords(S, v)
+        assert S.coords_of(v) == want
+        assert S.coords([v]) == (None if want is None else [want])
+        assert S.contains(v) == (want is not None)
+    assert all(S.coords_of(v) is not None for v in members)
+    assert S.coords(members) == [_solve_coords(S, v) for v in members]
+    assert S.coords([]) == []
+    assert Subspace.zero(F, n).coords([[F.zero] * n]) == [[]]
+
+    # restrict: the columns are the coordinates of the images
+    A = random_matrix(F, rng, n)
+    W = linalg.image_basis(A)
+    R = W.restrict(A)
+    assert R.cols() == [_solve_coords(W, A.matvec(b)) for b in W.basis]
+    if W.dim:
+        B = Matrix._wrap(F, W.basis)
+        assert A * B.transpose() == B.transpose() * R
+
+
+def test_from_json_refuses_a_shape_with_one_zero_side():
+    for r, c in ((5, 0), (0, 3)):
+        with pytest.raises(ValidationError, match="impossible matrix shape"):
+            Matrix.from_json(Q, {"rows": r, "cols": c, "entries": []})
+    assert Matrix.from_json(Q, {"rows": 0, "cols": 0, "entries": []}).nrows == 0
+
+
+def test_subspace_restrict_refuses_a_non_invariant_subspace():
+    for F in (Q, F5):
+        S = Subspace(F, 3, [[0, 1, 0]])  # jordan shifts e_1 onto e_0
+        with pytest.raises(ValidationError, match="subspace is not invariant under the map"):
+            S.restrict(jordan(F, 3))
+        assert Subspace(F, 3, [[1, 0, 0]]).restrict(jordan(F, 3)) == Matrix.zeros(F, 1, 1)
+
+
 def test_subspace_intersect_sum():
     U = Subspace(Q, 3, [[1, 0, 0], [0, 1, 0]])
     W = Subspace(Q, 3, [[0, 1, 0], [0, 0, 1]])

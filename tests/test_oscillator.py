@@ -945,3 +945,82 @@ def test_census_frozen_digest(p, n):
     doc = skew_census(Field.parse(f"Fp:{p}"), n)
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_DIGESTS[(p, n)]
+
+
+# --- frozen library results -----------------------------------------------------
+
+
+def _plain(x):
+    """JSON-ready form of a library result: objects by their to_json,
+    scalars by their printed value."""
+    if hasattr(x, "to_json"):
+        return x.to_json()
+    if isinstance(x, dict):
+        return {str(k): _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if x is None or isinstance(x, (bool, str)):
+        return x
+    return str(x)
+
+
+def _outcome(call):
+    try:
+        return _plain(call())
+    except (ValidationError, CapabilityError) as exc:
+        return {"error": type(exc).__name__, "text": str(exc)}
+
+
+def _random_seed(rng, F, n):
+    """A = B^-1 S for a random regular symmetric B and antisymmetric S."""
+    while True:
+        B = Matrix.zeros(F, n, n)
+        for i in range(n):
+            for j in range(i, n):
+                B.data[i][j] = B.data[j][i] = F.random(rng, 3)
+        if B.det() != F.zero:
+            break
+    S = Matrix.zeros(F, n, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            S.data[i][j] = F.random(rng, 3)
+            S.data[j][i] = F.neg(S.data[i][j])
+    return OscillatorData(OrthogonalSpace(B), B.inverse() * S)
+
+
+def _library_results(d):
+    def decide():
+        d2 = OscillatorData(d.space, d.delta.matrix.scale(2))
+        out = decide_isometric(d, d2)
+        return {k: out.get(k) for k in ("verdict", "reason", "witness")}
+
+    def recover():
+        r = recover_double_extension(build_double_extension(d))
+        return [r.delta.matrix, r.space.gram, r.recovery["base_change"]]
+
+    return {
+        "canonical_pair": _outcome(lambda: skewcanon.canonical_pair(d.delta)),
+        "verify_structure": _outcome(lambda: verify_structure(d)),
+        "local_criteria": _outcome(lambda: local_criteria(d)),
+        "phi_ts_square": _outcome(lambda: phi_ts_isometry(d, (0, 1), (1, 4))),
+        "phi_ts_ratio": _outcome(lambda: phi_ts_isometry(d, (1, 2), (0, 1))),
+        "decide_isometric": _outcome(decide),
+        "recover": _outcome(recover),
+    }
+
+
+# sha256 over the sorted-key JSON of _library_results on 100 seeded random
+# seeds: Q, F3, F5 and F7 in turn, core dimensions 1 to 5
+LIBRARY_DIGEST = "d564caa9eba77fe7f2838d5c5be44bf64189b0d05249fcbf104cdd1acfad24dc"
+
+
+def test_library_results_frozen():
+    fields = [Q, F3, F5, Field.parse("Fp:7")]
+    docs = []
+    for seed in range(100):
+        rng = random.Random(seed)
+        F = fields[seed % 4]
+        d = _random_seed(rng, F, 1 + (seed // 4) % 5)
+        docs.append(_library_results(d))
+    text = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == LIBRARY_DIGEST
