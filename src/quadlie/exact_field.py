@@ -257,18 +257,24 @@ class Field:
 
     @classmethod
     def prime(cls, p):
+        """F_p; p below 2 is refused rather than read as the rationals."""
+        if p < 2:
+            raise ValidationError(f"{p} is not prime")
         return cls(p)
 
     @classmethod
     def parse(cls, spec):
-        """Parse a field spec string, 'Q' or 'Fp:<p>'."""
+        """Parse a field spec string, 'Q' or 'Fp:<p>'; a spec with a prime
+        that is not one keeps the reason it is refused."""
         if spec == "Q":
             return cls(0)
         if isinstance(spec, str) and spec.startswith("Fp:"):
             try:
-                return cls(int(spec[3:]))
+                p = int(spec[3:])
             except ValueError:
                 pass
+            else:
+                return cls.prime(p)
         raise ValidationError(f"unrecognized field spec {spec!r}")
 
     def spec(self):

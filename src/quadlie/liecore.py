@@ -38,6 +38,8 @@ class LieAlgebra:
     __slots__ = ("field", "dim", "table", "_image")
 
     def __init__(self, field, dim, brackets):
+        if type(dim) is not int or dim < 0:
+            raise ValidationError(f"impossible algebra dimension {dim!r}")
         table = {}
         for (i, j), vec in brackets.items():
             if not 0 <= i < j < dim:

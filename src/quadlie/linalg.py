@@ -17,6 +17,10 @@ rows that are already in echelon form as they are.
 Subspace.coords reads coordinates off the echelon basis at its pivot
 columns, checked by one product; membership, inclusion and restriction are
 that one reading.
+
+No elimination is written out above the kernels: krylov builds the chain
+v, A v, ..., A^k v, combine takes a linear combination as one product, and
+the annihilator of a vector is one fp_rref of its Krylov columns.
 """
 
 from __future__ import annotations
@@ -423,54 +427,31 @@ def poly_at_matrix(p, A):
     return acc
 
 
-def _poly_at_unit(p, A, i):
-    """p(A) e_i by Horner on the vector, without forming p(A)."""
-    F = A.field
-    acc = [F.zero] * A.nrows
-    for c in reversed(p.coeffs):
-        acc = A.matvec(acc)
-        acc[i] = F.add(acc[i], c)
-    return acc
+def krylov(A, v, k):
+    """The chain [v, A v, ..., A^k v]."""
+    out = [v]
+    for _ in range(k):
+        out.append(A.matvec(out[-1]))
+    return out
+
+
+def combine(F, coeffs, vecs):
+    """sum_i coeffs[i] vecs[i], one row times the rows of vecs."""
+    return (Matrix._wrap(F, [coeffs]) * Matrix._wrap(F, vecs)).data[0]
 
 
 def _vector_annihilator(A, u):
     """Monic least-degree polynomial a with a(A) u = 0, for u nonzero.
 
-    One forward elimination over the Krylov sequence u, A u, A^2 u, ...:
-    each new vector is reduced against the rows kept so far, and each kept
-    row carries its coefficients in the sequence, so the first vector that
-    reduces to zero gives the annihilator. Over F_p the entries stay
-    unreduced between the reads that need them reduced.
+    One fp_rref of the Krylov columns u, A u, ..., A^n u. With k the rank,
+    the first k columns are independent and column k is the first without
+    a pivot, so its reduced entries R[r][k] give A^k u = sum_r R[r][k] A^r u,
+    and a = x^k - sum_r R[r][k] x^r.
     """
     F = A.field
-    p = F.p
     n = A.nrows
-    rows = []  # (pivot, row scaled to 1 at the pivot, its coefficients)
-    w = u
-    k = 0
-    while True:
-        vec = w
-        co = [F.zero] * (n + 1)
-        co[k] = F.one
-        for piv, row, rco in rows:
-            f = vec[piv] % p if p else vec[piv]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, row)]
-                co = [a - f * b for a, b in zip(co, rco)]
-        if p:
-            vec = [a % p for a in vec]
-        piv = next((j for j, a in enumerate(vec) if a), None)
-        if piv is None:
-            if p:
-                co = [a % p for a in co]
-            return Polynomial._wrap(F, co[: k + 1])
-        inv = F.inv(vec[piv])
-        if p:
-            rows.append((piv, [a * inv % p for a in vec], [a * inv % p for a in co]))
-        else:
-            rows.append((piv, [a * inv for a in vec], [a * inv for a in co]))
-        w = A.matvec(w)
-        k += 1
+    R, _, k, _ = _fast.fp_rref(list(zip(*krylov(A, u, n))), n + 1, F.p)
+    return Polynomial._wrap(F, [F.neg(R[r][k]) for r in range(k)] + [F.one])
 
 
 def minimal_polynomial(A):
@@ -479,9 +460,9 @@ def minimal_polynomial(A):
     Built one basis vector at a time: with m the annihilator of e_0, ...,
     e_(i-1) so far, u = m(A) e_i is skipped when zero, and otherwise m
     becomes m * ann(u), which is lcm(m, ann(e_i)) because ann(u) is
-    ann(e_i) / gcd(ann(e_i), m). Each ann(u) is one forward elimination of
-    the Krylov sequence of u. The result is re-verified by evaluating it
-    at A.
+    ann(e_i) / gcd(ann(e_i), m). u is the combination of the Krylov chain
+    of e_i with the coefficients of m, and each ann(u) is one fp_rref of
+    the Krylov chain of u. The result is re-verified by evaluating it at A.
     """
     if not A.is_square:
         raise ValidationError("minimal polynomial of a non-square matrix")
@@ -491,7 +472,9 @@ def minimal_polynomial(A):
     for i in range(n):
         if m.degree == n:
             break
-        u = _poly_at_unit(m, A, i)
+        e = [F.zero] * n
+        e[i] = F.one
+        u = combine(F, m.coeffs, krylov(A, e, m.degree))
         if any(u):
             m = m * _vector_annihilator(A, u)
     if not poly_at_matrix(m, A).is_zero():

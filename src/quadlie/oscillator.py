@@ -193,7 +193,7 @@ def _embedded(data, sub, with_star):
     vecs = [data.embed(v) for v in sub.basis]
     if with_star:
         vecs.append(data.star_axis())
-    return Subspace(data.field, data.dim, vecs)
+    return Subspace._wrap(data.field, data.dim, vecs)
 
 
 def verify_structure(data):
@@ -257,7 +257,7 @@ def verify_structure(data):
 
     # derived tail: [A^2, A^2] lands in K delta* and is nonzero iff delta^3 is
     second = ders[2] if len(ders) > 2 else Subspace.zero(F, dim)
-    star_line = Subspace(F, dim, [data.star_axis()])
+    star_line = Subspace._wrap(F, dim, [data.star_axis()])
     cube_nonzero = not powers[2].is_zero()
     expected_second = star_line if cube_nonzero else Subspace.zero(F, dim)
     if second != expected_second:
@@ -311,7 +311,7 @@ def _heisenberg_certificate(data):
             or not (V * omega * V.transpose()).is_zero()
             or not (W * omega * W.transpose()).is_zero()):
         raise ValidationError("symplectic pairing certificate failed")
-    rank = Matrix(F, pv + pw).rank()
+    rank = Matrix._wrap(F, pv + pw).rank()
     if rank != n:
         raise ValidationError("symplectic vectors do not span the core")
     return {"pairs": len(pv), "vs": pv, "ws": pw}
@@ -413,7 +413,7 @@ def local_criteria(data):
     d_inv = A.rank() == n
 
     L2 = derived_algebra(L)
-    axis = Subspace(F, dim, [data.delta_axis()])
+    axis = Subspace._wrap(F, dim, [data.delta_axis()])
     b_split = (not A.is_zero()) and L2.dim + 1 == dim and L2.sum_with(axis).dim == dim
 
     c_centre = centre(L).dim == 1
@@ -1072,7 +1072,7 @@ def recover_double_extension(Q):
 
     # x with psi(x, z) = 1, then x <- x - psi(x,x)/2 z to make it isotropic
     rhs = Q.space.gram.matvec(z)
-    x = Matrix(F, [rhs]).solve([F.one])
+    x = Matrix._wrap(F, [rhs]).solve([F.one])
     if x is None:
         raise ValidationError("not a double extension: the centre pairs with nothing")
     corr = F.half(Q.space.quad(x))

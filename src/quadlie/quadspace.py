@@ -33,23 +33,20 @@ class OrthogonalSpace:
         return f"OrthogonalSpace(dim {self.dim}, {'regular' if self.regular else 'degenerate'})"
 
     def bilin(self, x, y):
+        """phi(x, y) = x . (B y), one matvec; x and y must have length dim."""
         F = self.field
-        acc = F.zero
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.gram.data[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    acc = F.add(acc, F.mul(xi, F.mul(row[j], yj)))
-        return acc
+        By = self.gram.matvec(y)
+        if len(x) != len(By):
+            raise ValidationError("vector length mismatch")
+        acc = sum([a * b for a, b in zip(x, By) if a], F.zero)
+        return acc % F.p if F.p else acc
 
     def quad(self, x):
         return self.bilin(x, x)
 
     def restrict_gram(self, rows):
         """Gram matrix of the form restricted to the given basis rows."""
-        R = Matrix(self.field, rows)
+        R = Matrix._wrap(self.field, rows)
         return R * self.gram * R.transpose()
 
     def to_json(self):
@@ -245,7 +242,7 @@ def _q_box_isotropic(gram_rows, field):
     """First isotropic vector with coordinates in [-h, h], h growing to
     ISOTROPY_HEIGHT_BOUND."""
     n = len(gram_rows)
-    space = OrthogonalSpace(Matrix(field, gram_rows))
+    space = OrthogonalSpace(Matrix._wrap(field, gram_rows))
     count = 0
     for h in range(1, ISOTROPY_HEIGHT_BOUND + 1):
         rng = list(range(-h, h + 1))
@@ -365,15 +362,15 @@ def isotropy_report(space):
         if first_witness is None:
             first_witness = E.matvec(w)
         # hyperbolic partner: u with phi(w, u) = 1, then made isotropic
-        wG = Matrix(F, [w]) * G
+        wG = Matrix._wrap(F, [w]) * G
         u = wG.solve([F.one])
         if u is None:
             raise ValidationError("regular form has no hyperbolic partner")
         u = [F.sub(ui, F.mul(F.half(cur.quad(u)), wi)) for ui, wi in zip(u, w)]
-        C = kernel_basis(Matrix(F, [w, u]) * G)
+        C = kernel_basis(Matrix._wrap(F, [w, u]) * G)
         rows = C.basis
         if rows:
-            E = E * Matrix(F, rows).transpose()
+            E = E * Matrix._wrap(F, rows).transpose()
             G = cur.restrict_gram(rows)
         else:
             G = Matrix(F, [])

@@ -21,6 +21,8 @@ from .exact_field import (
 from .linalg import (
     Matrix,
     Subspace,
+    combine,
+    krylov,
     minimal_polynomial,
     poly_at_matrix,
     primary_component,
@@ -49,21 +51,9 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# chains, combinations and restrictions, all on the shared kernels; vectors
-# here are lists of canonical field elements and are never coerced again
-
-
-def _chain(A, v, k):
-    """[v, A v, ..., A^k v]."""
-    out = [v]
-    for _ in range(k):
-        out.append(A.matvec(out[-1]))
-    return out
-
-
-def _combine(F, coeffs, vecs):
-    """sum_i coeffs[i] vecs[i], one row times the rows of vecs."""
-    return (Matrix._wrap(F, [coeffs]) * Matrix._wrap(F, vecs)).data[0]
+# chain lengths and orthogonality on the shared kernels; chains are
+# linalg.krylov and combinations linalg.combine, and vectors here are lists
+# of canonical field elements that are never coerced again
 
 
 def _chain_length(N, S):
@@ -401,7 +391,7 @@ def _paired_chain(space, L, R, pos, neg, k):
     R-chain is dual to the L-chain of v.
     """
     for v in pos:
-        top = _chain(L, v, k)[k]
+        top = krylov(L, v, k)[k]
         if any(top):
             break
     else:
@@ -415,29 +405,24 @@ def _paired_chain(space, L, R, pos, neg, k):
 def _chain_dual(space, L, R, v, w, k):
     """Solve for w' in span{R^i w} with phi(L^t v, w') = delta_{t,k}.
 
+    The pairings phi(L^t v, R^i w) are one product, (chain of v) B (chain
+    of w)^T, and the coefficients of w' are its solution against e_k.
     phi(L^t v, R^i w) = (-1)^i phi(L^{t+i} v, w) and phi(L^s v, w) = 0 for
-    s > k make the system triangular with invertible diagonal. w' does not
-    depend on the scale of w.
+    s > k make the system triangular, invertible exactly when phi(L^k v, w)
+    is nonzero, so the solution is unique. w' does not depend on the scale
+    of w.
     """
     F = space.field
-    D = [space.bilin(u, w) for u in _chain(L, v, k)]
-    if D[k] == F.zero:
+    W = Matrix._wrap(F, krylov(R, w, k))
+    P = Matrix._wrap(F, krylov(L, v, k)) * space.gram * W.transpose()
+    if P.data[k][0] == F.zero:
         raise ValidationError("dual chain lost its pairing")
-    alphas = [F.inv(D[k])]
-    for j in range(1, k + 1):
-        t = k - j
-        acc = F.zero
-        sign = F.one
-        for i in range(j):
-            acc = F.add(acc, F.mul(F.mul(sign, alphas[i]), D[t + i]))
-            sign = F.neg(sign)
-        alphas.append(F.neg(F.div(acc, F.mul(sign, D[k]))))
-    return _combine(F, alphas, _chain(R, w, k))
+    return combine(F, P.solve([F.zero] * k + [F.one]), W.data)
 
 
 def _paired_basis(L, R, v, w, k):
     """Columns of the paired model: L^k v, ..., L v, v, then w, -R w, R^2 w, ..."""
-    return _chain(L, v, k)[::-1] + _chain(-R, w, k)
+    return krylov(L, v, k)[::-1] + krylov(-R, w, k)
 
 
 def _peel(space, parts, span):
@@ -553,7 +538,7 @@ def canonical_pair_zero(split):
         else:
             w, mu_raw = _zero_odd_generator(f, S, k0)
             odd_pending.setdefault(k0, []).append((w, mu_raw))
-            span = _chain(A, w, k0 - 1)
+            span = krylov(A, w, k0 - 1)
         [S] = _peel(space, [S], span)
 
     for k0 in sorted(odd_pending):
@@ -574,7 +559,7 @@ def canonical_pair_zero(split):
                 scale = sqrt_in_field(F, F.div(mu_raw, rep))
                 if scale is None:
                     raise ValidationError("square-class normalization failed")
-                block = _emit_odd_block(f, _combine(F, [F.inv(scale)], [w]), rep, k0)
+                block = _emit_odd_block(f, combine(F, [F.inv(scale)], [w]), rep, k0)
                 _verify_block(f, block)
                 blocks.append(block)
     return blocks
@@ -587,53 +572,45 @@ def _fp_group_standardize(F, mus):
     because every regular form over F_p of dimension at least 2 reaches
     every nonzero value: each unit vector is a square diagonal value's
     basis vector over its root, or, when every diagonal value is a
-    nonsquare, the point solve_binary finds on the first two. The identity
-    is verified exactly before return.
+    nonsquare, the point solve_binary finds on the first two. The work is
+    on the space with Gram diag(mus): its restrict_gram to the part left,
+    its quad for values, and _peel to split each unit vector off. The
+    identity is verified exactly before return.
     """
     m = len(mus)
-    diag = Matrix.diagonal(F, mus)
-
-    def q(xv, yv):
-        acc = F.zero
-        for idx in range(m):
-            acc = F.add(acc, F.mul(mus[idx], F.mul(xv[idx], yv[idx])))
-        return acc
-
+    space = OrthogonalSpace(Matrix.diagonal(F, mus))
     cols = []
     S = Subspace.full(F, m)
     for _ in range(m - 1):
-        sub = OrthogonalSpace(Matrix._wrap(F, [[q(a, b) for b in S.basis] for a in S.basis]))
-        P0, d0 = diagonalize_form(sub)
-        # the diagonalizing basis of sub, in ambient coordinates
+        P0, d0 = diagonalize_form(OrthogonalSpace(space.restrict_gram(S.basis)))
+        # the diagonalizing basis of the part left, in ambient coordinates
         lifted = (P0.transpose() * Matrix._wrap(F, S.basis)).data
 
         x = None
         for i, di in enumerate(d0):
             r = sqrt_in_field(F, di)
             if r is not None:
-                x = _combine(F, [F.inv(r)], [lifted[i]])
+                x = combine(F, [F.inv(r)], [lifted[i]])
                 break
         if x is None:
             # every diagonal value is a nonsquare; combine the first two
-            x = _combine(F, list(solve_binary(F, d0[0], d0[1], F.one)), lifted[:2])
-        if q(x, x) != F.one:
+            x = combine(F, list(solve_binary(F, d0[0], d0[1], F.one)), lifted[:2])
+        if space.quad(x) != F.one:
             raise ValidationError("unit vector construction failed")
         cols.append(x)
-        S = S.meet_kernel(Matrix._wrap(F, [[F.mul(mus[idx], x[idx]) for idx in range(m)]]))
-        if S.dim != m - len(cols):
-            raise ValidationError("group standardization lost a dimension")
+        [S] = _peel(space, [S], [x])
 
     last = S.basis[0]
-    val = q(last, last)
+    val = space.quad(last)
     if val == F.zero:
         raise ValidationError("degenerate leftover in group standardization")
     rep = square_class_representative(F, val)
     r = sqrt_in_field(F, F.div(val, rep))
-    cols.append(_combine(F, [F.inv(r)], [last]))
+    cols.append(combine(F, [F.inv(r)], [last]))
     nus = [F.one] * (m - 1) + [rep]
 
     g = Matrix._wrap(F, cols).transpose()
-    if g.transpose() * diag * g != Matrix.diagonal(F, nus):
+    if g.transpose() * space.gram * g != Matrix.diagonal(F, nus):
         raise ValidationError("group standardization certificate failed")
     return g, nus
 
@@ -654,18 +631,18 @@ def _zero_even_step(f, S, k0):
     k = k0 - 1
     v, w1 = _paired_chain(space, A, A, S.basis, S.basis, k)
 
-    cv, cw = _chain(A, v, k), _chain(A, w1, k)
+    cv, cw = krylov(A, v, k), krylov(A, w1, k)
     for m in range(k - 1, -1, -2):
         Xm = space.bilin(v, cv[m])
         if Xm != F.zero:
-            v = _combine(F, [F.one, F.half(Xm)], [v, cw[k - m]])
+            v = combine(F, [F.one, F.half(Xm)], [v, cw[k - m]])
             w1 = _chain_dual(space, A, A, v, w1, k)
-            cv, cw = _chain(A, v, k), _chain(A, w1, k)
+            cv, cw = krylov(A, v, k), krylov(A, w1, k)
     for m in range(k - 1, -1, -2):
         Ym = space.bilin(w1, cw[m])
         if Ym != F.zero:
-            w1 = _combine(F, [F.one, F.neg(F.half(Ym))], [w1, cv[k - m]])
-            cw = _chain(A, w1, k)
+            w1 = combine(F, [F.one, F.neg(F.half(Ym))], [w1, cv[k - m]])
+            cw = krylov(A, w1, k)
 
     Ablk, Bblk = _paired_model(F, k0, F.zero)
     return CanonicalBlock("zero_even", 2 * k0, Polynomial.x(F), k0, Ablk, Bblk,
@@ -686,7 +663,7 @@ def _zero_odd_generator(f, S, k0):
     v = None
     fallback = None
     for b in S.basis:
-        img = _chain(A, b, k)[k]
+        img = krylov(A, b, k)[k]
         if not any(img):
             continue
         if fallback is None:
@@ -700,26 +677,26 @@ def _zero_odd_generator(f, S, k0):
         u = fallback
         if u is None:
             raise ValidationError("no vector of full chain length")
-        top = _chain(A, u, k)[k]
+        top = krylov(A, u, k)[k]
         w = next((b for b in S.basis if space.bilin(b, top)), None)
         if w is None:
             raise ValidationError("regular form fails to pair the chain")
         v = w
-        if space.bilin(w, _chain(A, w, k)[k]) == F.zero:
-            v = _combine(F, [F.one, F.one], [u, w])
-        if space.bilin(v, _chain(A, v, k)[k]) == F.zero:
+        if space.bilin(w, krylov(A, w, k)[k]) == F.zero:
+            v = combine(F, [F.one, F.one], [u, w])
+        if space.bilin(v, krylov(A, v, k)[k]) == F.zero:
             raise ValidationError("chain generator repair failed")
 
     # clear phi(w, f^{k-2j} w) for j = 1..n; the top product is untouched
     w = v
-    chain = _chain(A, w, k)
+    chain = krylov(A, w, k)
     for j in range(1, n + 1):
         low = space.bilin(w, chain[k - 2 * j])
         if low != F.zero:
             top = space.bilin(w, chain[k])
             c = F.div(low, F.add(top, top))
-            w = _combine(F, [F.one, F.neg(c)], [w, chain[2 * j]])
-            chain = _chain(A, w, k)
+            w = combine(F, [F.one, F.neg(c)], [w, chain[2 * j]])
+            chain = krylov(A, w, k)
     return w, space.bilin(w, chain[k])
 
 
@@ -733,7 +710,7 @@ def _emit_odd_block(f, w, mu, k0):
     F = f.field
     k = k0 - 1
     n = k // 2
-    chain = _chain(f.matrix, w, k)
+    chain = krylov(f.matrix, w, k)
     if f.space.bilin(w, chain[k]) != mu:
         raise ValidationError("odd block generator does not carry its scalar")
     A, B = _bordered_model(F, n, mu)

@@ -250,6 +250,19 @@ def _bad_canon_field(tmp_path, doc):
     return ["canon", "--in", write(tmp_path, "bad.json", doc)]
 
 
+def _bad_field_flag(spec):
+    return lambda tmp_path, doc: ["canon", "--in", write(tmp_path, "seed.json", doc),
+                                  "--field", spec]
+
+
+def _bad_doc_field(spec):
+    def argv(tmp_path, doc):
+        doc["field"] = spec
+        return ["canon", "--in", write(tmp_path, "bad.json", doc)]
+
+    return argv
+
+
 def _bad_witness(tmp_path, doc):
     a = write(tmp_path, "a.json", from_lambda_tuple(Q, (2, 4, 6)).to_json())
     b = write(tmp_path, "b.json", from_lambda_tuple(Q, (1, 2, 3)).to_json())
@@ -311,6 +324,9 @@ def _bad_lorentz(doc):
         _bad_lorentz({"field": "Q", "lambda": [1, 2], "s": "x"}),
         _bad_lorentz({"field": "Q", "lambda": ["1/0"]}),
         _bad_canon_field,
+        _bad_field_flag("Fp:0"),
+        _bad_doc_field("Fp:0"),
+        _bad_field_flag("Fp:9"),
         _bad_lorentz("abc"),
         lambda tmp_path, _: ["census", "--field", "Fp:3", "--dim", "-1"],
         _bad_shape("construct", {"rows": -1, "cols": -1, "entries": ["7"]}),
@@ -324,7 +340,8 @@ def _bad_lorentz(doc):
         _string_witness("z"),
     ],
     ids=["canon-1/0", "witness-lambda-1/0", "lorentz-abc", "lorentz-int",
-         "lorentz-s-x", "lorentz-1/0", "canon-field-int", "lorentz-not-object",
+         "lorentz-s-x", "lorentz-1/0", "canon-field-int", "canon-flag-Fp:0",
+         "canon-field-Fp:0", "canon-flag-Fp:9", "lorentz-not-object",
          "census-dim-negative", "construct-shape-negative", "canon-shape-0x3",
          "canon-shape-3x0",
          "canon-bool-entries", "canon-huge-exponent", "lorentz-lambda-string",
@@ -335,9 +352,13 @@ def test_malformed_input_exit(tmp_path, capsys, argv):
         OrthogonalSpace(Matrix(Q, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])),
         Matrix(Q, [[0, 0, 0], [1, 0, 0], [0, -1, 0]]),
     )
-    code, doc = run(capsys, *argv(tmp_path, d.to_json()))
+    args = argv(tmp_path, d.to_json())
+    code, doc = run(capsys, *args)
     assert code == 1
     assert doc["error"]
+    if "Fp:9" in args:
+        # the spec names a number, so the reason it is refused is kept
+        assert "9 is not prime" in doc["error"]
 
 
 @pytest.mark.parametrize("limit, nines", [(None, 1500), (640, 600)],
@@ -599,7 +620,7 @@ def test_frozen_output_bytes(tmp_path, capsys):
 # --- fuzzed documents ---------------------------------------------------------
 
 GOOD_FIELDS = ["Q", "Fp:3", "Fp:5", "Fp:7", "Fp:2305843009213693951"]
-BAD_FIELDS = ["Fp:2", "Fp:9", "Fp:15", "Fp:1", "Fp:x", "R", 5, None, True]
+BAD_FIELDS = ["Fp:2", "Fp:9", "Fp:15", "Fp:1", "Fp:0", "Fp:x", "R", 5, None, True]
 fields = st.one_of(*[st.sampled_from(GOOD_FIELDS)] * 3, st.sampled_from(BAD_FIELDS))
 scalars = st.one_of(
     st.integers(-3, 3).map(str),

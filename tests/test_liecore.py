@@ -564,6 +564,18 @@ def test_json_round_trip():
     assert back.space.gram == N.space.gram
 
 
+def test_algebra_dimension_must_be_a_natural_number():
+    # the shape rule Matrix.from_json applies: an int, not a bool or a float
+    doc = QuadraticLieAlgebra(LieAlgebra.abelian(Q, 1),
+                              OrthogonalSpace(Matrix.identity(Q, 1))).to_json()
+    for dim in (True, 1.0):
+        doc["algebra"]["dim"] = dim
+        with pytest.raises(ValidationError, match="impossible algebra dimension"):
+            QuadraticLieAlgebra.from_json(doc)
+    with pytest.raises(ValidationError, match="impossible algebra dimension"):
+        LieAlgebra.from_json(Q, {"dim": -1, "brackets": []})
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6))
 def test_dq_invariant_under_base_change(seed):

@@ -57,6 +57,24 @@ def test_bilin_quad_restrict():
     assert V.restrict_gram([[1, 1]]) == Matrix(Q, [[2]])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Q, F5]), st.integers(0, 4), st.integers(0, 10**6), st.booleans())
+def test_bilin_is_the_product(field, n, seed, zero):
+    # oracle: phi(x, y) is the one entry of x B y^T, zero vectors included
+    rng = random.Random(seed)
+    V = OrthogonalSpace(random_symmetric(field, rng, n))
+    x = [field.zero if zero else field.random(rng) for _ in range(n)]
+    y = [field.random(rng) for _ in range(n)]
+    want = (Matrix._wrap(field, [x]) * V.gram * Matrix._wrap(field, [y]).transpose()).data
+    assert V.bilin(x, y) == (want[0][0] if n else field.zero)
+    assert V.quad(x) == V.bilin(x, x)
+    for bad in (y[:-1] if n else [field.one], y + [field.one]):
+        with pytest.raises(ValidationError, match="length"):
+            V.bilin(bad, y)
+        with pytest.raises(ValidationError, match="length"):
+            V.bilin(x, bad)
+
+
 def test_radical_oracle():
     V = OrthogonalSpace(Matrix.diagonal(Q, [Q.one, Q.zero, Q.of(3)]))
     R = radical(V)

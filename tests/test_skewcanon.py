@@ -1,11 +1,12 @@
 """Canonical pairs for skew maps: block models, invariance, certificates."""
 
 import random
+from itertools import product
 
 import pytest
 
 from quadlie.errors import CapabilityError, ValidationError
-from quadlie.exact_field import Field
+from quadlie.exact_field import Field, square_class, square_class_representative
 from quadlie.linalg import Matrix, Subspace, primary_component
 from quadlie import oscillator, skewcanon
 from quadlie.oscillator import OscillatorData, decide_isometric, from_lambda_tuple, witt1_certify
@@ -273,6 +274,37 @@ def test_raw_bordered_conversion_roundtrip():
         caalim_convert(canonical_pair(skew(
             Q, Matrix.diagonal(Q, [Q.one, Q.of(-1)]),
             Matrix(Q, [[0, 1], [1, 0]]))).blocks[0])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("size", [1, 3])
+def test_fp_odd_groups_standardize_exhaustively(p, size):
+    # every tuple of unit scalars on m chains of one odd size: the group
+    # form diag(mus) standardizes to (1, ..., 1, delta), delta the class
+    # representative, and the signature is the determinant's square class;
+    # square diagonal values and all-nonsquare groups (the solve_binary
+    # branch) both occur
+    F = Field.prime(p)
+    units = [F.of(c) for c in range(1, p)]
+    for m in range(2, 5 if size == 1 else 4):
+        if size == 1 and m == 4 and p == 7:
+            continue
+        by_class = {}
+        for mus in product(units, repeat=m):
+            pieces = [raw_zero_pair(F, size, mu) for mu in mus]
+            f = skew(F, Matrix.block_diagonal(F, [a for a, _ in pieces]),
+                     Matrix.block_diagonal(F, [b for _, b in pieces]))
+            pair = canonical_pair(f)
+            assert [(b.kind, b.size) for b in pair.blocks] == [("zero_odd", size)] * m
+            got = [b.mu for b in pair.blocks]
+            assert sum(mu != F.one for mu in got) <= 1
+            assert all(mu == square_class_representative(F, mu) for mu in got)
+            det = F.one
+            for mu in mus:
+                det = F.mul(det, mu)
+            by_class.setdefault(square_class(F, det), set()).add(pair.block_signature())
+        assert all(len(sigs) == 1 for sigs in by_class.values())
+        assert len(set.union(*by_class.values())) == len(by_class) == 2
 
 
 def test_odd_chain_scramble_recovery():
