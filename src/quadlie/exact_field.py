@@ -301,9 +301,11 @@ class Field:
                 raise ValidationError(
                     f"scalar exponent beyond {SCALAR_EXPONENT_BOUND} in magnitude: {v!r}"
                 )
-            # one parser for both fields: F_p reduces the rational Q reads
+            # one parser for both fields: F_p reduces the rational Q reads;
+            # a plain ASCII integer skips Fraction's regular expression
+            digits = v[1:] if v[:1] == "-" else v
             try:
-                v = Fraction(v)
+                v = int(v) if digits.isascii() and digits.isdigit() else Fraction(v)
             except (ValueError, ZeroDivisionError):
                 pass  # rejected below, the string named in the message
         if self.p == 0:

@@ -25,6 +25,8 @@ the annihilator of a vector is one fp_rref of its Krylov columns.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import ValidationError, json_list
 from .exact_field import Polynomial
 from . import _fast
@@ -121,7 +123,12 @@ class Matrix:
     def transpose(self):
         return Matrix._wrap(self.field, [list(col) for col in zip(*self.data)])
 
+    def _same_shape(self, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValidationError("matrix shapes differ")
+
     def __add__(self, other):
+        self._same_shape(other)
         F = self.field
         return Matrix._wrap(
             F,
@@ -132,6 +139,7 @@ class Matrix:
         )
 
     def __sub__(self, other):
+        self._same_shape(other)
         F = self.field
         return Matrix._wrap(
             F,
@@ -165,9 +173,12 @@ class Matrix:
         F = self.field
         if len(v) != self.ncols:
             raise ValidationError("vector length mismatch")
+        p = F.p
+        if p and 2 * v.count(0) <= self.ncols:
+            return [sum(map(mul, row, v)) % p for row in self.data]
         nz = [(j, c) for j, c in enumerate(v) if c]
         out = [sum([row[j] * c for j, c in nz], F.zero) for row in self.data]
-        return [c % F.p for c in out] if F.p else out
+        return [c % p for c in out] if p else out
 
     def is_zero(self):
         return all(not c for row in self.data for c in row)
@@ -213,7 +224,9 @@ class Matrix:
     def solve(self, rhs):
         """One exact solution of self * x = rhs, or None if inconsistent."""
         F = self.field
-        aug = Matrix._wrap(F, [self.data[i] + [F.of(rhs[i])] for i in range(self.nrows)])
+        if len(rhs) != self.nrows:
+            raise ValidationError("right-hand side length mismatch")
+        aug = Matrix._wrap(F, [row + [F.of(c)] for row, c in zip(self.data, rhs)])
         R, pivots, rank = aug.rref()
         if self.ncols in pivots:
             return None

@@ -7,6 +7,8 @@ wraps a matrix A with A^T B = -B A, the matrix form of a phi-skew map.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import ValidationError
 from .exact_field import solve_binary, sqrt_in_field, square_class
 from .linalg import Matrix, Subspace, kernel_basis
@@ -38,8 +40,9 @@ class OrthogonalSpace:
         By = self.gram.matvec(y)
         if len(x) != len(By):
             raise ValidationError("vector length mismatch")
-        acc = sum([a * b for a, b in zip(x, By) if a], F.zero)
-        return acc % F.p if F.p else acc
+        if F.p:
+            return sum(map(mul, x, By)) % F.p
+        return sum([a * b for a, b in zip(x, By) if a], F.zero)
 
     def quad(self, x):
         return self.bilin(x, x)

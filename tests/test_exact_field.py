@@ -1,6 +1,7 @@
 """Field contexts, polynomials, factorization, square classes."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -105,6 +106,49 @@ def test_fp_reads_scalar_strings_as_q_does(s):
     for F in (F5, Field.parse("Fp:7")):
         expect = ValidationError if q is ValidationError else _outcome(F, q)
         assert _outcome(F, s) == expect
+
+
+def _read_by_fraction(F, s):
+    """Field.of on a string as it was before plain integers skipped Fraction:
+    the same exponent guard, then every string through Fraction()."""
+    if not exact_field._exponent_in_range(s):
+        return f"scalar exponent beyond {SCALAR_EXPONENT_BOUND} in magnitude: {s!r}"
+    try:
+        v = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return f"not a rational scalar: {s!r}" if F.p == 0 else f"not an F_{F.p} scalar: {s!r}"
+    try:
+        return F.of(v)
+    except ValidationError as e:
+        return str(e)
+
+
+def _read(F, s):
+    try:
+        return F.of(s)
+    except ValidationError as e:
+        return str(e)
+
+
+def test_plain_integer_strings_read_as_fraction_reads_them():
+    long_digits = "9" + "1234567890" * 70  # 701 digits, past a limit of 640
+    huge_digits = "7" * 5000  # past the default limit of 4300
+    cases = ["0", "-0", "007", "-007", "+5", " 5", "5 ", "1_000", "\u0661\u0662", "3/4",
+             "-3/4", "1e3", "1e5000", "-", "", "--3", "-+3", "12", "-12", "49",
+             long_digits, "-" + long_digits, huge_digits, "-" + huge_digits]
+    fields = (Q, Field.parse("Fp:3"), F7, Field.parse("Fp:2305843009213693951"))
+    default = sys.get_int_max_str_digits()
+    try:
+        for limit in (default, 640):
+            sys.set_int_max_str_digits(limit)
+            for F in fields:
+                for s in cases:
+                    got, want = _read(F, s), _read_by_fraction(F, s)
+                    assert (type(got), got) == (type(want), want), (limit, F, s[:20])
+    finally:
+        sys.set_int_max_str_digits(default)
+    # both limits were reached: a long string reads at the default, not at 640
+    assert Q.of(long_digits) == int(long_digits)
 
 
 def test_huge_scalar_exponents_are_refused():

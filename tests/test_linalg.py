@@ -217,6 +217,74 @@ def test_rational_matmul_matches_triple_loop(n, k, m, data):
     assert all(type(c) is Fraction for row in got for c in row)
 
 
+_PRIMES = (3, 7, 2**61 - 1)
+
+
+@st.composite
+def _fp_rows(draw, p, n, k):
+    """n rows of length k over F_p: all-zero, half-zero (k // 2 or k - k // 2
+    zeros, either side of the kernels' density rule), full, or mixed."""
+    entry = st.integers(0, p - 1)
+    nonzero = st.integers(1, p - 1)
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "half", "half+", "full", "mixed"]))
+        if kind == "zero":
+            row = [0] * k
+        elif kind == "mixed":
+            row = draw(st.lists(entry, min_size=k, max_size=k))
+        else:
+            zeros = {"half": k // 2, "half+": k - k // 2, "full": 0}[kind]
+            row = [0] * zeros + draw(st.lists(nonzero, min_size=k - zeros, max_size=k - zeros))
+            row = draw(st.permutations(row))
+        rows.append(list(row))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_PRIMES), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_fp_matmul_matches_triple_loop(p, n, k, m, data):
+    a = data.draw(_fp_rows(p, n, k))
+    b = data.draw(_fp_rows(p, k, m))
+    before = ([list(row) for row in a], [list(row) for row in b])
+    got = _fast.fp_matmul(a, n, k, b, k, m, p)
+    assert (a, b) == before
+    assert got == [
+        [sum(a[i][j] * b[j][c] for j in range(k)) % p for c in range(m)]
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_PRIMES), st.integers(1, 6), st.integers(0, 6), st.data())
+def test_fp_matvec_matches_matmul_on_a_column(p, n, k, data):
+    F = Field(p)
+    a = data.draw(_fp_rows(p, n, k))
+    (v,) = data.draw(_fp_rows(p, 1, k))  # sparse, half-zero and dense vectors
+    got = Matrix._wrap(F, a).matvec(v)
+    assert got == [row[0] for row in _fast.fp_matmul(a, n, k, [[c] for c in v], k, 1, p)]
+
+
+def test_add_and_sub_refuse_different_shapes():
+    A = Matrix(F5, [[1, 2], [3, 4]])
+    B = Matrix(F5, [[1, 2, 3]])
+    for x, y in ((A, B), (B, A)):
+        with pytest.raises(ValidationError, match="matrix shapes differ"):
+            x + y
+        with pytest.raises(ValidationError, match="matrix shapes differ"):
+            x - y
+    assert (A + A).data == [[2, 4], [1, 3]] and (A - A).is_zero()
+
+
+def test_solve_refuses_a_right_hand_side_of_the_wrong_length():
+    A = Matrix(F5, [[1, 2], [3, 4]])
+    for rhs in ([1], [1, 2, 3]):
+        with pytest.raises(ValidationError, match="right-hand side length mismatch"):
+            A.solve(rhs)
+    x = A.solve([1, 2])
+    assert A.matvec(x) == [1, 2]
+
+
 def test_solve_columns():
     A = Matrix(Q, [[1, 2], [3, 4]])
     b = [Q.of(5), Q.of(11)]
