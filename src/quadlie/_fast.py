@@ -1,19 +1,21 @@
-"""Row reduction and matrix product over F_p and Q, on lists of rows.
+"""Row reduction, matrix product and matvec over F_p and Q, on lists of rows.
 
 p is the characteristic: an odd prime means F_p, with int entries already
 reduced into [0, p); p == 0 means Q, with Fraction entries. Results are
 canonical field elements of the same kind. All arithmetic is on Python
-ints, which makes every prime exact, however large. Over Q each row is
-brought to integers over the lcm of its denominators, the work is done on
-those integers, and one Fraction is built per entry of the result.
+ints, which makes every prime exact, however large. Over Q row reduction
+and the product bring each row to integers over the lcm of its
+denominators, do the work on those integers, and build one Fraction per
+entry of the result.
 
-Over F_p the product takes a row of a that is at least half nonzero as one
-C-level dot product per output entry, sum(map(mul, row, col)) % p; a
-sparser row adds up the rows of b at its nonzero entries. Matrix.matvec
-applies the same rule to its vector. The rule is there because a dot
-product also multiplies the zeros: with dot products on every row, a
-30 x 30 product at 10 % density ran 4x slower than the sparse sum, and
-matrices of any density up to n ~ 40 are in scope (see linalg).
+Over F_p each entry of a product is one C-level dot product,
+sum(map(mul, row, col)) % p, and fp_matvec takes its entries the same way.
+A dot product also multiplies the zeros, so a sparse product pays for
+them: a 30 x 30 product at 5 % density runs about 6x slower than a sum
+over the nonzero entries. The benchmark workloads multiply maps of n <= 6,
+and there such a sum, chosen per row or per call by counting zeros, cost
+the census 5-7 % of its throughput and saved nothing on the round trip
+(BENCH_17.json).
 """
 
 from fractions import Fraction
@@ -141,12 +143,8 @@ def _rref_rational(rows, ncols):
 def fp_matmul(a, n, k, b, k2, m, p):
     """(n x k) times (k x m) product, both given as lists of rows.
 
-    Over F_p a row of a with at least half of its k entries nonzero gives
-    each output entry as one dot product with a column of b (b transposed
-    once per call, when the first such row needs it); a sparser row sums
-    av * b[j] over its nonzero av, so zeros cost nothing. Half nonzero is
-    about where the two cost the same on 30 x 30 and 40 x 40 products (the
-    shape grid in BENCH_17.json). k == 0 gives n x m zeros.
+    Over F_p each output entry is one dot product of a row of a with a
+    column of b (b transposed once per call); k == 0 gives n x m zeros.
 
     Over Q the rows of b are brought to integers, each row of a is put over
     one common denominator, and each output entry is one Fraction of an
@@ -154,24 +152,13 @@ def fp_matmul(a, n, k, b, k2, m, p):
     """
     if k != k2:
         raise ValueError("inner dimensions differ")
-    out = []
     if p:
         if not k:
             return [[0] * m for _ in range(n)]
-        cols = None
-        for arow in a:
-            if 2 * arow.count(0) <= k:
-                if cols is None:
-                    cols = list(zip(*b))
-                out.append([sum(map(mul, arow, col)) % p for col in cols])
-                continue
-            orow = [0] * m
-            for av, brow in zip(arow, b):
-                if av:
-                    orow = [o + av * bv for o, bv in zip(orow, brow)]
-            out.append([o % p for o in orow])
-        return out
+        cols = list(zip(*b))
+        return [[sum(map(mul, arow, col)) % p for col in cols] for arow in a]
     bints = [_integer_row(brow) for brow in b]
+    out = []
     for arow in a:
         # a[j] * b[j] == (a[j] / d_j) * ints_j, each a[j] / d_j over one denominator
         terms = [
@@ -186,3 +173,15 @@ def fp_matmul(a, n, k, b, k2, m, p):
             orow = [o + av * bv for o, bv in zip(orow, ints)]
         out.append([Fraction(o, den) if o else _ZERO for o in orow])
     return out
+
+
+def fp_matvec(rows, v, p):
+    """The rows (a list of rows) times the column v: one entry per row.
+
+    Over F_p each entry is one dot product, as in fp_matmul; over Q it sums
+    over the nonzero entries of v.
+    """
+    if p:
+        return [sum(map(mul, row, v)) % p for row in rows]
+    nz = [(j, c) for j, c in enumerate(v) if c]
+    return [sum([row[j] * c for j, c in nz], _ZERO) for row in rows]

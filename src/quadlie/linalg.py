@@ -2,10 +2,11 @@
 
 Matrices are small (desk scale, n below ~40) and everything is computed
 exactly. Row reduction (and with it rank, inverse, solve and the
-determinant) and the matrix product go through the one kernel pair in
-quadlie._fast, which serves Q (Fraction entries) and F_p (ints mod p) alike
-and computes on ints for both: over Q fraction-free, on rows scaled to
-integers, with one Fraction built per entry of the result.
+determinant), the matrix product and matvec go through the kernels in
+quadlie._fast, which serve Q (Fraction entries) and F_p (ints mod p) alike.
+Row reduction and the product compute on ints for both: over Q
+fraction-free, on rows scaled to integers, with one Fraction built per
+entry of the result.
 
 Scalars are coerced once, where data enters: the public constructor,
 from_cols, diagonal, from_json, the public Subspace constructor and the
@@ -24,8 +25,6 @@ the annihilator of a vector is one fp_rref of its Krylov columns.
 """
 
 from __future__ import annotations
-
-from operator import mul
 
 from .errors import ValidationError, json_list
 from .exact_field import Polynomial
@@ -170,15 +169,9 @@ class Matrix:
         raise TypeError("matrix multiplication needs a Matrix")
 
     def matvec(self, v):
-        F = self.field
         if len(v) != self.ncols:
             raise ValidationError("vector length mismatch")
-        p = F.p
-        if p and 2 * v.count(0) <= self.ncols:
-            return [sum(map(mul, row, v)) % p for row in self.data]
-        nz = [(j, c) for j, c in enumerate(v) if c]
-        out = [sum([row[j] * c for j, c in nz], F.zero) for row in self.data]
-        return [c % p for c in out] if p else out
+        return _fast.fp_matvec(self.data, v, self.field.p)
 
     def is_zero(self):
         return all(not c for row in self.data for c in row)

@@ -7,8 +7,7 @@ wraps a matrix A with A^T B = -B A, the matrix form of a phi-skew map.
 
 from __future__ import annotations
 
-from operator import mul
-
+from . import _fast
 from .errors import ValidationError
 from .exact_field import solve_binary, sqrt_in_field, square_class
 from .linalg import Matrix, Subspace, kernel_basis
@@ -35,14 +34,11 @@ class OrthogonalSpace:
         return f"OrthogonalSpace(dim {self.dim}, {'regular' if self.regular else 'degenerate'})"
 
     def bilin(self, x, y):
-        """phi(x, y) = x . (B y), one matvec; x and y must have length dim."""
-        F = self.field
+        """phi(x, y) = x . (B y), two matvecs; x and y must have length dim."""
         By = self.gram.matvec(y)
         if len(x) != len(By):
             raise ValidationError("vector length mismatch")
-        if F.p:
-            return sum(map(mul, x, By)) % F.p
-        return sum([a * b for a, b in zip(x, By) if a], F.zero)
+        return _fast.fp_matvec([x], By, self.field.p)[0]
 
     def quad(self, x):
         return self.bilin(x, x)

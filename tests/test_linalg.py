@@ -217,13 +217,23 @@ def test_rational_matmul_matches_triple_loop(n, k, m, data):
     assert all(type(c) is Fraction for row in got for c in row)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 6), st.data())
+def test_rational_matvec_matches_matmul_on_a_column(n, k, data):
+    a = data.draw(_rational_matrices(n, k))
+    (v,) = data.draw(_rational_matrices(1, k))
+    got = Matrix._wrap(Q, a).matvec(v)
+    assert got == [row[0] for row in _fast.fp_matmul(a, n, k, [[c] for c in v], k, 1, 0)]
+    assert all(type(c) is Fraction for c in got)
+
+
 _PRIMES = (3, 7, 2**61 - 1)
 
 
 @st.composite
 def _fp_rows(draw, p, n, k):
     """n rows of length k over F_p: all-zero, half-zero (k // 2 or k - k // 2
-    zeros, either side of the kernels' density rule), full, or mixed."""
+    zeros), full, or mixed."""
     entry = st.integers(0, p - 1)
     nonzero = st.integers(1, p - 1)
     rows = []
