@@ -446,6 +446,57 @@ def hilbert_obstructions(a, b):
     return out
 
 
+def conic_point(a, b):
+    """A nonzero integer point (z, x, y) of z^2 = a x^2 + b y^2.
+
+    a and b are squarefree nonzero integers with hilbert_obstructions(a, b)
+    empty. Lagrange descent (Cremona and Rusin, Math. Comp. 72 (2003)):
+    with |a| <= |b|, take r = sqrt(a) mod |b|, |r| <= |b|/2, write
+    r^2 - a = b b0 d^2 with b0 squarefree, so |b0| < |b|; a point (W, X, Y)
+    of (a, b0) gives (r W + a X, r X + W, b0 d Y) for (a, b) by the
+    multiplicativity of the norm from Q(sqrt(a)). Raises ValidationError
+    when a step finds no point, as it must on an obstructed pair, and when
+    the point fails the equation.
+    """
+    if not a or not b:
+        raise ValidationError("a conic needs nonzero coefficients")
+    z, x, y = _lagrange_descent(a, b)
+    if not (z or x or y) or z * z != a * x * x + b * y * y:
+        raise ValidationError(f"conic point certificate failed for ({a}, {b})")
+    return z, x, y
+
+
+def _lagrange_descent(a, b):
+    if abs(a) > abs(b):
+        z, y, x = _lagrange_descent(b, a)
+        return z, x, y
+    if a == 1:
+        return 1, 1, 0
+    if b == 1:
+        return 1, 0, 1
+    if abs(b) == 1:
+        raise ValidationError(f"z^2 = {a} x^2 + {b} y^2 has no real point")
+    # r^2 = a mod |b| by CRT over the primes of the squarefree |b|; every
+    # residue mod 2 is its own root, and r = 0 at primes dividing a
+    n, r = abs(b), 0
+    for q, e in _factor_int(n).items():
+        if e > 1:
+            raise ValidationError(f"{b} is not squarefree")
+        rq = a % q if q == 2 else sqrt_in_field(Field.prime(q), a % q)
+        if rq is None:
+            raise ValidationError(f"{a} is not a square mod {q}: ({a}, {b}) has no point")
+        m = n // q
+        r += rq * m * pow(m, -1, q)
+    r %= n
+    if 2 * r > n:
+        r -= n
+    t = (r * r - a) // b
+    b0 = _squarefree_part(t)
+    d = isqrt(t // b0)
+    w, x, y = _lagrange_descent(a, b0)
+    return r * w + a * x, r * x + w, b0 * d * y
+
+
 def least_nonsquare(field):
     """The smallest nonsquare in F_p; undefined over Q (every class has many)."""
     if field.p == 0:

@@ -18,6 +18,7 @@ from itertools import product
 from .errors import CapabilityError, ValidationError, json_list
 from .exact_field import (
     Polynomial,
+    conic_point,
     factor_poly,
     hilbert_obstructions,
     poly_star,
@@ -531,10 +532,12 @@ def verify_iso_witness(d1, d2, witness):
     """Check a witness tuple exactly and grade it.
 
     Verdicts: 'invalid' with a reason, 'isomorphism', or
-    'isometric-isomorphism'. The intertwining and scaling conditions on
-    (f, lam, mu) are checked first; the induced map is then rebuilt and
-    certified as an invertible bracket homomorphism, and the stated
-    isometry conditions are compared against the transported Gram matrix.
+    'isometric-isomorphism'; a witness whose f is not n x n or whose z
+    has not n entries, n the core dimension, raises ValidationError. The
+    intertwining and scaling conditions on (f, lam, mu) are checked first;
+    the induced map is then rebuilt and certified as an invertible bracket
+    homomorphism, and the stated isometry conditions are compared against
+    the transported Gram matrix.
     The cross terms mu phi_2(delta_2 z, f delta_1^{-1} e_j) are read off
     the delta* row of the induced map, and phi_2(z, f e_j) comes from the
     one product z^T B_2 f.
@@ -549,6 +552,8 @@ def verify_iso_witness(d1, d2, witness):
         raise ValidationError("witness verification needs a nonzero core")
     if d2.space.dim != n:
         return {"verdict": "invalid", "reason": "core dimensions differ"}
+    if (witness.f.nrows, witness.f.ncols, len(witness.z)) != (n, n, n):
+        raise ValidationError("witness shape does not match the core")
     A1, A2 = d1.delta.matrix, d2.delta.matrix
     if A1.rank() != n or A2.rank() != n:
         raise ValidationError("witness verification needs invertible seed maps")
@@ -619,8 +624,9 @@ def decide_isometric(d1, d2):
     decided completely: candidate scales come from root ratios and each one
     is settled by comparing canonical pairs, with an exact witness on
     success. Definite rational seeds with quadratic factors are decided
-    through plane norm equations. Anything else is answered 'undecided'
-    rather than guessed.
+    through plane norm equations, each settled by Hilbert symbols and, when
+    solvable, solved by integer conic descent. Anything else is answered
+    'undecided' rather than guessed.
     """
     if d1.field != d2.field:
         raise ValidationError("decision needs a common base field")
@@ -702,13 +708,11 @@ def _decide_split(d1, d2, m1, m2, r1, r2):
 def _norm_equation(F, m, c):
     """Solve alpha^2 + m beta^2 = c over the rationals, m > 0, c > 0.
 
-    Returns ('solved', (alpha, beta)), checked exactly; ('unsolvable', qs)
-    with qs the primes where the Hilbert symbol (-M, C) is -1, M and C the
-    squarefree classes of m and c; or ('unknown', None). Local
-    solvability everywhere means a solution exists (Hasse-Minkowski), and
-    sympy builds it from u^2 + M v^2 = C w^2. 'unknown' is left only
-    when that equation is locally solvable but sympy fails, or no point of
-    its parametric solution on the grid [-3, 3] has w != 0.
+    Returns ('solved', (alpha, beta)), checked exactly, or ('unsolvable',
+    qs) with qs the primes where the Hilbert symbol (-M, C) is -1, M and C
+    the squarefree classes of m and c. Local solvability everywhere means a
+    solution exists (Hasse-Minkowski), and exact_field.conic_point builds
+    it from u^2 + M v^2 = C w^2 by integer descent.
     """
     r = sqrt_in_field(F, c)
     if r is not None:
@@ -721,36 +725,21 @@ def _norm_equation(F, m, c):
     qs = hilbert_obstructions(-M, C)
     if qs:
         return "unsolvable", qs
-    # m = M t_m^2 and c = C t_c^2
+    # m = M t_m^2 and c = C t_c^2; w != 0 since M > 0
     t_m, t_c = sqrt_in_field(F, m / M), sqrt_in_field(F, c / C)
-    try:
-        import sympy
-        from sympy.solvers.diophantine import diophantine
-    except Exception:
-        return "unknown", None
-    U, V, W = sympy.symbols("u v w", integer=True)
-    try:
-        sols = diophantine(U**2 + M * V**2 - C * W**2)
-    except Exception:
-        return "unknown", None
-    # a set: a fixed order keeps the witness bytes free of the hash seed
-    for sol in sorted(sols, key=str):
-        exprs = [sympy.sympify(e) for e in sol]
-        syms = sorted(set().union(*[e.free_symbols for e in exprs]), key=str)
-        # the parametric solution at each point of a small grid, exactly
-        for point in product(range(-3, 4), repeat=len(syms)):
-            vals = {t: sympy.Integer(a) for t, a in zip(syms, point)}
-            u, v, w = [int(e.xreplace(vals)) for e in exprs]
-            if w:
-                alpha = t_c * u / w
-                beta = t_c * v / (t_m * w)
-                if alpha * alpha + m * beta * beta != c:
-                    raise ValidationError("norm equation certificate failed")
-                return "solved", (alpha, beta)
-    return "unknown", None
+    u, w, v = conic_point(C, -M)
+    alpha = t_c * u / w
+    beta = t_c * v / (t_m * w)
+    if alpha * alpha + m * beta * beta != c:
+        raise ValidationError("norm equation certificate failed")
+    return "solved", (alpha, beta)
 
 
 def _decide_definite(d1, d2, split1, split2):
+    """Definite rational seeds whose factors are x^2 + m: align the scaled
+    spectra, then map planes at each admissible scale +-mu through
+    _norm_equation, which answers every equation exactly. 'undecided' is
+    left only for an irreducible factor beyond quadratic."""
     F = d1.field
     for pi, k in split1.factors + split2.factors:
         if pi.degree > 2:
@@ -796,20 +785,11 @@ def _decide_definite(d1, d2, split1, split2):
             "witness": None,
         }
 
-    saw_unknown = False
     spec1 = spectral_form(d1.delta)
     for mu in (root, F.neg(root)):
         out = _definite_witness(d1, d2, mu, spec1)
         if out["verdict"] == "yes":
             return out
-        if out["verdict"] == "unknown":
-            saw_unknown = True
-    if saw_unknown:
-        return {
-            "verdict": "undecided",
-            "reason": "a plane norm equation could not be settled",
-            "witness": None,
-        }
     return {
         "verdict": "no",
         "reason": "plane norm classes differ at every admissible scale",
@@ -856,8 +836,6 @@ def _definite_witness(d1, d2, mu, spec1):
             for idx, at2 in enumerate(avail):
                 b = D2.data[at2][at2]
                 status, pair = _norm_equation(F, m, F.div(a, b))
-                if status == "unknown":
-                    return {"verdict": "unknown", "witness": None}
                 if status == "solved":
                     alpha, beta = pair
                     g.data[at2][at1] = alpha

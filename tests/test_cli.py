@@ -123,6 +123,17 @@ def test_iso_verify(tmp_path, capsys):
     assert doc["conditions"]["lambda_mu_is_one"]
 
 
+def test_iso_witness_shape_mismatch_is_an_error(tmp_path, capsys):
+    a = write(tmp_path, "a.json", from_lambda_tuple(Q, (1, 2)).to_json())
+    z4 = [Q.zero] * 4
+    for f, z in ((Matrix.identity(Q, 1), z4), (Matrix.zeros(Q, 4, 5), z4),
+                 (Matrix.zeros(Q, 5, 4), z4), (Matrix.identity(Q, 4), z4[:3])):
+        w = write(tmp_path, "w.json", IsoWitness(f, z, Q.one, Q.one, Q.zero).to_json())
+        code, doc = run(capsys, "iso", "--in", a, "--in", a, "--in", w)
+        assert code == 1
+        assert doc["error"] == "witness shape does not match the core"
+
+
 def test_iso_undecided_exit(tmp_path, capsys):
     d = OscillatorData(
         OrthogonalSpace(Matrix.identity(Q, 4)),
@@ -134,24 +145,17 @@ def test_iso_undecided_exit(tmp_path, capsys):
     assert doc["verdict"] == "undecided"
 
 
-def test_iso_witness_built_by_sympy(tmp_path, capsys, monkeypatch):
+def test_iso_witness_built_by_conic_solver(tmp_path, capsys):
     # the (1, 2) seed against a scrambled copy: the plane norm equation
-    # alpha^2 + 4 beta^2 = 4/5 has no square-root shortcut, so sympy builds
-    # the witness; sympy returns sets, so the bytes must not depend on the
-    # hash seed
-    import sympy.solvers.diophantine  # noqa: F401
-
+    # alpha^2 + 4 beta^2 = 4/5 has no square-root shortcut, so the integer
+    # conic descent builds the witness; the bytes must not depend on the
+    # hash seed, and deciding must not import sympy
     d1 = from_lambda_tuple(Q, (1, 2))
     d2 = scrambled_seed(d1, [[0, 1, -1, 1], [-1, 0, -1, -1], [-1, 1, 1, -1], [0, 1, -1, 0]])
     a = write(tmp_path, "a.json", d1.to_json())
     b = write(tmp_path, "b.json", d2.to_json())
-    dmod = sys.modules["sympy.solvers.diophantine"]
-    calls = []
-    real = dmod.diophantine
-    monkeypatch.setattr(dmod, "diophantine", lambda *args: calls.append(args) or real(*args))
     code, doc = run(capsys, "iso", "--in", a, "--in", b)
     assert code == 0 and doc["verdict"] == "yes"
-    assert len(calls) == 1
     w = write(tmp_path, "w.json", doc["witness"])
     code, rep = run(capsys, "iso", "--in", a, "--in", b, "--in", w)
     assert code == 0 and rep["verdict"] == "isometric-isomorphism"
@@ -160,16 +164,21 @@ def test_iso_witness_built_by_sympy(tmp_path, capsys, monkeypatch):
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "quadlie", "iso", "--in", a, "--in", b],
+        # -X importtime lists every module the run imports on stderr
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "quadlie",
+                               "iso", "--in", a, "--in", b],
                               capture_output=True, env=env, timeout=120)
         assert proc.returncode == 0
+        imported = [line.rsplit(b"|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert b"quadlie.oscillator" in imported
+        assert not [m for m in imported if m.split(b".")[0] == b"sympy"]
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0]) == doc
 
 
 def test_importing_quadlie_loads_no_sympy():
-    # sympy is imported only where a norm-equation witness is built
+    # sympy is a test oracle, never a runtime import
     src = os.path.dirname(os.path.dirname(os.path.abspath(quadlie.__file__)))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

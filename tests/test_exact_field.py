@@ -4,10 +4,11 @@ import random
 import sys
 import time
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from quadlie import exact_field
 from quadlie.errors import CapabilityError, ValidationError
@@ -19,6 +20,8 @@ from quadlie.exact_field import (
     Polynomial,
     _factor_int,
     _is_prime,
+    _squarefree_part,
+    conic_point,
     factor_poly,
     hilbert_obstructions,
     hilbert_symbol,
@@ -281,6 +284,66 @@ def test_hilbert_obstructions_check_the_product_formula(monkeypatch):
     monkeypatch.setattr(exact_field, "hilbert_symbol", lambda a, b, v: -1 if v == 3 else 1)
     with pytest.raises(ValidationError, match="product formula"):
         hilbert_obstructions(-1, 3)
+
+
+SQUAREFREE_300 = [n for n in range(1, 301) if _squarefree_part(n) == n]
+
+
+@st.composite
+def conic_pairs(draw):
+    """Signed squarefree (a, b) with |a|, |b| <= 300, drawn three ways:
+    independently; sharing a squarefree factor g > 1, so the descent meets
+    r = 0 at common primes; or with b the class of z^2 - a x^2, so that the
+    pair is solvable by construction."""
+    sign = st.sampled_from([1, -1])
+    kind = draw(st.sampled_from(["independent", "shared", "solvable"]))
+    if kind == "solvable":
+        a = draw(sign) * draw(st.sampled_from(SQUAREFREE_300))
+        x, z = draw(st.integers(1, 4)), draw(st.integers(0, 17))
+        assume(z * z != a * x * x)
+        b = _squarefree_part(z * z - a * x * x)
+        assume(abs(b) <= 300)
+        return a, b
+    g = 1
+    if kind == "shared":
+        g = draw(st.sampled_from([n for n in SQUAREFREE_300 if 1 < n <= 30]))
+    coprime = [n for n in SQUAREFREE_300 if n * g <= 300 and gcd(n, g) == 1]
+    a, b = (draw(sign) * g * draw(st.sampled_from(coprime)) for _ in range(2))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(conic_pairs())
+def test_conic_point_against_hilbert_and_brute_force(ab):
+    a, b = ab
+    obstructed = bool(hilbert_obstructions(a, b))
+    event(f"gcd > 1: {gcd(a, b) > 1}, obstructed: {obstructed}")
+    if not obstructed:
+        z, x, y = conic_point(a, b)
+        assert (z, x, y) != (0, 0, 0) and z * z == a * x * x + b * y * y
+        return
+    with pytest.raises(ValidationError):
+        conic_point(a, b)
+    # every point of height <= 15 has |x|, |y| <= 15, and x = y = 0 forces z = 0
+    for x in range(-15, 16):
+        for y in range(-15, 16):
+            v = a * x * x + b * y * y
+            assert (x, y) == (0, 0) or v < 0 or isqrt(v) ** 2 != v, (a, b, x, y)
+
+
+def test_conic_point_cases():
+    assert conic_point(1, -7) == (1, 1, 0) and conic_point(-7, 1) == (1, 0, 1)
+    # shared factors (3; 7, with composite |b| = 154) and descents of several steps
+    for a, b in ((-3, 3), (2, 2), (-105, 154), (13, -17), (-11, 31)):
+        assert hilbert_obstructions(a, b) == []
+        z, x, y = conic_point(a, b)
+        assert y and z * z == a * x * x + b * y * y
+    # obstructed at the real place, at 2 and 3, at 3 and 7
+    for bad in ((-1, -1), (-1, 3), (6, -210), (0, 2)):
+        with pytest.raises(ValidationError):
+            conic_point(*bad)
+    with pytest.raises(ValidationError, match="squarefree"):
+        conic_point(2, 12)
 
 
 def test_factor_int_work_is_bounded():

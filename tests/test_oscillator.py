@@ -553,7 +553,7 @@ def test_norm_equation_matches_sympy(m, c):
         assert pair and all(hilbert_symbol(-M, C, q) == -1 for q in pair)
 
 
-def test_norm_equation_classical():
+def test_norm_equation_classical(monkeypatch):
     assert _norm_equation(Q, Q.one, Q.of(3)) == ("unsolvable", [2, 3])
     assert _norm_equation(Q, Q.of(3), Q.of(5)) == ("unsolvable", [3, 5])
     assert _norm_equation(Q, Q.of("4/9"), Q.of(21)) == ("unsolvable", [3, 7])
@@ -564,6 +564,25 @@ def test_norm_equation_classical():
     # the square-root shortcuts
     assert _norm_equation(Q, Q.of(2), Q.of("9/4")) == ("solved", (Q.of("3/2"), Q.zero))
     assert _norm_equation(Q, Q.of(2), Q.of(8)) == ("solved", (Q.zero, Q.of(2)))
+    # u^2 + 17 v^2 = 13 w^2 takes three descent steps, on (13, -17), on
+    # (-3, 13) (the swap of (13, -3)) and on (-3, 3), before (-3, 1)
+    real = exact_field._lagrange_descent
+    calls = []
+    monkeypatch.setattr(exact_field, "_lagrange_descent",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    status, (alpha, beta) = _norm_equation(Q, Q.of(17), Q.of(13))
+    assert status == "solved" and alpha * alpha + 17 * beta * beta == 13
+    steps = [(a, b) for a, b in calls if abs(a) <= abs(b) and 1 not in (a, b)]
+    assert steps == [(13, -17), (-3, 13), (-3, 3)]
+    monkeypatch.undo()
+    # every equation is solved, with the exact check, or refused by Hilbert symbols
+    for m, c in product([Fraction(n, d) for n in range(1, 25) for d in (1, 4, 6)], repeat=2):
+        status, pair = _norm_equation(Q, m, c)
+        if status == "solved":
+            alpha, beta = pair
+            assert alpha * alpha + m * beta * beta == c
+        else:
+            assert status == "unsolvable" and pair
 
 
 # --- the Lorentzian catalogue ------------------------------------------------
