@@ -39,7 +39,7 @@ from .quadspace import (
     isotropy_report,
     ortho_complement,
 )
-from .skewcanon import canonical_pair, canonical_pair_zero, primary_split, spectral_form
+from .skewcanon import canonical_pair, canonical_pair_zero, primary_split
 from .liecore import (
     LieAlgebra,
     QuadraticLieAlgebra,
@@ -620,12 +620,15 @@ def _factor_shape(factors):
 def decide_isometric(d1, d2):
     """Decide isometric isomorphism of two extensions with invertible seeds.
 
-    Split seeds (both minimal polynomials products of linear factors) are
-    decided completely: candidate scales come from root ratios and each one
-    is settled by comparing canonical pairs, with an exact witness on
-    success. Definite rational seeds with quadratic factors are decided
-    through plane norm equations, each settled by Hilbert symbols and, when
-    solvable, solved by integer conic descent. Anything else is answered
+    Two regimes supply candidate scales mu. Split seeds (both minimal
+    polynomials products of linear factors) try every root ratio; definite
+    rational seeds with factors x^2 + m align their scaled spectra and try
+    +-mu. Each candidate is settled the same way: the canonical pair of
+    mu delta_2 must have the block signature of delta_1's, and then every
+    block pair is mapped, split blocks by the identity and
+    definite_semisimple blocks plane by plane through norm equations, which
+    Hilbert symbols settle and integer conic descent solves. The assembled
+    block map is returned as an exact witness. Anything else is answered
     'undecided' rather than guessed.
     """
     if d1.field != d2.field:
@@ -652,65 +655,46 @@ def decide_isometric(d1, d2):
 
     r1 = _linear_roots(f1)
     r2 = _linear_roots(f2)
-    if r1 is not None and r2 is not None:
-        return _decide_split(d1, d2, s1.minpoly, s2.minpoly, r1, r2)
-
-    if F.p == 0:
-        rep1 = isotropy_report(d1.space)
-        rep2 = isotropy_report(d2.space)
-        if rep1.verdict == "anisotropic-definite" and rep2.verdict == "anisotropic-definite":
-            return _decide_definite(d1, d2, s1, s2)
-        if rep1.verdict == "undecided" or rep2.verdict == "undecided":
-            return {
-                "verdict": "undecided",
-                "reason": "isotropy of a core form is undecided",
-                "witness": None,
-            }
-
-    return {
-        "verdict": "undecided",
-        "reason": "outside the split and definite regimes",
-        "witness": None,
-    }
-
-
-def _decide_split(d1, d2, m1, m2, r1, r2):
-    F = d1.field
-    A2 = d2.delta.matrix
-    candidates = sorted({F.div(a, b) for a in r1 for b in r2}, key=F.sort_key)
-
-    cp1 = canonical_pair(d1.delta)
-    if cp1.residual:
-        raise CapabilityError("split seed left residual parts")
-    sig1 = cp1.block_signature()
     tried = []
-    for mu in candidates:
-        if m2.shift_scale(mu) != m1:
+    if r1 is not None and r2 is not None:
+        scales = sorted({F.div(a, b) for a in r1 for b in r2}, key=F.sort_key)
+        no = {"reason": "no scale matches the canonical blocks", "scales_tried": tried}
+    else:
+        verdicts = {isotropy_report(d.space).verdict for d in (d1, d2)} if F.p == 0 else set()
+        if verdicts != {"anisotropic-definite"}:
+            if "undecided" in verdicts:
+                reason = "isotropy of a core form is undecided"
+            else:
+                reason = "outside the split and definite regimes"
+            return {"verdict": "undecided", "reason": reason, "witness": None}
+        scales = _definite_scales(F, s1, s2)
+        if isinstance(scales, dict):
+            return scales
+        no = {"reason": "plane norm classes differ at every admissible scale"}
+
+    cp1 = _treated_pair(d1.delta)
+    sig1 = cp1.block_signature()
+    for mu in scales:
+        if s2.minpoly.shift_scale(mu) != s1.minpoly:
             continue
-        cp2 = canonical_pair(SkewEndo(d2.space, A2.scale(mu)))
-        if cp2.residual:
-            raise CapabilityError("split seed left residual parts")
+        cp2 = _treated_pair(SkewEndo(d2.space, A2.scale(mu)))
         tried.append(F.to_str(mu))
         if cp2.block_signature() != sig1:
             continue
-        # equal signatures pin identical model assemblies in the split case
-        if cp1.assembly() != cp2.assembly():
-            raise ValidationError("matching signatures produced distinct assemblies")
-        return _scaled_witness(d1, d2, mu, cp2.basis_change * cp1.basis_change.inverse())
-    return {
-        "verdict": "no",
-        "reason": "no scale matches the canonical blocks",
-        "scales_tried": tried,
-        "witness": None,
-    }
+        maps = [_block_map(b1, b2) for b1, b2 in zip(cp1.blocks, cp2.blocks)]
+        if all(g is not None for g in maps):
+            g = Matrix.block_diagonal(F, maps)
+            return _scaled_witness(d1, d2, mu, cp2.basis_change * g * cp1.basis_change.inverse())
+    return {"verdict": "no", **no, "witness": None}
 
 
 def _norm_equation(F, m, c):
-    """Solve alpha^2 + m beta^2 = c over the rationals, m > 0, c > 0.
+    """Solve alpha^2 + m beta^2 = c over the rationals, m > 0, c != 0.
 
     Returns ('solved', (alpha, beta)), checked exactly, or ('unsolvable',
-    qs) with qs the primes where the Hilbert symbol (-M, C) is -1, M and C
-    the squarefree classes of m and c. Local solvability everywhere means a
+    qs) with qs the places where the Hilbert symbol (-M, C) is -1, M and C
+    the squarefree classes of m and c, and 0 the real place, which
+    obstructs exactly when c < 0. Local solvability everywhere means a
     solution exists (Hasse-Minkowski), and exact_field.conic_point builds
     it from u^2 + M v^2 = C w^2 by integer descent.
     """
@@ -721,7 +705,6 @@ def _norm_equation(F, m, c):
     if r is not None:
         return "solved", (F.zero, r)
     M, C = square_class(F, m), square_class(F, c)
-    # the real place never obstructs: C > 0
     qs = hilbert_obstructions(-M, C)
     if qs:
         return "unsolvable", qs
@@ -735,12 +718,11 @@ def _norm_equation(F, m, c):
     return "solved", (alpha, beta)
 
 
-def _decide_definite(d1, d2, split1, split2):
-    """Definite rational seeds whose factors are x^2 + m: align the scaled
-    spectra, then map planes at each admissible scale +-mu through
-    _norm_equation, which answers every equation exactly. 'undecided' is
-    left only for an irreducible factor beyond quadratic."""
-    F = d1.field
+def _definite_scales(F, split1, split2):
+    """Candidate scales (root, -root) for definite rational seeds whose
+    factors are x^2 + m, or the verdict when a factor is beyond quadratic
+    or the scaled spectra cannot match. The pair stays in this order: the
+    deterministic key would try -root first."""
     for pi, k in split1.factors + split2.factors:
         if pi.degree > 2:
             return {
@@ -784,71 +766,66 @@ def _decide_definite(d1, d2, split1, split2):
             "reason": f"required scale squared {F.to_str(musq)} is not a square",
             "witness": None,
         }
-
-    spec1 = spectral_form(d1.delta)
-    for mu in (root, F.neg(root)):
-        out = _definite_witness(d1, d2, mu, spec1)
-        if out["verdict"] == "yes":
-            return out
-    return {
-        "verdict": "no",
-        "reason": "plane norm classes differ at every admissible scale",
-        "witness": None,
-    }
+    return [root, F.neg(root)]
 
 
-def _definite_witness(d1, d2, mu, spec1):
-    """Try to map d1 onto d2 at scale mu, plane by plane.
+def _treated_pair(f):
+    """canonical_pair(f), whose blocks must span: the decision maps blocks
+    and has nothing to say about untreated residual parts."""
+    cp = canonical_pair(f)
+    if any(r.kind == "untreated" for r in cp.residual):
+        raise CapabilityError("seed left untreated residual parts")
+    return cp
 
-    spec1 is spectral_form(d1.delta), shared by both candidate scales.
+
+def _block_map(b1, b2):
+    """The map of canonical block b1 onto b2, blocks of equal signature, in
+    their model coordinates; None when no such isometry was found."""
+    if b1.kind == "definite_semisimple":
+        return _plane_map(b1, b2)
+    # equal signatures pin identical model blocks for the split kinds
+    if b1.matrix != b2.matrix or b1.gram != b2.gram:
+        raise ValidationError("matching signatures produced distinct assemblies")
+    return Matrix.identity(b1.factor.field, b1.matrix.nrows)
+
+
+def _plane_map(b1, b2):
+    """Map the planes of definite_semisimple block b1 onto those of b2.
+
+    Both blocks hold planes of one factor x^2 + m, each with companion
+    C = [[0, -m], [1, 0]] and Gram diag(d, m d), d its entry of mu_data. A
+    source plane with scalar a goes onto the first free target plane with
+    scalar b for which alpha^2 + m beta^2 = a / b is solvable, through
+    alpha I + beta C, which commutes with C. Returns None when a source
+    plane finds no target.
+
+    This plane-by-plane search is incomplete when the block holds several
+    planes: such a block is a Hermitian form over Q(sqrt(-m)), and a rank-2
+    definite one is classified by its determinant, not by its diagonal
+    entries. On the repeated-lambda Q seeds answered "no" here, no source
+    plane's norm equation is solvable against any target plane at either
+    scale, yet the ratio of the plane-scalar products is a norm: an
+    isometry exists, but it mixes planes. No matching, greedy or bipartite,
+    can find it, so a "no" from here may be wrong.
     """
-    F = d1.field
-    n = d1.space.dim
-    S1, D1, P1 = spec1
-    S2, D2, P2 = spectral_form(SkewEndo(d2.space, d2.delta.matrix.scale(mu)))
-    if S1 != S2:
-        raise ValidationError("aligned spectra produced distinct companions")
-
-    # walk the plane layout: factors ascending, each plane Gram diag(d, m d)
-    groups = {}
-    for at in range(0, n, 2):
-        m = F.neg(S1.data[at][at + 1])  # companion [[0, -m], [1, 0]]
-        groups.setdefault(m, []).append(at)
-
-    # g sends the source plane at1 to a target plane at2 in the same factor
-    # group through a block alpha I + beta C, which commutes with the
-    # companion. This plane-by-plane search is incomplete when a factor
-    # group holds several planes: such a group is a Hermitian form over
-    # Q(sqrt(-m)), and a rank-2 definite one is classified by its
-    # determinant, not by its diagonal entries. On the repeated-lambda Q
-    # seeds answered "no" here, no source plane's norm equation is solvable
-    # against any target plane at either scale, yet the ratio of the
-    # plane-scalar products is a norm: an isometry exists, but it mixes
-    # planes. No matching, greedy or bipartite, can find it, so a "no"
-    # from here may be wrong.
-    g = Matrix.zeros(F, n, n)
-    for m in sorted(groups, key=F.sort_key):
-        ats = groups[m]
-        avail = list(ats)
-        for at1 in ats:
-            a = D1.data[at1][at1]
-            placed = False
-            for idx, at2 in enumerate(avail):
-                b = D2.data[at2][at2]
-                status, pair = _norm_equation(F, m, F.div(a, b))
-                if status == "solved":
-                    alpha, beta = pair
-                    g.data[at2][at1] = alpha
-                    g.data[at2][at1 + 1] = F.neg(F.mul(m, beta))
-                    g.data[at2 + 1][at1] = beta
-                    g.data[at2 + 1][at1 + 1] = alpha
-                    avail.pop(idx)
-                    placed = True
-                    break
-            if not placed:
-                return {"verdict": "no", "witness": None}
-
-    return _scaled_witness(d1, d2, mu, P2 * g * P1.inverse())
+    F = b1.factor.field
+    m = b1.mu
+    g = Matrix.zeros(F, b1.size, b1.size)
+    avail = list(range(b2.n))
+    for i, a in enumerate(b1.mu_data):
+        for j in avail:
+            status, pair = _norm_equation(F, m, F.div(a, b2.mu_data[j]))
+            if status == "solved":
+                alpha, beta = pair
+                g.data[2 * j][2 * i] = alpha
+                g.data[2 * j][2 * i + 1] = F.neg(F.mul(m, beta))
+                g.data[2 * j + 1][2 * i] = beta
+                g.data[2 * j + 1][2 * i + 1] = alpha
+                avail.remove(j)
+                break
+        else:
+            return None
+    return g
 
 
 def _scaled_witness(d1, d2, mu, f):

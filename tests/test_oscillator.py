@@ -477,6 +477,38 @@ def test_decide_gram_scaling():
     assert dec["reason"] == "plane norm classes differ at every admissible scale"
 
 
+# rotations by 1 and 2 on the positive and negative planes of diag(1, 1, -1, -1)
+INDEFINITE_ROTATIONS = mk(
+    Q,
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+    [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]],
+)
+
+
+@pytest.mark.parametrize(
+    "d1, d2, verdict, reason",
+    [
+        (from_lambda_tuple(Q, (1, 1, 2)), from_lambda_tuple(Q, (1, 2, 2)),
+         "no", "plane multiplicities differ"),
+        (from_lambda_tuple(Q, (1, 2)), from_lambda_tuple(Q, (1, 3)),
+         "no", "scaled spectra cannot be aligned"),
+        (from_lambda_tuple(Q, (1,)), mk(Q, [[1, 0], [0, 2]], [[0, -2], [1, 0]]),
+         "no", "required scale squared 1/2 is not a square"),
+        (mk(Q, [[-1, 0], [0, -1]], [[0, 1], [-1, 0]]), from_lambda_tuple(Q, (1,)),
+         "no", "plane norm classes differ at every admissible scale"),
+        (INDEFINITE_ROTATIONS, INDEFINITE_ROTATIONS,
+         "undecided", "outside the split and definite regimes"),
+        (from_lambda_tuple(Field.parse("Fp:7"), (1,)), from_lambda_tuple(Field.parse("Fp:7"), (1,)),
+         "undecided", "outside the split and definite regimes"),
+    ],
+    ids=["multiplicities", "unaligned", "non-square-scale", "opposite-signs",
+         "indefinite-core", "F7-irreducible"],
+)
+def test_decide_pinned_verdicts(d1, d2, verdict, reason):
+    dec = decide_isometric(d1, d2)
+    assert (dec["verdict"], dec["reason"], dec["witness"]) == (verdict, reason, None)
+
+
 def test_decide_shape_mismatch():
     d1 = from_lambda_tuple(Q, (1,))
     d2 = mk(Q, [[0, 1], [1, 0]], [[1, 0], [0, -1]])
@@ -557,6 +589,8 @@ def test_norm_equation_classical(monkeypatch):
     assert _norm_equation(Q, Q.one, Q.of(3)) == ("unsolvable", [2, 3])
     assert _norm_equation(Q, Q.of(3), Q.of(5)) == ("unsolvable", [3, 5])
     assert _norm_equation(Q, Q.of("4/9"), Q.of(21)) == ("unsolvable", [3, 7])
+    # cores of opposite definite sign give c < 0: the real place obstructs
+    assert _norm_equation(Q, Q.one, Q.of(-1)) == ("unsolvable", [0, 2])
     for m, c in ((1, 2), (1, "13/5"), (2, 3), ("4/9", "5/4"), (7, 11), (5, 6)):
         m, c = Q.of(m), Q.of(c)
         status, (alpha, beta) = _norm_equation(Q, m, c)

@@ -352,6 +352,30 @@ def test_spectral_form_rotation_plus_kernel():
     assert Bc.data[0][1] == Q.zero and Bc.data[1][2] == Q.zero
 
 
+@pytest.mark.parametrize(
+    "lams", [(1,), (1, 1), (1, 2), (2, 1), (3, 3), (1, 1, 2), (2, 1, 1), (1, 2, 3)]
+)
+def test_definite_canonical_pair_matches_spectral_form(lams):
+    # decide_isometric reads the planes of a definite seed off its
+    # canonical pair; they are the planes spectral_form builds
+    rng = random.Random(sum(lams) * 10 + len(lams))
+    f = from_lambda_tuple(Q, lams).delta
+    n = f.matrix.nrows
+    while True:
+        P = Matrix(Q, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if P.rank() == n:
+            break
+    scrambled = scramble(f, P)
+    negated = SkewEndo(OrthogonalSpace(scrambled.space.gram.scale(-1)), scrambled.matrix)
+    for g in (f, scrambled, negated):
+        pair = canonical_pair(g)
+        S, D, P = spectral_form(g)
+        assert {b.kind for b in pair.blocks} == {"definite_semisimple"}
+        assert pair.basis_change == P
+        assert pair.assembly() == (S, D)
+        assert [d for b in pair.blocks for d in b.mu_data] == [D.data[i][i] for i in range(0, n, 2)]
+
+
 def test_spectral_form_refuses_quartic():
     A = Matrix(Q, [
         [0, 1, 1, 0],
