@@ -13,7 +13,7 @@ predictions, nilpotent classification keys, locality tests, isomorphism
 witnesses and decisions, and the two parameter family of invariant forms.
 """
 
-from itertools import product
+from operator import mul
 
 from .errors import CapabilityError, ValidationError, json_list
 from .exact_field import (
@@ -39,7 +39,7 @@ from .quadspace import (
     isotropy_report,
     ortho_complement,
 )
-from .skewcanon import canonical_pair, canonical_pair_zero, primary_split
+from .skewcanon import canonical_pair, canonical_pair_zero, primary_split, scaled_map
 from .liecore import (
     LieAlgebra,
     QuadraticLieAlgebra,
@@ -677,7 +677,7 @@ def decide_isometric(d1, d2):
     for mu in scales:
         if s2.minpoly.shift_scale(mu) != s1.minpoly:
             continue
-        cp2 = _treated_pair(SkewEndo(d2.space, A2.scale(mu)))
+        cp2 = _treated_pair(scaled_map(d2.delta, mu))
         tried.append(F.to_str(mu))
         if cp2.block_signature() != sig1:
             continue
@@ -1141,6 +1141,40 @@ CENSUS_MAX_DIM = 4  # largest core dimension enumerated without unsafe
 CENSUS_MAX_P = 7  # largest prime enumerated without unsafe
 
 
+def _census_reflections(space):
+    """Reflections that join the census orbits: in e_1, in each e_i - e_(i+1)
+    (which swaps e_i and e_(i+1)), and in the first of (1, ..., 1),
+    (1, 2, 0, ...), (1, 1, 1, 0, ...) that fits and has q != 0. Each g is
+    I - (2 / q(v)) v v^T B, checked exactly: g^T B g = B and g^2 = I."""
+    F, n, B = space.field, space.dim, space.gram
+    E = Matrix.identity(F, n)
+    vecs = E.data[:1] + [[F.sub(a, b) for a, b in zip(E.data[i], E.data[i + 1])]
+                         for i in range(n - 1)]
+    for head in ([1] * n, [1, 2], [1, 1, 1]):
+        v = [F.of(c) for c in head] + [F.zero] * (n - len(head))
+        if 0 < len(head) <= n and space.quad(v):
+            vecs.append(v)
+            break
+    out = []
+    for v in vecs:
+        outer = Matrix._wrap(F, [[F.mul(a, b) for b in v] for a in v]) * B
+        g = E - outer.scale(F.div(F.of(2), space.quad(v)))
+        if g.transpose() * B * g != B or g * g != E:
+            raise ValidationError("census reflection is not an involutive isometry")
+        out.append(g)
+    return out
+
+
+def _coefficient_action(span, basis, g):
+    """Rows j: the coordinates of g B_j g over the skew basis, whose
+    flattened matrices are the echelon basis of span; g is involutive."""
+    images = [[c for row in (g * B * g).data for c in row] for B in basis]
+    T = span.coords(images)
+    if T is None:
+        raise ValidationError("conjugate leaves the skew span")
+    return T
+
+
 def skew_census(field, dim, unsafe=False):
     """Bucket every skew map on the standard form by its canonical key.
 
@@ -1148,6 +1182,17 @@ def skew_census(field, dim, unsafe=False):
     and groups them by the canonical block signature, keeping one
     representative per bucket. Capped at CENSUS_MAX_DIM and CENSUS_MAX_P
     unless unsafe is set; the enumeration is p^(dim(dim-1)/2) strong.
+
+    The key is read once per component of conjugate maps. Maps are indexed
+    by their coefficient tuples over skew_basis in itertools.product order,
+    and conjugation by an isometry g is linear on those tuples. From each
+    index not yet seen, in ascending order, the sweep collects everything
+    reached through the _census_reflections and runs canonical_pair on that
+    least index alone. Conjugate maps have the same canonical key (Wall), so
+    counting each component by its size is exact; the reflections need only
+    be isometries, since a smaller group gives finer components. Bucket
+    order, counts, representatives and nilpotent degrees are those of a
+    map-by-map pass.
     """
     from .quadspace import skew_basis
 
@@ -1162,23 +1207,42 @@ def skew_census(field, dim, unsafe=False):
         )
     space = OrthogonalSpace.standard(field, dim)
     basis = skew_basis(space)
-    p = field.p
+    p, k = field.p, len(basis)
+    flat = [[c for row in B.data for c in row] for B in basis]
+    span = Subspace._echelon_wrap(field, dim * dim, flat)
+    actions = [list(zip(*_coefficient_action(span, basis, g)))
+               for g in _census_reflections(space)]
+    weights = [p ** (k - 1 - i) for i in range(k)]
+
+    def digits(x):
+        # the coefficient tuple of index x, in itertools.product order
+        out = [0] * k
+        for i in range(k - 1, -1, -1):
+            x, out[i] = divmod(x, p)
+        return out
+
+    total = p ** k
+    seen = bytearray(total)
     buckets = {}
     reps = {}
     nilpotent = {}
-    total = 0
-    for coeffs in product(range(p), repeat=len(basis)):
-        total += 1
+    for root in range(total):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        stack, size = [root], 0
+        while stack:
+            x = digits(stack.pop())
+            size += 1
+            for cols in actions:
+                # the image tuple x T, read back as an index by its digits
+                y = sum(sum(map(mul, x, col)) % p * w for col, w in zip(cols, weights))
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
         M = Matrix.zeros(field, dim, dim)
-        for c, B in zip(coeffs, basis):
-            if not c:
-                continue
-            for i in range(dim):
-                row = B.data[i]
-                out = M.data[i]
-                for j in range(dim):
-                    if row[j]:
-                        out[j] = field.add(out[j], field.mul(c, row[j]))
+        for cj, B in zip(digits(root), basis):
+            M = M + B.scale(cj)
         f = SkewEndo(space, M)
         cp = canonical_pair(f)
         sig = cp.block_signature()
@@ -1186,7 +1250,7 @@ def skew_census(field, dim, unsafe=False):
             (r.kind, tuple(str(p0) for p0 in r.factors), r.dim) for r in cp.residual
         )
         key = repr((sig, res))
-        buckets[key] = buckets.get(key, 0) + 1
+        buckets[key] = buckets.get(key, 0) + size
         if key not in reps:
             reps[key] = [row[:] for row in M.data]
             m = primary_split(f).minpoly

@@ -29,6 +29,7 @@ from .linalg import (
 )
 from .quadspace import (
     OrthogonalSpace,
+    SkewEndo,
     diagonalize_form,
     isotropy_report,
     radical,
@@ -41,6 +42,7 @@ __all__ = [
     "ResidualPart",
     "CanonicalPair",
     "primary_split",
+    "scaled_map",
     "four_part_split",
     "canonical_pair_nonzero",
     "canonical_pair_zero",
@@ -136,6 +138,12 @@ def primary_split(f):
     if sum(comp.dim for comp in components) != n or total.dim != n:
         raise ValidationError("primary components do not decompose the space")
 
+    return _keep_split(f, m, factors, components)
+
+
+def _keep_split(f, m, factors, components):
+    """Pair the factors of f's primary split by star, check the pairing and
+    keep the split on f."""
     index = {tuple(pi.coeffs): i for i, (pi, _) in enumerate(factors)}
     pairing = {}
     unpaired = []
@@ -149,13 +157,37 @@ def primary_split(f):
         if pairing.get(j) != i:
             raise ValidationError("eigenvalue pairing is not an involution")
 
-    rad = radical(space) if unpaired else None
+    rad = radical(f.space) if unpaired else None
     for i in unpaired:
         # skewness forces partnerless components into the radical
         if not components[i].is_subspace_of(rad):
             raise ValidationError("unpaired primary component escapes the radical")
     f.split = PrimarySplit(f, m, factors, components, pairing, tuple(unpaired))
     return f.split
+
+
+def scaled_map(f, mu):
+    """mu f for a nonzero scalar mu, with its primary split derived from f's.
+
+    With pi' = pi.shift_scale(mu), pi'(mu A) = mu^deg pi(A), so mu f has the
+    components of f, its factors are the shift_scale(mu) images, re-sorted
+    with their components, and the pairing is found again by star. The
+    derived minimal polynomial is checked to annihilate mu A; it is minimal,
+    since one of lower degree would rescale to one for A.
+    """
+    if not mu:
+        raise ValidationError("scale must be nonzero")
+    split = primary_split(f)
+    g = SkewEndo(f.space, f.matrix.scale(mu))
+    m = split.minpoly.shift_scale(mu)
+    if not poly_at_matrix(m, g.matrix).is_zero():
+        raise ValidationError("scaled minimal polynomial does not annihilate the scaled map")
+    pairs = sorted(
+        (((pi.shift_scale(mu), k), comp) for (pi, k), comp in zip(split.factors, split.components)),
+        key=lambda t: t[0][0].sort_key(),
+    )
+    _keep_split(g, m, [fk for fk, _ in pairs], [comp for _, comp in pairs])
+    return g
 
 
 class FourPartSplit:

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from quadlie import exact_field, liecore, skewcanon
 from quadlie.errors import CapabilityError, ValidationError
 from quadlie.exact_field import Field, hilbert_symbol, sqrt_in_field, square_class
-from quadlie.linalg import Matrix, kernel_basis
+from quadlie.linalg import Matrix, Subspace, kernel_basis
 from quadlie.liecore import LieAlgebra, QuadraticLieAlgebra
 from quadlie.oscillator import (
     IsoWitness,
     OscillatorData,
+    _census_reflections,
+    _coefficient_action,
     _norm_equation,
     _weight_spaces,
     build_double_extension,
@@ -34,7 +36,7 @@ from quadlie.oscillator import (
     verify_structure,
     witt1_certify,
 )
-from quadlie.quadspace import OrthogonalSpace, skew_basis
+from quadlie.quadspace import OrthogonalSpace, SkewEndo, skew_basis
 
 Q = Field.parse("Q")
 F3 = Field.parse("Fp:3")
@@ -984,11 +986,69 @@ def test_census_factors_each_minimal_polynomial_once(monkeypatch):
     assert set(factored) == minpolys
 
 
+def _census_map_by_map(F, n):
+    """The census with one canonical_pair per enumerated map: the oracle
+    for the orbit sweep of skew_census."""
+    space = OrthogonalSpace.standard(F, n)
+    basis = skew_basis(space)
+    buckets, reps, nilpotent = {}, {}, {}
+    for coeffs in product(range(F.p), repeat=len(basis)):
+        M = Matrix.zeros(F, n, n)
+        for c, B in zip(coeffs, basis):
+            M = M + B.scale(c)
+        f = SkewEndo(space, M)
+        cp = skewcanon.canonical_pair(f)
+        res = tuple((r.kind, tuple(str(p0) for p0 in r.factors), r.dim) for r in cp.residual)
+        key = repr((cp.block_signature(), res))
+        buckets[key] = buckets.get(key, 0) + 1
+        if key not in reps:
+            reps[key] = M.data
+            m = skewcanon.primary_split(f).minpoly
+            if not any(m.coeff(i) for i in range(m.degree)):
+                nilpotent[key] = m.degree
+    return {
+        "field": F.spec(),
+        "dim": n,
+        "total": F.p ** len(basis),
+        "buckets": buckets,
+        "representatives": reps,
+        "nilpotent_degrees": nilpotent,
+    }
+
+
+@pytest.mark.parametrize("p, n", [(3, n) for n in range(5)] + [(5, 2), (5, 3), (7, 2), (7, 3)])
+def test_census_orbits_match_map_by_map(p, n):
+    F = Field.parse(f"Fp:{p}")
+    # unsorted keys: bucket insertion order must match as well
+    assert json.dumps(skew_census(F, n)) == json.dumps(_census_map_by_map(F, n))
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (3, 4), (5, 3), (5, 4), (7, 4)])
+def test_census_reflections_act_on_coefficients(p, n):
+    F = Field.parse(f"Fp:{p}")
+    space = OrthogonalSpace.standard(F, n)
+    basis = skew_basis(space)
+    span = Subspace._echelon_wrap(F, n * n, [[c for row in B.data for c in row] for B in basis])
+    reflections = _census_reflections(space)
+    assert len(reflections) == n + 1
+    if n == 4:
+        # the reflection in (1, 1, 1, 1) leaves the signed permutations
+        assert all(reflections[-1].data[0])
+    for g in reflections:
+        T = _coefficient_action(span, basis, g)
+        for row, B in zip(T, basis):
+            image = Matrix.zeros(F, n, n)
+            for c, Bi in zip(row, basis):
+                image = image + Bi.scale(c)
+            assert image == g * B * g
+
+
 # sha256 of each census document serialized with sorted keys and indent 2;
 # a change in any bucket, count or representative changes the digest
 CENSUS_DIGESTS = {
     (3, 4): "853e5a8341305f2b0feed1e78cdce392cbf171f0b4b7dca4cb84ae2fb6ada545",
     (5, 3): "65d0ef3b8583668c4f87726c65a82173d5c039d95f16be3382f6a1994107d72f",
+    (5, 4): "f34ccf42158159c778d0589b4fa1814b9980d7c33ea630de7e0eb5f9f1e99a67",
     (7, 3): "8213f3c0ef99172ee12faab21e32e09352090abfc8aa9a9049bd18c6c38bfd49",
 }
 

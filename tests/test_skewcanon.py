@@ -490,11 +490,38 @@ def test_canonical_pair_computes_one_minimal_polynomial(monkeypatch):
         (_mixed_pair, 1),
         (_pair_then_spectral, 1),
         (lambda: witt1_certify(definite_q_seed((1, 3))), 1),
-        (_definite_decision, 3),  # d1, d2 and d2 scaled by 2
+        (_definite_decision, 2),  # d1 and d2; d2 scaled by 2 derives its split
     ]:
         calls.clear()
         run()
         assert len(calls) == len(set(calls)) == maps
+
+
+def test_scaled_map_split_matches_a_fresh_split():
+    A7, B7 = paired_pair(F7, 2, 3)
+    rot = Matrix(F7, [[0, -1], [1, 0]])  # x^2 + 1 is irreducible mod 7
+    f7 = skew(F7, Matrix.block_diagonal(F7, [A7, rot]),
+              Matrix.block_diagonal(F7, [B7, Matrix.identity(F7, 2)]))
+    f7 = scramble(f7, random_invertible(F7, random.Random(0), 6))
+    # the eigenvalue 1 sits in the radical, with no partner -1
+    degenerate = skew(Q, Matrix.diagonal(Q, [0, 0, 1]), Matrix.diagonal(Q, [1, 1, 0]))
+    cases = [
+        (mixed_q_seed(), ["2", "-3", "1/2"]),
+        (definite_q_seed((1, 2)).delta, ["2", "-1"]),
+        (degenerate, ["3"]),
+        (f7, [2, 3, 6]),
+    ]
+    for f, scales in cases:
+        F = f.field
+        for mu in map(F.of, scales):
+            g = skewcanon.scaled_map(f, mu)
+            assert g.matrix == f.matrix.scale(mu)
+            fresh = primary_split(SkewEndo(f.space, f.matrix.scale(mu)))
+            for attr in ("minpoly", "factors", "components", "pairing", "unpaired"):
+                assert getattr(g.split, attr) == getattr(fresh, attr)
+            assert g.split.endo is g
+    with pytest.raises(ValidationError):
+        skewcanon.scaled_map(f7, F7.zero)
 
 
 # -------------------------------------------------------- tampered certificates
