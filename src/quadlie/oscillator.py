@@ -36,6 +36,7 @@ from .linalg import (
 from .quadspace import (
     OrthogonalSpace,
     SkewEndo,
+    is_definite,
     isotropy_report,
     ortho_complement,
 )
@@ -621,15 +622,18 @@ def decide_isometric(d1, d2):
     """Decide isometric isomorphism of two extensions with invertible seeds.
 
     Two regimes supply candidate scales mu. Split seeds (both minimal
-    polynomials products of linear factors) try every root ratio; definite
-    rational seeds with factors x^2 + m align their scaled spectra and try
-    +-mu. Each candidate is settled the same way: the canonical pair of
-    mu delta_2 must have the block signature of delta_1's, and then every
-    block pair is mapped, split blocks by the identity and
-    definite_semisimple blocks plane by plane through norm equations, which
-    Hilbert symbols settle and integer conic descent solves. The assembled
+    polynomials products of linear factors) try every root ratio; rational
+    seeds on cores that both pass quadspace.is_definite, with factors
+    x^2 + m, align their scaled spectra and try +-mu. The gate reads
+    definiteness alone and searches for no isotropic vector. Each
+    candidate is settled the same way: the canonical pair of mu delta_2
+    must have the block signature of delta_1's, and then every block pair
+    is mapped, split blocks by the identity and definite_semisimple blocks
+    plane by plane through norm equations, which Hilbert symbols settle
+    and integer conic descent solves. The assembled
     block map is returned as an exact witness. Anything else is answered
-    'undecided' rather than guessed.
+    'undecided' ("outside the split and definite regimes") rather than
+    guessed.
     """
     if d1.field != d2.field:
         raise ValidationError("decision needs a common base field")
@@ -660,13 +664,12 @@ def decide_isometric(d1, d2):
         scales = sorted({F.div(a, b) for a in r1 for b in r2}, key=F.sort_key)
         no = {"reason": "no scale matches the canonical blocks", "scales_tried": tried}
     else:
-        verdicts = {isotropy_report(d.space).verdict for d in (d1, d2)} if F.p == 0 else set()
-        if verdicts != {"anisotropic-definite"}:
-            if "undecided" in verdicts:
-                reason = "isotropy of a core form is undecided"
-            else:
-                reason = "outside the split and definite regimes"
-            return {"verdict": "undecided", "reason": reason, "witness": None}
+        if F.p or not (is_definite(d1.space) and is_definite(d2.space)):
+            return {
+                "verdict": "undecided",
+                "reason": "outside the split and definite regimes",
+                "witness": None,
+            }
         scales = _definite_scales(F, s1, s2)
         if isinstance(scales, dict):
             return scales
@@ -942,16 +945,14 @@ def phi_ts_isometry(data, ts1, ts2):
     gamma = F.div(s1, s2)
     nu = F.div(F.sub(t1, t2), F.mul(F.of(2), s2))
 
-    if F.p == 0 and gamma < 0:
-        rep = isotropy_report(data.space)
-        if rep.verdict == "anisotropic-definite":
-            return {
-                "verdict": "no",
-                "reason": "a definite core cannot reverse the sign of s",
-                "nu": nu,
-                "scale": gamma,
-                "map": None,
-            }
+    if F.p == 0 and gamma < 0 and is_definite(data.space):
+        return {
+            "verdict": "no",
+            "reason": "a definite core cannot reverse the sign of s",
+            "nu": nu,
+            "scale": gamma,
+            "map": None,
+        }
 
     c = sqrt_in_field(F, gamma)
     if c is None:

@@ -237,11 +237,11 @@ def _fp_isotropic_vector(P, d):
     return P.matvec(coords)
 
 
-def _q_box_isotropic(gram_rows, field):
+def _q_box_isotropic(space):
     """First isotropic vector with coordinates in [-h, h], h growing to
     ISOTROPY_HEIGHT_BOUND."""
-    n = len(gram_rows)
-    space = OrthogonalSpace(Matrix._wrap(field, gram_rows))
+    field = space.field
+    n = space.dim
     count = 0
     for h in range(1, ISOTROPY_HEIGHT_BOUND + 1):
         rng = list(range(-h, h + 1))
@@ -261,15 +261,15 @@ def _q_box_isotropic(gram_rows, field):
     return None
 
 
-def _q_find_isotropic(gram, field):
-    """Isotropic vector for a regular rational gram, or None.
+def _q_find_isotropic(space, P, d):
+    """Isotropic vector for a regular rational space with P^T B P = diag(d),
+    or None.
 
-    Tries the exact two-coordinate criterion on a diagonalization first
+    Tries the exact two-coordinate criterion on the diagonalization first
     (d_i + d_j t^2 = 0 solvable iff -d_i/d_j is a square), then a bounded
     box search in the given coordinates.
     """
-    space = OrthogonalSpace(gram)
-    P, d = diagonalize_form(space)
+    field = space.field
     n = space.dim
     for i in range(n):
         for j in range(i + 1, n):
@@ -280,7 +280,44 @@ def _q_find_isotropic(gram, field):
                     coords[i] = field.one
                     coords[j] = r
                     return P.matvec(coords)
-    return _q_box_isotropic(gram.data, field)
+    return _q_box_isotropic(space)
+
+
+def _signature(d):
+    """(positive, negative) entry counts of a rational diagonal form. By
+    Sylvester's law the form of dimension n is definite exactly when n is
+    one of the two counts."""
+    return sum(1 for c in d if c > 0), sum(1 for c in d if c < 0)
+
+
+def _fp_witt_index(F, d):
+    """Exact Witt index of a regular F_p form diag(d): in even dimension 2m
+    it is m when the discriminant is in the square class of (-1)^m, else
+    m - 1; in odd dimension it is (n - 1) // 2."""
+    n = len(d)
+    if n % 2:
+        return (n - 1) // 2
+    disc = F.one
+    for c in d:
+        disc = F.mul(disc, c)
+    m = n // 2
+    sign = F.one if m % 2 == 0 else F.neg(F.one)
+    return m if square_class(F, disc) == square_class(F, sign) else m - 1
+
+
+def is_definite(space):
+    """Whether the form is definite, without searching for isotropic vectors.
+
+    Over Q: positive or negative definite, read exactly off one
+    diagonalization by Sylvester's law. Over F_p, where no form is
+    ordered, "definite" means anisotropic, Witt index 0 of a regular form,
+    as in the block kind definite_semisimple. The zero space is definite,
+    and a degenerate form is not.
+    """
+    _, d = diagonalize_form(space)
+    if space.field.p:
+        return all(d) and _fp_witt_index(space.field, d) == 0
+    return space.dim in _signature(d)
 
 
 def isotropy_report(space):
@@ -290,9 +327,13 @@ def isotropy_report(space):
     finite-field form theory; any regular form of dim >= 3 is isotropic),
     and an isotropic form's witness is built from the diagonalization for
     every p. Over Q the verdict is three-valued: definite forms are
-    recognized from a diagonalization, isotropic ones come with a witness
-    vector, and the remainder is honestly 'undecided'. The rational Witt index is computed
-    by splitting off hyperbolic planes while witnesses can be found.
+    recognized by the sign test of is_definite, isotropic ones come with a
+    witness vector, and the remainder is honestly 'undecided'. The rational
+    Witt index is computed by splitting off hyperbolic planes while
+    witnesses can be found, each remainder diagonalized once; the split
+    stops at a definite remainder. Only this report and
+    oscillator.witt1_certify run the bounded witness search; a caller that
+    needs definiteness alone asks is_definite.
     """
     if not space.regular:
         raise ValidationError("isotropy analysis requires a regular form")
@@ -301,15 +342,7 @@ def isotropy_report(space):
 
     if F.p:
         P, d = diagonalize_form(space)
-        disc = F.one
-        for c in d:
-            disc = F.mul(disc, c)
-        if n % 2 == 0:
-            m = n // 2
-            sign = F.one if m % 2 == 0 else F.neg(F.one)
-            witt = m if square_class(F, disc) == square_class(F, sign) else m - 1
-        else:
-            witt = (n - 1) // 2
+        witt = _fp_witt_index(F, d)
         witness = _fp_isotropic_vector(P, d) if witt > 0 else None
         if witness is not None and space.quad(witness):
             raise ValidationError("isotropy witness verification failed")
@@ -324,66 +357,53 @@ def isotropy_report(space):
             witness=witness,
         )
 
-    _, d = diagonalize_form(space)
-    pos = sum(1 for c in d if c > 0)
-    neg = sum(1 for c in d if c < 0)
-    if neg == 0 or pos == 0:
-        return IsotropyReport(
-            field=F,
-            dim=n,
-            verdict="anisotropic-definite",
-            witt_index=0,
-            witt_lower_bound=0,
-            aniso_dim=n,
-            signature=(pos, neg),
-            witness=None,
-        )
-
-    # indefinite over Q: split hyperbolic planes while witnesses are found
+    # over Q: split hyperbolic planes while witnesses are found, until the
+    # remainder is definite
     splits = 0
-    G = space.gram
+    cur = space
     E = Matrix.identity(F, n)  # columns embed current coordinates in ambient
-    first_witness = None
+    signature = first_witness = None
     while True:
-        cur = OrthogonalSpace(G)
-        m = cur.dim
-        if m == 0:
-            witt, aniso = splits, 0
+        P, d = diagonalize_form(cur)
+        sig = _signature(d)
+        signature = signature or sig
+        if cur.dim in sig:
+            witt, aniso = splits, cur.dim
             break
-        _, dd = diagonalize_form(cur)
-        if all(c > 0 for c in dd) or all(c < 0 for c in dd):
-            witt, aniso = splits, m
-            break
-        w = _q_find_isotropic(G, F)
+        w = _q_find_isotropic(cur, P, d)
         if w is None:
             witt, aniso = None, None
             break
         if first_witness is None:
             first_witness = E.matvec(w)
         # hyperbolic partner: u with phi(w, u) = 1, then made isotropic
+        G = cur.gram
         wG = Matrix._wrap(F, [w]) * G
         u = wG.solve([F.one])
         if u is None:
             raise ValidationError("regular form has no hyperbolic partner")
         u = [F.sub(ui, F.mul(F.half(cur.quad(u)), wi)) for ui, wi in zip(u, w)]
-        C = kernel_basis(Matrix._wrap(F, [w, u]) * G)
-        rows = C.basis
+        rows = kernel_basis(Matrix._wrap(F, [w, u]) * G).basis
         if rows:
             E = E * Matrix._wrap(F, rows).transpose()
-            G = cur.restrict_gram(rows)
+            cur = OrthogonalSpace(cur.restrict_gram(rows))
         else:
-            G = Matrix(F, [])
+            cur = OrthogonalSpace(Matrix(F, []))
         splits += 1
 
     if first_witness is not None and space.quad(first_witness):
         raise ValidationError("isotropy witness verification failed")
+    if first_witness is not None:
+        verdict = "isotropic"
+    else:
+        verdict = "anisotropic-definite" if witt == 0 else "undecided"
     return IsotropyReport(
         field=F,
         dim=n,
-        verdict="isotropic" if first_witness is not None else "undecided",
+        verdict=verdict,
         witt_index=witt,
         witt_lower_bound=splits,
         aniso_dim=aniso,
-        signature=(pos, neg),
+        signature=signature,
         witness=first_witness,
     )

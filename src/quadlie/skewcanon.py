@@ -31,7 +31,7 @@ from .quadspace import (
     OrthogonalSpace,
     SkewEndo,
     diagonalize_form,
-    isotropy_report,
+    is_definite,
     radical,
 )
 
@@ -935,10 +935,13 @@ def _definite_planes(f, comp, pi):
     return vectors, Ablk, Bblk, ds
 
 
-def _is_anisotropic(space):
-    if space.dim == 0:
-        return True
-    return isotropy_report(space).verdict in ("anisotropic", "anisotropic-definite")
+def _untreated(f, factors, mult, sub):
+    """The untreated residual part on sub, kept as found: its echelon
+    basis and the restriction of the pair."""
+    return ResidualPart(
+        "untreated", factors, mult, sub.dim, [list(b) for b in sub.basis],
+        sub.restrict(f.matrix), f.space.restrict_gram(sub.basis),
+    )
 
 
 def canonical_pair(f):
@@ -947,14 +950,16 @@ def canonical_pair(f):
 
     One primary split of f feeds every part. The zero component and
     every +-lambda pair of linear factors split into certified blocks,
-    read off that split by the two chain peelers. A nonlinear self-paired component whose
-    restricted form is anisotropic and whose factor is quadratic becomes
+    read off that split by the two chain peelers. A nonlinear self-paired
+    component whose factor is quadratic and whose restricted form passes
+    quadspace.is_definite (definite over Q, anisotropic over F_p) becomes
     a definite_semisimple block (companion planes, diagonal Gram); every
     other nonlinear component is reported untreated with its restricted
-    pair. Cross-paired component pairs stay together in one residual
-    part, since splitting them would break the block diagonality of the
-    Gram. Blocks sort by (factor, size, kind, class); the global base
-    change is certified entry-exact before return.
+    pair. No isotropic vector is searched for. Cross-paired component
+    pairs stay together in one residual part, since splitting them would
+    break the block diagonality of the Gram. Blocks sort by (factor, size,
+    kind, class); the global base change is certified entry-exact before
+    return.
     """
     space, F = f.space, f.field
     A = f.matrix
@@ -979,7 +984,7 @@ def canonical_pair(f):
         elif j == i:
             comp = ps.components[i]
             sub = OrthogonalSpace(space.restrict_gram(comp.basis))
-            if pi.degree == 2 and k == 1 and _is_anisotropic(sub):
+            if pi.degree == 2 and k == 1 and is_definite(sub):
                 vecs, Ablk, Bblk, ds = _definite_planes(f, comp, pi)
                 blk = CanonicalBlock(
                     "definite_semisimple", comp.dim, pi, comp.dim // 2,
@@ -993,22 +998,12 @@ def canonical_pair(f):
                     None, Ablk, Bblk, mu_data=ds,
                 ))
             else:
-                residual.append(ResidualPart(
-                    "untreated", [pi], k, comp.dim,
-                    [list(b) for b in comp.basis],
-                    comp.restrict(A),
-                    space.restrict_gram(comp.basis),
-                ))
+                residual.append(_untreated(f, [pi], k, comp))
         elif i < j:
             pj = ps.factors[j][0]
             group = ps.components[i].sum_with(ps.components[j])
-            residual.append(ResidualPart(
-                "untreated", sorted([pi, pj], key=lambda q: q.sort_key()),
-                k, group.dim,
-                [list(b) for b in group.basis],
-                group.restrict(A),
-                space.restrict_gram(group.basis),
-            ))
+            factors = sorted([pi, pj], key=lambda q: q.sort_key())
+            residual.append(_untreated(f, factors, k, group))
 
     blocks.sort(key=lambda b: b.sort_key())
     residual.sort(key=lambda r: (r.factors[0].sort_key(), r.dim))
@@ -1034,12 +1029,14 @@ def canonical_pair(f):
 def spectral_form(f):
     """Companion-plane normal form for a skew map on an anisotropic space.
 
-    Anisotropy forces the map to be semisimple with even factors: the
-    kernel part is diagonalized and every x^2 + mu component splits into
-    planes with Gram diag(d, mu d), kernel part first, factors ascending.
-    Quadratic factors only; a larger irreducible factor is a capability
-    limit, reported with the factor list. Over the rationals anisotropy
-    itself must be certain, which in practice means a definite form.
+    The space must pass quadspace.is_definite: a definite form over Q, an
+    anisotropic one over F_p. Anisotropy forces the map to be semisimple
+    with even factors: the kernel part is diagonalized and every x^2 + mu
+    component splits into planes with Gram diag(d, mu d), kernel part
+    first, factors ascending. Quadratic factors only; a larger irreducible
+    factor is a capability limit, reported with the factor list. An
+    indefinite rational form is refused even when it is anisotropic, since
+    recognizing that would take a search for isotropic vectors.
 
     Returns (A_canon, B_canon, P) with the certificate checked.
     """
@@ -1048,7 +1045,7 @@ def spectral_form(f):
     n = A.nrows
     if not space.regular:
         raise ValidationError("spectral form requires a regular form")
-    if not _is_anisotropic(space):
+    if not is_definite(space):
         raise ValidationError("spectral form requires an anisotropic space")
     if n == 0:
         return Matrix(F, []), Matrix(F, []), Matrix(F, [])

@@ -26,8 +26,10 @@ from quadlie.oscillator import (
     OscillatorData,
     build_double_extension,
     from_lambda_tuple,
+    phi_ts_isometry,
     recover_double_extension,
 )
+from quadlie import quadspace
 from quadlie.quadspace import OrthogonalSpace
 
 Q = Field.parse("Q")
@@ -143,6 +145,50 @@ def test_iso_undecided_exit(tmp_path, capsys):
     code, doc = run(capsys, "iso", "--in", path, "--in", path)
     assert code == 2
     assert doc["verdict"] == "undecided"
+
+
+PLANES = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("spec, gram", [
+    ("Q", (1, 1, -3, -3)), ("Q", (1, 1, -7, -7)), ("Q", (1, 1, -1, -1)),
+    ("Fp:3", (1, 1, 1, 1)), ("Fp:7", (1, 1, 1, 1)),
+])
+def test_verbs_test_definiteness_without_isotropy_search(tmp_path, capsys, monkeypatch,
+                                                        spec, gram):
+    # two companion planes of x^2 + 1 on a form that is indefinite over Q
+    # and isotropic over F_p: canon, spectral, iso and the (t, s) family
+    # read definiteness only, so the isotropic vector search never runs
+    def refuse(*args):
+        raise AssertionError("isotropic vector search entered")
+
+    monkeypatch.setattr(quadspace, "_q_box_isotropic", refuse)
+    monkeypatch.setattr(quadspace, "_q_find_isotropic", refuse)
+    F = Field.parse(spec)
+    d = OscillatorData(
+        OrthogonalSpace(Matrix.diagonal(F, [F.of(c) for c in gram])), Matrix(F, PLANES)
+    )
+    path = write(tmp_path, "planes.json", d.to_json())
+    assert main(["canon", "--in", path]) == 0
+    assert _sha(capsys.readouterr().out) == (
+        "1c1cf0cbfbcedc5e71bc8e6763fd7f96cdcfa45f2b1e38bc5e362fd04ab59af3"
+    )
+    code, doc = run(capsys, "spectral", "--in", path)
+    assert code == 1
+    assert doc["error"] == "spectral form requires an anisotropic space"
+    code, doc = run(capsys, "iso", "--in", path, "--in", path)
+    assert code == 2
+    assert doc["verdict"] == "undecided"
+    assert doc["reason"] == "outside the split and definite regimes"
+    # -1 is a nonsquare in Q, F_3 and F_7
+    assert phi_ts_isometry(d, (0, 1), (0, -1)) == {
+        "verdict": "class-level",
+        "reason": "the scale s/s' is not a square",
+        "nu": F.zero,
+        "scale": F.of(-1),
+        "scale_class": "nonsquare" if F.p else "-1",
+        "map": None,
+    }
 
 
 def test_iso_witness_built_by_conic_solver(tmp_path, capsys):
@@ -661,12 +707,9 @@ def raw_matrices(draw):
 
 @st.composite
 def skew_seeds(draw):
-    """Diagonal Gram (a zero entry makes it singular) and a phi-skew delta.
-
-    Cores stay below dimension 4, where the bounded isotropy search over Q
-    takes seconds per form.
-    """
-    n = draw(st.integers(0, 3))
+    """Diagonal Gram (a zero entry makes it singular) and a phi-skew delta,
+    on cores of dimension 0 to 5."""
+    n = draw(st.integers(0, 5))
     g = draw(st.lists(st.sampled_from([1, 1, 2, -1, 3, 0]), min_size=n, max_size=n))
     delta = [["0"] * n for _ in range(n)]
     for i in range(n):

@@ -10,6 +10,7 @@ from quadlie.quadspace import (
     OrthogonalSpace,
     SkewEndo,
     diagonalize_form,
+    is_definite,
     is_skew,
     isotropy_report,
     ortho_complement,
@@ -198,3 +199,29 @@ def test_isotropy_fp_witness_and_bounds(p, seed):
         assert any(c for c in rep.witness)
     else:
         assert rep.witness is None
+
+
+@st.composite
+def small_grams(draw):
+    """A symmetric Gram matrix: dimension 0 to 4 over F_3, F_5, F_7, and
+    0 to 3 over Q, where an undecided isotropy report stays fast."""
+    F = Field.parse(draw(st.sampled_from(["Fp:3", "Fp:5", "Fp:7", "Q"])))
+    n = draw(st.integers(0, 3 if F.p == 0 else 4))
+    G = Matrix.zeros(F, n, n)
+    for i in range(n):
+        for j in range(i, n):
+            c = F.of(draw(st.integers(-4, 4)))
+            G.data[i][j] = G.data[j][i] = c
+    return OrthogonalSpace(G)
+
+
+@given(small_grams())
+@settings(max_examples=200, deadline=None)
+def test_is_definite_matches_isotropy_report(V):
+    # definite over Q and anisotropic over F_p, exactly as the full report
+    # says, and never true of a degenerate form
+    if not V.regular:
+        assert not is_definite(V)
+        return
+    verdict = isotropy_report(V).verdict
+    assert is_definite(V) == (verdict in ("anisotropic", "anisotropic-definite"))
