@@ -40,7 +40,7 @@ from .quadspace import (
     isotropy_report,
     ortho_complement,
 )
-from .skewcanon import canonical_pair, canonical_pair_zero, primary_split, scaled_map
+from .skewcanon import canonical_pair, primary_split, scaled_map
 from .liecore import (
     LieAlgebra,
     QuadraticLieAlgebra,
@@ -326,17 +326,18 @@ def _heisenberg_certificate(data):
 def classify_nilpotent(data):
     """Canonical block key for a nilpotent seed map.
 
-    Requires m_delta = x^k. The zero-component machinery yields blocks of
-    size odd or divisible by four; odd sizes stay <= k and even sizes
-    <= 2k. The sorted signature tuple, which carries the mu square classes
-    of the odd blocks, is the key invariant under isometric base change.
+    Requires m_delta = x^k. The blocks are those of the certified
+    canonical pair, all on the zero component: sizes odd or divisible by
+    four, odd sizes <= k and even sizes <= 2k. The sorted signature tuple,
+    which carries the mu square classes of the odd blocks, is the key
+    invariant under isometric base change.
     """
     split = primary_split(data.delta)
     x = Polynomial.x(data.field)
     if any(pi != x for pi, _ in split.factors):
         raise ValidationError("classification needs a nilpotent seed map")
     k = split.factors[0][1] if split.factors else 0
-    blocks = sorted(canonical_pair_zero(split), key=lambda b: b.sort_key())
+    blocks = canonical_pair(data.delta).blocks
     for b in blocks:
         if b.size % 2 == 1:
             if b.size > k:
@@ -815,9 +816,10 @@ def _plane_map(b1, b2):
     m = b1.mu
     g = Matrix.zeros(F, b1.size, b1.size)
     avail = list(range(b2.n))
+    targets = b2.mu_data
     for i, a in enumerate(b1.mu_data):
         for j in avail:
-            status, pair = _norm_equation(F, m, F.div(a, b2.mu_data[j]))
+            status, pair = _norm_equation(F, m, F.div(a, targets[j]))
             if status == "solved":
                 alpha, beta = pair
                 g.data[2 * j][2 * i] = alpha
@@ -1145,15 +1147,17 @@ CENSUS_MAX_P = 7  # largest prime enumerated without unsafe
 def _census_reflections(space):
     """Reflections that join the census orbits: in e_1, in each e_i - e_(i+1)
     (which swaps e_i and e_(i+1)), and in the first of (1, ..., 1),
-    (1, 2, 0, ...), (1, 1, 1, 0, ...) that fits and has q != 0. Each g is
-    I - (2 / q(v)) v v^T B, checked exactly: g^T B g = B and g^2 = I."""
+    (1, 2, 0, ...), (1, 1, 1, 0, ...) that fits, has q != 0 and is not
+    listed yet (at n = 1 the first is e_1, over F3 the second is e_1 - e_2).
+    Each g is I - (2 / q(v)) v v^T B, checked exactly: g^T B g = B and
+    g^2 = I."""
     F, n, B = space.field, space.dim, space.gram
     E = Matrix.identity(F, n)
     vecs = E.data[:1] + [[F.sub(a, b) for a, b in zip(E.data[i], E.data[i + 1])]
                          for i in range(n - 1)]
     for head in ([1] * n, [1, 2], [1, 1, 1]):
         v = [F.of(c) for c in head] + [F.zero] * (n - len(head))
-        if 0 < len(head) <= n and space.quad(v):
+        if 0 < len(head) <= n and space.quad(v) and v not in vecs:
             vecs.append(v)
             break
     out = []

@@ -332,26 +332,20 @@ class CanonicalBlock:
     columns P_r with f(P_r) = sum_s matrix[s][r] P_s and phi(P_r, P_s) =
     gram[r][s]. For zero_odd blocks mu is the normalized square-class
     representative, and form records which chain convention ('raw' or
-    'bordered') matrix/gram use.
-    definite_semisimple blocks keep their plane scalars in mu_data.
+    'bordered') matrix/gram use; a definite_semisimple block of x^2 + mu
+    keeps that mu.
+
+    Nothing derived is stored. mu_class, the square class of mu, is
+    computed when read, and over Q that factors an integer. Keys and the
+    block order read it for zero_odd blocks only, so deciding isometry of
+    a definite seed never factors a rotation scalar; to_json, which prints
+    every class, does. mu_data, the plane scalars d of a
+    definite_semisimple block, is read off its Gram diag(d, mu d, ...).
     """
 
-    __slots__ = (
-        "kind",
-        "size",
-        "factor",
-        "n",
-        "mu",
-        "mu_class",
-        "form",
-        "mu_data",
-        "matrix",
-        "gram",
-        "vectors",
-    )
+    __slots__ = ("kind", "size", "factor", "n", "mu", "form", "matrix", "gram", "vectors")
 
-    def __init__(self, kind, size, factor, n, matrix, gram, vectors=None,
-                 mu=None, mu_class=None, form=None, mu_data=None):
+    def __init__(self, kind, size, factor, n, matrix, gram, vectors=None, mu=None, form=None):
         self.kind = kind
         self.size = size
         self.factor = factor
@@ -360,9 +354,22 @@ class CanonicalBlock:
         self.gram = gram
         self.vectors = vectors
         self.mu = mu
-        self.mu_class = mu_class
         self.form = form
-        self.mu_data = mu_data
+
+    @property
+    def mu_class(self):
+        return None if self.mu is None else square_class(self.factor.field, self.mu)
+
+    @property
+    def mu_data(self):
+        if self.kind != "definite_semisimple":
+            return None
+        return [self.gram.data[i][i] for i in range(0, self.size, 2)]
+
+    def _odd_class(self):
+        """The class of mu as a string for zero_odd blocks, the one kind
+        whose blocks of one factor and size it tells apart; else None."""
+        return str(self.mu_class) if self.kind == "zero_odd" else None
 
     def signature(self):
         """Hashable key invariant under isometric base change.
@@ -374,11 +381,10 @@ class CanonicalBlock:
         and keeping them would split classes that are in fact one.
         """
         fac = tuple(self.factor.field.to_str(c) for c in self.factor.coeffs)
-        extra = str(self.mu_class) if self.kind == "zero_odd" else None
-        return (self.kind, self.size, fac, extra)
+        return (self.kind, self.size, fac, self._odd_class())
 
     def sort_key(self):
-        return (self.factor.sort_key(), self.size, self.kind, str(self.mu_class))
+        return (self.factor.sort_key(), self.size, self.kind, self._odd_class())
 
     def to_json(self):
         F = self.factor.field
@@ -386,13 +392,13 @@ class CanonicalBlock:
             "kind": self.kind,
             "size": self.size,
             "factor": [F.to_str(c) for c in self.factor.coeffs],
-            "mu_class": None if self.mu_class is None else str(self.mu_class),
+            "mu_class": None if self.mu is None else str(self.mu_class),
         }
         if self.mu is not None:
             doc["mu"] = F.to_str(self.mu)
         if self.form is not None:
             doc["form"] = self.form
-        if self.mu_data is not None:
+        if self.kind == "definite_semisimple":
             doc["plane_scalars"] = [F.to_str(d) for d in self.mu_data]
         return doc
 
@@ -750,7 +756,7 @@ def _emit_odd_block(f, w, mu, k0):
     vectors = (T.transpose() * Matrix._wrap(F, chain[::-1])).data
     return CanonicalBlock(
         "zero_odd", k0, Polynomial.x(F), n, A, B, vectors=vectors,
-        mu=mu, mu_class=square_class(F, mu), form="bordered",
+        mu=mu, form="bordered",
     )
 
 
@@ -812,7 +818,7 @@ def caalim_convert(block):
         vectors = (M.transpose() * Matrix._wrap(F, block.vectors)).data
     return CanonicalBlock(
         "zero_odd", block.size, block.factor, n, targetA, targetB,
-        vectors=vectors, mu=block.mu, mu_class=block.mu_class, form=new_form,
+        vectors=vectors, mu=block.mu, form=new_form,
     )
 
 
@@ -824,14 +830,14 @@ class ResidualPart:
     """A factor group outside the exact block models.
 
     kind 'definite_semisimple' parts mirror a block that did get built
-    and carry its plane scalars; 'untreated' parts keep their echelon
-    basis and the restricted pair exactly as found. Only untreated parts
-    contribute rows to the assembled canonical pair.
+    and hold only its kind, factors, mult and dim; 'untreated' parts keep
+    their echelon basis and the restricted pair exactly as found. Only
+    untreated parts contribute rows to the assembled canonical pair.
     """
 
-    __slots__ = ("kind", "factors", "mult", "dim", "vectors", "matrix", "gram", "mu_data")
+    __slots__ = ("kind", "factors", "mult", "dim", "vectors", "matrix", "gram")
 
-    def __init__(self, kind, factors, mult, dim, vectors, matrix, gram, mu_data=None):
+    def __init__(self, kind, factors, mult, dim, vectors=None, matrix=None, gram=None):
         self.kind = kind
         self.factors = factors
         self.mult = mult
@@ -839,7 +845,6 @@ class ResidualPart:
         self.vectors = vectors
         self.matrix = matrix
         self.gram = gram
-        self.mu_data = mu_data
 
     def to_json(self):
         F = self.factors[0].field
@@ -906,33 +911,26 @@ class CanonicalPair:
         return f"CanonicalPair({len(self.blocks)} blocks, {len(self.residual)} residual)"
 
 
-def _definite_planes(f, comp, pi):
-    """Split an anisotropic component of x^2 + mu into f-stable planes."""
+def _definite_block(f, comp, pi):
+    """The definite_semisimple block of a component of x^2 + mu whose form
+    is anisotropic: planes span{v, f v}, v the first basis vector of the
+    part left, each with companion [[0, -mu], [1, 0]] and Gram
+    diag(d, mu d), d = q(v). The caller certifies the block."""
     space, F = f.space, f.field
-    A = f.matrix
-    if pi.degree != 2 or pi.coeff(1) != F.zero:
-        raise ValidationError("expected an even quadratic factor")
     mu = pi.coeff(0)
-    vectors, ds = [], []
+    vectors, diag = [], []
     S = comp
-    while S.dim > 0:
-        v = next((b for b in S.basis if space.quad(b)), None)
-        if v is None:
-            raise ValidationError("anisotropic component contains an isotropic line")
-        fv = A.matvec(v)
-        vectors.extend([v, fv])
-        ds.append(space.quad(v))
-        U = Subspace._wrap(F, A.nrows, [v, fv])
-        if U.dim != 2:
-            raise ValidationError("spectral plane collapsed")
-        S = S.meet_kernel(U.matrix() * space.gram)
+    while S.dim:
+        v = S.basis[0]
+        vectors += [v, f.matrix.matvec(v)]
+        diag += [space.quad(v), F.mul(mu, space.quad(v))]
+        [S] = _peel(space, [S], vectors[-2:])
     piece = Matrix._wrap(F, [[F.zero, F.neg(mu)], [F.one, F.zero]])
-    Ablk = Matrix.block_diagonal(F, [piece] * len(ds))
-    diag = []
-    for d in ds:
-        diag.extend([d, F.mul(mu, d)])
-    Bblk = Matrix.diagonal(F, diag)
-    return vectors, Ablk, Bblk, ds
+    return CanonicalBlock(
+        "definite_semisimple", comp.dim, pi, comp.dim // 2,
+        Matrix.block_diagonal(F, [piece] * (comp.dim // 2)), Matrix.diagonal(F, diag),
+        vectors=vectors, mu=mu,
+    )
 
 
 def _untreated(f, factors, mult, sub):
@@ -985,18 +983,10 @@ def canonical_pair(f):
             comp = ps.components[i]
             sub = OrthogonalSpace(space.restrict_gram(comp.basis))
             if pi.degree == 2 and k == 1 and is_definite(sub):
-                vecs, Ablk, Bblk, ds = _definite_planes(f, comp, pi)
-                blk = CanonicalBlock(
-                    "definite_semisimple", comp.dim, pi, comp.dim // 2,
-                    Ablk, Bblk, vectors=vecs, mu=pi.coeff(0),
-                    mu_class=square_class(F, pi.coeff(0)), mu_data=ds,
-                )
+                blk = _definite_block(f, comp, pi)
                 _verify_block(f, blk)
                 blocks.append(blk)
-                residual.append(ResidualPart(
-                    "definite_semisimple", [pi], k, comp.dim,
-                    None, Ablk, Bblk, mu_data=ds,
-                ))
+                residual.append(ResidualPart("definite_semisimple", [pi], k, comp.dim))
             else:
                 residual.append(_untreated(f, [pi], k, comp))
         elif i < j:
@@ -1030,26 +1020,24 @@ def spectral_form(f):
     """Companion-plane normal form for a skew map on an anisotropic space.
 
     The space must pass quadspace.is_definite: a definite form over Q, an
-    anisotropic one over F_p. Anisotropy forces the map to be semisimple
-    with even factors: the kernel part is diagonalized and every x^2 + mu
-    component splits into planes with Gram diag(d, mu d), kernel part
-    first, factors ascending. Quadratic factors only; a larger irreducible
-    factor is a capability limit, reported with the factor list. An
-    indefinite rational form is refused even when it is anisotropic, since
-    recognizing that would take a search for isotropic vectors.
+    anisotropic one over F_p. An indefinite rational form is refused even
+    when it is anisotropic, since recognizing that would take a search for
+    isotropic vectors. Anisotropy forces the map to be semisimple with
+    even factors. A factor of degree above 2 is a capability limit,
+    reported with the factor list. The kernel part comes first, its
+    restricted form diagonalized; every x^2 + mu component follows,
+    factors ascending, as the definite_semisimple block canonical_pair
+    builds for it (_definite_block: planes with Gram diag(d, mu d)). The
+    kernel is not handed to canonical_pair_zero, so no kernel scalar is
+    normalized to its square class and nothing is factored.
 
     Returns (A_canon, B_canon, P) with the certificate checked.
     """
     space, F = f.space, f.field
-    A = f.matrix
-    n = A.nrows
     if not space.regular:
         raise ValidationError("spectral form requires a regular form")
     if not is_definite(space):
         raise ValidationError("spectral form requires an anisotropic space")
-    if n == 0:
-        return Matrix(F, []), Matrix(F, []), Matrix(F, [])
-
     ps = primary_split(f)
     big = [pi for pi, _ in ps.factors if pi.degree > 2]
     if big:
@@ -1057,38 +1045,26 @@ def spectral_form(f):
             "factors beyond quadratics are not constructed: "
             + ", ".join(str(p) for p in big)
         )
-    for pi, k in ps.factors:
-        if k != 1:
-            raise ValidationError("anisotropic spaces force a squarefree minimal polynomial")
 
     x = Polynomial.x(F)
-    parts = list(zip(ps.factors, ps.components))
     cols, amats, grams = [], [], []
-    for (pi, _), comp in parts:
-        if pi != x:
-            continue
-        sub = OrthogonalSpace(space.restrict_gram(comp.basis))
-        P0, d0 = diagonalize_form(sub)
-        cols.extend((P0.transpose() * Matrix._wrap(F, comp.basis)).data)
-        amats.append(Matrix.zeros(F, comp.dim))
-        grams.append(Matrix.diagonal(F, d0))
-
-    for (pi, _), comp in parts:
+    # factors ascend by degree, so the kernel part comes first
+    for (pi, _), comp in zip(ps.factors, ps.components):
         if pi == x:
-            continue
-        if pi.degree == 1:
-            raise ValidationError("anisotropic spaces admit no nonzero eigenvalues")
-        if pi.coeff(1) != F.zero:
-            raise ValidationError("cross-paired factors cannot appear on an anisotropic space")
-        vecs, Ablk, Bblk, _ = _definite_planes(f, comp, pi)
-        cols.extend(vecs)
-        amats.append(Ablk)
-        grams.append(Bblk)
+            P0, d0 = diagonalize_form(OrthogonalSpace(space.restrict_gram(comp.basis)))
+            cols.extend((P0.transpose() * Matrix._wrap(F, comp.basis)).data)
+            amats.append(Matrix.zeros(F, comp.dim))
+            grams.append(Matrix.diagonal(F, d0))
+        else:
+            b = _definite_block(f, comp, pi)
+            cols.extend(b.vectors)
+            amats.append(b.matrix)
+            grams.append(b.gram)
 
     P = Matrix._wrap(F, cols).transpose()
     A_canon = Matrix.block_diagonal(F, amats)
     B_canon = Matrix.block_diagonal(F, grams)
-    if P.inverse() * A * P != A_canon:
+    if P.inverse() * f.matrix * P != A_canon:
         raise ValidationError("spectral certificate failed on the map")
     if P.transpose() * space.gram * P != B_canon:
         raise ValidationError("spectral certificate failed on the form")

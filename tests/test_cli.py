@@ -28,6 +28,7 @@ from quadlie.oscillator import (
     from_lambda_tuple,
     phi_ts_isometry,
     recover_double_extension,
+    verify_iso_witness,
 )
 from quadlie import quadspace
 from quadlie.quadspace import OrthogonalSpace
@@ -455,6 +456,47 @@ def test_canon_refuses_an_unfactorable_scalar(tmp_path, capsys):
     assert "integer factorization capped" in out["error"]
 
 
+def test_iso_of_a_huge_digit_seed_needs_no_square_class(tmp_path, capsys):
+    # deciding reads the square class of odd zero blocks only, so the huge
+    # rotation scalar is never factored: the answer is a verified "yes",
+    # while canon, which prints every class, still refuses the same seed
+    big = "9" * 1500 + "e1000"
+    doc = from_lambda_tuple(Q, (1,)).to_json()
+    doc["delta"]["entries"] = ["0", "-" + big, big, "0"]
+    path = write(tmp_path, "huge.json", doc)
+    code, out = run(capsys, "iso", "--in", path, "--in", path)
+    assert code == 0 and out["verdict"] == "yes"
+    d = OscillatorData.from_json(doc)
+    w = IsoWitness.from_json(Q, out["witness"])
+    assert verify_iso_witness(d, d, w)["verdict"] == "isometric-isomorphism"
+    code, out = run(capsys, "canon", "--in", path)
+    assert code == 2
+    assert out == {
+        "error": "integer factorization capped at 8192 steps (9362-bit cofactor)",
+        "verb": "canon",
+        "version": __version__,
+    }
+
+
+def test_spectral_of_a_huge_kernel_scalar_needs_no_factoring(tmp_path, capsys):
+    # the kernel part is diagonalized, never normalized to a square class,
+    # so spectral answers where canon stops at the factoring cap
+    a = (10**1500 - 1) * 10**1000
+    doc = {
+        "field": "Q",
+        "gram": {"rows": 3, "cols": 3, "entries": [str(a), "0", "0", "0", "1", "0", "0", "0", "1"]},
+        "delta": {"rows": 3, "cols": 3, "entries": ["0", "0", "0", "0", "0", "-1", "0", "1", "0"]},
+    }
+    path = write(tmp_path, "huge-kernel.json", doc)
+    code, out = run(capsys, "spectral", "--in", path)
+    assert code == 0
+    assert out["basis_change"]["entries"] == [str(int(i == j)) for i in range(3) for j in range(3)]
+    assert out["companion"]["entries"] == doc["delta"]["entries"]
+    assert out["gram"]["entries"] == doc["gram"]["entries"]
+    code, out = run(capsys, "canon", "--in", path)
+    assert code == 2 and "integer factorization capped" in out["error"]
+
+
 def test_missing_input_exit(capsys):
     code, doc = run(capsys, "analyze")
     assert code == 1
@@ -670,6 +712,105 @@ def test_frozen_output_bytes(tmp_path, capsys):
     rebuilt = build_double_extension(recover_double_extension(Qs))
     got["recovered"] = _sha(json.dumps(rebuilt.to_json(), sort_keys=True))
     assert got == FROZEN_SHA256
+
+
+QUARTIC = [[0, 1, 1, 0], [-1, 0, 0, 0], [-1, 0, 0, 1], [0, 0, -1, 0]]  # x^4 + 3x^2 + 1
+
+
+def _corpus_seed(F, rng, grams, blocks):
+    """Block-diagonal seed (Gram blocks, map blocks) in a random basis."""
+    G = Matrix.block_diagonal(F, [Matrix(F, g) for g in grams])
+    D = Matrix.block_diagonal(F, [Matrix(F, a) for a in blocks])
+    n = G.nrows
+    while True:
+        P = Matrix(F, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if P.rank() == n:
+            return OscillatorData(OrthogonalSpace(P.transpose() * G * P), P.inverse() * D * P)
+
+
+def _nonsquare(p):
+    return next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+
+
+def canon_corpus():
+    """Seeds for the spectral, canon and classify-nilpotent bytes.
+
+    Definite seeds over Q, dimensions 1-6: a zero map on k >= 1 kernel
+    dimensions of a positive diagonal Gram next to rotation planes with
+    Gram diag(a, b) and map [[0, -b t], [a t, 0]] (factor x^2 + a b t^2).
+    Over F3, F5 and F7, dimensions 1-2: the anisotropic line, and the
+    anisotropic plane diag(1, -c), c a nonsquare, with the zero map or a
+    rotation. Then rational definite seeds with a quartic factor, which
+    spectral refuses, and two nilpotent seeds on indefinite forms.
+    """
+    rng = random.Random(22)
+    seeds = {}
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            if (n - k) % 2:
+                continue
+            grams = [[[rng.randint(1, 5)]] for _ in range(k)]
+            blocks = [[[0]]] * k
+            for _ in range((n - k) // 2):
+                a, b, t = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+                grams.append([[a, 0], [0, b]])
+                blocks.append([[0, -b * t], [a * t, 0]])
+            seeds[f"Q-{n}-k{k}"] = _corpus_seed(Q, rng, grams, blocks)
+    for p in (3, 5, 7):
+        F = Field.parse(f"Fp:{p}")
+        c = _nonsquare(p)
+        for d in range(1, p):
+            seeds[f"F{p}-line-{d}"] = _corpus_seed(F, rng, [[[d]]], [[[0]]])
+        for t in range(p):
+            seeds[f"F{p}-plane-{t}"] = _corpus_seed(
+                F, rng, [[[1, 0], [0, -c]]], [[[0, c * t], [t, 0]]])
+    for name, grams, blocks in [
+        ("quartic", [], []),
+        ("quartic-k1", [[[3]]], [[[0]]]),
+        ("quartic-k2", [[[1]], [[2]]], [[[0]], [[0]]]),
+        ("quartic-plane", [[[1, 0], [0, 2]]], [[[0, -2], [1, 0]]]),
+    ]:
+        seeds[f"Q-{name}"] = _corpus_seed(
+            Q, rng, [[[int(i == j) for j in range(4)] for i in range(4)]] + grams,
+            [QUARTIC] + blocks)
+    chain = [[0, 0, 0], [1, 0, 0], [0, -1, 0]]
+    hyperbolic = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    for spec in ("Q", "Fp:7"):
+        seeds[f"nilpotent-{spec}"] = _corpus_seed(
+            Field.parse(spec), rng, [hyperbolic, [[2]], [[-1]]], [chain, [[0]], [[0]]])
+    return seeds
+
+
+# sha256 of "name exit-code stdout" over canon_corpus(), one per verb, frozen
+# while spectral_form still built its own planes
+CORPUS_SHA256 = {
+    "canon": "00dc4e6d70ffbee868c55a2a76e2076f5552b106729d580c20413161d62e17f7",
+    "classify-nilpotent": "ac044dc06b9e01884ccc7463a2c5397305c1ec87e73c09235394bf9acd2200f6",
+    "spectral": "6220bf45019d518758d913a332295d00174d366c4d595839e906205e041312d6",
+}
+
+
+def test_canon_corpus_output_bytes(tmp_path, capsys):
+    seeds = canon_corpus()
+    paths = {name: write(tmp_path, name + ".json", d.to_json()) for name, d in seeds.items()}
+    got, codes = {}, {}
+    for verb in CORPUS_SHA256:
+        text = []
+        for name, path in paths.items():
+            code = main([verb, "--in", path])
+            text.append(f"{name} {code}\n{capsys.readouterr().out}")
+            codes[verb, code] = codes.get((verb, code), 0) + 1
+        got[verb] = _sha("".join(text))
+    # 39 definite seeds, 4 with a quartic factor, 2 nilpotent and indefinite
+    assert codes == {
+        ("canon", 0): 45,
+        ("classify-nilpotent", 0): 23,
+        ("classify-nilpotent", 1): 22,
+        ("spectral", 0): 39,
+        ("spectral", 1): 2,
+        ("spectral", 2): 4,
+    }
+    assert got == CORPUS_SHA256
 
 
 # --- fuzzed documents ---------------------------------------------------------

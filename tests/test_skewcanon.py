@@ -356,8 +356,8 @@ def test_spectral_form_rotation_plus_kernel():
     "lams", [(1,), (1, 1), (1, 2), (2, 1), (3, 3), (1, 1, 2), (2, 1, 1), (1, 2, 3)]
 )
 def test_definite_canonical_pair_matches_spectral_form(lams):
-    # decide_isometric reads the planes of a definite seed off its
-    # canonical pair; they are the planes spectral_form builds
+    # spectral_form takes the planes of a definite seed from its canonical
+    # pair, and with no kernel the two base changes and assemblies agree
     rng = random.Random(sum(lams) * 10 + len(lams))
     f = from_lambda_tuple(Q, lams).delta
     n = f.matrix.nrows
