@@ -1180,22 +1180,60 @@ def _coefficient_action(span, basis, g):
     return T
 
 
+def _image_tables(p, k, actions):
+    """Lookup tables that read the index of x T mod p, for each action T.
+
+    An index x = hi p^h + lo, h = k // 2, splits into its upper k - h and
+    lower h base-p digits. PH[hi] and PL[lo] are the images of those two
+    digit blocks, reduced mod p per coordinate and packed in base 2p with
+    coordinate j at (2p)^(k-1-j). Every packed digit is below p, so
+    PH[hi] + PL[lo] never carries; FH and FL read its upper k - h and lower
+    h base-2p digits back, mod p, as the two parts of the image's index:
+
+        a, b = divmod(PH[hi] + PL[lo], (2p)^h);  y = FH[a] + FL[b]
+
+    Every table is built one digit at a time in itertools.product order.
+    Returns h, FH, FL and the (PH, PL) of each action.
+    """
+    h = k // 2
+    packing = [(2 * p) ** (k - 1 - j) for j in range(k)]
+
+    def packed_images(rows):
+        vecs = [[0] * k]
+        for row in rows:
+            vecs = [[(c + d * t) % p for c, t in zip(v, row)] for v in vecs for d in range(p)]
+        return [sum(map(mul, v, packing)) for v in vecs]
+
+    def index_parts(coords):
+        out = [0]
+        for j in coords:
+            w = p ** (k - 1 - j)
+            out = [y + d % p * w for y in out for d in range(2 * p)]
+        return out
+
+    tables = [(packed_images(T[: k - h]), packed_images(T[k - h:])) for T in actions]
+    return h, index_parts(range(k - h)), index_parts(range(k - h, k)), tables
+
+
 def skew_census(field, dim, unsafe=False):
     """Bucket every skew map on the standard form by its canonical key.
 
     Enumerates all matrices skew for the identity Gram over a prime field
     and groups them by the canonical block signature, keeping one
     representative per bucket. Capped at CENSUS_MAX_DIM and CENSUS_MAX_P
-    unless unsafe is set; the enumeration is p^(dim(dim-1)/2) strong.
+    unless unsafe is set; the enumeration is p^(dim(dim-1)/2) strong, and a
+    size whose seen-flags cannot be allocated is a CapabilityError.
 
     The key is read once per component of conjugate maps. Maps are indexed
     by their coefficient tuples over skew_basis in itertools.product order,
     and conjugation by an isometry g is linear on those tuples. From each
     index not yet seen, in ascending order, the sweep collects everything
     reached through the _census_reflections and runs canonical_pair on that
-    least index alone. Conjugate maps have the same canonical key (Wall), so
-    counting each component by its size is exact; the reflections need only
-    be isometries, since a smaller group gives finer components. Bucket
+    least index alone. An image's index is four reads of _image_tables,
+    one per half of the index's digits and one per half of the packed image,
+    not k dot products. Conjugate maps have the same canonical key (Wall),
+    so counting each component by its size is exact; the reflections need
+    only be isometries, since a smaller group gives finer components. Bucket
     order, counts, representatives and nilpotent degrees are those of a
     map-by-map pass.
     """
@@ -1210,24 +1248,22 @@ def skew_census(field, dim, unsafe=False):
             f"census capped at dim {CENSUS_MAX_DIM}, p {CENSUS_MAX_P}; "
             "pass unsafe to override"
         )
+    p, k = field.p, dim * (dim - 1) // 2
+    total = p ** k
+    try:
+        seen = bytearray(total)
+    except (OverflowError, MemoryError):
+        raise CapabilityError(
+            f"census of {p}^{k} maps: cannot allocate its seen flags"
+        ) from None
     space = OrthogonalSpace.standard(field, dim)
     basis = skew_basis(space)
-    p, k = field.p, len(basis)
     flat = [[c for row in B.data for c in row] for B in basis]
     span = Subspace._echelon_wrap(field, dim * dim, flat)
-    actions = [list(zip(*_coefficient_action(span, basis, g)))
-               for g in _census_reflections(space)]
-    weights = [p ** (k - 1 - i) for i in range(k)]
-
-    def digits(x):
-        # the coefficient tuple of index x, in itertools.product order
-        out = [0] * k
-        for i in range(k - 1, -1, -1):
-            x, out[i] = divmod(x, p)
-        return out
-
-    total = p ** k
-    seen = bytearray(total)
+    h, FH, FL, tables = _image_tables(
+        p, k, [_coefficient_action(span, basis, g) for g in _census_reflections(space)]
+    )
+    low, unit = p ** h, (2 * p) ** h
     buckets = {}
     reps = {}
     nilpotent = {}
@@ -1237,16 +1273,18 @@ def skew_census(field, dim, unsafe=False):
         seen[root] = 1
         stack, size = [root], 0
         while stack:
-            x = digits(stack.pop())
+            hi, lo = divmod(stack.pop(), low)
             size += 1
-            for cols in actions:
-                # the image tuple x T, read back as an index by its digits
-                y = sum(sum(map(mul, x, col)) % p * w for col, w in zip(cols, weights))
+            for PH, PL in tables:
+                a, b = divmod(PH[hi] + PL[lo], unit)
+                y = FH[a] + FL[b]
                 if not seen[y]:
                     seen[y] = 1
                     stack.append(y)
-        M = Matrix.zeros(field, dim, dim)
-        for cj, B in zip(digits(root), basis):
+        # the representative: the root's base-p digits, last one first
+        M, x = Matrix.zeros(field, dim, dim), root
+        for B in reversed(basis):
+            x, cj = divmod(x, p)
             M = M + B.scale(cj)
         f = SkewEndo(space, M)
         cp = canonical_pair(f)

@@ -278,6 +278,13 @@ def test_census_cap_exit(capsys):
     assert "error" in doc
 
 
+def test_census_unallocatable_exit(capsys):
+    # 3^66 seen flags overflow the index at once; nothing is allocated
+    code, doc = run(capsys, "census", "--field", "Fp:3", "--dim", "12", "--unsafe-size")
+    assert code == 2
+    assert "cannot allocate" in doc["error"]
+
+
 def test_validation_exit(tmp_path, capsys):
     bad = {
         "field": "Q",

@@ -21,6 +21,7 @@ from quadlie.oscillator import (
     OscillatorData,
     _census_reflections,
     _coefficient_action,
+    _image_tables,
     _norm_equation,
     _weight_spaces,
     build_double_extension,
@@ -1045,6 +1046,32 @@ def test_census_reflections_act_on_coefficients(p, n):
             assert image == g * B * g
 
 
+@pytest.mark.parametrize("p, n, sample", [(3, n, None) for n in range(5)] + [
+    (5, n, None) for n in range(4)] + [(7, n, None) for n in range(4)] + [
+    (11, 2, None), (5, 4, 2000), (7, 4, 2000)])
+def test_census_image_tables(p, n, sample):
+    # n = 1 (k = 0) and n = 2 (k = 1) give h = 0
+    F = Field.parse(f"Fp:{p}")
+    space = OrthogonalSpace.standard(F, n)
+    basis = skew_basis(space)
+    k = len(basis)
+    span = Subspace._echelon_wrap(F, n * n, [[c for row in B.data for c in row] for B in basis])
+    actions = [_coefficient_action(span, basis, g) for g in _census_reflections(space)]
+    h, FH, FL, tables = _image_tables(p, k, actions)
+    assert h == k // 2 and len(tables) == len(actions)
+    indices = range(p ** k) if sample is None else random.Random(p * 10 + n).sample(
+        range(p ** k), sample)
+
+    def digits(x):
+        return [x // p ** (k - 1 - i) % p for i in range(k)]
+
+    for T, (PH, PL) in zip(actions, tables):
+        for x in indices:
+            a, b = divmod(PH[x // p ** h] + PL[x % p ** h], (2 * p) ** h)
+            want = [sum(c * row[j] for c, row in zip(digits(x), T)) % p for j in range(k)]
+            assert digits(FH[a] + FL[b]) == want
+
+
 @pytest.mark.parametrize("p, n", list(product((3, 5, 7, 11), range(1, 6))))
 def test_census_reflections_are_distinct(p, n):
     reflections = _census_reflections(OrthogonalSpace.standard(Field.parse(f"Fp:{p}"), n))
@@ -1137,6 +1164,7 @@ CENSUS_DIGESTS = {
     (5, 3): "65d0ef3b8583668c4f87726c65a82173d5c039d95f16be3382f6a1994107d72f",
     (5, 4): "f34ccf42158159c778d0589b4fa1814b9980d7c33ea630de7e0eb5f9f1e99a67",
     (7, 3): "8213f3c0ef99172ee12faab21e32e09352090abfc8aa9a9049bd18c6c38bfd49",
+    (7, 4): "ed1bf2d80d46e55ad71c78d1713386bce9eba5cbe6cd93a43bc9d850cb5f2303",
 }
 
 
