@@ -1,21 +1,25 @@
-"""Row reduction, matrix product and matvec over F_p and Q, on lists of rows.
+"""Row reduction, rank, matrix product, matvec and Krylov chains over F_p
+and Q, on lists of rows.
 
 p is the characteristic: an odd prime means F_p, with int entries already
 reduced into [0, p); p == 0 means Q, with Fraction entries. Results are
 canonical field elements of the same kind. All arithmetic is on Python
-ints, which makes every prime exact, however large. Over Q row reduction
-and the product bring each row to integers over the lcm of its
-denominators, do the work on those integers, and build one Fraction per
-entry of the result.
+ints, which makes every prime exact, however large. Over Q every kernel
+brings its inputs to integers over common denominators once (each
+Fraction read by one as_integer_ratio call), works on those integers, and
+builds one Fraction per entry that a caller reads: row reduction is
+fraction-free, fp_rank runs its elimination but builds no reduced row,
+and a product, matvec or Krylov entry is one integer sum divided once.
 
 Over F_p each entry of a product is one C-level dot product,
-sum(map(mul, row, col)) % p, and fp_matvec takes its entries the same way.
-A dot product also multiplies the zeros, so a sparse product pays for
-them: a 30 x 30 product at 5 % density runs about 6x slower than a sum
-over the nonzero entries. The benchmark workloads multiply maps of n <= 6,
-and there such a sum, chosen per row or per call by counting zeros, cost
-the census 5-7 % of its throughput and saved nothing on the round trip
-(BENCH_17.json).
+sum(map(mul, row, col)) % p, and fp_matvec and fp_krylov take their
+entries the same way; over Q so do the product and the Krylov chain, on
+the integer images. A dot product also multiplies the zeros, so a sparse
+product pays for them: a 30 x 30 product at 5 % density runs about 6x
+slower than a sum over the nonzero entries. The benchmark workloads
+multiply maps of n <= 6, and there such a sum, chosen per row or per call
+by counting zeros, cost the census 5-7 % of its throughput and saved
+nothing on the round trip (BENCH_17.json).
 """
 
 from fractions import Fraction
@@ -29,8 +33,14 @@ _ZERO = Fraction(0)
 
 def _integer_row(row):
     """(integers, denominator): row == [a / denominator for a in integers]."""
-    den = lcm(*[x.denominator for x in row])
-    return [x.numerator * (den // x.denominator) for x in row], den
+    ratios = [x.as_integer_ratio() for x in row]
+    den = lcm(*[d for _, d in ratios])
+    return [a * (den // d) for a, d in ratios], den
+
+
+def _fractions(ints, den):
+    """[a / den for a in ints], zeros as the shared zero."""
+    return [Fraction(a, den) if a else _ZERO for a in ints]
 
 
 def fp_rref(rows, ncols, p):
@@ -39,8 +49,28 @@ def fp_rref(rows, ncols, p):
     The pivot product is signed by the row swaps, so for a square input of
     full rank it is the determinant. The input rows are left untouched.
     """
-    if not p:
-        return _rref_rational(rows, ncols)
+    m, pivots, r, det = _eliminate(rows, ncols, p)
+    if p:
+        return m, pivots, r, det
+    out = [_fractions(m[i], m[i][c]) for i, c in enumerate(pivots)]
+    out.extend([_ZERO] * ncols for _ in range(r, len(m)))
+    return out, pivots, r, det
+
+
+def fp_rank(rows, ncols, p):
+    """(rank, pivot product) of fp_rref, from the same elimination, without
+    building the reduced rows over Q."""
+    _, _, r, det = _eliminate(rows, ncols, p)
+    return r, det
+
+
+def _eliminate(rows, ncols, p):
+    """The one elimination behind fp_rref and fp_rank."""
+    return _eliminate_fp(rows, ncols, p) if p else _eliminate_rational(rows, ncols)
+
+
+def _eliminate_fp(rows, ncols, p):
+    """fp_rref over F_p: Gauss-Jordan on residues."""
     m = [list(row) for row in rows]
     nrows = len(m)
     pivots = []
@@ -73,8 +103,9 @@ def fp_rref(rows, ncols, p):
     return m, pivots, r, det % p
 
 
-def _rref_rational(rows, ncols):
-    """fp_rref over Q, fraction-free.
+def _eliminate_rational(rows, ncols):
+    """The elimination of fp_rref over Q, fraction-free: (m, pivots, rank,
+    pivot product), with the pivot rows of m not yet divided by their pivots.
 
     Until it pivots, row i of the Gauss-Jordan elimination on the input is
     m[i] * num[i] / den[i], with m[i] an int row of content 1. Eliminating
@@ -83,7 +114,8 @@ def _rref_rational(rows, ncols):
     the Gauss-Jordan row is that times k / (pivot/g) of its old scale, so
     num[i] takes k and den[i] takes pivot/g. Each pivot of the elimination,
     m[r][c] * num[r] / den[r], is thus exact, and so is their signed
-    product. The pivot rows are divided by their pivots once, at the end.
+    product. fp_rref divides the pivot rows by their pivots once, at the
+    end; fp_rank, which reads only the rank and the product, never does.
     """
     m = []
     num = []
@@ -132,56 +164,83 @@ def _rref_rational(rows, ncols):
             den[i] *= a
         pivots.append(c)
         r += 1
-    out = []
-    for i, c in enumerate(pivots):
-        piv = m[i][c]
-        out.append([Fraction(x, piv) if x else _ZERO for x in m[i]])
-    out.extend([_ZERO] * ncols for _ in range(r, nrows))
-    return out, pivots, r, Fraction(det_num, det_den)
+    return m, pivots, r, Fraction(det_num, det_den)
 
 
 def fp_matmul(a, n, k, b, k2, m, p):
     """(n x k) times (k x m) product, both given as lists of rows.
 
-    Over F_p each output entry is one dot product of a row of a with a
-    column of b (b transposed once per call); k == 0 gives n x m zeros.
-
-    Over Q the rows of b are brought to integers, each row of a is put over
-    one common denominator, and each output entry is one Fraction of an
-    integer dot product.
+    Each output entry is one dot product of a row of a with a column of b
+    (b transposed once per call); k == 0 gives n x m zeros. Over Q the rows
+    of b are brought to integers once, b[j] = ints_j / d_j, and each row of
+    a is put over one denominator den with the integer coefficients
+    den a[j] / d_j, so an output entry is one Fraction of an integer dot
+    product.
     """
     if k != k2:
         raise ValueError("inner dimensions differ")
+    if not k:
+        return [[0 if p else _ZERO] * m for _ in range(n)]
     if p:
-        if not k:
-            return [[0] * m for _ in range(n)]
         cols = list(zip(*b))
         return [[sum(map(mul, arow, col)) % p for col in cols] for arow in a]
-    bints = [_integer_row(brow) for brow in b]
+    bints, dens = zip(*[_integer_row(brow) for brow in b])
+    cols = list(zip(*bints))
     out = []
     for arow in a:
-        # a[j] * b[j] == (a[j] / d_j) * ints_j, each a[j] / d_j over one denominator
+        # a zero entry takes denominator 1, so den is the lcm over the others
         terms = [
-            (av.numerator, av.denominator * d, ints)
-            for av, (ints, d) in zip(arow, bints)
-            if av
+            (x, q * d) if x else (0, 1)
+            for (x, q), d in zip([av.as_integer_ratio() for av in arow], dens)
         ]
-        den = lcm(*[t[1] for t in terms])
-        orow = [0] * m
-        for av, d, ints in terms:
-            av *= den // d
-            orow = [o + av * bv for o, bv in zip(orow, ints)]
-        out.append([Fraction(o, den) if o else _ZERO for o in orow])
+        den = lcm(*[t for _, t in terms])
+        ints = [x * (den // t) for x, t in terms]
+        out.append(_fractions([sum(map(mul, ints, col)) for col in cols], den))
     return out
 
 
 def fp_matvec(rows, v, p):
     """The rows (a list of rows) times the column v: one entry per row.
 
-    Over F_p each entry is one dot product, as in fp_matmul; over Q it sums
-    over the nonzero entries of v.
+    Over F_p each entry is one dot product, as in fp_matmul. Over Q the
+    support of v is put over integers once, v = ints / d_v there; each row
+    is then one integer sum over that support, over the lcm of the row's
+    denominators there, and one Fraction.
     """
     if p:
         return [sum(map(mul, row, v)) % p for row in rows]
-    nz = [(j, c) for j, c in enumerate(v) if c]
-    return [sum([row[j] * c for j, c in nz], _ZERO) for row in rows]
+    support = [j for j, c in enumerate(v) if c]
+    vints, dv = _integer_row([v[j] for j in support])
+    out = []
+    for row in rows:
+        ratios = [row[j].as_integer_ratio() for j in support]
+        den = lcm(*[q for _, q in ratios])
+        s = sum([x * (den // q) * c for (x, q), c in zip(ratios, vints)])
+        out.append(Fraction(s, den * dv) if s else _ZERO)
+    return out
+
+
+def fp_krylov(rows, v, k, p):
+    """The chain [v, A v, ..., A^k v] for the square A given by its rows.
+
+    Over F_p each step is one fp_matvec. Over Q, A = Ahat / D over the
+    common denominator D of its entries and v = vhat / d_v, so
+    A^t v = Ahat^t vhat / (D^t d_v): the chain runs on ints, each entry one
+    C-level dot product, and each vector after v is one Fraction per entry.
+    """
+    chain = [v]
+    if p:
+        for _ in range(k):
+            chain.append(fp_matvec(rows, chain[-1], p))
+        return chain
+    if not k:
+        return chain
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    D = lcm(*[q for row in ratios for _, q in row])
+    ahat = [[a * (D // q) for a, q in row] for row in ratios]
+    w, scale = _integer_row(v)
+    for _ in range(k):
+        w = [sum(map(mul, row, w)) for row in ahat]
+        scale *= D
+        chain.append(_fractions(w, scale))
+    return chain

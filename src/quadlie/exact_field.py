@@ -238,6 +238,11 @@ def _squarefree_part(n):
     return sign * s
 
 
+# Fractions are immutable, so Q's zero and one are shared, not rebuilt per read
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
+
 class Field:
     """Arithmetic context. p == 0 means Q; otherwise an odd prime p."""
 
@@ -324,11 +329,11 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.p == 0 else 0
+        return _Q_ZERO if self.p == 0 else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.p == 0 else 1
+        return _Q_ONE if self.p == 0 else 1
 
     # arithmetic
 

@@ -55,6 +55,20 @@ class LieAlgebra:
         self._image = None
 
     @classmethod
+    def _wrap(cls, field, dim, table):
+        """Trusted constructor: table maps keys i < j below dim to nonzero
+        vectors of length dim whose entries are already canonical field
+        elements, as the validating constructor would have stored them.
+        Takes ownership of table without copying or coercing; the Jacobi
+        and invariance checks of QuadraticLieAlgebra still run on it."""
+        L = object.__new__(cls)
+        L.field = field
+        L.dim = dim
+        L.table = table
+        L._image = None
+        return L
+
+    @classmethod
     def from_brackets(cls, field, dim, brackets):
         """Build from a sparse {(i, j): vector} map given for i < j."""
         return cls(field, dim, brackets)
@@ -124,8 +138,9 @@ def _integer_vectors(F, vecs):
     mod p over F_p."""
     if F.p:
         return vecs, 1
-    d = lcm(*[c.denominator for v in vecs for c in v])
-    return [[c.numerator * (d // c.denominator) for c in v] for v in vecs], d
+    ratios = [[c.as_integer_ratio() for c in v] for v in vecs]
+    d = lcm(*[q for v in ratios for _, q in v])
+    return [[a * (d // q) for a, q in v] for v in ratios], d
 
 
 def _nonzero(s, p):
@@ -325,14 +340,21 @@ def bracket_span(L, U, W):
     Runs on the integer image: the generators of U and of W are scaled to
     integers, which keeps the span, and the integer brackets (reduced mod p
     over F_p; over Q ints, which the kernel reads as rationals) are
-    row-reduced once.
+    row-reduced once. When W is U, one bracket per unordered pair a < b of
+    generators spans the same: [u, u] = 0 and [w, u] = -[u, w].
     """
     F = L.field
     _, right = L._integer_image()
     us, _ = _integer_vectors(F, U.basis)
-    ws, _ = _integer_vectors(F, W.basis)
-    acts = [_right_action(right, w) for w in ws]
-    vecs = [_apply(u, cols, L.dim) for u in us for cols in acts]
+    if W is U:
+        vecs = []
+        for b in range(1, len(us)):
+            cols = _right_action(right, us[b])
+            vecs.extend(_apply(u, cols, L.dim) for u in us[:b])
+    else:
+        ws, _ = _integer_vectors(F, W.basis)
+        acts = [_right_action(right, w) for w in ws]
+        vecs = [_apply(u, cols, L.dim) for u in us for cols in acts]
     if F.p:
         vecs = [[a % F.p for a in v] for v in vecs]
     return Subspace._wrap(F, L.dim, vecs)

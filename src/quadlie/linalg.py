@@ -2,11 +2,11 @@
 
 Matrices are small (desk scale, n below ~40) and everything is computed
 exactly. Row reduction (and with it rank, inverse, solve and the
-determinant), the matrix product and matvec go through the kernels in
-quadlie._fast, which serve Q (Fraction entries) and F_p (ints mod p) alike.
-Row reduction and the product compute on ints for both: over Q
-fraction-free, on rows scaled to integers, with one Fraction built per
-entry of the result.
+determinant), the matrix product, matvec and Krylov chains go through the
+kernels in quadlie._fast, which serve Q (Fraction entries) and F_p (ints
+mod p) alike. All of them compute on ints for both: over Q on rows scaled
+to integers, with one Fraction built per entry of the result, and none at
+all for rank and det, which read only the elimination.
 
 Scalars are coerced once, where data enters: the public constructor,
 from_cols, diagonal, from_json, the public Subspace constructor and the
@@ -189,7 +189,8 @@ class Matrix:
         return Matrix._wrap(self.field, rows), tuple(pivots), rank
 
     def rank(self):
-        return self.rref()[2]
+        """Rank from the elimination of rref, without its reduced rows."""
+        return _fast.fp_rank(self.data, self.ncols, self.field.p)[0]
 
     def inverse(self):
         if not self.is_square:
@@ -211,7 +212,7 @@ class Matrix:
     def det(self):
         if not self.is_square:
             raise ValidationError("determinant of a non-square matrix")
-        _, _, rank, det = _fast.fp_rref(self.data, self.ncols, self.field.p)
+        rank, det = _fast.fp_rank(self.data, self.ncols, self.field.p)
         return det if rank == self.nrows else self.field.zero
 
     def solve(self, rhs):
@@ -434,11 +435,14 @@ def poly_at_matrix(p, A):
 
 
 def krylov(A, v, k):
-    """The chain [v, A v, ..., A^k v]."""
-    out = [v]
-    for _ in range(k):
-        out.append(A.matvec(out[-1]))
-    return out
+    """The chain [v, A v, ..., A^k v], one _fast.fp_krylov: over Q it runs
+    on one integer image of A and of v, not on k Fraction matvecs.
+
+    v must have A.ncols entries, and A must be square once k > 1.
+    """
+    if len(v) != A.ncols or (k > 1 and not A.is_square):
+        raise ValidationError("vector length mismatch")
+    return _fast.fp_krylov(A.data, v, k, A.field.p)
 
 
 def combine(F, coeffs, vecs):

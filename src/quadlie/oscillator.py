@@ -168,9 +168,14 @@ def build_double_extension(data):
     """
     F = data.field
     A = data.delta.matrix
-    brackets = {(0, j + 1): [F.zero] + col + [F.zero] for j, col in enumerate(A.cols())}
-    brackets.update(_core_brackets(data, 1))
-    L = LieAlgebra.from_brackets(F, data.space.dim + 2, brackets)
+    table = {
+        (0, j + 1): [F.zero] + col + [F.zero]
+        for j, col in enumerate(A.cols())
+        if any(col)
+    }
+    table.update(_core_brackets(data, 1))
+    # every entry is already canonical: nothing is coerced again
+    L = LieAlgebra._wrap(F, data.space.dim + 2, table)
     return QuadraticLieAlgebra(L, OrthogonalSpace(_extension_gram(data, F.zero, F.one)))
 
 
@@ -297,7 +302,7 @@ def _heisenberg_certificate(data):
     n = data.space.dim
     A = data.delta.matrix
     # the derived algebra on basis (v_1..v_n, delta*)
-    H = LieAlgebra.from_brackets(F, n + 1, _core_brackets(data, 0))
+    H = LieAlgebra._wrap(F, n + 1, _core_brackets(data, 0))
     ok, cert = is_heisenberg(H)
     if not ok:
         raise ValidationError("derived algebra of an invertible seed must be Heisenberg")

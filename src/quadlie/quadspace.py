@@ -72,13 +72,22 @@ def ortho_complement(space, U):
 
 
 def is_skew(space, A):
-    """Check A^T B + B A = 0; on failure also return an offending index pair."""
+    """Check A^T B + B A = 0; on failure also return the first offending
+    index pair in row-major order.
+
+    One product suffices: with M = B A and B symmetric, A^T B = M^T, so the
+    (i, j) entry of the sum is M[j][i] + M[i][j]. The sum is symmetric, so
+    its first nonzero entry in row-major order has j >= i (an entry with
+    j < i mirrors one in an earlier row), and the scan reads only those.
+    """
     if not (A.is_square and A.nrows == space.dim):
         raise ValidationError("endomorphism dimension mismatch")
-    M = A.transpose() * space.gram + space.gram * A
-    for i in range(M.nrows):
-        for j in range(M.ncols):
-            if M.data[i][j]:
+    p = space.field.p
+    M = (space.gram * A).data
+    for i, row in enumerate(M):
+        for j in range(i, len(row)):
+            s = row[j] + M[j][i]
+            if s % p if p else s:
                 return False, (i, j)
     return True, None
 

@@ -357,6 +357,35 @@ def test_centre_series_and_forms_match_fraction_oracle(seed, field, build):
     assert all(canonical(field, row) for S in forms for row in S.data)
 
 
+def _oracle_series(L, against_full):
+    """Reference for derived_series (against_full false) and
+    lower_central_series: spans of the brackets of every ordered pair of
+    generators, in field arithmetic, down to the stable term."""
+    full = Subspace.full(L.field, L.dim)
+    series = [full]
+    while True:
+        S = series[-1]
+        nxt = Subspace(L.field, L.dim, [
+            _fraction_bracket(L, u, w)
+            for u in S.basis
+            for w in (full if against_full else S).basis
+        ])
+        if nxt == S:
+            return series
+        series.append(nxt)
+
+
+@pytest.mark.parametrize("field", [Q, F5])
+@pytest.mark.parametrize("build", KERNEL_ALGEBRAS)
+def test_series_match_ordered_pair_oracle(field, build):
+    L0 = build(field)
+    L0 = getattr(L0, "algebra", L0)
+    L, _, _ = scrambled(random.Random(17), field, build)
+    for alg in (L0, L):
+        assert derived_series(alg) == _oracle_series(alg, False)
+        assert lower_central_series(alg) == _oracle_series(alg, True)
+
+
 def test_quadratic_constructor_rejects_bad_jacobi():
     bad = LieAlgebra.from_brackets(Q, 3, {(0, 1): [1, 0, 0], (0, 2): [0, 1, 0]})
     with pytest.raises(ValidationError, match="Jacobi"):

@@ -179,12 +179,23 @@ _rationals = st.one_of(
     st.builds(Fraction, st.integers(-40, 40), st.integers(1, 60)),
 )
 
+# small entries mixed with huge, pairwise coprime denominators, so that a
+# row's common denominator is a product of several of them
+_mixed_rationals = st.one_of(
+    _rationals,
+    st.builds(
+        Fraction,
+        st.integers(-(10**30), 10**30),
+        st.sampled_from([10**40 + 1, 3**80, 2**127 - 1, 7**50 * 11]),
+    ),
+)
+
 
 @st.composite
-def _rational_matrices(draw, n, m):
+def _rational_matrices(draw, n, m, entries=_rationals):
     """n x m, with zero, repeated and proportional rows; the tests draw
     wide, tall, empty and 0-column shapes."""
-    base = draw(st.lists(st.lists(_rationals, min_size=m, max_size=m), min_size=1, max_size=4))
+    base = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=1, max_size=4))
     rows = []
     for _ in range(n):
         row = draw(st.sampled_from(base + [[Fraction(0)] * m]))
@@ -208,8 +219,9 @@ def test_rational_rref_matches_gauss_jordan(nrows, ncols, data):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.data())
 def test_rational_matmul_matches_triple_loop(n, k, m, data):
-    a = data.draw(_rational_matrices(n, k))
-    b = data.draw(_rational_matrices(k, m))
+    entries = data.draw(st.sampled_from([_rationals, _mixed_rationals]))
+    a = data.draw(_rational_matrices(n, k, entries))
+    b = data.draw(_rational_matrices(k, m, entries))
     before = ([list(row) for row in a], [list(row) for row in b])
     got = _fast.fp_matmul(a, n, k, b, k, m, 0)
     assert (a, b) == before
@@ -220,11 +232,93 @@ def test_rational_matmul_matches_triple_loop(n, k, m, data):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 6), st.data())
 def test_rational_matvec_matches_matmul_on_a_column(n, k, data):
-    a = data.draw(_rational_matrices(n, k))
-    (v,) = data.draw(_rational_matrices(1, k))
+    entries = data.draw(st.sampled_from([_rationals, _mixed_rationals]))
+    a = data.draw(_rational_matrices(n, k, entries))
+    (v,) = data.draw(_rational_matrices(1, k, entries))
+    if data.draw(st.booleans()):
+        v = [Fraction(0)] * k
+    before = ([list(row) for row in a], list(v))
     got = Matrix._wrap(Q, a).matvec(v)
+    assert (a, v) == before
+    assert got == [sum((x * c for x, c in zip(row, v)), Fraction(0)) for row in a]
     assert got == [row[0] for row in _fast.fp_matmul(a, n, k, [[c] for c in v], k, 1, 0)]
     assert all(type(c) is Fraction for c in got)
+
+
+def _field_matvec(F, rows, v):
+    """Reference for one Krylov step: A v entry by entry in field arithmetic."""
+    out = []
+    for row in rows:
+        acc = F.zero
+        for x, c in zip(row, v):
+            acc = F.add(acc, F.mul(x, c))
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0, 5, 2**61 - 1]), st.integers(0, 5), st.data())
+def test_krylov_matches_repeated_matvecs(p, n, data):
+    F = Field(p)
+    if p:
+        A = data.draw(_fp_rows(p, n, n))
+        (v,) = data.draw(_fp_rows(p, 1, n))
+    else:
+        entries = data.draw(st.sampled_from([_rationals, _mixed_rationals]))
+        A = data.draw(_rational_matrices(n, n, entries))
+        (v,) = data.draw(_rational_matrices(1, n, entries))
+    if data.draw(st.booleans()):
+        v = [F.zero] * n
+    before = ([list(row) for row in A], list(v))
+    M = Matrix._wrap(F, A)
+    for k in range(n + 1):
+        chain = linalg.krylov(M, v, k)
+        assert (A, v) == before
+        want = [v]
+        for _ in range(k):
+            want.append(_field_matvec(F, A, want[-1]))
+        assert chain == want
+        assert all(type(c) is type(F.zero) for w in chain for c in w)
+    with pytest.raises(ValidationError, match="vector length mismatch"):
+        linalg.krylov(M, v + [F.one], 1)
+    if n:
+        with pytest.raises(ValidationError, match="vector length mismatch"):
+            linalg.krylov(M, v[1:], 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0, 5, 2**61 - 1]), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_rank_and_det_match_rref(p, n, m, data):
+    F = Field(p)
+    if p:
+        rows = data.draw(_fp_rows(p, n, m))
+    else:
+        rows = data.draw(_rational_matrices(n, m, data.draw(
+            st.sampled_from([_rationals, _mixed_rationals]))))
+    before = [list(row) for row in rows]
+    M = Matrix._wrap(F, rows)
+    _, pivots, rank, product = _fast.fp_rref(rows, M.ncols, p)
+    assert M.rank() == rank == M.rref()[2]
+    assert _fast.fp_rank(rows, M.ncols, p) == (rank, product)
+    if M.is_square:
+        assert M.det() == (product if rank == n else F.zero)
+        assert type(M.det()) is type(F.zero)
+    assert rows == before
+
+
+def test_rank_and_det_of_empty_zero_and_deficient_matrices():
+    for F in (Q, F5):
+        empty = Matrix._wrap(F, [])
+        assert (empty.rank(), empty.det()) == (0, F.one)
+        zero = Matrix.zeros(F, 3, 2)
+        assert zero.rank() == 0
+        assert Matrix.zeros(F, 3, 3).det() == F.zero
+        D = Matrix(F, [[1, 2, 3], [2, 4, 6], [0, 1, "1/2"]])
+        _, _, rank, product = _fast.fp_rref(D.data, 3, F.p)
+        assert D.rank() == rank == 2 and product != F.zero
+        assert D.det() == F.zero
+        S = Matrix(F, [[0, 2], [3, 1]])
+        assert (S.rank(), S.det()) == (2, F.of(-6))
 
 
 _PRIMES = (3, 7, 2**61 - 1)

@@ -139,6 +139,35 @@ def test_build_brackets():
     assert G.data[2][2] == Q.one
 
 
+@pytest.mark.parametrize("field", [Q, F5])
+def test_build_double_extension_coerces_nothing(field, monkeypatch):
+    """Every entry of the extension is already canonical, so building it
+    runs no Field.of; its table is the one the validating constructor
+    stores, in the same order."""
+    seeds = [
+        n23_data(field),
+        n32_data(field),
+        zero_data(field, 2),
+        from_lambda_tuple(field, (1, 2)),
+        scramble_data(random.Random(3), n23_data(field)),
+    ]
+    calls = []
+    of = Field.of
+
+    def counted(self, v):
+        calls.append(v)
+        return of(self, v)
+
+    for data in seeds:
+        monkeypatch.setattr(Field, "of", counted)
+        built = build_double_extension(data)
+        monkeypatch.undo()
+        table = built.algebra.table
+        again = LieAlgebra.from_brackets(field, built.dim, table).table
+        assert list(again.items()) == list(table.items())
+    assert calls == []
+
+
 def test_rejects_degenerate_core():
     with pytest.raises(ValidationError):
         mk(Q, [[0, 0], [0, 1]], [[0, 0], [0, 0]])

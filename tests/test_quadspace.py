@@ -103,6 +103,31 @@ def test_skew_check_and_endo():
         SkewEndo(V, Matrix.identity(Q, 2))
 
 
+def _two_product_skew_scan(space, A):
+    """Reference for is_skew: A^T B + B A formed in full, scanned row-major."""
+    M = A.transpose() * space.gram + space.gram * A
+    for i in range(M.nrows):
+        for j in range(M.ncols):
+            if M.data[i][j]:
+                return False, (i, j)
+    return True, None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([Q, F5]), st.integers(1, 5), st.integers(0, 10**6), st.integers(0, 3))
+def test_is_skew_matches_the_two_product_scan(field, n, seed, perturbations):
+    rng = random.Random(seed)
+    V = OrthogonalSpace(random_symmetric(field, rng, n))
+    A = Matrix.zeros(field, n, n)
+    for M in skew_basis(V):
+        A = A + M.scale(field.of(f"{rng.randint(-6, 6)}/{rng.choice((1, 2, 3, 7))}"))
+    assert is_skew(V, A) == (True, None)
+    for _ in range(perturbations):
+        i, j = rng.randrange(n), rng.randrange(n)
+        A.data[i][j] = field.add(A.data[i][j], field.random(rng))
+    assert is_skew(V, A) == _two_product_skew_scan(V, A)
+
+
 def test_skew_basis_dimension():
     V = OrthogonalSpace.standard(F5, 3)
     basis = skew_basis(V)
