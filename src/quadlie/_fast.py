@@ -4,22 +4,23 @@ and Q, on lists of rows.
 p is the characteristic: an odd prime means F_p, with int entries already
 reduced into [0, p); p == 0 means Q, with Fraction entries. Results are
 canonical field elements of the same kind. All arithmetic is on Python
-ints, which makes every prime exact, however large. Over Q every kernel
-brings its inputs to integers over common denominators once (each
-Fraction read by one as_integer_ratio call), works on those integers, and
-builds one Fraction per entry that a caller reads: row reduction is
-fraction-free, fp_rank runs its elimination but builds no reduced row,
-and a product, matvec or Krylov entry is one integer sum divided once.
+ints, which makes every prime exact, however large.
 
-Over F_p each entry of a product is one C-level dot product,
-sum(map(mul, row, col)) % p, and fp_matvec and fp_krylov take their
-entries the same way; over Q so do the product and the Krylov chain, on
-the integer images. A dot product also multiplies the zeros, so a sparse
-product pays for them: a 30 x 30 product at 5 % density runs about 6x
-slower than a sum over the nonzero entries. The benchmark workloads
-multiply maps of n <= 6, and there such a sum, chosen per row or per call
-by counting zeros, cost the census 5-7 % of its throughput and saved
-nothing on the round trip (BENCH_17.json).
+One helper converts in each direction, for the kernels here, the Lie
+algebra layer and rational factoring alike: integer_image puts vectors over
+Q on one common denominator (each Fraction read by one as_integer_ratio
+call) and leaves vectors over F_p as they are, and field_image divides the
+int results once, one Fraction per nonzero entry, or reduces them mod p.
+Row reduction is fraction-free, fp_rank builds no reduced row, and
+fp_matvec is the first step of fp_krylov.
+
+Each entry of a product or a Krylov step is one C-level dot product,
+sum(map(mul, row, col)), reduced mod p over F_p. A dot product also
+multiplies the zeros, so a sparse product pays for them: a 30 x 30 product
+at 5 % density runs about 6x slower than a sum over the nonzero entries.
+The benchmark workloads multiply maps of n <= 6, and there such a sum,
+chosen per row or per call by counting zeros, cost the census 5-7 % of its
+throughput and saved nothing on the round trip (BENCH_17.json).
 """
 
 from fractions import Fraction
@@ -31,16 +32,28 @@ BACKEND = "pure"
 _ZERO = Fraction(0)
 
 
-def _integer_row(row):
-    """(integers, denominator): row == [a / denominator for a in integers]."""
-    ratios = [x.as_integer_ratio() for x in row]
-    den = lcm(*[d for _, d in ratios])
-    return [a * (den // d) for a, d in ratios], den
+def integer_image(vecs, p):
+    """(ints, d) with vecs == [[a / d for a in v] for v in ints]: over Q, d
+    is the least common denominator of all entries (1 if there are none);
+    over F_p, vecs as they are and d = 1."""
+    if p:
+        return vecs, 1
+    ratios = [[x.as_integer_ratio() for x in v] for v in vecs]
+    d = lcm(*[q for v in ratios for _, q in v])
+    return [[a * (d // q) for a, q in v] for v in ratios], d
 
 
-def _fractions(ints, den):
-    """[a / den for a in ints], zeros as the shared zero."""
-    return [Fraction(a, den) if a else _ZERO for a in ints]
+def field_image(ints, d, p):
+    """ints / d in the field: over Q one Fraction per nonzero entry and the
+    shared zero for the others, over F_p (d = 1) each int reduced mod p."""
+    if p:
+        return [a % p for a in ints]
+    return [Fraction(a, d) if a else _ZERO for a in ints]
+
+
+def nonzero(a, p):
+    """Whether the int a (over Q also a Fraction) is nonzero in the field."""
+    return a % p if p else a
 
 
 def fp_rref(rows, ncols, p):
@@ -52,7 +65,7 @@ def fp_rref(rows, ncols, p):
     m, pivots, r, det = _eliminate(rows, ncols, p)
     if p:
         return m, pivots, r, det
-    out = [_fractions(m[i], m[i][c]) for i, c in enumerate(pivots)]
+    out = [field_image(m[i], m[i][c], 0) for i, c in enumerate(pivots)]
     out.extend([_ZERO] * ncols for _ in range(r, len(m)))
     return out, pivots, r, det
 
@@ -121,7 +134,7 @@ def _eliminate_rational(rows, ncols):
     num = []
     den = []
     for row in rows:
-        ints, d = _integer_row(row)
+        (ints,), d = integer_image([row], 0)
         g = gcd(*ints)
         if g > 1:
             ints = [a // g for a in ints]
@@ -171,11 +184,9 @@ def fp_matmul(a, n, k, b, k2, m, p):
     """(n x k) times (k x m) product, both given as lists of rows.
 
     Each output entry is one dot product of a row of a with a column of b
-    (b transposed once per call); k == 0 gives n x m zeros. Over Q the rows
-    of b are brought to integers once, b[j] = ints_j / d_j, and each row of
-    a is put over one denominator den with the integer coefficients
-    den a[j] / d_j, so an output entry is one Fraction of an integer dot
-    product.
+    (b transposed once per call); k == 0 gives n x m zeros. Over Q, b is
+    put over one denominator D and each row of a over its own d, so an
+    output entry is one integer dot product divided by d D.
     """
     if k != k2:
         raise ValueError("inner dimensions differ")
@@ -184,63 +195,39 @@ def fp_matmul(a, n, k, b, k2, m, p):
     if p:
         cols = list(zip(*b))
         return [[sum(map(mul, arow, col)) % p for col in cols] for arow in a]
-    bints, dens = zip(*[_integer_row(brow) for brow in b])
+    bints, D = integer_image(b, 0)
     cols = list(zip(*bints))
     out = []
     for arow in a:
-        # a zero entry takes denominator 1, so den is the lcm over the others
-        terms = [
-            (x, q * d) if x else (0, 1)
-            for (x, q), d in zip([av.as_integer_ratio() for av in arow], dens)
-        ]
-        den = lcm(*[t for _, t in terms])
-        ints = [x * (den // t) for x, t in terms]
-        out.append(_fractions([sum(map(mul, ints, col)) for col in cols], den))
+        (ints,), d = integer_image([arow], 0)
+        out.append(field_image([sum(map(mul, ints, col)) for col in cols], d * D, 0))
     return out
 
 
 def fp_matvec(rows, v, p):
-    """The rows (a list of rows) times the column v: one entry per row.
-
-    Over F_p each entry is one dot product, as in fp_matmul. Over Q the
-    support of v is put over integers once, v = ints / d_v there; each row
-    is then one integer sum over that support, over the lcm of the row's
-    denominators there, and one Fraction.
-    """
-    if p:
-        return [sum(map(mul, row, v)) % p for row in rows]
-    support = [j for j, c in enumerate(v) if c]
-    vints, dv = _integer_row([v[j] for j in support])
-    out = []
-    for row in rows:
-        ratios = [row[j].as_integer_ratio() for j in support]
-        den = lcm(*[q for _, q in ratios])
-        s = sum([x * (den // q) * c for (x, q), c in zip(ratios, vints)])
-        out.append(Fraction(s, den * dv) if s else _ZERO)
-    return out
+    """The rows (a list of rows) times the column v: one entry per row,
+    the first step of fp_krylov."""
+    return fp_krylov(rows, v, 1, p)[1]
 
 
 def fp_krylov(rows, v, k, p):
-    """The chain [v, A v, ..., A^k v] for the square A given by its rows.
+    """The chain [v, A v, ..., A^k v] for A given by its rows; A must be
+    square once k > 1.
 
-    Over F_p each step is one fp_matvec. Over Q, A = Ahat / D over the
-    common denominator D of its entries and v = vhat / d_v, so
+    With A = Ahat / D and v = vhat / d_v the integer images,
     A^t v = Ahat^t vhat / (D^t d_v): the chain runs on ints, each entry one
-    C-level dot product, and each vector after v is one Fraction per entry.
+    C-level dot product, and each vector after v is one field_image (over
+    F_p, D = d_v = 1 and each step is reduced mod p before the next).
     """
     chain = [v]
-    if p:
-        for _ in range(k):
-            chain.append(fp_matvec(rows, chain[-1], p))
-        return chain
     if not k:
         return chain
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    D = lcm(*[q for row in ratios for _, q in row])
-    ahat = [[a * (D // q) for a, q in row] for row in ratios]
-    w, scale = _integer_row(v)
+    ahat, D = integer_image(rows, p)
+    (w,), scale = integer_image([v], p)
     for _ in range(k):
         w = [sum(map(mul, row, w)) for row in ahat]
         scale *= D
-        chain.append(_fractions(w, scale))
+        chain.append(field_image(w, scale, p))
+        if p:
+            w = chain[-1]
     return chain

@@ -12,8 +12,9 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
+from ._fast import integer_image
 from .errors import CapabilityError, ValidationError, json_list
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -1072,8 +1073,7 @@ def _factor_q(f):
     # squarefree decomposition, then Zassenhaus on each squarefree part
     for g, mult in _squarefree(f):
         # clear denominators, then shift to a monic integer polynomial
-        den = lcm(*(c.denominator for c in g.coeffs))
-        ints = [int(c * den) for c in g.coeffs]
+        (ints,), _ = integer_image([g.coeffs], 0)
         content = gcd(*ints)
         ints = [c // content for c in ints]
         ell = ints[-1]

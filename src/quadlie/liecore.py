@@ -11,17 +11,18 @@ of the table (_build_integer_image), built once per algebra: bracket,
 bracket_span, is_homomorphism, the Jacobi and invariance checks, the
 centralizers behind centre and the upper central series, and the
 equations of invariant_forms_basis. Its format stays inside this module.
+Vectors become ints and ints field elements through the kernels' own
+helpers, _fast.integer_image and _fast.field_image. The int equation rows
+handed to Matrix._wrap and Subspace._wrap stay ints over Q, which the
+kernels read through the same integer image, and are reduced mod p over F_p.
 """
 
-from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
+from ._fast import field_image, integer_image, nonzero
 from .errors import ValidationError, json_list
 from .linalg import Matrix, Subspace, kernel_basis
 from .quadspace import OrthogonalSpace, ortho_complement
-
-_ZERO = Fraction(0)
 
 
 class LieAlgebra:
@@ -90,14 +91,10 @@ class LieAlgebra:
         the bracket is taken on the integer image, and the result is
         divided once by d s^2 (reduced mod p over F_p).
         """
-        F = self.field
+        p = self.field.p
         d, right = self._integer_image()
-        (xs, ys), s = _integer_vectors(F, [x, y])
-        acc = _apply(xs, _right_action(right, ys), self.dim)
-        if F.p:
-            return [a % F.p for a in acc]
-        den = d * s * s
-        return [Fraction(a, den) if a else _ZERO for a in acc]
+        (xs, ys), s = integer_image([x, y], p)
+        return field_image(_apply(xs, _right_action(right, ys), self.dim), d * s * s, p)
 
     def ad(self, x):
         """Matrix of y -> [x, y]; its columns are the [x, e_j]."""
@@ -131,23 +128,6 @@ class LieAlgebra:
         return f"LieAlgebra(dim {self.dim} over {self.field.spec()})"
 
 
-def _integer_vectors(F, vecs):
-    """(ints, d): vecs as int lists, over Q times their common denominator d,
-    over F_p as they are with d = 1. A condition that is homogeneous of one
-    degree in the vectors keeps its zero pattern, with the zero test taken
-    mod p over F_p."""
-    if F.p:
-        return vecs, 1
-    ratios = [[c.as_integer_ratio() for c in v] for v in vecs]
-    d = lcm(*[q for v in ratios for _, q in v])
-    return [[a * (d // q) for a, q in v] for v in ratios], d
-
-
-def _nonzero(s, p):
-    """Whether the int s is nonzero in the field of characteristic p."""
-    return s % p if p else s
-
-
 def _build_integer_image(L):
     """(d, right): d is the common denominator of the table (1 over F_p)
     and right[j] = {i: d [e_i, e_j]} the integer maps x -> d [x, e_j],
@@ -156,7 +136,7 @@ def _build_integer_image(L):
     Negatives are plain int negatives, so over F_p the entries lie in
     (-p, p) and every result is reduced mod p by its reader.
     """
-    vecs, d = _integer_vectors(L.field, list(L.table.values()))
+    vecs, d = integer_image(list(L.table.values()), L.field.p)
     right = [{} for _ in range(L.dim)]
     for (i, j), vec in zip(L.table, vecs):
         right[j][i] = vec
@@ -208,7 +188,7 @@ def jacobi_check(L):
             for r, c in enumerate(u):
                 if c and r in cols:
                     acc = [a + c * b for a, b in zip(acc, cols[r])]
-        if any(_nonzero(a, p) for a in acc):
+        if any(nonzero(a, p) for a in acc):
             return False, (i, j, k)
     return True, None
 
@@ -222,12 +202,12 @@ def invariance_check(L, space):
     brackets, in both orders, against every k. The least failing
     (i, (j, k)), j <= k, is the first nonzero entry of
     ad(e_i)^T B + B ad(e_i) in row-major order. It runs on the integer
-    image of the table and the integer Gram (_integer_vectors, each with
-    its own denominator): the condition is linear in each.
+    image of the table and the integer image of the Gram, each with its
+    own denominator: the condition is linear in each.
     """
     p = L.field.p
     n = L.dim
-    gram, _ = _integer_vectors(L.field, space.gram.data)
+    gram, _ = integer_image(space.gram.data, p)
     # pb[i][j][r] = phi(e_r, [e_i, e_j]) for each stored pair, in both orders
     pb = [{} for _ in range(n)]
     _, right = L._integer_image()
@@ -241,7 +221,7 @@ def invariance_check(L, space):
         for i, row in enumerate(pb)
         for j, g in row.items()
         for k in range(n)
-        if _nonzero(g[k] + row.get(k, zero)[j], p)
+        if nonzero(g[k] + row.get(k, zero)[j], p)
     ]
     return (False, min(fails)) if fails else (True, None)
 
@@ -260,7 +240,7 @@ def is_homomorphism(L1, L2, M):
     p = L1.field.p
     d1, right1 = L1._integer_image()
     d2, right2 = L2._integer_image()
-    rows, D = _integer_vectors(L1.field, M.data)
+    rows, D = integer_image(M.data, p)
     images = [list(col) for col in zip(*rows)]  # M' e_j
     acts = [_right_action(right2, u) for u in images]  # d2 [x, M' e_j] from x
     s = D * d2
@@ -269,11 +249,11 @@ def is_homomorphism(L1, L2, M):
             lhs = _apply(images[i], acts[j], L2.dim)
             t = right1[j].get(i)  # d1 [e_i, e_j]
             if t is None:
-                bad = any(_nonzero(a, p) for a in lhs)
+                bad = any(nonzero(a, p) for a in lhs)
             else:
                 nz = [(r, c) for r, c in enumerate(t) if c]
                 rhs = [sum([row[r] * c for r, c in nz]) for row in rows]
-                bad = any(_nonzero(d1 * a - s * b, p) for a, b in zip(lhs, rhs))
+                bad = any(nonzero(d1 * a - s * b, p) for a, b in zip(lhs, rhs))
             if bad:
                 return False, (i, j)
     return True, None
@@ -339,20 +319,19 @@ def bracket_span(L, U, W):
 
     Runs on the integer image: the generators of U and of W are scaled to
     integers, which keeps the span, and the integer brackets (reduced mod p
-    over F_p; over Q ints, which the kernel reads as rationals) are
-    row-reduced once. When W is U, one bracket per unordered pair a < b of
-    generators spans the same: [u, u] = 0 and [w, u] = -[u, w].
+    over F_p; over Q ints, which Subspace._wrap takes) are row-reduced
+    once. When W is U, one bracket per unordered pair a < b of generators spans the same: [u, u] = 0 and [w, u] = -[u, w].
     """
     F = L.field
     _, right = L._integer_image()
-    us, _ = _integer_vectors(F, U.basis)
+    us, _ = integer_image(U.basis, F.p)
     if W is U:
         vecs = []
         for b in range(1, len(us)):
             cols = _right_action(right, us[b])
             vecs.extend(_apply(u, cols, L.dim) for u in us[:b])
     else:
-        ws, _ = _integer_vectors(F, W.basis)
+        ws, _ = integer_image(W.basis, F.p)
         acts = [_right_action(right, w) for w in ws]
         vecs = [_apply(u, cols, L.dim) for u in us for cols in acts]
     if F.p:
@@ -367,7 +346,8 @@ def derived_algebra(L):
 
 def _centralizer_mod(L, S):
     """{x : [x, e_j] in S for every j}, a kernel over the integer maps
-    x -> d [x, e_j] (reduced mod p over F_p), which scaling by d keeps."""
+    x -> d [x, e_j] (reduced mod p over F_p; over Q ints, which
+    Matrix._wrap takes), which scaling by d keeps."""
     F = L.field
     n = L.dim
     _, right = L._integer_image()
@@ -466,7 +446,8 @@ def invariant_forms_basis(L):
                 for m, c in enumerate(v):
                     if c:
                         row[slot(m, k)] += c
-    # in (i, j, k) order: the kernel does not depend on it, the cost over Q does
+    # in (i, j, k) order: the kernel does not depend on it, the cost over Q
+    # does; ints over Q, which Matrix._wrap takes
     rows = [[c % F.p for c in row] if F.p else row for _, row in sorted(eqs.items())]
     rows = [row for row in rows if any(row)]
     if not rows:

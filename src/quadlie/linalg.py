@@ -46,7 +46,10 @@ class Matrix:
     @classmethod
     def _wrap(cls, field, rows):
         """Trusted constructor: rows of equal length whose entries are already
-        canonical field elements. Takes ownership of rows without copying."""
+        canonical field elements, or over Q ints when the matrix only goes
+        into the kernels (a product, rref, kernel_basis), which read both
+        through _fast.integer_image: liecore passes its integer equation
+        rows so. Takes ownership of rows without copying."""
         m = object.__new__(cls)
         m.field = field
         m.data = rows
@@ -264,7 +267,8 @@ class Subspace:
     @classmethod
     def _wrap(cls, field, ambient_dim, rows):
         """Trusted constructor: rows of equal length whose entries are already
-        canonical field elements; they are row-reduced, not coerced."""
+        canonical field elements (over Q also ints, as liecore passes its
+        integer brackets); they are row-reduced, not coerced."""
         return cls._echelon_wrap(field, ambient_dim, _echelon(field, rows))
 
     @classmethod

@@ -86,8 +86,7 @@ def is_skew(space, A):
     M = (space.gram * A).data
     for i, row in enumerate(M):
         for j in range(i, len(row)):
-            s = row[j] + M[j][i]
-            if s % p if p else s:
+            if _fast.nonzero(row[j] + M[j][i], p):
                 return False, (i, j)
     return True, None
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,6 +205,47 @@ def _rational_matrices(draw, n, m, entries=_rationals):
     return rows
 
 
+@st.composite
+def _rational_vectors(draw):
+    """0-4 vectors of one length 0-5: zero vectors, and entries with small
+    and huge pairwise coprime denominators."""
+    k = draw(st.integers(0, 5))
+    vec = st.one_of(
+        st.just([Fraction(0)] * k),
+        st.lists(_mixed_rationals, min_size=k, max_size=k),
+    )
+    return draw(st.lists(vec, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_vectors())
+def test_integer_image_round_trips_over_q(vecs):
+    before = [list(v) for v in vecs]
+    ints, d = _fast.integer_image(vecs, 0)
+    assert vecs == before
+    assert type(d) is int and d >= 1
+    assert all(type(a) is int for v in ints for a in v)
+    # d is the least common denominator: a larger one leaves a factor
+    # common to d and every numerator
+    assert gcd(d, *[a for v in ints for a in v]) == 1
+    back = [_fast.field_image(v, d, 0) for v in ints]
+    assert back == before
+    assert all(type(c) is Fraction for v in back for c in v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([5, 2**61 - 1]), st.integers(0, 4), st.integers(0, 5), st.data())
+def test_integer_image_is_the_identity_over_fp(p, n, k, data):
+    vecs = data.draw(_fp_rows(p, n, k))
+    ints, d = _fast.integer_image(vecs, p)
+    assert ints is vecs and d == 1
+    assert [_fast.field_image(v, d, p) for v in ints] == vecs
+    # any int comes back reduced, as the signed sums of liecore need
+    wide = data.draw(st.lists(st.integers(-3 * p, 3 * p), max_size=5))
+    assert _fast.field_image(wide, 1, p) == [a % p for a in wide]
+    assert [bool(_fast.nonzero(a, p)) for a in wide] == [a % p != 0 for a in wide]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 6), st.integers(0, 7), st.data())
 def test_rational_rref_matches_gauss_jordan(nrows, ncols, data):
@@ -254,6 +296,27 @@ def _field_matvec(F, rows, v):
             acc = F.add(acc, F.mul(x, c))
         out.append(acc)
     return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0, 5, 2**61 - 1]), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_fp_matvec_is_the_first_krylov_step(p, n, k, data):
+    F = Field(p)
+    if p:
+        rows = data.draw(_fp_rows(p, n, k))
+        (v,) = data.draw(_fp_rows(p, 1, k))  # zero, half-zero, dense or mixed
+    else:
+        entries = data.draw(st.sampled_from([_rationals, _mixed_rationals]))
+        rows = data.draw(_rational_matrices(n, k, entries))
+        (v,) = data.draw(_rational_matrices(1, k, entries))
+        sparse = [c if j % 2 else Fraction(0) for j, c in enumerate(v)]
+        v = data.draw(st.sampled_from([v, sparse, [Fraction(0)] * k]))
+    before = ([list(row) for row in rows], list(v))
+    got = _fast.fp_matvec(rows, v, p)
+    assert (rows, v) == before
+    assert got == _field_matvec(F, rows, v)
+    assert got == _fast.fp_krylov(rows, v, 1, p)[1]
+    assert all(type(c) is type(F.zero) for c in got)
 
 
 @settings(max_examples=150, deadline=None)
