@@ -7,12 +7,19 @@ canonical field elements of the same kind. All arithmetic is on Python
 ints, which makes every prime exact, however large.
 
 One helper converts in each direction, for the kernels here, the Lie
-algebra layer and rational factoring alike: integer_image puts vectors over
-Q on one common denominator (each Fraction read by one as_integer_ratio
-call) and leaves vectors over F_p as they are, and field_image divides the
-int results once, one Fraction per nonzero entry, or reduces them mod p.
-Row reduction is fraction-free, fp_rank builds no reduced row, and
-fp_matvec is the first step of fp_krylov.
+algebra layer and rational factoring alike. integer_image puts vectors over
+Q on one common denominator, reading each Fraction's two slots
+(_numerator, _denominator) directly rather than through Fraction's
+Python-level properties, and leaves vectors over F_p as they are.
+field_image divides the int results once, or reduces them mod p: each
+nonzero rational entry is built as object.__new__(Fraction) with its slots
+set after one gcd, the value, normal form and hash of Fraction(a, d)
+without the constructor's dispatch. These are the only readers and makers
+of Fraction internals in quadlie; the slot layout is checked by the tests.
+Row reduction is fraction-free, fp_rank builds no reduced row, fp_matvec is
+the first step of fp_krylov, and leading_minors is Bareiss elimination
+without row exchanges, the leading principal minors of a rational matrix
+for Sylvester's criterion.
 
 Each entry of a product or a Krylov step is one C-level dot product,
 sum(map(mul, row, col)), reduced mod p over F_p. A dot product also
@@ -38,17 +45,36 @@ def integer_image(vecs, p):
     over F_p, vecs as they are and d = 1."""
     if p:
         return vecs, 1
-    ratios = [[x.as_integer_ratio() for x in v] for v in vecs]
-    d = lcm(*[q for v in ratios for _, q in v])
-    return [[a * (d // q) for a, q in v] for v in ratios], d
+    try:
+        d = lcm(*{x._denominator for v in vecs for x in v})
+    except AttributeError:  # int entries, which Matrix._wrap allows over Q
+        d = lcm(*{x.denominator for v in vecs for x in v})
+        return [[x.numerator * (d // x.denominator) for x in v] for v in vecs], d
+    if d == 1:
+        return [[x._numerator for x in v] for v in vecs], 1
+    return [[x._numerator * (d // x._denominator) for x in v] for v in vecs], d
 
 
 def field_image(ints, d, p):
-    """ints / d in the field: over Q one Fraction per nonzero entry and the
-    shared zero for the others, over F_p (d = 1) each int reduced mod p."""
+    """ints / d in the field: over Q one Fraction per nonzero entry, in
+    lowest terms with a positive denominator (d may be negative), and the
+    shared zero for the others; over F_p (d = 1) each int reduced mod p."""
     if p:
         return [a % p for a in ints]
-    return [Fraction(a, d) if a else _ZERO for a in ints]
+    if d < 0:
+        ints = [-a for a in ints]
+        d = -d
+    out = []
+    for a in ints:
+        if a:
+            g = gcd(a, d)
+            x = object.__new__(Fraction)
+            x._numerator = a // g
+            x._denominator = d // g
+            out.append(x)
+        else:
+            out.append(_ZERO)
+    return out
 
 
 def nonzero(a, p):
@@ -231,3 +257,29 @@ def fp_krylov(rows, v, k, p):
         if p:
             w = chain[-1]
     return chain
+
+
+def leading_minors(rows):
+    """The leading principal minors d^k D_k of the integer image (ints, d)
+    of a square rational matrix, k = 1, 2, ..., up to the first zero one,
+    which ends the list. Scaling by d > 0 keeps every sign of D_k.
+
+    Bareiss elimination without row exchanges: after step k the trailing
+    entries are (k+1) x (k+1) minors of the image, each update
+    (piv a_ij - a_ik a_kj) divided exactly by the previous pivot, and the
+    pivot of step k is the k-th leading minor.
+    """
+    m, _ = integer_image(rows, 0)
+    minors = []
+    prev = 1
+    for k in range(len(m)):
+        prow = m[k]
+        piv = prow[k]
+        if not piv:
+            break
+        minors.append(piv)
+        for i in range(k + 1, len(m)):
+            f = m[i][k]
+            m[i] = [(piv * a - f * b) // prev for a, b in zip(m[i], prow)]
+        prev = piv
+    return minors

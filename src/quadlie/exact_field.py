@@ -303,29 +303,37 @@ class Field:
 
     def of(self, v):
         if isinstance(v, str):
-            if not _exponent_in_range(v):
+            # one parser for both fields: F_p reduces the rational Q reads;
+            # a plain ASCII integer or a/b, which carries no exponent, skips
+            # both regular expressions, the bound's and Fraction's
+            digits = v[1:] if v[:1] == "-" else v
+            num, slash, den = digits.partition("/")
+            plain = digits.isascii() and num.isdigit() and (den.isdigit() or not slash)
+            if not (plain or _exponent_in_range(v)):
                 raise ValidationError(
                     f"scalar exponent beyond {SCALAR_EXPONENT_BOUND} in magnitude: {v!r}"
                 )
-            # one parser for both fields: F_p reduces the rational Q reads;
-            # a plain ASCII integer skips Fraction's regular expression
-            digits = v[1:] if v[:1] == "-" else v
             try:
-                v = int(v) if digits.isascii() and digits.isdigit() else Fraction(v)
+                if not plain:
+                    v = Fraction(v)
+                elif slash:
+                    v = Fraction(int(v[: -len(den) - 1]), int(den))
+                else:
+                    v = int(v)
             except (ValueError, ZeroDivisionError):
                 pass  # rejected below, the string named in the message
         if self.p == 0:
-            if isinstance(v, Fraction):
-                return v
             if type(v) is int:  # not bool, which JSON true/false arrive as
                 return Fraction(v)
+            if isinstance(v, Fraction):
+                return v
             raise ValidationError(f"not a rational scalar: {v!r}")
+        if type(v) is int:
+            return v % self.p
         if isinstance(v, Fraction):
             if v.denominator % self.p == 0:
                 raise ValidationError(f"denominator divisible by {self.p}")
             return v.numerator * pow(v.denominator, self.p - 2, self.p) % self.p
-        if type(v) is int:
-            return v % self.p
         raise ValidationError(f"not an F_{self.p} scalar: {v!r}")
 
     @property
@@ -754,14 +762,12 @@ class Polynomial:
         """The monic-compatible rescale mu^deg * p(x/mu); coeff a_j -> a_j mu^(d-j)."""
         F = self.field
         mu = F.of(mu)
-        d = self.degree
         out = []
-        for j, a in enumerate(self.coeffs):
-            m = F.one
-            for _ in range(d - j):
-                m = F.mul(m, mu)
+        m = F.one
+        for a in reversed(self.coeffs):
             out.append(F.mul(a, m))
-        return Polynomial._wrap(F, out)
+            m = F.mul(m, mu)
+        return Polynomial._wrap(F, out[::-1])
 
     def pow_mod(self, e, modulus):
         result = Polynomial.one(self.field)
@@ -850,7 +856,7 @@ def poly_star(p):
     return Polynomial._wrap(p.field, out)
 
 
-# factorization over F_p; the squarefree split serves Q as well
+# factorization over F_p
 
 FACTOR_SEED = 0  # seed of the randomized equal-degree splitting
 Q_FACTOR_DEGREE_BOUND = 16  # largest degree factored over Q
@@ -862,11 +868,8 @@ def _fp_pth_root(f):
 
 
 def _squarefree(f):
-    """[(g, m)] with g monic squarefree, product g^m = f (up to lc).
-
-    Over Q (characteristic 0) the loop ends with g == 1 on its first pass,
-    so the p-th root branch is reached only over F_p.
-    """
+    """[(g, m)] with g monic squarefree, product g^m = f (up to lc), over
+    F_p; Q splits the primitive integer polynomial (_z_squarefree)."""
     p = f.field.p
     out = []
     n = 1
@@ -998,14 +1001,19 @@ def _balanced(c, m):
 
 
 def _z_poly_divides(g, f):
-    # exact division test over Z; g, f int lists, g monic
+    """f / g over Z for int lists, g nonzero, or None when g does not
+    divide f there; f = [] is the zero polynomial."""
+    if not f:
+        return []
     rem = list(f)
     dg = len(g) - 1
     if len(rem) < len(g):
         return None
     quo = [0] * (len(rem) - dg)
     for i in range(len(rem) - dg - 1, -1, -1):
-        c = rem[i + dg]
+        c, r = divmod(rem[i + dg], g[-1])
+        if r:
+            return None
         quo[i] = c
         if c:
             for j, y in enumerate(g):
@@ -1013,6 +1021,59 @@ def _z_poly_divides(g, f):
     if any(rem[:dg]):
         return None
     return quo
+
+
+def _z_primitive(a):
+    """a divided by its content, with a positive leading coefficient."""
+    if not a:
+        return a
+    g = gcd(*a)
+    g = -g if a[-1] < 0 else g
+    return [c // g for c in a]
+
+
+def _z_gcd(a, b):
+    """Primitive gcd of int lists, by the primitive pseudo-remainder
+    sequence: each remainder of lc(b) a - c x^s b steps, content removed."""
+    a, b = _z_primitive(a), _z_primitive(b)
+    while b:
+        r = a
+        while len(r) >= len(b):
+            c, s = r[-1], len(r) - len(b)
+            r = [b[-1] * x for x in r[:-1]]
+            for j, y in enumerate(b[:-1], s):
+                r[j] -= c * y
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _z_primitive(r)
+    return a
+
+
+def _z_squarefree(f):
+    """[(g, m)] for a primitive int list f with positive leading
+    coefficient: g primitive, squarefree, of positive degree and leading
+    coefficient, the product of g^m is f, m ascending.
+
+    Yun's algorithm: with a = gcd(f, f'), b = f / a, c = f' / a, each step
+    takes d = c - b', the part g = gcd(b, d) of multiplicity i, and
+    b, c = b / g, d / g. Every divisor is primitive, so by Gauss's lemma
+    each division is exact over Z.
+    """
+    df = [j * c for j, c in enumerate(f)][1:]
+    a = _z_gcd(f, df)
+    b, c = _z_poly_divides(a, f), _z_poly_divides(a, df)
+    out = []
+    i = 1
+    while len(b) > 1:
+        d = [x - j * y for j, (x, y) in enumerate(zip(c, b[1:]), 1)]
+        while d and not d[-1]:
+            d.pop()
+        g = _z_gcd(b, d)
+        b, c = _z_poly_divides(g, b), _z_poly_divides(g, d)
+        if len(g) > 1:
+            out.append((g, i))
+        i += 1
+    return out
 
 
 def _factor_monic_squarefree_z(f_int):
@@ -1070,16 +1131,11 @@ def _factor_q(f):
         )
     F = f.field
     out = []
-    # squarefree decomposition, then Zassenhaus on each squarefree part
-    for g, mult in _squarefree(f):
-        # clear denominators, then shift to a monic integer polynomial
-        (ints,), _ = integer_image([g.coeffs], 0)
-        content = gcd(*ints)
-        ints = [c // content for c in ints]
+    # squarefree split of the primitive integer polynomial, then Zassenhaus
+    # on each part, shifted to a monic integer polynomial
+    (ints,), _ = integer_image([f.coeffs], 0)
+    for ints, mult in _z_squarefree(_z_primitive(ints)):
         ell = ints[-1]
-        if ell < 0:
-            ints = [-c for c in ints]
-            ell = -ell
         n = len(ints) - 1
         shifted = [ints[j] * ell ** (n - 1 - j) if j < n else 1 for j in range(n + 1)]
         for gi in _factor_monic_squarefree_z(shifted):
@@ -1098,7 +1154,8 @@ def factor_poly(p):
 
     The product of factor^multiplicity equals p up to its leading
     coefficient. Randomized splitting over F_p is seeded with FACTOR_SEED
-    so results are reproducible. Over Q each squarefree part is made a
+    so results are reproducible. Over Q the primitive integer polynomial
+    is split squarefree over Z (_z_squarefree), and each part is made a
     monic integer polynomial, factored mod a small prime q, lifted linearly
     to mod q^k past the Landau-Mignotte bound with corrections computed
     over F_q, and recombined by exact division over Z. The degree is

@@ -342,8 +342,11 @@ class Subspace:
 
     def restrict(self, A):
         """Matrix of A on this A-invariant subspace, in the echelon basis:
-        column j holds the coordinates of A b_j."""
-        C = self.coords([A.matvec(b) for b in self.basis])
+        column j holds the coordinates of A b_j, read from the rows of
+        one product S A^T, S the basis."""
+        if not self.basis:
+            return Matrix._wrap(self.field, [])
+        C = self.coords((Matrix._wrap(self.field, self.basis) * A.transpose()).data)
         if C is None:
             raise ValidationError("subspace is not invariant under the map")
         return Matrix._wrap(self.field, C).transpose()
@@ -503,7 +506,7 @@ def primary_component(A, pi, k):
     For irreducible pi and k >= 1 the kernel is nonzero exactly when pi
     divides the minimal polynomial of A, so that is checked on the kernel.
     Invariance under A is checked by reading the coordinates of the images
-    of the basis in the component.
+    of the basis, the rows of one product S A^T, in the component S.
     """
     pik = Polynomial.one(A.field)
     for _ in range(k):
@@ -511,7 +514,7 @@ def primary_component(A, pi, k):
     comp = kernel_basis(poly_at_matrix(pik, A))
     if not comp.dim:
         raise ValidationError("factor does not divide the minimal polynomial")
-    if comp.coords([A.matvec(v) for v in comp.basis]) is None:
+    if comp.coords((Matrix._wrap(A.field, comp.basis) * A.transpose()).data) is None:
         raise ValidationError("primary component is not invariant")
     return comp
 

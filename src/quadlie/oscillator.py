@@ -639,7 +639,9 @@ def decide_isometric(d1, d2):
     and integer conic descent solves. The assembled
     block map is returned as an exact witness. Anything else is answered
     'undecided' ("outside the split and definite regimes") rather than
-    guessed.
+    guessed. One minimal polynomial is factored per decision: delta_2's
+    factors are read off delta_1's when its minimal polynomial is a
+    rescaling (primary_split's like), which every "yes" needs.
     """
     if d1.field != d2.field:
         raise ValidationError("decision needs a common base field")
@@ -654,7 +656,7 @@ def decide_isometric(d1, d2):
         return {"verdict": "no", "reason": "core dimensions differ", "witness": None}
 
     s1 = primary_split(d1.delta)
-    s2 = primary_split(d2.delta)
+    s2 = primary_split(d2.delta, like=s1)
     f1, f2 = s1.factors, s2.factors
     if _factor_shape(f1) != _factor_shape(f2):
         return {

@@ -314,18 +314,30 @@ def _fp_witt_index(F, d):
 
 
 def is_definite(space):
-    """Whether the form is definite, without searching for isotropic vectors.
+    """Whether the form is definite, without searching for isotropic vectors
+    and without diagonalizing.
 
-    Over Q: positive or negative definite, read exactly off one
-    diagonalization by Sylvester's law. Over F_p, where no form is
-    ordered, "definite" means anisotropic, Witt index 0 of a regular form,
-    as in the block kind definite_semisimple. The zero space is definite,
-    and a degenerate form is not.
+    Over Q: positive or negative definite, by Sylvester's criterion on the
+    leading principal minors D_k (_fast.leading_minors): positive when
+    every D_k > 0, negative when sign D_k = (-1)^k, and not definite once
+    a minor is zero. Over F_p, where no form is ordered, "definite" means
+    anisotropic, Witt index 0 of a regular form, as in the block kind
+    definite_semisimple: every regular form of dimension <= 1 is, none of
+    dimension >= 3 is, and one of dimension 2 is exactly when -det is a
+    nonsquare. The zero space is definite, and a degenerate form is not.
     """
-    _, d = diagonalize_form(space)
-    if space.field.p:
-        return all(d) and _fp_witt_index(space.field, d) == 0
-    return space.dim in _signature(d)
+    n = space.dim
+    p = space.field.p
+    if p:
+        if n != 2:
+            return n < 2 and space.regular
+        (a, b), (c, d) = space.gram.data
+        return pow((b * c - a * d) % p, (p - 1) // 2, p) == p - 1
+    minors = _fast.leading_minors(space.gram.data)
+    if len(minors) < n:
+        return False
+    pos = [m > 0 for m in minors]
+    return all(pos) or not any(pos[::2]) and all(pos[1::2])
 
 
 def isotropy_report(space):

@@ -59,13 +59,15 @@ __all__ = [
 
 
 def _chain_length(N, S):
-    """Least k with N^k S = 0, found by applying N to the basis of S."""
+    """Least k with N^k S = 0, found by applying N to the basis of S: the
+    nonzero rows of one product with N^T per step."""
+    Nt = N.transpose()
     vecs = S.basis
     k = 0
     while vecs:
         if k == S.dim:
             raise ValidationError("map is not nilpotent on the part")
-        vecs = [w for w in (N.matvec(v) for v in vecs) if any(w)]
+        vecs = [w for w in (Matrix._wrap(N.field, vecs) * Nt).data if any(w)]
         k += 1
     return k
 
@@ -113,7 +115,7 @@ class PrimarySplit:
         return f"PrimarySplit([{facs}], unpaired={list(self.unpaired)})"
 
 
-def primary_split(f):
+def primary_split(f, like=None):
     """Split V into generalized eigenspaces of f and pair them by sign.
 
     The pairing sends the factor with root c to the factor with root -c
@@ -121,6 +123,11 @@ def primary_split(f):
     reported unpaired and verified to sit inside the radical of phi. The
     split is computed once per map: it is kept on f and returned again on
     later calls.
+
+    like, the primary split of another map, lets a decision between two
+    maps factor one minimal polynomial, not two: when f's is a rescaling
+    of like's, its factors are read off like's (_rescaled_factors), and
+    otherwise it is factored.
     """
     if f.split is not None:
         return f.split
@@ -130,7 +137,9 @@ def primary_split(f):
         f.split = PrimarySplit(f, Polynomial.one(F), [], [], {}, ())
         return f.split
     m = minimal_polynomial(A)
-    factors = factor_poly(m)
+    factors = _rescaled_factors(m, like) if like is not None else None
+    if factors is None:
+        factors = factor_poly(m)
     components = [primary_component(A, pi, k) for pi, k in factors]
 
     # one echelon over every component basis: the sum is direct and fills V
@@ -139,6 +148,42 @@ def primary_split(f):
         raise ValidationError("primary components do not decompose the space")
 
     return _keep_split(f, m, factors, components)
+
+
+def _rescaled_factors(m, split):
+    """The factors of m read off split's, or None when m is not found to be
+    a rescaling of split.minpoly = m1.
+
+    If m.shift_scale(mu) == m1, then shift_scale(1 / mu) maps the monic
+    irreducible factors of m1 onto those of m with their multiplicities,
+    so those images, sorted, are exactly what factor_poly(m) returns (as
+    in scaled_map). mu is read off the top nonzero lower coefficient of
+    m1, the j-th: mu^e = m1_j / m_j with e = deg - j, solved when e <= 2
+    and checked exactly; m1 = x^deg, a nilpotent map's, is left to
+    factor_poly.
+    """
+    m1 = split.minpoly
+    F = m.field
+    n = m.degree
+    if m1.degree != n:
+        return None
+    j = next((j for j in range(n - 1, -1, -1) if m1.coeff(j)), None)
+    if j is None or not m.coeff(j) or n - j > 2:
+        return None
+    r = F.div(m1.coeff(j), m.coeff(j))
+    if n - j == 1:
+        mus = [r]
+    else:
+        root = sqrt_in_field(F, r)
+        mus = [] if root is None else [root, F.neg(root)]
+    for mu in mus:
+        if m.shift_scale(mu) == m1:
+            inv = F.inv(mu)
+            return sorted(
+                ((pi.shift_scale(inv), k) for pi, k in split.factors),
+                key=lambda t: t[0].sort_key(),
+            )
+    return None
 
 
 def _keep_split(f, m, factors, components):

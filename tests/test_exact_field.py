@@ -138,7 +138,10 @@ def test_plain_integer_strings_read_as_fraction_reads_them():
     huge_digits = "7" * 5000  # past the default limit of 4300
     cases = ["0", "-0", "007", "-007", "+5", " 5", "5 ", "1_000", "\u0661\u0662", "3/4",
              "-3/4", "1e3", "1e5000", "-", "", "--3", "-+3", "12", "-12", "49",
-             long_digits, "-" + long_digits, huge_digits, "-" + huge_digits]
+             long_digits, "-" + long_digits, huge_digits, "-" + huge_digits,
+             "+3/4", "1_0/3", "3/-4", "3/0", "-0/7", "6/-0", "3/", "/4", "3//4", " 3/4",
+             "3/4 ", "3 /4", "\u0663/4", "3/\u0664", "10/5", "-14/21", "3/4/5",
+             long_digits + "/7", "7/" + long_digits, "-" + huge_digits + "/3", "3/" + huge_digits]
     fields = (Q, Field.parse("Fp:3"), F7, Field.parse("Fp:2305843009213693951"))
     default = sys.get_int_max_str_digits()
     try:
@@ -152,6 +155,19 @@ def test_plain_integer_strings_read_as_fraction_reads_them():
         sys.set_int_max_str_digits(default)
     # both limits were reached: a long string reads at the default, not at 640
     assert Q.of(long_digits) == int(long_digits)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.text(alphabet="0123456789/-+ _.e\u0663", max_size=9),
+    st.builds("{}/{}".format, st.integers(-(10**30), 10**30), st.integers(-5, 10**30)),
+))
+def test_scalar_strings_read_as_fraction_reads_them(s):
+    # the a/b shortcut past Fraction's regular expression changes no value
+    # and no error text
+    for F in (Q, F5, F7):
+        got, want = _read(F, s), _read_by_fraction(F, s)
+        assert (type(got), got) == (type(want), want)
 
 
 def test_huge_scalar_exponents_are_refused():

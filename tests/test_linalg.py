@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quadlie import _fast
 from quadlie.errors import ValidationError
@@ -231,6 +231,56 @@ def test_integer_image_round_trips_over_q(vecs):
     back = [_fast.field_image(v, d, 0) for v in ints]
     assert back == before
     assert all(type(c) is Fraction for v in back for c in v)
+
+
+def _fraction_parts(xs):
+    return [(type(x), x.numerator, x.denominator, hash(x)) for x in xs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_vectors(), st.data())
+def test_image_helpers_make_what_the_fraction_constructor_makes(vecs, data):
+    # Matrix._wrap also carries int entries over Q, alone or mixed in
+    ints_too = data.draw(st.sampled_from(["none", "some", "all"]))
+    vecs = [
+        [c.numerator if c.denominator == 1 and ints_too != "none"
+         and (ints_too == "all" or data.draw(st.booleans())) else c for c in v]
+        for v in vecs
+    ]
+    ints, d = _fast.integer_image(vecs, 0)
+    assert type(d) is int and d >= 1
+    assert gcd(d, *[a for v in ints for a in v]) == 1
+    for v, row in zip(vecs, ints):
+        want = _fraction_parts(Fraction(a, d) for a in row)
+        assert _fraction_parts(_fast.field_image(row, d, 0)) == want
+        # fp_rref divides by pivots of either sign
+        assert _fraction_parts(_fast.field_image([-a for a in row], -d, 0)) == want
+        assert _fast.field_image(row, d, 0) == v
+    # any ints over any nonzero d, huge ones included
+    big = st.integers(-(10**40), 10**40)
+    row = data.draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9), big), max_size=6))
+    d = data.draw(st.one_of(st.integers(1, 9), big, st.sampled_from([2**127 - 1, -(3**80)])))
+    assume(d != 0)
+    got = _fast.field_image(row, d, 0)
+    assert _fraction_parts(got) == _fraction_parts(Fraction(a, d) for a in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_leading_minors_are_the_leading_determinants(n, data):
+    # repeated and proportional rows end the list early; random ones rarely
+    full = st.lists(st.lists(_rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+    rows = data.draw(st.one_of(_rational_matrices(n, n), full))
+    before = [list(row) for row in rows]
+    ints, d = _fast.integer_image(rows, 0)
+    want = []
+    for k in range(1, n + 1):
+        minor = _cofactor_det(Q, [row[:k] for row in ints[:k]])
+        if not minor:
+            break
+        want.append(minor)
+    assert _fast.leading_minors(rows) == want
+    assert rows == before
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,8 @@ from quadlie.exact_field import Field, square_class
 from quadlie.linalg import Matrix, Subspace
 from quadlie.quadspace import (
     OrthogonalSpace,
+    _fp_witt_index,
+    _signature,
     SkewEndo,
     diagonalize_form,
     is_definite,
@@ -250,3 +254,43 @@ def test_is_definite_matches_isotropy_report(V):
         return
     verdict = isotropy_report(V).verdict
     assert is_definite(V) == (verdict in ("anisotropic", "anisotropic-definite"))
+
+
+def _definite_by_diagonalization(V):
+    """is_definite as it was: one diagonalization, then the signature over Q
+    or the Witt index over F_p."""
+    _, d = diagonalize_form(V)
+    if V.field.p:
+        return all(d) and _fp_witt_index(V.field, d) == 0
+    return V.dim in _signature(d)
+
+
+@given(st.integers(0, 6), st.sampled_from(["definite", "flip", "zero", "raw"]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sylvester_criterion_matches_the_diagonalization(n, kind, data):
+    # P^T D P is definite when D is and P invertible; one flipped or zero
+    # entry of D, a raw symmetric matrix or a singular P is not
+    small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    P = Matrix(Q, [data.draw(st.lists(small, min_size=n, max_size=n)) for _ in range(n)])
+    sign = data.draw(st.sampled_from([1, -1]))
+    d = [sign * data.draw(st.integers(1, 3)) for _ in range(n)]
+    if n and kind in ("flip", "zero"):
+        d[data.draw(st.integers(0, n - 1))] *= -1 if kind == "flip" else 0
+    G = P.transpose() * Matrix.diagonal(Q, d) * P
+    if kind == "raw":
+        G = random_symmetric(Q, random.Random(data.draw(st.integers(0, 10**6))), n)
+    V = OrthogonalSpace(G)
+    assert is_definite(V) == _definite_by_diagonalization(V)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_fp_definiteness_matches_the_diagonalization_exhaustively(p):
+    F = Field.prime(p)
+    for n in range(4):
+        cells = [(i, j) for i in range(n) for j in range(i, n)]
+        for values in itertools.product(range(p), repeat=len(cells)):
+            G = Matrix.zeros(F, n, n)
+            for (i, j), c in zip(cells, values):
+                G.data[i][j] = G.data[j][i] = c
+            V = OrthogonalSpace(G)
+            assert is_definite(V) == _definite_by_diagonalization(V), (p, G)

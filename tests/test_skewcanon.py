@@ -505,6 +505,9 @@ def test_scaled_map_split_matches_a_fresh_split():
     f7 = scramble(f7, random_invertible(F7, random.Random(0), 6))
     # the eigenvalue 1 sits in the radical, with no partner -1
     degenerate = skew(Q, Matrix.diagonal(Q, [0, 0, 1]), Matrix.diagonal(Q, [1, 1, 0]))
+    # x^3 - x + 1 on the zero form: mu^2 = 1 from x^1, and only mu = -1
+    # matches the constant term
+    cubic = skew(Q, _companion(Q, [1, -1, 0]), Matrix.zeros(Q, 3, 3))
     cases = [
         (mixed_q_seed(), ["2", "-3", "1/2"]),
         (definite_q_seed((1, 2)).delta, ["2", "-1"]),
@@ -522,6 +525,91 @@ def test_scaled_map_split_matches_a_fresh_split():
             assert g.split.endo is g
     with pytest.raises(ValidationError):
         skewcanon.scaled_map(f7, F7.zero)
+
+
+def _companion(field, coeffs):
+    """The companion matrix of the monic q = x^k + sum coeffs[i] x^i."""
+    k = len(coeffs)
+    C = Matrix.zeros(field, k, k)
+    for i in range(k):
+        if i + 1 < k:
+            C.data[i + 1][i] = field.one
+        C.data[i][k - 1] = field.neg(field.of(coeffs[i]))
+    return C
+
+
+def _companion_pair(field, coeffs):
+    """The companion C of q against -C^T, paired by an antidiagonal: the
+    minimal polynomial is lcm(q, q*)."""
+    k = len(coeffs)
+    C = _companion(field, coeffs)
+    A = Matrix.block_diagonal(field, [C, C.transpose().scale(field.of(-1))])
+    B = Matrix.zeros(field, 2 * k, 2 * k)
+    for i in range(k):
+        B.data[i][k + i] = B.data[k + i][i] = field.one
+    return skew(field, A, B)
+
+
+def test_split_read_off_a_rescaled_map_matches_a_fresh_split(monkeypatch):
+    A7, B7 = paired_pair(F7, 2, 3)
+    rot = Matrix(F7, [[0, -1], [1, 0]])
+    f7 = skew(F7, Matrix.block_diagonal(F7, [A7, rot]),
+              Matrix.block_diagonal(F7, [B7, Matrix.identity(F7, 2)]))
+    A7b, B7b = paired_pair(F7, 2, 1)
+    g7 = skew(F7, Matrix.block_diagonal(F7, [A7b, rot]),
+              Matrix.block_diagonal(F7, [B7b, Matrix.identity(F7, 2)]))
+    quartic = _companion_pair(Q, [2, -2])  # (x^2 - 2x + 2)(x^2 + 2x + 2) = x^4 + 4
+    degenerate = skew(Q, Matrix.diagonal(Q, [0, 0, 1]), Matrix.diagonal(Q, [1, 1, 0]))
+    # x^3 - x + 1 on the zero form: mu^2 = 1 from x^1, and only mu = -1
+    # matches the constant term
+    cubic = skew(Q, _companion(Q, [1, -1, 0]), Matrix.zeros(Q, 3, 3))
+    rng = random.Random(3)
+    # (like, map, scale, derived): the map is scaled, then scrambled
+    cases = [
+        (mixed_q_seed(), mixed_q_seed(), "-1/2", True),
+        (definite_q_seed((1, 2)).delta, definite_q_seed((1, 2)).delta, "3", True),
+        (definite_q_seed((1, 2)).delta, definite_q_seed((1, 2)).delta, "-2/5", True),
+        (f7, f7, 3, True),
+        (f7, f7, 5, True),
+        (degenerate, degenerate, "3", True),  # x^2 - x: mu from a ratio
+        (cubic, cubic, "-1", True),
+        (cubic, cubic, "-2/3", True),
+        # not rescalings: x^4 + 5x^2 + 4 against x^4 + 10x^2 + 9 (1/2 is
+        # not a square) and x^4 + 125x^2 + 484 (mu = +-1/5 fails the
+        # check), and a nonsquare ratio mod 7
+        (definite_q_seed((1, 2)).delta, definite_q_seed((1, 3)).delta, "1", False),
+        (definite_q_seed((1, 2)).delta, definite_q_seed((2, 11)).delta, "1", False),
+        (f7, g7, 1, False),
+        # x^4 + 4 against x^4 + 4 mu^4: mu^4 is not solved for
+        (quartic, quartic, "2", False),
+        (quartic, quartic, "1", False),
+    ]
+    calls = []
+    real = skewcanon.factor_poly
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(skewcanon, "factor_poly", counted)
+    for like, f, mu, derived in cases:
+        F = f.field
+        P = random_invertible(F, rng, f.matrix.nrows)
+
+        def target():
+            return scramble(SkewEndo(f.space, f.matrix.scale(F.of(mu))), P)
+
+        split = primary_split(like)
+        calls.clear()
+        got = primary_split(target(), like=split)
+        assert len(calls) == (0 if derived else 1), (F, mu)
+        fresh = primary_split(target())
+        for attr in ("minpoly", "factors", "components", "pairing", "unpaired"):
+            assert getattr(got, attr) == getattr(fresh, attr)
+    # a decision that answers "yes" factors one minimal polynomial
+    calls.clear()
+    _definite_decision()
+    assert len(calls) == 1
 
 
 # -------------------------------------------------------- tampered certificates

@@ -1,24 +1,61 @@
 """Checks on the quadlie sources themselves, which are parsed, not imported.
 
-Rational data becomes integers in one place: _fast.integer_image reads each
-Fraction with one as_integer_ratio call, and every kernel, the Lie algebra
-layer and rational factoring go through it. A second reader of
-as_integer_ratio elsewhere would be a second copy of that helper.
+Rational data becomes integers, and integers become rationals, in one
+place: _fast.integer_image reads each Fraction's two slots, and
+_fast.field_image builds Fractions by setting them; every kernel, the Lie
+algebra layer and rational factoring go through the pair. A second reader
+of as_integer_ratio or of the slots, or a second maker of bare Fractions,
+elsewhere would be a second copy of those helpers. The slot layout itself
+is checked here, so a Python whose Fraction keeps other slots fails these
+tests instead of computing wrong.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "quadlie"
 
 
-def test_only_fast_reads_as_integer_ratio():
-    readers = []
+def _outside_fast(found):
+    hits = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "_fast.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr == "as_integer_ratio":
-                readers.append(f"{path.name}:{node.lineno}")
+            if found(node):
+                hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_only_fast_reads_as_integer_ratio():
+    readers = _outside_fast(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "as_integer_ratio"
+    )
     assert not readers, f"as_integer_ratio outside _fast.py: {readers}"
 
+
+def _bare_fraction(node):
+    # object.__new__(Fraction), or any other __new__ handed Fraction
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and any(isinstance(a, ast.Name) and a.id == "Fraction" for a in node.args)
+    )
+
+
+def test_only_fast_touches_fraction_internals():
+    slots = _outside_fast(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr in ("_numerator", "_denominator")
+    )
+    assert not slots, f"Fraction slots read outside _fast.py: {slots}"
+    makers = _outside_fast(_bare_fraction)
+    assert not makers, f"bare Fractions made outside _fast.py: {makers}"
+
+
+def test_fraction_keeps_the_slots_fast_sets():
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    # and the guard above sees the call _fast makes
+    assert _bare_fraction(ast.parse("object.__new__(Fraction)").body[0].value)
