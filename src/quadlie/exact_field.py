@@ -258,10 +258,6 @@ class Field:
         self.p = p
 
     @classmethod
-    def rationals(cls):
-        return cls(0)
-
-    @classmethod
     def prime(cls, p):
         """F_p; p below 2 is refused rather than read as the rationals."""
         if p < 2:

@@ -13,6 +13,7 @@ predictions, nilpotent classification keys, locality tests, isomorphism
 witnesses and decisions, and the two parameter family of invariant forms.
 """
 
+import sys
 from operator import mul
 
 from .errors import CapabilityError, ValidationError, json_list
@@ -65,11 +66,13 @@ class OscillatorData:
     The extension basis convention is fixed once and for all: index 0 is
     delta, indices 1..n are the space V, index n+1 is delta*. recovery,
     when set, records how the seed was carved out of a presented algebra.
+    A seed is treated as immutable, as its SkewEndo is, so extension keeps
+    the certified algebra of build_double_extension for every later caller.
     """
 
-    __slots__ = ("space", "delta", "recovery")
+    __slots__ = ("space", "delta", "recovery", "extension")
 
-    def __init__(self, space, delta, recovery=None):
+    def __init__(self, space, delta):
         if not space.regular:
             raise ValidationError("double extensions need a regular core form")
         if isinstance(delta, SkewEndo):
@@ -79,7 +82,8 @@ class OscillatorData:
             delta = SkewEndo(space, delta)
         self.space = space
         self.delta = delta
-        self.recovery = recovery
+        self.recovery = None
+        self.extension = None
 
     @property
     def field(self):
@@ -164,8 +168,11 @@ def build_double_extension(data):
 
     The QuadraticLieAlgebra constructor re-verifies Jacobi, invariance and
     regularity of the assembled structure, so a successful return is a
-    certificate that the seed really produces a quadratic algebra.
+    certificate that the seed really produces a quadratic algebra. It is
+    built once per seed, kept on data and returned again on later calls.
     """
+    if data.extension is not None:
+        return data.extension
     F = data.field
     A = data.delta.matrix
     table = {
@@ -176,7 +183,8 @@ def build_double_extension(data):
     table.update(_core_brackets(data, 1))
     # every entry is already canonical: nothing is coerced again
     L = LieAlgebra._wrap(F, data.space.dim + 2, table)
-    return QuadraticLieAlgebra(L, OrthogonalSpace(_extension_gram(data, F.zero, F.one)))
+    data.extension = QuadraticLieAlgebra(L, OrthogonalSpace(_extension_gram(data, F.zero, F.one)))
+    return data.extension
 
 
 def _extension_gram(data, t, s):
@@ -1008,8 +1016,8 @@ def recover_double_extension(Q):
     algebra must be solvable with a one dimensional isotropic centre whose
     orthogonal complement is the derived algebra of codimension one, and
     the bracket of the carved core must stay on the centre line. The
-    returned seed carries a recovery record with the base change, which is
-    checked to transport the rebuilt extension onto Q exactly.
+    returned seed keeps the rebuilt extension and carries a recovery record
+    with the base change, which is checked to transport it onto Q exactly.
     """
     L = Q.algebra
     F = Q.field
@@ -1256,7 +1264,11 @@ def skew_census(field, dim, unsafe=False):
             "pass unsafe to override"
         )
     p, k = field.p, dim * (dim - 1) // 2
-    total = p ** k
+    total = 1
+    for _ in range(k):  # p^k, stopped once past sys.maxsize and any bytearray
+        total *= p
+        if total > sys.maxsize:
+            break
     try:
         seen = bytearray(total)
     except (OverflowError, MemoryError):

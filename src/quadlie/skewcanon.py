@@ -451,15 +451,24 @@ class CanonicalBlock:
         return f"CanonicalBlock({self.kind}, size={self.size}, factor={self.factor})"
 
 
-def _verify_block(f, block):
-    """Entry-exact check that block.vectors realize (block.matrix, block.gram):
-    A V = V M and V^T B V = G, with the vectors as the columns of V."""
-    Vt = Matrix._wrap(f.field, block.vectors)
+def _certify(f, Vt, M, G, on_map, on_form):
+    """The one pair certificate: A V = V M and V^T B V = G entry for entry,
+    V = Vt^T, and rank V = n when V is square, which makes A V = V M the
+    check V^-1 A V = M with no inverse formed."""
     V = Vt.transpose()
-    if f.matrix * V != V * block.matrix:
-        raise ValidationError("block certificate failed: map action mismatch")
-    if Vt * f.space.gram * V != block.gram:
-        raise ValidationError("block certificate failed: Gram mismatch")
+    if f.matrix * V != V * M or (V.is_square and V.rank() != V.nrows):
+        raise ValidationError(on_map)
+    if Vt * f.space.gram * V != G:
+        raise ValidationError(on_form)
+
+
+def _verify_block(f, block):
+    """_certify that block.vectors, the columns of V, realize (block.matrix,
+    block.gram); returns the block."""
+    _certify(f, Matrix._wrap(f.field, block.vectors), block.matrix, block.gram,
+             "block certificate failed: map action mismatch",
+             "block certificate failed: Gram mismatch")
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +577,7 @@ def canonical_pair_nonzero(split, i):
         Ablk, Bblk = _paired_model(F, n, lam)
         block = CanonicalBlock("paired", 2 * n, pi, n, Ablk, Bblk,
                                vectors=_paired_basis(L, R, v, w, n - 1))
-        _verify_block(f, block)
-        blocks.append(block)
+        blocks.append(_verify_block(f, block))
         pos, neg = _peel(space, [pos, neg], block.vectors)
     return blocks
 
@@ -614,8 +622,7 @@ def canonical_pair_zero(split):
     while S.dim > 0:
         k0 = _chain_length(A, S)
         if k0 % 2 == 0:
-            block = _zero_even_step(f, S, k0)
-            _verify_block(f, block)
+            block = _verify_block(f, _zero_even_step(f, S, k0))
             blocks.append(block)
             span = block.vectors
         else:
@@ -633,9 +640,7 @@ def canonical_pair_zero(split):
             # generator i of the standardized group: sum_j g[j][i] gens[j]
             mixed = (g.transpose() * Matrix._wrap(F, gens)).data
             for i, nu in enumerate(nus):
-                block = _emit_odd_block(f, mixed[i], nu, k0)
-                _verify_block(f, block)
-                blocks.append(block)
+                blocks.append(_verify_block(f, _emit_odd_block(f, mixed[i], nu, k0)))
         else:
             for w, mu_raw in group:
                 rep = square_class_representative(F, mu_raw)
@@ -643,8 +648,7 @@ def canonical_pair_zero(split):
                 if scale is None:
                     raise ValidationError("square-class normalization failed")
                 block = _emit_odd_block(f, combine(F, [F.inv(scale)], [w]), rep, k0)
-                _verify_block(f, block)
-                blocks.append(block)
+                blocks.append(_verify_block(f, block))
     return blocks
 
 
@@ -909,7 +913,7 @@ class CanonicalPair:
 
     basis_change is invertible, and P^-1 A P, P^T B P equal the
     block-diagonal assembly of the model blocks followed by the untreated
-    residual parts, entry for entry; verify() recomputes that check.
+    residual parts, entry for entry; verify() checks that.
     """
 
     __slots__ = ("endo", "blocks", "residual", "basis_change")
@@ -925,24 +929,16 @@ class CanonicalPair:
 
     def assembly(self):
         F = self.endo.field
-        untreated = [r for r in self.residual if r.kind == "untreated"]
-        mats = [b.matrix for b in self.blocks] + [r.matrix for r in untreated]
-        grams = [b.gram for b in self.blocks] + [r.gram for r in untreated]
-        mats = [m for m in mats if m.nrows]
-        grams = [g for g in grams if g.nrows]
-        if not mats:
-            return Matrix(F, []), Matrix(F, [])
-        return Matrix.block_diagonal(F, mats), Matrix.block_diagonal(F, grams)
+        parts = self.blocks + [r for r in self.residual if r.kind == "untreated"]
+        return (Matrix.block_diagonal(F, [b.matrix for b in parts]),
+                Matrix.block_diagonal(F, [b.gram for b in parts]))
 
     def verify(self):
-        A = self.endo.matrix
-        B = self.endo.space.gram
-        P = self.basis_change
-        MA, MB = self.assembly()
-        if P.inverse() * A * P != MA:
-            raise ValidationError("canonical certificate failed on the map")
-        if P.transpose() * B * P != MB:
-            raise ValidationError("canonical certificate failed on the form")
+        """The pair certificate, which canonical_pair runs before it
+        returns: _certify on basis_change against assembly()."""
+        _certify(self.endo, self.basis_change.transpose(), *self.assembly(),
+                 "canonical certificate failed on the map",
+                 "canonical certificate failed on the form")
         return True
 
     def to_json(self):
@@ -1001,8 +997,8 @@ def canonical_pair(f):
     pair. No isotropic vector is searched for. Cross-paired component
     pairs stay together in one residual part, since splitting them would
     break the block diagonality of the Gram. Blocks sort by (factor, size,
-    kind, class); the global base change is certified entry-exact before
-    return.
+    kind, class); each block and then the pair is certified once, before
+    return, so a caller has nothing left to verify.
     """
     space, F = f.space, f.field
     A = f.matrix
@@ -1028,9 +1024,7 @@ def canonical_pair(f):
             comp = ps.components[i]
             sub = OrthogonalSpace(space.restrict_gram(comp.basis))
             if pi.degree == 2 and k == 1 and is_definite(sub):
-                blk = _definite_block(f, comp, pi)
-                _verify_block(f, blk)
-                blocks.append(blk)
+                blocks.append(_verify_block(f, _definite_block(f, comp, pi)))
                 residual.append(ResidualPart("definite_semisimple", [pi], k, comp.dim))
             else:
                 residual.append(_untreated(f, [pi], k, comp))
@@ -1043,16 +1037,11 @@ def canonical_pair(f):
     blocks.sort(key=lambda b: b.sort_key())
     residual.sort(key=lambda r: (r.factors[0].sort_key(), r.dim))
 
-    cols = []
-    for b in blocks:
-        cols.extend(b.vectors)
-    for r in residual:
-        if r.kind == "untreated":
-            cols.extend(r.vectors)
+    untreated = [r for r in residual if r.kind == "untreated"]
+    cols = [v for part in blocks + untreated for v in part.vectors]
     if len(cols) != n:
         raise ValidationError("canonical columns do not span the space")
-    P = Matrix._wrap(F, cols).transpose()
-    pair = CanonicalPair(f, blocks, residual, P)
+    pair = CanonicalPair(f, blocks, residual, Matrix._wrap(F, cols).transpose())
     pair.verify()
     return pair
 
@@ -1076,7 +1065,7 @@ def spectral_form(f):
     kernel is not handed to canonical_pair_zero, so no kernel scalar is
     normalized to its square class and nothing is factored.
 
-    Returns (A_canon, B_canon, P) with the certificate checked.
+    Returns (A_canon, B_canon, P), certified by _certify.
     """
     space, F = f.space, f.field
     if not space.regular:
@@ -1106,11 +1095,10 @@ def spectral_form(f):
             amats.append(b.matrix)
             grams.append(b.gram)
 
-    P = Matrix._wrap(F, cols).transpose()
+    Pt = Matrix._wrap(F, cols)
     A_canon = Matrix.block_diagonal(F, amats)
     B_canon = Matrix.block_diagonal(F, grams)
-    if P.inverse() * f.matrix * P != A_canon:
-        raise ValidationError("spectral certificate failed on the map")
-    if P.transpose() * space.gram * P != B_canon:
-        raise ValidationError("spectral certificate failed on the form")
-    return A_canon, B_canon, P
+    _certify(f, Pt, A_canon, B_canon,
+             "spectral certificate failed on the map",
+             "spectral certificate failed on the form")
+    return A_canon, B_canon, Pt.transpose()

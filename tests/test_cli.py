@@ -1,5 +1,6 @@
 """Command line round trips: verbs, exit codes, deterministic output."""
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -30,7 +31,7 @@ from quadlie.oscillator import (
     recover_double_extension,
     verify_iso_witness,
 )
-from quadlie import quadspace
+from quadlie import liecore, quadspace, skewcanon
 from quadlie.quadspace import OrthogonalSpace
 
 Q = Field.parse("Q")
@@ -283,6 +284,35 @@ def test_census_unallocatable_exit(capsys):
     code, doc = run(capsys, "census", "--field", "Fp:3", "--dim", "12", "--unsafe-size")
     assert code == 2
     assert "cannot allocate" in doc["error"]
+
+
+def test_census_past_sys_maxsize_exits_before_its_power(capsys):
+    # 3^499999500000 maps: refused while the power is still below 3 * sys.maxsize
+    code, doc = run(capsys, "census", "--field", "Fp:3", "--dim", "1000000", "--unsafe-size")
+    assert code == 2
+    assert doc["error"] == "census of 3^499999500000 maps: cannot allocate its seen flags"
+
+
+def test_canon_and_analyze_certify_once(tmp_path, capsys, monkeypatch):
+    calls = collections.Counter()
+    verify, jacobi = skewcanon.CanonicalPair.verify, liecore.jacobi_check
+
+    def counted_verify(pair):
+        calls["verify"] += 1
+        return verify(pair)
+
+    def counted_jacobi(L):
+        calls["jacobi"] += 1
+        return jacobi(L)
+
+    monkeypatch.setattr(skewcanon.CanonicalPair, "verify", counted_verify)
+    monkeypatch.setattr(liecore, "jacobi_check", counted_jacobi)
+    path = n23_doc(tmp_path)
+    assert run(capsys, "canon", "--in", path)[0] == 0
+    assert calls == {"verify": 1}
+    calls.clear()
+    assert run(capsys, "analyze", "--in", path)[0] == 0
+    assert calls["jacobi"] == 1
 
 
 def test_validation_exit(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadlie import exact_field, liecore, skewcanon
+from quadlie import exact_field, liecore, oscillator, skewcanon
 from quadlie.errors import CapabilityError, ValidationError
 from quadlie.exact_field import Field, hilbert_symbol, sqrt_in_field, square_class
 from quadlie.linalg import Matrix, Subspace, kernel_basis
@@ -741,6 +741,21 @@ def test_recover_round_trip():
     check_yes(d, rec)
 
 
+def test_each_seed_keeps_one_certified_extension(monkeypatch):
+    d = from_lambda_tuple(Q, (1, 2))
+    assert build_double_extension(d) is build_double_extension(d)
+    certified = []
+    check = oscillator._check_isomorphism
+
+    def recorded(L1, *rest):
+        certified.append(L1)
+        return check(L1, *rest)
+
+    monkeypatch.setattr(oscillator, "_check_isomorphism", recorded)
+    rec = recover_double_extension(scramble_quadratic(random.Random(3), build_double_extension(d)))
+    assert build_double_extension(rec).algebra is certified[0]
+
+
 def test_recover_scrambled_rotation():
     rng = random.Random(3)
     d = from_lambda_tuple(Q, (1, 2))
@@ -994,6 +1009,12 @@ def test_census_caps():
     assert c["total"] == 11
     with pytest.raises(ValidationError):
         skew_census(F3, -1)
+
+
+def test_census_past_sys_maxsize_is_refused_before_its_power():
+    # k = 499999500000 coefficients: p^k would have about 8e11 bits
+    with pytest.raises(CapabilityError, match=r"census of 3\^499999500000 maps: cannot allocate"):
+        skew_census(F3, 10**6, unsafe=True)
 
 
 def test_census_factors_each_minimal_polynomial_once(monkeypatch):

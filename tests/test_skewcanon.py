@@ -690,6 +690,41 @@ def test_tampered_basis_change_fails_the_pair_certificate():
         bad.verify()
 
 
+def test_singular_basis_change_fails_the_pair_certificate():
+    # the zero map satisfies A P = P M for every P: only the rank check
+    # stands between a singular P and the certificate
+    f = skew(Q, Matrix.zeros(Q, 2), Matrix.identity(Q, 2))
+    pair = canonical_pair(f)
+    P = Matrix(Q, [[1, 1], [0, 0]])
+    assert f.matrix * P == P * pair.assembly()[0]
+    with pytest.raises(ValidationError, match="canonical certificate failed on the map"):
+        CanonicalPair(f, pair.blocks, pair.residual, P).verify()
+
+
+def test_tampered_spectral_form_fails_its_certificate(monkeypatch):
+    A = Matrix.block_diagonal(Q, [Matrix(Q, [[0, -1], [1, 0]]), Matrix(Q, [[0]])])
+    f = skew(Q, A, Matrix.diagonal(Q, [Q.one, Q.one, Q.of(3)]))
+    spectral_form(f)
+    definite_block, diagonalize_form = skewcanon._definite_block, skewcanon.diagonalize_form
+
+    def bumped_plane(*args):
+        block = definite_block(*args)
+        return _with(block, matrix=_bumped(block.matrix, 0, 0))
+
+    monkeypatch.setattr(skewcanon, "_definite_block", bumped_plane)
+    with pytest.raises(ValidationError, match="spectral certificate failed on the map"):
+        spectral_form(f)
+    monkeypatch.setattr(skewcanon, "_definite_block", definite_block)
+
+    def doubled_kernel(space):
+        P0, d0 = diagonalize_form(space)
+        return P0, [Q.add(d, d) for d in d0]
+
+    monkeypatch.setattr(skewcanon, "diagonalize_form", doubled_kernel)
+    with pytest.raises(ValidationError, match="spectral certificate failed on the form"):
+        spectral_form(f)
+
+
 # ------------------------------------------------------------ invariance
 
 def test_signature_invariance_mixed_assembly():

@@ -8,6 +8,12 @@ of as_integer_ratio or of the slots, or a second maker of bare Fractions,
 elsewhere would be a second copy of those helpers. The slot layout itself
 is checked here, so a Python whose Fraction keeps other slots fails these
 tests instead of computing wrong.
+
+Each certified object is certified once, by one routine. skewcanon checks
+every pair through _certify, which needs no inverse, and the command line
+reads pairs that canonical_pair has already verified: an inverse in
+skewcanon, or a verify() call in cli, would be a second copy of a
+certificate.
 """
 
 import ast
@@ -59,3 +65,21 @@ def test_fraction_keeps_the_slots_fast_sets():
     assert Fraction.__slots__ == ("_numerator", "_denominator")
     # and the guard above sees the call _fast makes
     assert _bare_fraction(ast.parse("object.__new__(Fraction)").body[0].value)
+
+
+def _method_calls(name, method):
+    tree = ast.parse((SRC / name).read_text())
+    return [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == method
+    ]
+
+
+def test_certificates_have_one_copy():
+    inverses = _method_calls("skewcanon.py", "inverse")
+    assert not inverses, f"inverse() in skewcanon.py: {inverses}"
+    verifies = _method_calls("cli.py", "verify")
+    assert not verifies, f"verify() in cli.py: {verifies}"
