@@ -14,6 +14,7 @@ witnesses and decisions, and the two parameter family of invariant forms.
 """
 
 import sys
+from array import array
 from operator import mul
 
 from .errors import CapabilityError, ValidationError, json_list
@@ -41,7 +42,7 @@ from .quadspace import (
     isotropy_report,
     ortho_complement,
 )
-from .skewcanon import canonical_pair, primary_split, scaled_map
+from .skewcanon import canonical_pair, primary_split, scaled_map, scaled_pair
 from .liecore import (
     LieAlgebra,
     QuadraticLieAlgebra,
@@ -54,7 +55,6 @@ from .liecore import (
     invariant_forms_basis,
     is_heisenberg,
     is_homomorphism,
-    is_solvable,
     lower_central_series,
     upper_central_series,
 )
@@ -196,7 +196,7 @@ def _extension_gram(data, t, s):
     G.data[0][0] = t
     G.data[0][n + 1] = G.data[n + 1][0] = s
     for i, row in enumerate(data.space.gram.data):
-        G.data[i + 1][1 : n + 1] = [F.mul(s, c) for c in row]
+        G.data[i + 1][1 : n + 1] = row if s == F.one else [F.mul(s, c) for c in row]
     return G
 
 
@@ -925,22 +925,35 @@ def phi_ts_form(data, t, s):
     result is checked to be invariant and to lie in the span of the
     invariant forms of the algebra.
     """
-    F = data.field
-    t, s = F.of(t), F.of(s)
-    if not s:
-        raise ValidationError("the form parameter s must be nonzero")
-    G = _extension_gram(data, t, s)
-    space = OrthogonalSpace(G)
-    if not space.regular:
-        raise ValidationError("the (t, s) form degenerated")
-    Q = build_double_extension(data)
-    forms = invariant_forms_basis(Q.algebra)
-    if form_in_span(forms, G) is None:
-        raise ValidationError("the (t, s) form escaped the invariant span")
-    ok, bad = invariance_check(Q.algebra, space)
-    if not ok:
-        raise ValidationError(f"the (t, s) form is not invariant at {bad[1]}")
+    [space] = _phi_ts_forms(data, [(t, s)])
     return space
+
+
+def _phi_ts_forms(data, params):
+    """phi_ts_form for each (t, s) of params in turn, every form checked
+    against one basis of the invariant forms, computed at the first
+    form that reaches the span check."""
+    F = data.field
+    Q = forms = None
+    out = []
+    for t, s in params:
+        t, s = F.of(t), F.of(s)
+        if not s:
+            raise ValidationError("the form parameter s must be nonzero")
+        G = _extension_gram(data, t, s)
+        space = OrthogonalSpace(G)
+        if not space.regular:
+            raise ValidationError("the (t, s) form degenerated")
+        if forms is None:
+            Q = build_double_extension(data)
+            forms = invariant_forms_basis(Q.algebra)
+        if form_in_span(forms, G) is None:
+            raise ValidationError("the (t, s) form escaped the invariant span")
+        ok, bad = invariance_check(Q.algebra, space)
+        if not ok:
+            raise ValidationError(f"the (t, s) form is not invariant at {bad[1]}")
+        out.append(space)
+    return out
 
 
 def phi_ts_isometry(data, ts1, ts2):
@@ -992,8 +1005,7 @@ def phi_ts_isometry(data, ts1, ts2):
 
     Q = build_double_extension(data)
     _check_isomorphism(Q.algebra, Q.algebra, M, "diagonal map")
-    G1 = phi_ts_form(data, t1, s1).gram
-    G2 = phi_ts_form(data, t2, s2).gram
+    G1, G2 = (space.gram for space in _phi_ts_forms(data, [(t1, s1), (t2, s2)]))
     if M.transpose() * G2 * M != G1:
         raise ValidationError("diagonal map failed the isometry check")
     return {
@@ -1022,7 +1034,8 @@ def recover_double_extension(Q):
     L = Q.algebra
     F = Q.field
     dim = L.dim
-    if not is_solvable(L):
+    series = derived_series(L)
+    if series[-1].dim:
         raise ValidationError("not a double extension: the algebra is not solvable")
     Z = centre(L)
     if Z.dim != 1:
@@ -1032,7 +1045,7 @@ def recover_double_extension(Q):
     z = list(Z.basis[0])
     if Q.space.quad(z):
         raise ValidationError("not a double extension: the centre is not isotropic")
-    L2 = derived_algebra(L)
+    L2 = series[1]  # the centre is a line, so L is nonzero and solvable: L^2 != L
     if L2.dim != dim - 1:
         raise ValidationError(
             "not a double extension: the derived algebra has codimension "
@@ -1237,20 +1250,27 @@ def skew_census(field, dim, unsafe=False):
     and groups them by the canonical block signature, keeping one
     representative per bucket. Capped at CENSUS_MAX_DIM and CENSUS_MAX_P
     unless unsafe is set; the enumeration is p^(dim(dim-1)/2) strong, and a
-    size whose seen-flags cannot be allocated is a CapabilityError.
+    size whose component ids cannot be allocated is a CapabilityError.
 
-    The key is read once per component of conjugate maps. Maps are indexed
-    by their coefficient tuples over skew_basis in itertools.product order,
-    and conjugation by an isometry g is linear on those tuples. From each
-    index not yet seen, in ascending order, the sweep collects everything
-    reached through the _census_reflections and runs canonical_pair on that
-    least index alone. An image's index is four reads of _image_tables,
-    one per half of the index's digits and one per half of the packed image,
-    not k dot products. Conjugate maps have the same canonical key (Wall),
-    so counting each component by its size is exact; the reflections need
-    only be isometries, since a smaller group gives finer components. Bucket
-    order, counts, representatives and nilpotent degrees are those of a
-    map-by-map pass.
+    The key is read from one canonical pair per scaling class of
+    components of conjugate maps. Maps are indexed by their coefficient
+    tuples over skew_basis in itertools.product order, and conjugation by
+    an isometry g is linear on those tuples. From each index not yet given
+    a component id, in ascending order, the sweep labels everything reached
+    through the _census_reflections with the next id. An image's index is
+    four reads of _image_tables, one per half of the index's digits and one
+    per half of the packed image, not k dot products. Conjugate maps have
+    the same canonical key (Wall), so counting each component by its size
+    is exact; the reflections need only be isometries, since a smaller
+    group gives finer components.
+
+    Scaling commutes with conjugation, so mu C is a component for each
+    component C and scalar mu. When mu^-1 root, its digits scaled mod p, lies
+    in an earlier component C for some mu in 2..p-1, the new component is
+    mu C, and if C was itself nu C0 for a component C0 with a canonical pair,
+    the key is read off scaled_pair(pair of C0, nu mu). Every other root runs
+    canonical_pair. Bucket order, counts, representatives and nilpotent
+    degrees are those of a map-by-map pass.
     """
     from .quadspace import skew_basis
 
@@ -1270,7 +1290,7 @@ def skew_census(field, dim, unsafe=False):
         if total > sys.maxsize:
             break
     try:
-        seen = bytearray(total)
+        comp = array("q", [0]) * total  # component id of each index, 0 while unseen
     except (OverflowError, MemoryError):
         raise CapabilityError(
             f"census of {p}^{k} maps: cannot allocate its seen flags"
@@ -1283,13 +1303,25 @@ def skew_census(field, dim, unsafe=False):
         p, k, [_coefficient_action(span, basis, g) for g in _census_reflections(space)]
     )
     low, unit = p ** h, (2 * p) ** h
+    places = [p ** j for j in range(k)]  # digit j counts p^j, last basis map first
+    inverses = [(mu, field.inv(mu)) for mu in range(2, p)]
+
+    def root_matrix(digits):
+        M = Matrix.zeros(field, dim, dim)
+        for B, cj in zip(reversed(basis), digits):
+            M = M + B.scale(cj)
+        return M
+
+    # component id -> (the canonical pair of a root, the scale from that root)
+    classes = [None]
     buckets = {}
     reps = {}
     nilpotent = {}
     for root in range(total):
-        if seen[root]:
+        if comp[root]:
             continue
-        seen[root] = 1
+        cid = len(classes)
+        comp[root] = cid
         stack, size = [root], 0
         while stack:
             hi, lo = divmod(stack.pop(), low)
@@ -1297,16 +1329,26 @@ def skew_census(field, dim, unsafe=False):
             for PH, PL in tables:
                 a, b = divmod(PH[hi] + PL[lo], unit)
                 y = FH[a] + FL[b]
-                if not seen[y]:
-                    seen[y] = 1
+                if not comp[y]:
+                    comp[y] = cid
                     stack.append(y)
-        # the representative: the root's base-p digits, last one first
-        M, x = Matrix.zeros(field, dim, dim), root
-        for B in reversed(basis):
+        digits, x = [], root
+        for _ in range(k):
             x, cj = divmod(x, p)
-            M = M + B.scale(cj)
-        f = SkewEndo(space, M)
-        cp = canonical_pair(f)
+            digits.append(cj)
+        M = None
+        for mu, inv in inverses:
+            earlier = comp[sum(inv * cj % p * w for cj, w in zip(digits, places))]
+            if earlier and earlier != cid:
+                base, nu = classes[earlier]
+                scale = field.mul(nu, mu)
+                cp = scaled_pair(base, scale)
+                break
+        else:
+            M = root_matrix(digits)
+            cp = base = canonical_pair(SkewEndo(space, M))
+            scale = field.one
+        classes.append((base, scale))
         sig = cp.block_signature()
         res = tuple(
             (r.kind, tuple(str(p0) for p0 in r.factors), r.dim) for r in cp.residual
@@ -1314,8 +1356,10 @@ def skew_census(field, dim, unsafe=False):
         key = repr((sig, res))
         buckets[key] = buckets.get(key, 0) + size
         if key not in reps:
+            if M is None:
+                M = root_matrix(digits)
             reps[key] = [row[:] for row in M.data]
-            m = primary_split(f).minpoly
+            m = primary_split(base.endo).minpoly
             if not any(m.coeff(i) for i in range(m.degree)):
                 nilpotent[key] = m.degree
     return {

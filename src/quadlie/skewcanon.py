@@ -43,6 +43,7 @@ __all__ = [
     "CanonicalPair",
     "primary_split",
     "scaled_map",
+    "scaled_pair",
     "four_part_split",
     "canonical_pair_nonzero",
     "canonical_pair_zero",
@@ -959,19 +960,24 @@ def _definite_block(f, comp, pi):
     diag(d, mu d), d = q(v). The caller certifies the block."""
     space, F = f.space, f.field
     mu = pi.coeff(0)
-    vectors, diag = [], []
+    vectors, ds = [], []
     S = comp
     while S.dim:
         v = S.basis[0]
         vectors += [v, f.matrix.matvec(v)]
-        diag += [space.quad(v), F.mul(mu, space.quad(v))]
+        ds.append(space.quad(v))
         [S] = _peel(space, [S], vectors[-2:])
+    A, B = _definite_model(F, mu, ds)
+    return CanonicalBlock("definite_semisimple", comp.dim, pi, comp.dim // 2, A, B,
+                          vectors=vectors, mu=mu)
+
+
+def _definite_model(F, mu, ds):
+    """(companion [[0, -mu], [1, 0]] per plane, Gram diag(d, mu d) per
+    plane scalar d in ds)."""
     piece = Matrix._wrap(F, [[F.zero, F.neg(mu)], [F.one, F.zero]])
-    return CanonicalBlock(
-        "definite_semisimple", comp.dim, pi, comp.dim // 2,
-        Matrix.block_diagonal(F, [piece] * (comp.dim // 2)), Matrix.diagonal(F, diag),
-        vectors=vectors, mu=mu,
-    )
+    diag = [e for d in ds for e in (d, F.mul(mu, d))]
+    return Matrix.block_diagonal(F, [piece] * len(ds)), Matrix.diagonal(F, diag)
 
 
 def _untreated(f, factors, mult, sub):
@@ -1001,8 +1007,6 @@ def canonical_pair(f):
     return, so a caller has nothing left to verify.
     """
     space, F = f.space, f.field
-    A = f.matrix
-    n = A.nrows
     if not space.regular:
         raise ValidationError("canonical pairs require a regular form")
     ps = primary_split(f)
@@ -1034,16 +1038,105 @@ def canonical_pair(f):
             factors = sorted([pi, pj], key=lambda q: q.sort_key())
             residual.append(_untreated(f, factors, k, group))
 
+    return _assemble(f, blocks, residual)
+
+
+def _assemble(f, blocks, residual):
+    """Sort certified blocks by (factor, size, kind, class) and residual
+    parts by (first factor, dim), take their columns as the base change and
+    certify the pair."""
     blocks.sort(key=lambda b: b.sort_key())
     residual.sort(key=lambda r: (r.factors[0].sort_key(), r.dim))
 
     untreated = [r for r in residual if r.kind == "untreated"]
     cols = [v for part in blocks + untreated for v in part.vectors]
-    if len(cols) != n:
+    if len(cols) != f.matrix.nrows:
         raise ValidationError("canonical columns do not span the space")
-    pair = CanonicalPair(f, blocks, residual, Matrix._wrap(F, cols).transpose())
+    pair = CanonicalPair(f, blocks, residual, Matrix._wrap(f.field, cols).transpose())
     pair.verify()
     return pair
+
+
+def scaled_pair(pair, mu):
+    """The canonical pair of mu f, for a nonzero scalar mu, rescaled from
+    the canonical pair of f with no new split, chain or factorization.
+
+    Each block's vectors are moved into the model of the scaled block:
+
+    paired, zero_even   columns P_0..P_(n-1), Q_0..Q_(n-1) at lambda become
+                        mu^-i P_i and mu^i Q_i, the model at mu lambda with
+                        the same Gram. canonical_pair emits a +- pair at the
+                        factor that sorts first; when x + mu lambda does,
+                        X_j = (-1)^j Q'_(n-1-j), Y_j = (-1)^j P'_(n-1-j) are
+                        the model at -mu lambda instead.
+    zero_odd            the generator w (column n - 1, or 0 when n = 0) of
+                        length 2n + 1 becomes mu^-n w for mu f, which keeps
+                        phi(w, f^2n w) and so the block's scalar: a group
+                        normalized to (1, ..., 1, delta) stays normalized.
+    definite_semisimple the planes (v, f v) of x^2 + m become (v, mu f v),
+                        of x^2 + mu^2 m with Gram diag(d, mu^2 m d).
+    untreated           vectors and Gram stay; the restricted matrix is
+                        scaled by mu and the factors by shift_scale(mu).
+
+    Blocks and residual parts are re-sorted, then certified as
+    canonical_pair certifies its own: _verify_block on every block, then
+    CanonicalPair.verify on the pair.
+    """
+    f = pair.endo
+    F = f.field
+    mu = F.of(mu)
+    if not mu:
+        raise ValidationError("scale must be nonzero")
+    g = SkewEndo(f.space, f.matrix.scale(mu))
+    blocks = [_verify_block(g, _scaled_block(g, b, mu)) for b in pair.blocks]
+    residual = []
+    for r in pair.residual:
+        factors = sorted((pi.shift_scale(mu) for pi in r.factors), key=lambda q: q.sort_key())
+        if r.kind == "untreated":
+            residual.append(ResidualPart("untreated", factors, r.mult, r.dim, r.vectors,
+                                         r.matrix.scale(mu), r.gram))
+        else:
+            residual.append(ResidualPart(r.kind, factors, r.mult, r.dim))
+    return _assemble(g, blocks, residual)
+
+
+def _scaled_block(g, block, mu):
+    """The block of g = mu f that scaled_pair reads off block, a block of f;
+    the caller certifies it."""
+    F = g.field
+    n = block.n
+    factor = block.factor.shift_scale(mu)
+    up = [F.one]  # up[i] = mu^i, down[i] = mu^-i
+    for _ in range(n):
+        up.append(F.mul(up[-1], mu))
+    down = [F.inv(c) for c in up]
+
+    def rescaled(terms):
+        # new column r is c * old column i for (c, i) = terms[r]
+        return [[F.mul(c, a) for a in block.vectors[i]] for c, i in terms]
+
+    if block.kind == "zero_odd":
+        [w] = rescaled([(down[n], max(n - 1, 0))])
+        return _emit_odd_block(g, w, block.mu, block.size)
+    if block.kind == "definite_semisimple":
+        m = factor.coeff(0)
+        A, B = _definite_model(F, m, block.mu_data)
+        return CanonicalBlock(block.kind, block.size, factor, n, A, B, mu=m,
+                              vectors=rescaled([(mu if i % 2 else F.one, i)
+                                                for i in range(block.size)]))
+    star = poly_star(factor)
+    if star.sort_key() < factor.sort_key():
+        factor = star
+
+        def signed(c, j):
+            return F.neg(c) if j % 2 else c
+
+        terms = ([(signed(up[n - 1 - j], j), 2 * n - 1 - j) for j in range(n)]
+                 + [(signed(down[n - 1 - j], j), n - 1 - j) for j in range(n)])
+    else:
+        terms = [(down[i], i) for i in range(n)] + [(up[i], n + i) for i in range(n)]
+    A, B = _paired_model(F, n, F.neg(factor.coeff(0)))
+    return CanonicalBlock(block.kind, block.size, factor, n, A, B, vectors=rescaled(terms))
 
 
 # ---------------------------------------------------------------------------

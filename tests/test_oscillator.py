@@ -730,6 +730,15 @@ def test_phi_ts_isometry_f5():
     assert phi_ts_isometry(d, (0, 1), (0, 2))["verdict"] == "class-level"
 
 
+def test_phi_ts_isometry_computes_one_invariant_form_basis(monkeypatch):
+    calls = []
+    real = oscillator.invariant_forms_basis
+    monkeypatch.setattr(oscillator, "invariant_forms_basis", lambda L: calls.append(L) or real(L))
+    d = from_lambda_tuple(Q, (1, 2))
+    assert phi_ts_isometry(d, (4, 1), (0, 4))["verdict"] == "witness"
+    assert len(calls) == 1
+
+
 # --- recovery ----------------------------------------------------------------
 
 
@@ -1066,6 +1075,18 @@ def _census_map_by_map(F, n):
         "representatives": reps,
         "nilpotent_degrees": nilpotent,
     }
+
+
+@pytest.mark.parametrize("p, n, full, scaled", [(3, 4, 11, 0), (5, 3, 4, 2), (7, 3, 4, 4)])
+def test_census_runs_one_canonical_pair_per_scaling_class(monkeypatch, p, n, full, scaled):
+    calls = {"canonical_pair": 0, "scaled_pair": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(oscillator, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(oscillator, name, counted)
+    skew_census(Field.parse(f"Fp:{p}"), n)
+    assert calls == {"canonical_pair": full, "scaled_pair": scaled}
 
 
 @pytest.mark.parametrize("p, n", [(3, n) for n in range(5)] + [(5, 2), (5, 3), (7, 2), (7, 3)])

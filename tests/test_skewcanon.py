@@ -10,7 +10,7 @@ from quadlie.exact_field import Field, square_class, square_class_representative
 from quadlie.linalg import Matrix, Subspace, primary_component
 from quadlie import oscillator, skewcanon
 from quadlie.oscillator import OscillatorData, decide_isometric, from_lambda_tuple, witt1_certify
-from quadlie.quadspace import OrthogonalSpace, SkewEndo
+from quadlie.quadspace import OrthogonalSpace, SkewEndo, skew_basis
 from quadlie.skewcanon import (
     CanonicalBlock,
     CanonicalPair,
@@ -525,6 +525,60 @@ def test_scaled_map_split_matches_a_fresh_split():
             assert g.split.endo is g
     with pytest.raises(ValidationError):
         skewcanon.scaled_map(f7, F7.zero)
+
+
+def _census_key(cp):
+    res = tuple((r.kind, tuple(str(p0) for p0 in r.factors), r.dim) for r in cp.residual)
+    return repr((cp.block_signature(), res))
+
+
+def test_scaled_pair_keys_match_full_pairs_exhaustively():
+    # every skew map of the standard form over (F3, 2 <= n <= 4) and
+    # (F5, F7, 2 <= n <= 3), at every scale mu = 2 .. p - 1
+    kinds, count = set(), 0
+    for p, dims in ((3, (2, 3, 4)), (5, (2, 3)), (7, (2, 3))):
+        F = Field.parse(f"Fp:{p}")
+        for n in dims:
+            space = OrthogonalSpace.standard(F, n)
+            basis = skew_basis(space)
+            for coeffs in product(range(p), repeat=len(basis)):
+                M = Matrix.zeros(F, n, n)
+                for c, B in zip(coeffs, basis):
+                    M = M + B.scale(c)
+                pair = canonical_pair(SkewEndo(space, M))
+                for mu in range(2, p):
+                    scaled = skewcanon.scaled_pair(pair, mu)
+                    assert scaled.endo.matrix == M.scale(mu)
+                    fresh = canonical_pair(SkewEndo(space, M.scale(mu)))
+                    assert _census_key(scaled) == _census_key(fresh)
+                    kinds.update(part.kind for part in scaled.blocks + scaled.residual)
+                    count += 1
+    assert count == 2899
+    assert kinds == {"paired", "zero_even", "zero_odd", "definite_semisimple", "untreated"}
+
+
+def test_scaled_pair_keys_match_full_pairs_over_q():
+    cases = [(mixed_q_seed(), ["2", "-3", "1/2"]), (definite_q_seed((1, 2)).delta, ["2", "-1"]),
+             (_companion_pair(Q, [1, -1, 0]), ["3", "-1/2"])]
+    for f, scales in cases:
+        pair = canonical_pair(f)
+        for mu in map(Q.of, scales):
+            fresh = canonical_pair(SkewEndo(f.space, f.matrix.scale(mu)))
+            assert _census_key(skewcanon.scaled_pair(pair, mu)) == _census_key(fresh)
+    with pytest.raises(ValidationError, match="scale must be nonzero"):
+        skewcanon.scaled_pair(pair, 0)
+
+
+def test_tampered_scaled_block_fails_the_block_certificate(monkeypatch):
+    A, B = paired_pair(F5, 2, 1)
+    pair = canonical_pair(skew(F5, A, B))
+    assert [b.kind for b in skewcanon.scaled_pair(pair, 2).blocks] == ["paired"]
+    real = skewcanon._paired_model
+    # the model at lambda + 1: the rescaled vectors no longer realize it
+    monkeypatch.setattr(skewcanon, "_paired_model",
+                        lambda F, n, lam: real(F, n, F.add(lam, F.one)))
+    with pytest.raises(ValidationError, match="block certificate failed: map action mismatch"):
+        skewcanon.scaled_pair(pair, 2)
 
 
 def _companion(field, coeffs):

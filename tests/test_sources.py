@@ -14,6 +14,11 @@ every pair through _certify, which needs no inverse, and the command line
 reads pairs that canonical_pair has already verified: an inverse in
 skewcanon, or a verify() call in cli, would be a second copy of a
 certificate.
+
+The census builds one canonical pair per scaling class of components:
+skew_census calls canonical_pair at one site, and scaled_pair, which gives
+every other component its key, reaches no split, minimal polynomial or
+canonical pair of its own.
 """
 
 import ast
@@ -83,3 +88,37 @@ def test_certificates_have_one_copy():
     assert not inverses, f"inverse() in skewcanon.py: {inverses}"
     verifies = _method_calls("cli.py", "verify")
     assert not verifies, f"verify() in cli.py: {verifies}"
+
+
+def _functions(name):
+    tree = ast.parse((SRC / name).read_text())
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _called_names(node):
+    return [
+        call.func.id
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+    ]
+
+
+def test_scaled_pair_builds_no_split():
+    # every module-level function of skewcanon that scaled_pair reaches
+    defs = _functions("skewcanon.py")
+    reached, todo = set(), ["scaled_pair"]
+    while todo:
+        for name in _called_names(defs[todo.pop()]):
+            if name not in reached:
+                reached.add(name)
+                if name in defs:
+                    todo.append(name)
+    assert {"_verify_block", "_assemble", "_emit_odd_block"} <= reached
+    costly = reached & {"canonical_pair", "primary_split", "minimal_polynomial"}
+    assert not costly, f"scaled_pair reaches {sorted(costly)}"
+
+
+def test_census_builds_canonical_pairs_at_one_site():
+    calls = _called_names(_functions("oscillator.py")["skew_census"])
+    assert calls.count("canonical_pair") == 1
+    assert calls.count("scaled_pair") == 1
