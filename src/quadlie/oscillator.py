@@ -1177,34 +1177,62 @@ def _census_reflections(space):
     (which swaps e_i and e_(i+1)), and in the first of (1, ..., 1),
     (1, 2, 0, ...), (1, 1, 1, 0, ...) that fits, has q != 0 and is not
     listed yet (at n = 1 the first is e_1, over F3 the second is e_1 - e_2).
-    Each g is I - (2 / q(v)) v v^T B, checked exactly: g^T B g = B and
-    g^2 = I."""
-    F, n, B = space.field, space.dim, space.gram
+    space is the standard form of F_p^n, q(v) = v . v. Each g is
+    I - (2 / q(v)) v v^T, built on int rows mod p and checked exactly:
+    g^T g = I and g^2 = I."""
+    F, n = space.field, space.dim
+    p = F.p
     E = Matrix.identity(F, n)
-    vecs = E.data[:1] + [[F.sub(a, b) for a, b in zip(E.data[i], E.data[i + 1])]
+    vecs = E.data[:1] + [[(a - b) % p for a, b in zip(E.data[i], E.data[i + 1])]
                          for i in range(n - 1)]
     for head in ([1] * n, [1, 2], [1, 1, 1]):
-        v = [F.of(c) for c in head] + [F.zero] * (n - len(head))
-        if 0 < len(head) <= n and space.quad(v) and v not in vecs:
+        v = [c % p for c in head] + [0] * (n - len(head))
+        if 0 < len(head) <= n and sum(c * c for c in v) % p and v not in vecs:
             vecs.append(v)
             break
     out = []
     for v in vecs:
-        outer = Matrix._wrap(F, [[F.mul(a, b) for b in v] for a in v]) * B
-        g = E - outer.scale(F.div(F.of(2), space.quad(v)))
-        if g.transpose() * B * g != B or g * g != E:
+        s = 2 * F.inv(sum(c * c for c in v) % p)
+        g = Matrix._wrap(F, [[((i == j) - s * a * b) % p for j, b in enumerate(v)]
+                             for i, a in enumerate(v)])
+        if g.transpose() * g != E or g * g != E:
             raise ValidationError("census reflection is not an involutive isometry")
         out.append(g)
     return out
 
 
-def _coefficient_action(span, basis, g):
-    """Rows j: the coordinates of g B_j g over the skew basis, whose
-    flattened matrices are the echelon basis of span; g is involutive."""
-    images = [[c for row in (g * B * g).data for c in row] for B in basis]
-    T = span.coords(images)
-    if T is None:
-        raise ValidationError("conjugate leaves the skew span")
+def _skew_pairs(n):
+    """The coordinates of a skew map on the standard form of F_p^n: (r, s)
+    with r < s, the coefficient of X_rs = E_rs - E_sr, in the order of
+    quadspace.skew_basis."""
+    return [(r, s) for r in range(n) for s in range(r + 1, n)]
+
+
+def _root_matrix(field, n, digits):
+    """The skew map of an index with base-p digits, least significant
+    first: digit j is the coefficient of X_rs for the (r, s) at k - 1 - j
+    of _skew_pairs."""
+    p = field.p
+    rows = [[0] * n for _ in range(n)]
+    for (r, s), c in zip(reversed(_skew_pairs(n)), digits):
+        rows[r][s], rows[s][r] = c, -c % p
+    return Matrix._wrap(field, rows)
+
+
+def _coefficient_action(space, g):
+    """Rows (r, s): the coordinates of g X_rs g over the X_ab, a < b, for g
+    a symmetric census reflection of the standard form. Entry (a, b) of
+    g X_rs g is g_ar g_sb - g_as g_rb mod p; each image is checked skew."""
+    p, n = space.field.p, space.dim
+    G = g.data
+    pairs = _skew_pairs(n)
+    T = []
+    for r, s in pairs:
+        image = [[(G[a][r] * G[s][b] - G[a][s] * G[r][b]) % p for b in range(n)]
+                 for a in range(n)]
+        if any((image[a][b] + image[b][a]) % p for a in range(n) for b in range(a, n)):
+            raise ValidationError("conjugate leaves the skew span")
+        T.append([image[a][b] for a, b in pairs])
     return T
 
 
@@ -1254,8 +1282,11 @@ def skew_census(field, dim, unsafe=False):
 
     The key is read from one canonical pair per scaling class of
     components of conjugate maps. Maps are indexed by their coefficient
-    tuples over skew_basis in itertools.product order, and conjugation by
-    an isometry g is linear on those tuples. From each index not yet given
+    tuples over the X_rs = E_rs - E_sr, r < s (the order of skew_basis), in
+    itertools.product order, and conjugation by an isometry g is linear on
+    those tuples. The set-up is closed-form on ints: the reflections, their
+    _coefficient_action and each _root_matrix are written entry by entry,
+    with no skew basis or echelon reading. From each index not yet given
     a component id, in ascending order, the sweep labels everything reached
     through the _census_reflections with the next id. An image's index is
     four reads of _image_tables, one per half of the index's digits and one
@@ -1269,11 +1300,10 @@ def skew_census(field, dim, unsafe=False):
     in an earlier component C for some mu in 2..p-1, the new component is
     mu C, and if C was itself nu C0 for a component C0 with a canonical pair,
     the key is read off scaled_pair(pair of C0, nu mu). Every other root runs
-    canonical_pair. Bucket order, counts, representatives and nilpotent
-    degrees are those of a map-by-map pass.
+    canonical_pair. Either pair is certified once, as a whole, which
+    certifies each of its blocks. Bucket order, counts, representatives and
+    nilpotent degrees are those of a map-by-map pass.
     """
-    from .quadspace import skew_basis
-
     if not field.p:
         raise CapabilityError("census enumeration needs a finite field")
     if dim < 0:
@@ -1296,21 +1326,12 @@ def skew_census(field, dim, unsafe=False):
             f"census of {p}^{k} maps: cannot allocate its seen flags"
         ) from None
     space = OrthogonalSpace.standard(field, dim)
-    basis = skew_basis(space)
-    flat = [[c for row in B.data for c in row] for B in basis]
-    span = Subspace._echelon_wrap(field, dim * dim, flat)
     h, FH, FL, tables = _image_tables(
-        p, k, [_coefficient_action(span, basis, g) for g in _census_reflections(space)]
+        p, k, [_coefficient_action(space, g) for g in _census_reflections(space)]
     )
     low, unit = p ** h, (2 * p) ** h
     places = [p ** j for j in range(k)]  # digit j counts p^j, last basis map first
     inverses = [(mu, field.inv(mu)) for mu in range(2, p)]
-
-    def root_matrix(digits):
-        M = Matrix.zeros(field, dim, dim)
-        for B, cj in zip(reversed(basis), digits):
-            M = M + B.scale(cj)
-        return M
 
     # component id -> (the canonical pair of a root, the scale from that root)
     classes = [None]
@@ -1345,7 +1366,7 @@ def skew_census(field, dim, unsafe=False):
                 cp = scaled_pair(base, scale)
                 break
         else:
-            M = root_matrix(digits)
+            M = _root_matrix(field, dim, digits)
             cp = base = canonical_pair(SkewEndo(space, M))
             scale = field.one
         classes.append((base, scale))
@@ -1357,7 +1378,7 @@ def skew_census(field, dim, unsafe=False):
         buckets[key] = buckets.get(key, 0) + size
         if key not in reps:
             if M is None:
-                M = root_matrix(digits)
+                M = _root_matrix(field, dim, digits)
             reps[key] = [row[:] for row in M.data]
             m = primary_split(base.endo).minpoly
             if not any(m.coeff(i) for i in range(m.degree)):

@@ -119,7 +119,9 @@ class SkewEndo:
 
 
 def skew_basis(space):
-    """Basis of the space of B-skew matrices, dimension n(n-1)/2 for regular B."""
+    """Basis of the space of B-skew matrices, dimension n(n-1)/2 for regular B.
+    The equations and the kernel rows are built from canonical Gram entries
+    and are wrapped, not coerced again."""
     F = space.field
     B = space.gram
     n = space.dim
@@ -131,11 +133,8 @@ def skew_basis(space):
                 row[k * n + i] = F.add(row[k * n + i], B.data[k][j])
                 row[k * n + j] = F.add(row[k * n + j], B.data[i][k])
             rows.append(row)
-    ker = kernel_basis(Matrix(F, rows))
-    out = []
-    for v in ker.basis:
-        out.append(Matrix(F, [v[i * n : (i + 1) * n] for i in range(n)]))
-    return out
+    ker = kernel_basis(Matrix._wrap(F, rows))
+    return [Matrix._wrap(F, [v[i * n : (i + 1) * n] for i in range(n)]) for v in ker.basis]
 
 
 def diagonalize_form(space):

@@ -541,15 +541,20 @@ def _peel(space, parts, span):
 
 
 def canonical_pair_nonzero(split, i):
+    """The blocks of _nonzero_blocks, each certified against the ambient
+    data."""
+    return [_verify_block(split.endo, b) for b in _nonzero_blocks(split, i)]
+
+
+def _nonzero_blocks(split, i):
     """Peel the +-lambda part of a primary split into paired chain blocks.
 
     split.factors[i] must be a monic linear factor x - lambda with lambda
     nonzero; the zero eigenvalue has its own entry point. Its component
     and that of its star partner x + lambda are the lambda and -lambda
     parts. Each pass takes the longest chains left and splits them off as
-    a block (diag(J_n(lambda), -J_n(lambda)^T), antidiag(I_n, I_n)),
-    certified exactly against the ambient data; both parts keep their
-    orthogonal rest.
+    a block (diag(J_n(lambda), -J_n(lambda)^T), antidiag(I_n, I_n)); both
+    parts keep their orthogonal rest. The caller certifies the blocks.
     """
     f = split.endo
     space, F = f.space, f.field
@@ -578,7 +583,7 @@ def canonical_pair_nonzero(split, i):
         Ablk, Bblk = _paired_model(F, n, lam)
         block = CanonicalBlock("paired", 2 * n, pi, n, Ablk, Bblk,
                                vectors=_paired_basis(L, R, v, w, n - 1))
-        blocks.append(_verify_block(f, block))
+        blocks.append(block)
         pos, neg = _peel(space, [pos, neg], block.vectors)
     return blocks
 
@@ -588,6 +593,11 @@ def canonical_pair_nonzero(split, i):
 
 
 def canonical_pair_zero(split):
+    """The blocks of _zero_blocks, each certified against the ambient data."""
+    return [_verify_block(split.endo, b) for b in _zero_blocks(split)]
+
+
+def _zero_blocks(split):
     """Canonical blocks for the generalized kernel of a split map.
 
     The generalized kernel is the component of the factor x in split.
@@ -603,7 +613,8 @@ def canonical_pair_zero(split):
     is out of reach here, so each block keeps its own squarefree
     square-class representative: canonical per block, and canonical per
     pair whenever odd chain lengths do not repeat. Blocks are emitted in
-    the bordered convention; canonical_pair re-sorts them globally.
+    the bordered convention; canonical_pair re-sorts them globally. The
+    caller certifies the blocks.
     """
     f = split.endo
     space, F = f.space, f.field
@@ -623,7 +634,7 @@ def canonical_pair_zero(split):
     while S.dim > 0:
         k0 = _chain_length(A, S)
         if k0 % 2 == 0:
-            block = _verify_block(f, _zero_even_step(f, S, k0))
+            block = _zero_even_step(f, S, k0)
             blocks.append(block)
             span = block.vectors
         else:
@@ -641,15 +652,14 @@ def canonical_pair_zero(split):
             # generator i of the standardized group: sum_j g[j][i] gens[j]
             mixed = (g.transpose() * Matrix._wrap(F, gens)).data
             for i, nu in enumerate(nus):
-                blocks.append(_verify_block(f, _emit_odd_block(f, mixed[i], nu, k0)))
+                blocks.append(_emit_odd_block(f, mixed[i], nu, k0))
         else:
             for w, mu_raw in group:
                 rep = square_class_representative(F, mu_raw)
                 scale = sqrt_in_field(F, F.div(mu_raw, rep))
                 if scale is None:
                     raise ValidationError("square-class normalization failed")
-                block = _emit_odd_block(f, combine(F, [F.inv(scale)], [w]), rep, k0)
-                blocks.append(_verify_block(f, block))
+                blocks.append(_emit_odd_block(f, combine(F, [F.inv(scale)], [w]), rep, k0))
     return blocks
 
 
@@ -994,7 +1004,7 @@ def canonical_pair(f):
     residual descriptors elsewhere.
 
     One primary split of f feeds every part. The zero component and
-    every +-lambda pair of linear factors split into certified blocks,
+    every +-lambda pair of linear factors split into blocks,
     read off that split by the two chain peelers. A nonlinear self-paired
     component whose factor is quadratic and whose restricted form passes
     quadspace.is_definite (definite over Q, anisotropic over F_p) becomes
@@ -1003,8 +1013,10 @@ def canonical_pair(f):
     pair. No isotropic vector is searched for. Cross-paired component
     pairs stay together in one residual part, since splitting them would
     break the block diagonality of the Gram. Blocks sort by (factor, size,
-    kind, class); each block and then the pair is certified once, before
-    return, so a caller has nothing left to verify.
+    kind, class). The pair is certified once, before return, and nothing
+    else is: M and G are block-diagonal, so A V = V M and V^T B V = G on
+    one block's columns are that block's certificate, and a caller has
+    nothing left to verify.
     """
     space, F = f.space, f.field
     if not space.regular:
@@ -1019,16 +1031,16 @@ def canonical_pair(f):
         if j is None:
             raise ValidationError("regular forms cannot have unpaired components")
         if pi == x:
-            blocks.extend(canonical_pair_zero(ps))
+            blocks.extend(_zero_blocks(ps))
         elif pi.degree == 1:
             if j < i:
                 continue  # orbit already emitted at its partner
-            blocks.extend(canonical_pair_nonzero(ps, i))
+            blocks.extend(_nonzero_blocks(ps, i))
         elif j == i:
             comp = ps.components[i]
             sub = OrthogonalSpace(space.restrict_gram(comp.basis))
             if pi.degree == 2 and k == 1 and is_definite(sub):
-                blocks.append(_verify_block(f, _definite_block(f, comp, pi)))
+                blocks.append(_definite_block(f, comp, pi))
                 residual.append(ResidualPart("definite_semisimple", [pi], k, comp.dim))
             else:
                 residual.append(_untreated(f, [pi], k, comp))
@@ -1042,9 +1054,9 @@ def canonical_pair(f):
 
 
 def _assemble(f, blocks, residual):
-    """Sort certified blocks by (factor, size, kind, class) and residual
-    parts by (first factor, dim), take their columns as the base change and
-    certify the pair."""
+    """Sort blocks by (factor, size, kind, class) and residual parts by
+    (first factor, dim), take their columns as the base change and certify
+    the pair, which certifies every block."""
     blocks.sort(key=lambda b: b.sort_key())
     residual.sort(key=lambda r: (r.factors[0].sort_key(), r.dim))
 
@@ -1079,8 +1091,8 @@ def scaled_pair(pair, mu):
                         scaled by mu and the factors by shift_scale(mu).
 
     Blocks and residual parts are re-sorted, then certified as
-    canonical_pair certifies its own: _verify_block on every block, then
-    CanonicalPair.verify on the pair.
+    canonical_pair certifies its own: once, by CanonicalPair.verify on the
+    pair, which implies each block's certificate.
     """
     f = pair.endo
     F = f.field
@@ -1088,7 +1100,7 @@ def scaled_pair(pair, mu):
     if not mu:
         raise ValidationError("scale must be nonzero")
     g = SkewEndo(f.space, f.matrix.scale(mu))
-    blocks = [_verify_block(g, _scaled_block(g, b, mu)) for b in pair.blocks]
+    blocks = [_scaled_block(g, b, mu) for b in pair.blocks]
     residual = []
     for r in pair.residual:
         factors = sorted((pi.shift_scale(mu) for pi in r.factors), key=lambda q: q.sort_key())

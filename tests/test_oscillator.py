@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from quadlie import exact_field, liecore, oscillator, skewcanon
 from quadlie.errors import CapabilityError, ValidationError
 from quadlie.exact_field import Field, hilbert_symbol, sqrt_in_field, square_class
-from quadlie.linalg import Matrix, Subspace, kernel_basis
+from quadlie.linalg import Matrix, kernel_basis
 from quadlie.liecore import LieAlgebra, QuadraticLieAlgebra
 from quadlie.oscillator import (
     IsoWitness,
@@ -23,6 +23,7 @@ from quadlie.oscillator import (
     _coefficient_action,
     _image_tables,
     _norm_equation,
+    _root_matrix,
     _weight_spaces,
     build_double_extension,
     classify_nilpotent,
@@ -1096,12 +1097,38 @@ def test_census_orbits_match_map_by_map(p, n):
     assert json.dumps(skew_census(F, n)) == json.dumps(_census_map_by_map(F, n))
 
 
+def _combination(F, n, coeffs, basis):
+    M = Matrix.zeros(F, n, n)
+    for c, B in zip(coeffs, basis):
+        M = M + B.scale(c)
+    return M
+
+
+def _assert_conjugates(basis, g, T):
+    """Row j of T is the coordinate row of g B_j g over skew_basis."""
+    F, n = g.field, g.nrows
+    assert len(T) == len(basis)
+    for row, B in zip(T, basis):
+        assert _combination(F, n, row, basis) == g * B * g
+
+
+@pytest.mark.parametrize("p, n", [(3, n) for n in range(5)] + [(5, 3), (7, 3)])
+def test_census_root_matrix_follows_skew_basis(p, n):
+    # digit j, least significant first, is the coefficient of B_(k-1-j)
+    F = Field.parse(f"Fp:{p}")
+    basis = skew_basis(OrthogonalSpace.standard(F, n))
+    k = len(basis)
+    for x in range(p ** k):
+        digits = [x // p ** j % p for j in range(k)]
+        want = _combination(F, n, digits, basis[::-1])
+        assert _root_matrix(F, n, digits) == want
+
+
 @pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (3, 4), (5, 3), (5, 4), (7, 4)])
 def test_census_reflections_act_on_coefficients(p, n):
     F = Field.parse(f"Fp:{p}")
     space = OrthogonalSpace.standard(F, n)
     basis = skew_basis(space)
-    span = Subspace._echelon_wrap(F, n * n, [[c for row in B.data for c in row] for B in basis])
     reflections = _census_reflections(space)
     # over F3 at n = 3, (1, 1, 1) is isotropic and (1, 2, 0) is e_1 - e_2
     assert len(reflections) == (n if (p, n) == (3, 3) else n + 1)
@@ -1109,12 +1136,7 @@ def test_census_reflections_act_on_coefficients(p, n):
         # the reflection in (1, 1, 1, 1) leaves the signed permutations
         assert all(reflections[-1].data[0])
     for g in reflections:
-        T = _coefficient_action(span, basis, g)
-        for row, B in zip(T, basis):
-            image = Matrix.zeros(F, n, n)
-            for c, Bi in zip(row, basis):
-                image = image + Bi.scale(c)
-            assert image == g * B * g
+        _assert_conjugates(basis, g, _coefficient_action(space, g))
 
 
 @pytest.mark.parametrize("p, n, sample", [(3, n, None) for n in range(5)] + [
@@ -1126,8 +1148,10 @@ def test_census_image_tables(p, n, sample):
     space = OrthogonalSpace.standard(F, n)
     basis = skew_basis(space)
     k = len(basis)
-    span = Subspace._echelon_wrap(F, n * n, [[c for row in B.data for c in row] for B in basis])
-    actions = [_coefficient_action(span, basis, g) for g in _census_reflections(space)]
+    reflections = _census_reflections(space)
+    actions = [_coefficient_action(space, g) for g in reflections]
+    for g, T in zip(reflections, actions):
+        _assert_conjugates(basis, g, T)
     h, FH, FL, tables = _image_tables(p, k, actions)
     assert h == k // 2 and len(tables) == len(actions)
     indices = range(p ** k) if sample is None else random.Random(p * 10 + n).sample(

@@ -569,16 +569,31 @@ def test_scaled_pair_keys_match_full_pairs_over_q():
         skewcanon.scaled_pair(pair, 0)
 
 
+def _shifted_paired_model(monkeypatch):
+    # the model at lambda + 1: the chain vectors no longer realize it
+    real = skewcanon._paired_model
+    monkeypatch.setattr(skewcanon, "_paired_model",
+                        lambda F, n, lam: real(F, n, F.add(lam, F.one)))
+
+
 def test_tampered_scaled_block_fails_the_block_certificate(monkeypatch):
+    # the pair certificate is the only one scaled_pair runs, and it covers
+    # every block
     A, B = paired_pair(F5, 2, 1)
     pair = canonical_pair(skew(F5, A, B))
     assert [b.kind for b in skewcanon.scaled_pair(pair, 2).blocks] == ["paired"]
-    real = skewcanon._paired_model
-    # the model at lambda + 1: the rescaled vectors no longer realize it
-    monkeypatch.setattr(skewcanon, "_paired_model",
-                        lambda F, n, lam: real(F, n, F.add(lam, F.one)))
-    with pytest.raises(ValidationError, match="block certificate failed: map action mismatch"):
+    _shifted_paired_model(monkeypatch)
+    with pytest.raises(ValidationError, match="canonical certificate failed on the map"):
         skewcanon.scaled_pair(pair, 2)
+
+
+def test_tampered_canonical_block_fails_the_pair_certificate(monkeypatch):
+    A, B = paired_pair(F5, 2, 1)
+    f = skew(F5, A, B)
+    assert [b.kind for b in canonical_pair(f).blocks] == ["paired"]
+    _shifted_paired_model(monkeypatch)
+    with pytest.raises(ValidationError, match="canonical certificate failed on the map"):
+        canonical_pair(f)
 
 
 def _companion(field, coeffs):

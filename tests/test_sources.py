@@ -18,7 +18,8 @@ certificate.
 The census builds one canonical pair per scaling class of components:
 skew_census calls canonical_pair at one site, and scaled_pair, which gives
 every other component its key, reaches no split, minimal polynomial or
-canonical pair of its own.
+canonical pair of its own. Neither pair certifies a block on its own: the
+pair certificate covers every block.
 """
 
 import ast
@@ -103,19 +104,26 @@ def _called_names(node):
     ]
 
 
-def test_scaled_pair_builds_no_split():
-    # every module-level function of skewcanon that scaled_pair reaches
+def _reached(root):
+    # every module-level function of skewcanon that root reaches
     defs = _functions("skewcanon.py")
-    reached, todo = set(), ["scaled_pair"]
+    reached, todo = set(), [root]
     while todo:
         for name in _called_names(defs[todo.pop()]):
             if name not in reached:
                 reached.add(name)
                 if name in defs:
                     todo.append(name)
-    assert {"_verify_block", "_assemble", "_emit_odd_block"} <= reached
+    return reached
+
+
+def test_scaled_pair_builds_no_split():
+    reached = _reached("scaled_pair")
+    assert {"_assemble", "_emit_odd_block"} <= reached
     costly = reached & {"canonical_pair", "primary_split", "minimal_polynomial"}
     assert not costly, f"scaled_pair reaches {sorted(costly)}"
+    # the pair certificate in _assemble is the only one either pair runs
+    assert "_verify_block" not in reached | _reached("canonical_pair")
 
 
 def test_census_builds_canonical_pairs_at_one_site():
