@@ -14,8 +14,9 @@ Python-level properties, and leaves vectors over F_p as they are.
 field_image divides the int results once, or reduces them mod p: each
 nonzero rational entry is built as object.__new__(Fraction) with its slots
 set after one gcd, the value, normal form and hash of Fraction(a, d)
-without the constructor's dispatch. These are the only readers and makers
-of Fraction internals in quadlie; the slot layout is checked by the tests.
+without the constructor's dispatch, and int_fraction does the same for
+Field.of's integer scalars. These are the only readers and makers of
+Fraction internals in quadlie; the slot layout is checked by the tests.
 Row reduction is fraction-free, fp_rank builds no reduced row, fp_matvec is
 the first step of fp_krylov, and leading_minors is Bareiss elimination
 without row exchanges, the leading principal minors of a rational matrix
@@ -75,6 +76,14 @@ def field_image(ints, d, p):
         else:
             out.append(_ZERO)
     return out
+
+
+def int_fraction(a):
+    """Fraction(a) of an int a, built as field_image builds its entries."""
+    x = object.__new__(Fraction)
+    x._numerator = a
+    x._denominator = 1
+    return x
 
 
 def nonzero(a, p):

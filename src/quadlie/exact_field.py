@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from ._fast import integer_image
+from ._fast import int_fraction, integer_image
 from .errors import CapabilityError, ValidationError, json_list
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -320,7 +320,7 @@ class Field:
                 pass  # rejected below, the string named in the message
         if self.p == 0:
             if type(v) is int:  # not bool, which JSON true/false arrive as
-                return Fraction(v)
+                return int_fraction(v)
             if isinstance(v, Fraction):
                 return v
             raise ValidationError(f"not a rational scalar: {v!r}")

@@ -1172,14 +1172,21 @@ CENSUS_MAX_DIM = 4  # largest core dimension enumerated without unsafe
 CENSUS_MAX_P = 7  # largest prime enumerated without unsafe
 
 
-def _census_reflections(space):
-    """Reflections that join the census orbits: in e_1, in each e_i - e_(i+1)
-    (which swaps e_i and e_(i+1)), and in the first of (1, ..., 1),
-    (1, 2, 0, ...), (1, 1, 1, 0, ...) that fits, has q != 0 and is not
-    listed yet (at n = 1 the first is e_1, over F3 the second is e_1 - e_2).
-    space is the standard form of F_p^n, q(v) = v . v. Each g is
-    I - (2 / q(v)) v v^T, built on int rows mod p and checked exactly:
-    g^T g = I and g^2 = I."""
+def _census_generators(space):
+    """Two isometries of the standard form of F_p^n that join the census
+    orbits, as int rows mod p, each checked exactly: g^T g = I.
+
+    They are built from the reflections g_i = I - (2 / q(v)) v v^T in v =
+    e_1, in each e_i - e_(i+1) (which swaps e_i and e_(i+1)), and in the
+    first of (1, ..., 1), (1, 2, 0, ...), (1, 1, 1, 0, ...) that fits, has
+    q(v) != 0 and is not listed yet; q(v) = v . v. Of a list g_0 ... g_(m-1)
+    with m >= 3 they are a = g_0 g_1 and b = (g_1 ... g_(m-2)) g_(m-1)
+    g_(m-2); a shorter list is returned as it is. At every capped (p, n),
+    a and b conjugate the skew maps as the whole list does (at odd n they
+    lose -I, which conjugates trivially), so the sweep reads 2 images per
+    map instead of m. Only isometry matters for exactness: a smaller group
+    gives finer components, each still counted by its size.
+    """
     F, n = space.field, space.dim
     p = F.p
     E = Matrix.identity(F, n)
@@ -1190,15 +1197,20 @@ def _census_reflections(space):
         if 0 < len(head) <= n and sum(c * c for c in v) % p and v not in vecs:
             vecs.append(v)
             break
-    out = []
+    gs = []
     for v in vecs:
         s = 2 * F.inv(sum(c * c for c in v) % p)
-        g = Matrix._wrap(F, [[((i == j) - s * a * b) % p for j, b in enumerate(v)]
-                             for i, a in enumerate(v)])
-        if g.transpose() * g != E or g * g != E:
-            raise ValidationError("census reflection is not an involutive isometry")
-        out.append(g)
-    return out
+        gs.append(Matrix._wrap(F, [[((i == j) - s * a * b) % p for j, b in enumerate(v)]
+                                   for i, a in enumerate(v)]))
+    if len(gs) >= 3:
+        b = gs[1]
+        for g in gs[2:-1]:
+            b = b * g
+        gs = [gs[0] * gs[1], b * gs[-1] * gs[-2]]
+    for g in gs:
+        if g.transpose() * g != E:
+            raise ValidationError("census generator is not an isometry")
+    return gs
 
 
 def _skew_pairs(n):
@@ -1220,15 +1232,15 @@ def _root_matrix(field, n, digits):
 
 
 def _coefficient_action(space, g):
-    """Rows (r, s): the coordinates of g X_rs g over the X_ab, a < b, for g
-    a symmetric census reflection of the standard form. Entry (a, b) of
-    g X_rs g is g_ar g_sb - g_as g_rb mod p; each image is checked skew."""
+    """Rows (r, s): the coordinates of g X_rs g^T over the X_ab, a < b, for g
+    an isometry of the standard form, so that g^T = g^-1. Entry (a, b) of
+    g X_rs g^T is g_ar g_bs - g_as g_br mod p; each image is checked skew."""
     p, n = space.field.p, space.dim
     G = g.data
     pairs = _skew_pairs(n)
     T = []
     for r, s in pairs:
-        image = [[(G[a][r] * G[s][b] - G[a][s] * G[r][b]) % p for b in range(n)]
+        image = [[(G[a][r] * G[b][s] - G[a][s] * G[b][r]) % p for b in range(n)]
                  for a in range(n)]
         if any((image[a][b] + image[b][a]) % p for a in range(n) for b in range(a, n)):
             raise ValidationError("conjugate leaves the skew span")
@@ -1271,6 +1283,35 @@ def _image_tables(p, k, actions):
     return h, index_parts(range(k - h)), index_parts(range(k - h, k)), tables
 
 
+def _census_components(p, k, actions, comp):
+    """Label each index of comp, an array of p^k zeros, with its component
+    id: from each index not yet labelled, in ascending order, everything
+    reached through the actions gets the next id, 1 first. An image's
+    index is four reads of _image_tables, one per half of the index's
+    digits and one per half of the packed image, not k dot products.
+    Returns the (root, size) of each component, in id order."""
+    h, FH, FL, tables = _image_tables(p, k, actions)
+    low, unit = p ** h, (2 * p) ** h
+    components = []
+    for root in range(len(comp)):
+        if comp[root]:
+            continue
+        cid = len(components) + 1
+        comp[root] = cid
+        stack, size = [root], 0
+        while stack:
+            hi, lo = divmod(stack.pop(), low)
+            size += 1
+            for PH, PL in tables:
+                a, b = divmod(PH[hi] + PL[lo], unit)
+                y = FH[a] + FL[b]
+                if not comp[y]:
+                    comp[y] = cid
+                    stack.append(y)
+        components.append((root, size))
+    return components
+
+
 def skew_census(field, dim, unsafe=False):
     """Bucket every skew map on the standard form by its canonical key.
 
@@ -1284,16 +1325,16 @@ def skew_census(field, dim, unsafe=False):
     components of conjugate maps. Maps are indexed by their coefficient
     tuples over the X_rs = E_rs - E_sr, r < s (the order of skew_basis), in
     itertools.product order, and conjugation by an isometry g is linear on
-    those tuples. The set-up is closed-form on ints: the reflections, their
-    _coefficient_action and each _root_matrix are written entry by entry,
-    with no skew basis or echelon reading. From each index not yet given
-    a component id, in ascending order, the sweep labels everything reached
-    through the _census_reflections with the next id. An image's index is
-    four reads of _image_tables, one per half of the index's digits and one
-    per half of the packed image, not k dot products. Conjugate maps have
-    the same canonical key (Wall), so counting each component by its size
-    is exact; the reflections need only be isometries, since a smaller
-    group gives finer components.
+    those tuples. The set-up is closed-form on ints: the two
+    _census_generators, their _coefficient_action and each _root_matrix
+    are written entry by entry, with no skew basis or echelon reading.
+    _census_components then labels every index with its component under
+    the two generators, so the sweep reads 2 images per map. Conjugate
+    maps have the same canonical key (Wall), so counting each component by
+    its size is exact; the generators need only be isometries, since a
+    smaller group gives finer components. The space is
+    OrthogonalSpace.standard, so the canonical pairs skip their products
+    with the identity Gram.
 
     Scaling commutes with conjugation, so mu C is a component for each
     component C and scalar mu. When mu^-1 root, its digits scaled mod p, lies
@@ -1326,10 +1367,9 @@ def skew_census(field, dim, unsafe=False):
             f"census of {p}^{k} maps: cannot allocate its seen flags"
         ) from None
     space = OrthogonalSpace.standard(field, dim)
-    h, FH, FL, tables = _image_tables(
-        p, k, [_coefficient_action(space, g) for g in _census_reflections(space)]
+    components = _census_components(
+        p, k, [_coefficient_action(space, g) for g in _census_generators(space)], comp
     )
-    low, unit = p ** h, (2 * p) ** h
     places = [p ** j for j in range(k)]  # digit j counts p^j, last basis map first
     inverses = [(mu, field.inv(mu)) for mu in range(2, p)]
 
@@ -1338,21 +1378,7 @@ def skew_census(field, dim, unsafe=False):
     buckets = {}
     reps = {}
     nilpotent = {}
-    for root in range(total):
-        if comp[root]:
-            continue
-        cid = len(classes)
-        comp[root] = cid
-        stack, size = [root], 0
-        while stack:
-            hi, lo = divmod(stack.pop(), low)
-            size += 1
-            for PH, PL in tables:
-                a, b = divmod(PH[hi] + PL[lo], unit)
-                y = FH[a] + FL[b]
-                if not comp[y]:
-                    comp[y] = cid
-                    stack.append(y)
+    for cid, (root, size) in enumerate(components, 1):
         digits, x = [], root
         for _ in range(k):
             x, cj = divmod(x, p)
@@ -1360,7 +1386,7 @@ def skew_census(field, dim, unsafe=False):
         M = None
         for mu, inv in inverses:
             earlier = comp[sum(inv * cj % p * w for cj, w in zip(digits, places))]
-            if earlier and earlier != cid:
+            if earlier < cid:
                 base, nu = classes[earlier]
                 scale = field.mul(nu, mu)
                 cp = scaled_pair(base, scale)

@@ -14,7 +14,7 @@ from .linalg import Matrix, Subspace, kernel_basis
 
 
 class OrthogonalSpace:
-    __slots__ = ("field", "dim", "gram", "regular")
+    __slots__ = ("field", "dim", "gram", "regular", "identity_gram")
 
     def __init__(self, gram):
         if not gram.is_square:
@@ -25,20 +25,37 @@ class OrthogonalSpace:
         self.dim = gram.nrows
         self.gram = gram
         self.regular = gram.rank() == gram.nrows
+        self.identity_gram = False
 
     @classmethod
     def standard(cls, field, n):
-        return cls(Matrix.identity(field, n))
+        """The form v . v on F^n, whose Gram is I. Only this constructor
+        marks a space as having the identity Gram, for times_gram; the same
+        Gram passed to OrthogonalSpace() is multiplied as any other."""
+        space = cls(Matrix.identity(field, n))
+        space.identity_gram = True
+        return space
 
     def __repr__(self):
         return f"OrthogonalSpace(dim {self.dim}, {'regular' if self.regular else 'degenerate'})"
 
+    def times_gram(self, R):
+        """R B, for a Matrix R with dim columns: the one product with the
+        Gram in quadspace and skewcanon. On a standard() space B is I and
+        R itself is returned, not a copy, so callers only read the result."""
+        if self.identity_gram:
+            if R.ncols != self.dim:
+                raise ValidationError("inner dimensions differ")
+            return R
+        return R * self.gram
+
     def bilin(self, x, y):
-        """phi(x, y) = x . (B y), two matvecs; x and y must have length dim."""
-        By = self.gram.matvec(y)
-        if len(x) != len(By):
+        """phi(x, y) = (x B) . y, by times_gram and one dot product; x and y
+        must have length dim."""
+        if len(x) != self.dim or len(y) != self.dim:
             raise ValidationError("vector length mismatch")
-        return _fast.fp_matvec([x], By, self.field.p)[0]
+        (xB,) = self.times_gram(Matrix._wrap(self.field, [x])).data
+        return _fast.fp_matvec([xB], y, self.field.p)[0]
 
     def quad(self, x):
         return self.bilin(x, x)
@@ -46,7 +63,7 @@ class OrthogonalSpace:
     def restrict_gram(self, rows):
         """Gram matrix of the form restricted to the given basis rows."""
         R = Matrix._wrap(self.field, rows)
-        return R * self.gram * R.transpose()
+        return self.times_gram(R) * R.transpose()
 
     def to_json(self):
         return {"field": self.field.spec(), "gram": self.gram.to_json()}
@@ -68,22 +85,23 @@ def ortho_complement(space, U):
     """All vectors phi-orthogonal to the subspace U."""
     if U.dim == 0:
         return Subspace.full(space.field, space.dim)
-    return kernel_basis(U.matrix() * space.gram)
+    return kernel_basis(space.times_gram(U.matrix()))
 
 
 def is_skew(space, A):
     """Check A^T B + B A = 0; on failure also return the first offending
     index pair in row-major order.
 
-    One product suffices: with M = B A and B symmetric, A^T B = M^T, so the
-    (i, j) entry of the sum is M[j][i] + M[i][j]. The sum is symmetric, so
-    its first nonzero entry in row-major order has j >= i (an entry with
-    j < i mirrors one in an earlier row), and the scan reads only those.
+    One product suffices: with M = A^T B, which is A^T itself on a
+    standard() space, and B symmetric, B A = M^T, so the (i, j) entry of
+    the sum is M[i][j] + M[j][i]. The sum is symmetric, so its first
+    nonzero entry in row-major order has j >= i (an entry with j < i
+    mirrors one in an earlier row), and the scan reads only those.
     """
     if not (A.is_square and A.nrows == space.dim):
         raise ValidationError("endomorphism dimension mismatch")
     p = space.field.p
-    M = (space.gram * A).data
+    M = space.times_gram(A.transpose()).data
     for i, row in enumerate(M):
         for j in range(i, len(row)):
             if _fast.nonzero(row[j] + M[j][i], p):
@@ -123,15 +141,15 @@ def skew_basis(space):
     The equations and the kernel rows are built from canonical Gram entries
     and are wrapped, not coerced again."""
     F = space.field
-    B = space.gram
+    B = space.gram.data
     n = space.dim
     rows = []
     for i in range(n):
         for j in range(i, n):
             row = [F.zero] * (n * n)
             for k in range(n):
-                row[k * n + i] = F.add(row[k * n + i], B.data[k][j])
-                row[k * n + j] = F.add(row[k * n + j], B.data[i][k])
+                row[k * n + i] = F.add(row[k * n + i], B[k][j])
+                row[k * n + j] = F.add(row[k * n + j], B[i][k])
             rows.append(row)
     ker = kernel_basis(Matrix._wrap(F, rows))
     return [Matrix._wrap(F, [v[i * n : (i + 1) * n] for i in range(n)]) for v in ker.basis]
@@ -182,7 +200,7 @@ def diagonalize_form(space):
             if C[i][j]:
                 col_op_add(j, i, F.neg(F.mul(C[i][j], inv)))
     d = [C[i][i] for i in range(n)]
-    check = P.transpose() * space.gram * P
+    check = space.times_gram(P.transpose()) * P
     if check != Matrix.diagonal(F, d):
         raise ValidationError("diagonalization certificate failed")
     return P, d
@@ -396,13 +414,11 @@ def isotropy_report(space):
         if first_witness is None:
             first_witness = E.matvec(w)
         # hyperbolic partner: u with phi(w, u) = 1, then made isotropic
-        G = cur.gram
-        wG = Matrix._wrap(F, [w]) * G
-        u = wG.solve([F.one])
+        u = cur.times_gram(Matrix._wrap(F, [w])).solve([F.one])
         if u is None:
             raise ValidationError("regular form has no hyperbolic partner")
         u = [F.sub(ui, F.mul(F.half(cur.quad(u)), wi)) for ui, wi in zip(u, w)]
-        rows = kernel_basis(Matrix._wrap(F, [w, u]) * G).basis
+        rows = kernel_basis(cur.times_gram(Matrix._wrap(F, [w, u]))).basis
         if rows:
             E = E * Matrix._wrap(F, rows).transpose()
             cur = OrthogonalSpace(cur.restrict_gram(rows))

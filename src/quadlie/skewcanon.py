@@ -77,7 +77,8 @@ def _pairs_to_zero(space, U, W):
     if U.dim == 0 or W.dim == 0:
         return True
     F = space.field
-    return (Matrix._wrap(F, U.basis) * space.gram * Matrix._wrap(F, W.basis).transpose()).is_zero()
+    return (space.times_gram(Matrix._wrap(F, U.basis))
+            * Matrix._wrap(F, W.basis).transpose()).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +460,7 @@ def _certify(f, Vt, M, G, on_map, on_form):
     V = Vt.transpose()
     if f.matrix * V != V * M or (V.is_square and V.rank() != V.nrows):
         raise ValidationError(on_map)
-    if Vt * f.space.gram * V != G:
+    if f.space.times_gram(Vt) * V != G:
         raise ValidationError(on_form)
 
 
@@ -507,7 +508,7 @@ def _chain_dual(space, L, R, v, w, k):
     """
     F = space.field
     W = Matrix._wrap(F, krylov(R, w, k))
-    P = Matrix._wrap(F, krylov(L, v, k)) * space.gram * W.transpose()
+    P = space.times_gram(Matrix._wrap(F, krylov(L, v, k))) * W.transpose()
     if P.data[k][0] == F.zero:
         raise ValidationError("dual chain lost its pairing")
     return combine(F, P.solve([F.zero] * k + [F.one]), W.data)
@@ -529,7 +530,7 @@ def _peel(space, parts, span):
     U = Subspace._wrap(space.field, space.dim, span)
     if U.dim != len(span):
         raise ValidationError("chain vectors are dependent")
-    C = U.matrix() * space.gram
+    C = space.times_gram(U.matrix())
     rest = [S.meet_kernel(C) for S in parts]
     if sum(S.dim for S in rest) != sum(S.dim for S in parts) - len(span):
         raise ValidationError("peeled block is not regular inside the part")
@@ -708,7 +709,7 @@ def _fp_group_standardize(F, mus):
     nus = [F.one] * (m - 1) + [rep]
 
     g = Matrix._wrap(F, cols).transpose()
-    if g.transpose() * space.gram * g != Matrix.diagonal(F, nus):
+    if space.times_gram(g.transpose()) * g != Matrix.diagonal(F, nus):
         raise ValidationError("group standardization certificate failed")
     return g, nus
 

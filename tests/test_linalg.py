@@ -265,6 +265,15 @@ def test_image_helpers_make_what_the_fraction_constructor_makes(vecs, data):
     assert _fraction_parts(got) == _fraction_parts(Fraction(a, d) for a in row)
 
 
+@pytest.mark.parametrize("a", [0, 1, -1, 10 ** 3999, -(10 ** 3999) - 7])
+def test_int_fraction_is_what_the_fraction_constructor_makes(a):
+    # Field.of reads every integer scalar over Q through int_fraction
+    want = Fraction(a)
+    for got in (_fast.int_fraction(a), Field.parse("Q").of(a)):
+        assert type(got) is Fraction and got == want and hash(got) == hash(want)
+        assert (got._numerator, got._denominator) == (want._numerator, want._denominator)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 6), st.data())
 def test_leading_minors_are_the_leading_determinants(n, data):

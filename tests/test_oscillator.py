@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import random
+from array import array
 from fractions import Fraction
 from itertools import product
 
@@ -19,7 +20,8 @@ from quadlie.liecore import LieAlgebra, QuadraticLieAlgebra
 from quadlie.oscillator import (
     IsoWitness,
     OscillatorData,
-    _census_reflections,
+    _census_components,
+    _census_generators,
     _coefficient_action,
     _image_tables,
     _norm_equation,
@@ -1078,7 +1080,8 @@ def _census_map_by_map(F, n):
     }
 
 
-@pytest.mark.parametrize("p, n, full, scaled", [(3, 4, 11, 0), (5, 3, 4, 2), (7, 3, 4, 4)])
+@pytest.mark.parametrize("p, n, full, scaled", [
+    (3, 4, 11, 0), (5, 3, 4, 2), (7, 3, 4, 4), (5, 4, 36, 34), (7, 4, 96, 240)])
 def test_census_runs_one_canonical_pair_per_scaling_class(monkeypatch, p, n, full, scaled):
     calls = {"canonical_pair": 0, "scaled_pair": 0}
     for name in calls:
@@ -1105,11 +1108,37 @@ def _combination(F, n, coeffs, basis):
 
 
 def _assert_conjugates(basis, g, T):
-    """Row j of T is the coordinate row of g B_j g over skew_basis."""
+    """Row j of T is the coordinate row of g B_j g^T over skew_basis."""
     F, n = g.field, g.nrows
     assert len(T) == len(basis)
     for row, B in zip(T, basis):
-        assert _combination(F, n, row, basis) == g * B * g
+        assert _combination(F, n, row, basis) == g * B * g.transpose()
+
+
+def _census_reflections(space):
+    """The reflections that joined the census orbits before the two
+    generators replaced them, kept as the oracle of _census_generators: in
+    e_1, in each e_i - e_(i+1), and in the first of (1, ..., 1),
+    (1, 2, 0, ...), (1, 1, 1, 0, ...) that fits, has q != 0 and is not
+    listed yet. Each is I - (2 / q(v)) v v^T on int rows mod p."""
+    F, n = space.field, space.dim
+    p = F.p
+    E = Matrix.identity(F, n)
+    vecs = E.data[:1] + [[(a - b) % p for a, b in zip(E.data[i], E.data[i + 1])]
+                         for i in range(n - 1)]
+    for head in ([1] * n, [1, 2], [1, 1, 1]):
+        v = [c % p for c in head] + [0] * (n - len(head))
+        if 0 < len(head) <= n and sum(c * c for c in v) % p and v not in vecs:
+            vecs.append(v)
+            break
+    out = []
+    for v in vecs:
+        s = 2 * F.inv(sum(c * c for c in v) % p)
+        g = Matrix._wrap(F, [[((i == j) - s * a * b) % p for j, b in enumerate(v)]
+                             for i, a in enumerate(v)])
+        assert g.transpose() * g == E and g * g == E
+        out.append(g)
+    return out
 
 
 @pytest.mark.parametrize("p, n", [(3, n) for n in range(5)] + [(5, 3), (7, 3)])
@@ -1132,10 +1161,13 @@ def test_census_reflections_act_on_coefficients(p, n):
     reflections = _census_reflections(space)
     # over F3 at n = 3, (1, 1, 1) is isotropic and (1, 2, 0) is e_1 - e_2
     assert len(reflections) == (n if (p, n) == (3, 3) else n + 1)
+    generators = _census_generators(space)
+    assert len(generators) == 2
     if n == 4:
-        # the reflection in (1, 1, 1, 1) leaves the signed permutations
-        assert all(reflections[-1].data[0])
-    for g in reflections:
+        # the reflection in (1, 1, 1, 1) takes b out of the signed permutations
+        assert any(sum(map(bool, row)) > 1 for row in generators[1].data)
+    # the symmetric reflections and the generators, which are not symmetric
+    for g in reflections + generators:
         _assert_conjugates(basis, g, _coefficient_action(space, g))
 
 
@@ -1148,9 +1180,9 @@ def test_census_image_tables(p, n, sample):
     space = OrthogonalSpace.standard(F, n)
     basis = skew_basis(space)
     k = len(basis)
-    reflections = _census_reflections(space)
-    actions = [_coefficient_action(space, g) for g in reflections]
-    for g, T in zip(reflections, actions):
+    generators = _census_generators(space)
+    actions = [_coefficient_action(space, g) for g in generators]
+    for g, T in zip(generators, actions):
         _assert_conjugates(basis, g, T)
     h, FH, FL, tables = _image_tables(p, k, actions)
     assert h == k // 2 and len(tables) == len(actions)
@@ -1169,8 +1201,43 @@ def test_census_image_tables(p, n, sample):
 
 @pytest.mark.parametrize("p, n", list(product((3, 5, 7, 11), range(1, 6))))
 def test_census_reflections_are_distinct(p, n):
-    reflections = _census_reflections(OrthogonalSpace.standard(Field.parse(f"Fp:{p}"), n))
+    space = OrthogonalSpace.standard(Field.parse(f"Fp:{p}"), n)
+    reflections = _census_reflections(space)
     assert len({tuple(map(tuple, g.data)) for g in reflections}) == len(reflections)
+    # the generators are distinct, and neither is I
+    generators = _census_generators(space)
+    assert len(generators) == min(len(reflections), 2)
+    distinct = {tuple(map(tuple, g.data)) for g in generators + [Matrix.identity(space.field, n)]}
+    assert len(distinct) == len(generators) + 1
+
+
+def _census_ids(space, group):
+    k = space.dim * (space.dim - 1) // 2
+    comp = array("q", [0]) * space.field.p ** k
+    _census_components(space.field.p, k, [_coefficient_action(space, g) for g in group], comp)
+    return comp
+
+
+@pytest.mark.parametrize("p, n", list(product((3, 5, 7), range(5))))
+def test_census_generators_join_the_reflection_components(p, n):
+    # the same component id at every index: the two generators conjugate
+    # the skew maps as the whole reflection list does
+    space = OrthogonalSpace.standard(Field.parse(f"Fp:{p}"), n)
+    assert _census_ids(space, _census_generators(space)) == _census_ids(
+        space, _census_reflections(space))
+
+
+@pytest.mark.parametrize("p, n", [(3, n) for n in range(5)] + [(5, 3), (7, 3)])
+def test_census_pairs_match_on_the_unmarked_identity_gram(p, n):
+    # the standard form skips its products with I; the same Gram passed to
+    # OrthogonalSpace() multiplies, and every pair must come out the same
+    F = Field.parse(f"Fp:{p}")
+    marked, plain = OrthogonalSpace.standard(F, n), OrthogonalSpace(Matrix.identity(F, n))
+    assert marked.identity_gram and not plain.identity_gram
+    for rows in skew_census(F, n)["representatives"].values():
+        M = Matrix(F, rows)
+        want = skewcanon.canonical_pair(SkewEndo(plain, M)).to_json()
+        assert skewcanon.canonical_pair(SkewEndo(marked, M)).to_json() == want
 
 
 def _mat_mul(p, a, b):

@@ -15,6 +15,11 @@ reads pairs that canonical_pair has already verified: an inverse in
 skewcanon, or a verify() call in cli, would be a second copy of a
 certificate.
 
+Every product with a space's Gram in quadspace and skewcanon goes through
+OrthogonalSpace.times_gram, which skips it on the identity Gram of a
+standard() space: a product or matvec with .gram elsewhere in those modules
+would multiply the census's pairs by I again.
+
 The census builds one canonical pair per scaling class of components:
 skew_census calls canonical_pair at one site, and scaled_pair, which gives
 every other component its key, reaches no split, minimal polynomial or
@@ -130,3 +135,41 @@ def test_census_builds_canonical_pairs_at_one_site():
     calls = _called_names(_functions("oscillator.py")["skew_census"])
     assert calls.count("canonical_pair") == 1
     assert calls.count("scaled_pair") == 1
+
+
+def _space_gram(node):
+    # X.gram for X a space; block.gram is a CanonicalBlock's model Gram
+    return (isinstance(node, ast.Attribute) and node.attr == "gram"
+            and ast.unparse(node.value) != "block")
+
+
+def _gram_use(node):
+    # a product with a space's Gram, a matvec on it, or a name bound to it,
+    # which could carry it into a product unseen
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.MatMult)):
+        return _space_gram(node.left) or _space_gram(node.right)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr == "matvec" and _space_gram(node.func.value)
+    if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+        return _space_gram(node.value)
+    return False
+
+
+def _gram_uses(tree):
+    return sorted({
+        (func.name, node.lineno)
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func) if _gram_use(node)
+    })
+
+
+def test_products_with_a_space_gram_only_in_times_gram():
+    for name in ("quadspace.py", "skewcanon.py"):
+        uses = _gram_uses(ast.parse((SRC / name).read_text()))
+        outside = [f"{name}:{line} in {func}" for func, line in uses if func != "times_gram"]
+        assert not outside, f"products with a space's Gram outside times_gram: {outside}"
+        assert bool(uses) == (name == "quadspace.py")
+    # and the walk sees each form it rules out
+    for line in ("v = R * space.gram", "v = f.space.gram.matvec(y)", "G = cur.gram"):
+        assert _gram_uses(ast.parse(f"def f():\n    {line}\n")) == [("f", 2)]
+    assert not _gram_uses(ast.parse("def f():\n    v = T * block.gram\n"))
