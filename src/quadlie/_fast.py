@@ -1,5 +1,5 @@
-"""Row reduction, rank, matrix product, matvec and Krylov chains over F_p
-and Q, on lists of rows.
+"""Row reduction, rank, matrix product, matvec, Krylov chains and minimal
+polynomials over F_p and Q, on lists of rows.
 
 p is the characteristic: an odd prime means F_p, with int entries already
 reduced into [0, p); p == 0 means Q, with Fraction entries. Results are
@@ -18,9 +18,10 @@ without the constructor's dispatch, and int_fraction does the same for
 Field.of's integer scalars. These are the only readers and makers of
 Fraction internals in quadlie; the slot layout is checked by the tests.
 Row reduction is fraction-free, fp_rank builds no reduced row, fp_matvec is
-the first step of fp_krylov, and leading_minors is Bareiss elimination
-without row exchanges, the leading principal minors of a rational matrix
-for Sylvester's criterion.
+the first step of fp_krylov, fp_minpoly eliminates the powers of a matrix
+one at a time as they are formed, stopping at the first dependent one, and
+leading_minors is Bareiss elimination without row exchanges, the leading
+principal minors of a rational matrix for Sylvester's criterion.
 
 Each entry of a product or a Krylov step is one C-level dot product,
 sum(map(mul, row, col)), reduced mod p over F_p. A dot product also
@@ -266,6 +267,64 @@ def fp_krylov(rows, v, k, p):
         if p:
             w = chain[-1]
     return chain
+
+
+def fp_minpoly(rows, p):
+    """Coefficients (c_0, ..., c_(d-1), 1), as a list, of the minimal
+    polynomial of a square matrix A given by its rows: A^d is the first
+    power that I, A, ..., A^(d-1) span, and A^d = -sum_j c_j A^j.
+
+    The powers run on the integer image Ahat = D A (D = 1 over F_p, where
+    each power is reduced mod p), each flattened to n^2 ints and carrying a
+    unit tag for its exponent. Every power is reduced against the rows
+    before it as soon as it is formed, so the loop stops at the first power
+    that reduces to zero, and a map of degree d forms d - 1 products where
+    fp_rref on all n + 1 powers would need n - 1: hence an incremental
+    elimination of its own. Over F_p the pivot rows are scaled to a leading
+    1; over Q the elimination is fraction-free with content division, as
+    in _eliminate_rational. The tags of the zero row are a dependency
+    sum_j t_j Ahat^j = 0 with t_d nonzero, so c_j = t_j D^j / (t_d D^d).
+    """
+    n = len(rows)
+    size = n * n
+    ahat, D = integer_image(rows, p)
+    cols = list(zip(*ahat))
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    reduced = []  # (pivot column, row): n^2 power entries, then n + 1 tags
+    for d in range(n + 1):
+        if d == 1:
+            power = ahat
+        elif d:
+            power = [[sum(map(mul, row, col)) for col in cols] for row in power]
+            if p:
+                power = [[a % p for a in row] for row in power]
+        v = [a for row in power for a in row] + [0] * (n + 1)
+        v[size + d] = 1
+        for c, u in reduced:
+            f = v[c]
+            if not f:
+                continue
+            if p:
+                v = [(a - f * b) % p for a, b in zip(v, u)]
+            else:
+                piv = u[c]
+                g = gcd(piv, f)
+                a, b = piv // g, f // g
+                v = [a * x - b * y for x, y in zip(v, u)]
+                k = gcd(*v)
+                if k > 1:
+                    v = [x // k for x in v]
+        c = next((j for j in range(size) if v[j]), None)
+        if c is None:
+            tags = v[size : size + d + 1]
+            if p:
+                return tags  # t_d = 1: the pivot rows carry no tag d
+            return field_image([t * D**j for j, t in enumerate(tags)], tags[d] * D**d, 0)
+        if p and v[c] != 1:
+            inv = pow(v[c], p - 2, p)
+            v = [a * inv % p for a in v]
+        reduced.append((c, v))
+    raise ValueError("n + 1 independent powers: the matrix is not square")
 
 
 def leading_minors(rows):

@@ -21,7 +21,9 @@ that one reading.
 
 No elimination is written out above the kernels: krylov builds the chain
 v, A v, ..., A^k v, combine takes a linear combination as one product, and
-the annihilator of a vector is one fp_rref of its Krylov columns.
+the minimal polynomial is one _fast.fp_minpoly, the first power of A that
+the lower powers span, checked by poly_at_matrix, the one evaluator of a
+polynomial at a matrix.
 """
 
 from __future__ import annotations
@@ -287,7 +289,8 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim):
-        return cls._wrap(field, ambient_dim, Matrix.identity(field, ambient_dim).data)
+        # the rows of I are their own reduced echelon form
+        return cls._echelon_wrap(field, ambient_dim, Matrix.identity(field, ambient_dim).data)
 
     @property
     def dim(self):
@@ -457,43 +460,18 @@ def combine(F, coeffs, vecs):
     return (Matrix._wrap(F, [coeffs]) * Matrix._wrap(F, vecs)).data[0]
 
 
-def _vector_annihilator(A, u):
-    """Monic least-degree polynomial a with a(A) u = 0, for u nonzero.
-
-    One fp_rref of the Krylov columns u, A u, ..., A^n u. With k the rank,
-    the first k columns are independent and column k is the first without
-    a pivot, so its reduced entries R[r][k] give A^k u = sum_r R[r][k] A^r u,
-    and a = x^k - sum_r R[r][k] x^r.
-    """
-    F = A.field
-    n = A.nrows
-    R, _, k, _ = _fast.fp_rref(list(zip(*krylov(A, u, n))), n + 1, F.p)
-    return Polynomial._wrap(F, [F.neg(R[r][k]) for r in range(k)] + [F.one])
-
-
 def minimal_polynomial(A):
     """Monic least-degree annihilator of a square matrix.
 
-    Built one basis vector at a time: with m the annihilator of e_0, ...,
-    e_(i-1) so far, u = m(A) e_i is skipped when zero, and otherwise m
-    becomes m * ann(u), which is lcm(m, ann(e_i)) because ann(u) is
-    ann(e_i) / gcd(ann(e_i), m). u is the combination of the Krylov chain
-    of e_i with the coefficients of m, and each ann(u) is one fp_rref of
-    the Krylov chain of u. The result is re-verified by evaluating it at A.
+    One _fast.fp_minpoly: the first power of A that the lower powers span,
+    found by one incremental elimination of the powers as they are formed,
+    so a map of degree d costs d - 1 products. The result is re-verified by
+    evaluating it at A with poly_at_matrix.
     """
     if not A.is_square:
         raise ValidationError("minimal polynomial of a non-square matrix")
     F = A.field
-    n = A.nrows
-    m = Polynomial.one(F)
-    for i in range(n):
-        if m.degree == n:
-            break
-        e = [F.zero] * n
-        e[i] = F.one
-        u = combine(F, m.coeffs, krylov(A, e, m.degree))
-        if any(u):
-            m = m * _vector_annihilator(A, u)
+    m = Polynomial._wrap(F, _fast.fp_minpoly(A.data, F.p))
     if not poly_at_matrix(m, A).is_zero():
         raise ValidationError("annihilator verification failed")
     return m

@@ -124,7 +124,9 @@ def primary_split(f, like=None):
     (star conjugation); components whose partner factor is absent are
     reported unpaired and verified to sit inside the radical of phi. The
     split is computed once per map: it is kept on f and returned again on
-    later calls.
+    later calls. When the minimal polynomial m has one irreducible factor
+    pi, m = pi^k already vanishes at A (minimal_polynomial checked it), so
+    the one component is V itself and no kernel is formed.
 
     like, the primary split of another map, lets a decision between two
     maps factor one minimal polynomial, not two: when f's is a rescaling
@@ -142,6 +144,9 @@ def primary_split(f, like=None):
     factors = _rescaled_factors(m, like) if like is not None else None
     if factors is None:
         factors = factor_poly(m)
+    if len(factors) == 1:
+        # m = pi^k, which minimal_polynomial checked to vanish at A: V itself
+        return _keep_split(f, m, factors, [Subspace.full(F, n)])
     components = [primary_component(A, pi, k) for pi, k in factors]
 
     # one echelon over every component basis: the sum is direct and fills V
@@ -616,6 +621,12 @@ def _zero_blocks(split):
     pair whenever odd chain lengths do not repeat. Blocks are emitted in
     the bordered convention; canonical_pair re-sorts them globally. The
     caller certifies the blocks.
+
+    The chains are peeled longest first. Once _chain_length is 1, f kills
+    the part left, and its generators are read off the Gram H of that
+    part's basis in one pass (_kernel_generators) instead of one
+    _zero_odd_generator and one _peel per generator; H is the Gram that the
+    degeneracy check formed when nothing was peeled before.
     """
     f = split.endo
     space, F = f.space, f.field
@@ -627,13 +638,20 @@ def _zero_blocks(split):
     if not kernels:
         return []
     S = kernels[0]
-    if S.dim and space.restrict_gram(S.basis).det() == F.zero:
+    H = space.restrict_gram(S.basis) if S.dim else None
+    if H is not None and H.det() == F.zero:
         raise ValidationError("zero component carries a degenerate form")
 
     blocks = []
     odd_pending = {}
     while S.dim > 0:
         k0 = _chain_length(A, S)
+        if k0 == 1:
+            # f kills the part left: its generators are read off its Gram
+            if H is None:
+                H = space.restrict_gram(S.basis)
+            odd_pending[1] = _kernel_generators(F, S.basis, H.data)
+            break
         if k0 % 2 == 0:
             block = _zero_even_step(f, S, k0)
             blocks.append(block)
@@ -643,6 +661,7 @@ def _zero_blocks(split):
             odd_pending.setdefault(k0, []).append((w, mu_raw))
             span = krylov(A, w, k0 - 1)
         [S] = _peel(space, [S], span)
+        H = None
 
     for k0 in sorted(odd_pending):
         group = odd_pending[k0]
@@ -664,52 +683,100 @@ def _zero_blocks(split):
     return blocks
 
 
+def _kernel_generators(F, rows, H):
+    """The generators (w, mu) that peeling one chain of length 1 at a time
+    takes from a part that f kills, read off H, the Gram of its echelon
+    basis rows, with no product, meet or restrict_gram per generator.
+
+    Each pick is _zero_odd_generator's at k0 = 1: the first row s_i with
+    H_ii != 0, w = s_i and mu = H_ii, or, when every H_ii is 0, the repair
+    w = s_0 + s_j for the first j with H_0j != 0, and mu = 2 H_0j. The
+    part left is {y S : r . y = 0}, r the row of H at w's coordinates,
+    which r . y(w) = mu keeps nonzero. Its echelon basis, which _peel would
+    find, is closed form: with l the last column where r is nonzero, the
+    rows s_t - c_t s_l for t != l, c_t = r_t / r_l (0 beyond l), and their
+    Gram is H with row and column l eliminated by the same c.
+    """
+    H = [list(row) for row in H]
+    gens = []
+    while rows:
+        i = next((i for i in range(len(rows)) if H[i][i]), None)
+        if i is not None:
+            w, mu, r = rows[i], H[i][i], H[i]
+        else:
+            j = next((j for j, c in enumerate(H[0]) if c), None)
+            if j is None:
+                raise ValidationError("regular form fails to pair the chain")
+            w = [F.add(a, b) for a, b in zip(rows[0], rows[j])]
+            mu = F.add(H[0][j], H[0][j])
+            r = [F.add(a, b) for a, b in zip(H[0], H[j])]
+        gens.append((w, mu))
+        l = max(t for t, c in enumerate(r) if c)
+        inv = F.inv(r[l])
+        c = [F.mul(rt, inv) for rt in r]
+        keep = [t for t in range(len(rows)) if t != l]
+        rows = [[F.sub(a, F.mul(c[t], b)) for a, b in zip(rows[t], rows[l])] if c[t]
+                else rows[t] for t in keep]
+        K = [[F.sub(a, F.mul(c[t], b)) for a, b in zip(H[t], H[l])] for t in keep]
+        H = [[F.sub(row[b], F.mul(c[b], row[l])) for b in keep] for row in K]
+    return gens
+
+
 def _fp_group_standardize(F, mus):
     """Congruence g with g^T diag(mus) g = diag(1, ..., 1, delta) over F_p.
 
     delta is the square-class representative of the determinant. Exists
     because every regular form over F_p of dimension at least 2 reaches
-    every nonzero value: each unit vector is a square diagonal value's
-    basis vector over its root, or, when every diagonal value is a
-    nonsquare, the point solve_binary finds on the first two. The work is
-    on the space with Gram diag(mus): its restrict_gram to the part left,
-    its quad for values, and _peel to split each unit vector off. The
-    identity is verified exactly before return.
+    every nonzero value. The part left is kept as its basis rows s_i and
+    their values d_i, since its Gram stays diagonal: the first square d_i
+    gives the unit vector s_i / sqrt(d_i) and drops row i; when every d_i
+    is a nonsquare, solve_binary's (a, b) with a^2 d_0 + b^2 d_1 = 1 gives
+    x = a s_0 + b s_1 (a and b nonzero, as neither value is a square), and
+    s_0 + t s_1 with t = -a d_0 / (b d_1), the one row of their span
+    orthogonal to x, replaces rows 0 and 1 with value d_0 + t^2 d_1. Each
+    unit vector and the identity itself are verified exactly before return.
     """
+    p = F.p
     m = len(mus)
-    space = OrthogonalSpace(Matrix.diagonal(F, mus))
-    cols = []
-    S = Subspace.full(F, m)
-    for _ in range(m - 1):
-        P0, d0 = diagonalize_form(OrthogonalSpace(space.restrict_gram(S.basis)))
-        # the diagonalizing basis of the part left, in ambient coordinates
-        lifted = (P0.transpose() * Matrix._wrap(F, S.basis)).data
 
-        x = None
-        for i, di in enumerate(d0):
-            r = sqrt_in_field(F, di)
-            if r is not None:
-                x = combine(F, [F.inv(r)], [lifted[i]])
+    def quad(x):
+        return sum(mu * c * c for mu, c in zip(mus, x)) % p
+
+    rows = Matrix.identity(F, m).data
+    ds = list(mus)
+    cols = []
+    for _ in range(m - 1):
+        for i, d in enumerate(ds):
+            root = sqrt_in_field(F, d)
+            if root is not None:
+                inv = F.inv(root)
+                x = [F.mul(inv, c) for c in rows.pop(i)]
+                del ds[i]
                 break
-        if x is None:
-            # every diagonal value is a nonsquare; combine the first two
-            x = combine(F, list(solve_binary(F, d0[0], d0[1], F.one)), lifted[:2])
-        if space.quad(x) != F.one:
+        else:
+            # every value is a nonsquare; combine the first two
+            d0, d1 = ds[0], ds[1]
+            a, b = solve_binary(F, d0, d1, F.one)
+            x = [F.add(F.mul(a, u), F.mul(b, v)) for u, v in zip(rows[0], rows[1])]
+            t = F.neg(F.div(F.mul(a, d0), F.mul(b, d1)))
+            rows[0:2] = [[F.add(u, F.mul(t, v)) for u, v in zip(rows[0], rows[1])]]
+            ds[0:2] = [F.add(d0, F.mul(F.mul(t, t), d1))]
+        if quad(x) != F.one:
             raise ValidationError("unit vector construction failed")
         cols.append(x)
-        [S] = _peel(space, [S], [x])
 
-    last = S.basis[0]
-    val = space.quad(last)
+    [last] = rows
+    val = ds[0]
     if val == F.zero:
         raise ValidationError("degenerate leftover in group standardization")
     rep = square_class_representative(F, val)
-    r = sqrt_in_field(F, F.div(val, rep))
-    cols.append(combine(F, [F.inv(r)], [last]))
+    inv = F.inv(sqrt_in_field(F, F.div(val, rep)))
+    cols.append([F.mul(inv, c) for c in last])
     nus = [F.one] * (m - 1) + [rep]
 
     g = Matrix._wrap(F, cols).transpose()
-    if space.times_gram(g.transpose()) * g != Matrix.diagonal(F, nus):
+    gtB = Matrix._wrap(F, [[F.mul(mu, c) for mu, c in zip(mus, x)] for x in cols])
+    if gtB * g != Matrix.diagonal(F, nus):
         raise ValidationError("group standardization certificate failed")
     return g, nus
 
@@ -803,7 +870,9 @@ def _emit_odd_block(f, w, mu, k0):
     """Bordered block for a straightened generator with top value mu.
 
     The raw chain basis is the chain of w read from its top; the bordered
-    basis is T^T applied to it, T the conversion matrix. The caller
+    basis is T^T applied to it, T the signed permutation of
+    _conversion_matrix, taken as the reordering it encodes: f^(n-1) w, ...,
+    w, then f^n w, then f^(n+1+j) w signed (-1)^(j+1). The caller
     certifies the block against the map and the form.
     """
     F = f.field
@@ -813,8 +882,8 @@ def _emit_odd_block(f, w, mu, k0):
     if f.space.bilin(w, chain[k]) != mu:
         raise ValidationError("odd block generator does not carry its scalar")
     A, B = _bordered_model(F, n, mu)
-    T = _conversion_matrix(F, n)
-    vectors = (T.transpose() * Matrix._wrap(F, chain[::-1])).data
+    upper = [[F.neg(a) for a in v] if j % 2 == 0 else v for j, v in enumerate(chain[n + 1:])]
+    vectors = chain[:n][::-1] + [chain[n]] + upper
     return CanonicalBlock(
         "zero_odd", k0, Polynomial.x(F), n, A, B, vectors=vectors,
         mu=mu, form="bordered",

@@ -41,6 +41,17 @@ def test_traced_functions_are_module_level_functions_of_their_module():
     assert not missing
 
 
+def test_patched_entry_points_keep_their_arity():
+    # the tracer reads args[0] of minimal_polynomial as a Matrix, and tests
+    # stand in for minimal_polynomial(A) and primary_component(A, pi, k)
+    for module, name, params in [
+        ("quadlie.linalg", "minimal_polynomial", ["A"]),
+        ("quadlie.linalg", "primary_component", ["A", "pi", "k"]),
+    ]:
+        fn = getattr(importlib.import_module(module), name)
+        assert list(inspect.signature(fn).parameters) == params
+
+
 def test_traced_methods_are_defined_on_their_class():
     missing = []
     for module, cls_name, meth, _ in _literal("tracer.py", "METHODS"):

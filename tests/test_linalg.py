@@ -748,6 +748,74 @@ def test_minpoly_matches_krylov_solve_lcm(field, n, kind, seed):
     assert minimal_polynomial(A) == krylov_lcm_minpoly(A)
 
 
+def krylov_loop_minpoly(A):
+    """The minimal polynomial as linalg computed it before fp_minpoly, kept
+    as an oracle: one basis vector at a time, with m the annihilator of
+    e_0, ..., e_(i-1) so far, u = m(A) e_i is skipped when zero, and
+    otherwise m becomes m * ann(u), ann(u) read off one fp_rref of the
+    Krylov columns u, A u, ..., A^n u."""
+    F = A.field
+    n = A.nrows
+    m = Polynomial.one(F)
+    for i in range(n):
+        if m.degree == n:
+            break
+        e = [F.zero] * n
+        e[i] = F.one
+        u = linalg.combine(F, m.coeffs, linalg.krylov(A, e, m.degree))
+        if any(u):
+            R, _, k, _ = _fast.fp_rref(list(zip(*linalg.krylov(A, u, n))), n + 1, F.p)
+            m = m * Polynomial._wrap(F, [F.neg(R[r][k]) for r in range(k)] + [F.one])
+    return m
+
+
+def _minpoly_case(field, rng, n, kind):
+    """Seeded matrices for the minimal polynomial oracle: _structured_matrix's
+    kinds, a scalar matrix and, from n = 3 on, a plain block-diagonal one of
+    a Jordan block, a companion block and a scalar block, none conjugated
+    (below n = 3, _structured_matrix's conjugated companion blocks)."""
+    if kind == "scalar":
+        return Matrix.diagonal(field, [field.random(rng)] * n)
+    if kind == "block_diagonal":
+        if n < 3:
+            return _structured_matrix(field, rng, n, "companion")
+        k = rng.randint(1, n - 2)
+        c = [field.random(rng) for _ in range(n - k - 1)]
+        companion = Matrix._wrap(field, [
+            [field.one if j + 1 == i else field.zero for j in range(n - k - 2)]
+            + [field.neg(c[i])] for i in range(n - k - 1)])
+        return Matrix.block_diagonal(field, [
+            jordan(field, k, rng.randint(0, 2)), companion,
+            Matrix.diagonal(field, [field.random(rng)])])
+    return _structured_matrix(field, rng, n, kind)
+
+
+@pytest.mark.parametrize("field", [Q, F3, F5, F7, F_BIG], ids=lambda F: F.spec())
+@pytest.mark.parametrize("kind", ["random", "nilpotent", "jordan", "companion", "scalar",
+                                  "block_diagonal"])
+def test_minpoly_matches_the_krylov_loop(field, kind):
+    rng = random.Random(f"{field.spec()} {kind}")
+    for n in range(8):
+        for _ in range(4):
+            A = _minpoly_case(field, rng, n, kind)
+            assert minimal_polynomial(A) == krylov_loop_minpoly(A)
+
+
+def test_minpoly_refuses_a_wrong_dependency(monkeypatch):
+    A = jordan(Q, 3)
+    assert minimal_polynomial(A) == Polynomial(Q, [0, 0, 0, 1])
+    real = _fast.fp_minpoly
+
+    def wrong(rows, p):
+        # x^3 + 1 in place of x^3: its value at the nilpotent J is I
+        c = real(rows, p)
+        return [Fraction(1)] + c[1:]
+
+    monkeypatch.setattr(_fast, "fp_minpoly", wrong)
+    with pytest.raises(ValidationError, match="annihilator verification failed"):
+        minimal_polynomial(A)
+
+
 def stacked_meet(S, C):
     """{v in S : C v = 0} as the kernel of S's constraints stacked on C."""
     return kernel_basis(Matrix._wrap(S.field, S.constraints().data + C.data))

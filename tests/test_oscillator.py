@@ -1171,6 +1171,28 @@ def test_census_reflections_act_on_coefficients(p, n):
         _assert_conjugates(basis, g, _coefficient_action(space, g))
 
 
+@pytest.mark.parametrize("p, n", [(3, 3), (5, 4), (7, 4), (11, 5)])
+def test_coefficient_action_closed_form_is_skew_for_any_g(p, n):
+    # entry (b, a) of g X_rs g^T is minus entry (a, b) whatever g is, so
+    # _coefficient_action reads only a < b and checks nothing there; its
+    # rows are the conjugates' coordinates for g that are no isometry too
+    F = Field.parse(f"Fp:{p}")
+    space = OrthogonalSpace.standard(F, n)
+    basis = skew_basis(space)
+    rng = random.Random(p * 100 + n)
+    for _ in range(5):
+        g = Matrix(F, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        assert g.transpose() * g != Matrix.identity(F, n)
+        G = g.data
+        for r in range(n):
+            for s in range(r + 1, n):
+                image = [[(G[a][r] * G[b][s] - G[a][s] * G[b][r]) % p for b in range(n)]
+                         for a in range(n)]
+                assert all((image[a][b] + image[b][a]) % p == 0
+                           for a in range(n) for b in range(n))
+        _assert_conjugates(basis, g, _coefficient_action(space, g))
+
+
 @pytest.mark.parametrize("p, n, sample", [(3, n, None) for n in range(5)] + [
     (5, n, None) for n in range(4)] + [(7, n, None) for n in range(4)] + [
     (11, 2, None), (5, 4, 2000), (7, 4, 2000)])

@@ -6,11 +6,18 @@ from itertools import product
 import pytest
 
 from quadlie.errors import CapabilityError, ValidationError
-from quadlie.exact_field import Field, square_class, square_class_representative
-from quadlie.linalg import Matrix, Subspace, primary_component
+from quadlie.exact_field import (
+    Field,
+    Polynomial,
+    solve_binary,
+    sqrt_in_field,
+    square_class,
+    square_class_representative,
+)
+from quadlie.linalg import Matrix, Subspace, combine, krylov, primary_component
 from quadlie import oscillator, skewcanon
 from quadlie.oscillator import OscillatorData, decide_isometric, from_lambda_tuple, witt1_certify
-from quadlie.quadspace import OrthogonalSpace, SkewEndo, skew_basis
+from quadlie.quadspace import OrthogonalSpace, SkewEndo, diagonalize_form, skew_basis
 from quadlie.skewcanon import (
     CanonicalBlock,
     CanonicalPair,
@@ -839,3 +846,179 @@ def test_degenerate_form_rejected():
     f = SkewEndo(space, Matrix.zeros(Q, 2, 2))
     with pytest.raises(ValidationError):
         canonical_pair(f)
+
+
+# ------------------------------------- oracles for the zero part, peeled as before
+
+def _group_standardize_by_peeling(F, mus):
+    """_fp_group_standardize as it was before it kept the part left as rows
+    with their values, kept as an oracle: each pass diagonalizes the
+    restricted Gram of the part left on an OrthogonalSpace and peels the
+    unit vector off with _peel."""
+    m = len(mus)
+    space = OrthogonalSpace(Matrix.diagonal(F, mus))
+    cols = []
+    S = Subspace.full(F, m)
+    for _ in range(m - 1):
+        P0, d0 = diagonalize_form(OrthogonalSpace(space.restrict_gram(S.basis)))
+        lifted = (P0.transpose() * Matrix._wrap(F, S.basis)).data
+        x = None
+        for i, di in enumerate(d0):
+            r = sqrt_in_field(F, di)
+            if r is not None:
+                x = combine(F, [F.inv(r)], [lifted[i]])
+                break
+        if x is None:
+            x = combine(F, list(solve_binary(F, d0[0], d0[1], F.one)), lifted[:2])
+        assert space.quad(x) == F.one
+        cols.append(x)
+        [S] = skewcanon._peel(space, [S], [x])
+    last = S.basis[0]
+    val = space.quad(last)
+    rep = square_class_representative(F, val)
+    r = sqrt_in_field(F, F.div(val, rep))
+    cols.append(combine(F, [F.inv(r)], [last]))
+    return Matrix._wrap(F, cols).transpose(), [F.one] * (m - 1) + [rep]
+
+
+def _zero_blocks_by_peeling(split):
+    """_zero_blocks as it was before _kernel_generators, kept as an oracle:
+    chains of length 1 too are taken one _zero_odd_generator and one _peel
+    at a time, and groups standardized by _group_standardize_by_peeling."""
+    f = split.endo
+    space, F = f.space, f.field
+    A = f.matrix
+    x = Polynomial.x(F)
+    kernels = [c for (pi, _), c in zip(split.factors, split.components) if pi == x]
+    if not kernels:
+        return []
+    S = kernels[0]
+    blocks, odd_pending = [], {}
+    while S.dim > 0:
+        k0 = skewcanon._chain_length(A, S)
+        if k0 % 2 == 0:
+            block = skewcanon._zero_even_step(f, S, k0)
+            blocks.append(block)
+            span = block.vectors
+        else:
+            w, mu_raw = skewcanon._zero_odd_generator(f, S, k0)
+            odd_pending.setdefault(k0, []).append((w, mu_raw))
+            span = krylov(A, w, k0 - 1)
+        [S] = skewcanon._peel(space, [S], span)
+    for k0 in sorted(odd_pending):
+        group = odd_pending[k0]
+        if F.p != 0 and len(group) > 1:
+            g, nus = _group_standardize_by_peeling(F, [mu for _, mu in group])
+            mixed = (g.transpose() * Matrix._wrap(F, [w for w, _ in group])).data
+            blocks += [skewcanon._emit_odd_block(f, mixed[i], nu, k0) for i, nu in enumerate(nus)]
+        else:
+            for w, mu_raw in group:
+                rep = square_class_representative(F, mu_raw)
+                scale = sqrt_in_field(F, F.div(mu_raw, rep))
+                blocks.append(skewcanon._emit_odd_block(f, combine(F, [F.inv(scale)], [w]), rep, k0))
+    return blocks
+
+
+def _pairs_both_ways(monkeypatch, maps):
+    """canonical_pair(f).to_json() of each map, and the same with the zero
+    part peeled as before; each map is split afresh on each side."""
+    got = [canonical_pair(SkewEndo(f.space, f.matrix)).to_json() for f in maps]
+    with monkeypatch.context() as m:
+        m.setattr(skewcanon, "_zero_blocks", _zero_blocks_by_peeling)
+        want = [canonical_pair(SkewEndo(f.space, f.matrix)).to_json() for f in maps]
+    return got, want
+
+
+def _census_maps(F, n):
+    # every skew map of the standard form of F_p^n, as the census enumerates them
+    space = OrthogonalSpace.standard(F, n)
+    basis = skew_basis(space)
+    for coeffs in product(range(F.p), repeat=len(basis)):
+        M = Matrix.zeros(F, n, n)
+        for c, X in zip(coeffs, basis):
+            if c:
+                M = M + X.scale(c)
+        yield SkewEndo(space, M)
+
+
+@pytest.mark.parametrize("p, n", [(3, n) for n in range(5)] + [(5, n) for n in range(4)]
+                         + [(7, n) for n in range(4)])
+def test_kernel_generators_match_the_peel_loop_on_census_maps(monkeypatch, p, n):
+    got, want = _pairs_both_ways(monkeypatch, list(_census_maps(Field.prime(p), n)))
+    assert got == want
+
+
+def _random_regular_gram(F, rng, n):
+    while True:
+        B = Matrix.zeros(F, n, n)
+        for i in range(n):
+            for j in range(i, n):
+                B.data[i][j] = B.data[j][i] = F.of(rng.randint(-2, 2))
+        if B.det() != F.zero and B != Matrix.identity(F, n):
+            return B
+
+
+@pytest.mark.parametrize("field", [Q, F3, F5, F7], ids=lambda F: F.spec())
+def test_kernel_generators_match_the_peel_loop_on_seeded_grams(monkeypatch, field):
+    # regular Grams other than I, with skew maps of wide kernels: the
+    # all-isotropic repair w = s_0 + s_j and the nonsquare groups occur
+    rng = random.Random(f"kernel {field.spec()}")
+    maps = []
+    for n in range(1, 7):
+        for _ in range(12):
+            space = OrthogonalSpace(_random_regular_gram(field, rng, n))
+            M = Matrix.zeros(field, n, n)
+            for X in skew_basis(space):
+                if rng.random() < 0.3:
+                    M = M + X.scale(rng.randint(1, 4))
+            maps.append(SkewEndo(space, M))
+    got, want = _pairs_both_ways(monkeypatch, maps)
+    assert got == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_group_standardize_matches_the_peel_loop_on_every_tuple(p):
+    F = Field.prime(p)
+    units = [F.of(c) for c in range(1, p)]
+    for m in range(2, 5):
+        for mus in product(units, repeat=m):
+            g, nus = skewcanon._fp_group_standardize(F, list(mus))
+            want_g, want_nus = _group_standardize_by_peeling(F, list(mus))
+            assert (g, nus) == (want_g, want_nus)
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=lambda F: F.spec())
+@pytest.mark.parametrize("n", range(5))
+def test_odd_block_basis_is_the_conversion_of_the_chain(field, n):
+    # a scrambled single chain of length 2n + 1, so the chain vectors are dense
+    A, B = raw_zero_pair(field, 2 * n + 1, 3)
+    f = scramble(skew(field, A, B), random_invertible(field, random.Random(n), 2 * n + 1))
+    w = next(b for b in Subspace.full(field, 2 * n + 1).basis
+             if any(krylov(f.matrix, b, 2 * n)[2 * n]))
+    chain = krylov(f.matrix, w, 2 * n)
+    mu = f.space.bilin(w, chain[2 * n])
+    block = skewcanon._emit_odd_block(f, w, mu, 2 * n + 1)
+    T = skewcanon._conversion_matrix(field, n)
+    assert block.vectors == (T.transpose() * Matrix._wrap(field, chain[::-1])).data
+
+
+def test_tampered_kernel_generator_fails_the_pair_certificate(monkeypatch):
+    # +-2 on e_0, e_1 beside a kernel line e_2: a generator moved off the
+    # kernel by e_0 still carries its own scalar but f does not kill it
+    A, B = paired_pair(F5, 1, 2)
+    A = Matrix.block_diagonal(F5, [A, Matrix.zeros(F5, 1, 1)])
+    B = Matrix.block_diagonal(F5, [B, Matrix.identity(F5, 1)])
+    f = skew(F5, A, B)
+    assert sorted(b.kind for b in canonical_pair(f).blocks) == ["paired", "zero_odd"]
+    real = skewcanon._kernel_generators
+
+    def moved(F, rows, H):
+        out = []
+        for w, _ in real(F, rows, H):
+            w = [F.add(a, b) for a, b in zip(w, [F.one, F.zero, F.zero])]
+            out.append((w, f.space.quad(w)))
+        return out
+
+    monkeypatch.setattr(skewcanon, "_kernel_generators", moved)
+    with pytest.raises(ValidationError, match="canonical certificate failed on the map"):
+        canonical_pair(skew(F5, A, B))
