@@ -578,8 +578,8 @@ class Polynomial:
 
     The coefficients are canonical field elements: Fraction over Q, ints in
     [0, p) over F_p, with no trailing zero. The public constructor (and
-    from_json, constant) coerces through Field.of, so that is where data
-    enters. Results of arithmetic on polynomials that are already canonical
+    from_json) coerces through Field.of, so that is where data enters.
+    Results of arithmetic on polynomials that are already canonical
     go through the trusted Polynomial._wrap, which only trims; every
     operation computes on the plain values with one reduction mod p.
     Polynomials are immutable and hashable, which lets factor_poly keep
@@ -617,10 +617,6 @@ class Polynomial:
     @classmethod
     def x(cls, field):
         return cls._wrap(field, [field.zero, field.one])
-
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, [c])
 
     @property
     def degree(self):

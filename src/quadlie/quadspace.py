@@ -14,6 +14,9 @@ from .linalg import Matrix, Subspace, kernel_basis
 
 
 class OrthogonalSpace:
+    """A symmetric Gram matrix B over an exact field, phi(x, y) = x^T B y.
+    identity_gram holds exactly when B is I, and times_gram skips B then."""
+
     __slots__ = ("field", "dim", "gram", "regular", "identity_gram")
 
     def __init__(self, gram):
@@ -25,24 +28,21 @@ class OrthogonalSpace:
         self.dim = gram.nrows
         self.gram = gram
         self.regular = gram.rank() == gram.nrows
-        self.identity_gram = False
+        self.identity_gram = gram == Matrix.identity(gram.field, gram.nrows)
 
     @classmethod
     def standard(cls, field, n):
-        """The form v . v on F^n, whose Gram is I. Only this constructor
-        marks a space as having the identity Gram, for times_gram; the same
-        Gram passed to OrthogonalSpace() is multiplied as any other."""
-        space = cls(Matrix.identity(field, n))
-        space.identity_gram = True
-        return space
+        """The form v . v on F^n, whose Gram is I."""
+        return cls(Matrix.identity(field, n))
 
     def __repr__(self):
         return f"OrthogonalSpace(dim {self.dim}, {'regular' if self.regular else 'degenerate'})"
 
     def times_gram(self, R):
-        """R B, for a Matrix R with dim columns: the one product with the
-        Gram in quadspace and skewcanon. On a standard() space B is I and
-        R itself is returned, not a copy, so callers only read the result."""
+        """R B, for a Matrix R with dim columns: the one product with a
+        space's Gram in the library. identity_gram is read off the Gram when
+        the space is built, whatever built it; there B is I and R itself is
+        returned, not a copy, so callers only read the result."""
         if self.identity_gram:
             if R.ncols != self.dim:
                 raise ValidationError("inner dimensions differ")
@@ -92,8 +92,8 @@ def is_skew(space, A):
     """Check A^T B + B A = 0; on failure also return the first offending
     index pair in row-major order.
 
-    One product suffices: with M = A^T B, which is A^T itself on a
-    standard() space, and B symmetric, B A = M^T, so the (i, j) entry of
+    One product suffices: with M = A^T B, which is A^T itself when B is
+    I, and B symmetric, B A = M^T, so the (i, j) entry of
     the sum is M[i][j] + M[j][i]. The sum is symmetric, so its first
     nonzero entry in row-major order has j >= i (an entry with j < i
     mirrors one in an earlier row), and the scan reads only those.

@@ -46,6 +46,7 @@ from quadlie.quadspace import OrthogonalSpace, SkewEndo, skew_basis
 Q = Field.parse("Q")
 F3 = Field.parse("Fp:3")
 F5 = Field.parse("Fp:5")
+F7 = Field.parse("Fp:7")
 
 
 def mk(field, gram_rows, delta_rows):
@@ -577,6 +578,82 @@ def test_decide_scaling_family(lams, c):
     d1 = from_lambda_tuple(Q, [c * v for v in lams])
     d2 = from_lambda_tuple(Q, lams)
     check_yes(d1, d2, mu=Q.of(c))
+
+
+def _extended_matrix_by_inverse(d1, d2, w, zBf):
+    """The induced map with its delta* row read as phi_2(delta_2 z,
+    f delta_1^{-1} e_j) = (delta_2 z)^T B_2 f delta_1^{-1}; zBf is unused."""
+    F = d1.field
+    n = d1.space.dim
+    dz = d2.delta.matrix.matvec(w.z)
+    star = Matrix._wrap(F, [dz]) * d2.space.gram * w.f * d1.delta.matrix.inverse()
+    rows = [[w.mu] + [F.zero] * (n + 1)]
+    rows += [[c] + list(row) + [F.zero] for c, row in zip(w.z, w.f.data)]
+    rows.append([w.nu] + star.data[0] + [w.lam])
+    return Matrix._wrap(F, rows)
+
+
+def _hyperbolic_split(F, lams):
+    # hyperbolic planes (e_i, e_{i+k}) with delta = diag(lams, -lams)
+    k = len(lams)
+    gram = [[int(j == (i + k) % (2 * k)) for j in range(2 * k)] for i in range(2 * k)]
+    diag = list(lams) + [-c for c in lams]
+    return mk(F, gram, [[diag[i] if i == j else 0 for j in range(2 * k)] for i in range(2 * k)])
+
+
+def _rescaled_witnesses():
+    """Witnesses (c f, z, c^2/mu, mu, nu) grown from the "yes" witnesses of
+    decide_isometric: (a) and (b) hold, and seeded z and nu, balanced on
+    every other seed, make some of them isometric and some not."""
+    rng = random.Random(37)
+    pairs = [
+        (from_lambda_tuple(Q, (2, 4, 6)), from_lambda_tuple(Q, (1, 2, 3))),
+        (from_lambda_tuple(Q, (1,)), mk(Q, [[2, 0], [0, 2]], [[0, 1], [-1, 0]])),
+        (from_lambda_tuple(Q, (3, 6)), scramble_data(rng, from_lambda_tuple(Q, (1, 2)))),
+        (_hyperbolic_split(F5, (2,)), _hyperbolic_split(F5, (1,))),
+        (_hyperbolic_split(F5, (1, 2)), scramble_data(rng, _hyperbolic_split(F5, (2, 4)))),
+        (_hyperbolic_split(F7, (3,)), scramble_data(rng, _hyperbolic_split(F7, (1,)))),
+        (_hyperbolic_split(F7, (1, 3)), scramble_data(rng, _hyperbolic_split(F7, (2, 6)))),
+    ]
+    out = []
+    for d1, d2 in pairs:
+        F = d1.field
+        dec = decide_isometric(d1, d2)
+        assert dec["verdict"] == "yes"
+        f, mu = dec["witness"].f, dec["witness"].mu
+        for c, seed in product((1, 2, 3), range(3)):
+            c = F.of(c)
+            z = [F.of(rng.randrange(-3, 4)) for _ in range(d1.dim_v)]
+            nu = F.of(rng.randrange(-3, 4))
+            if seed % 2 == 0:
+                nu = F.div(F.neg(d2.space.bilin(z, z)), F.mul(F.of(2), mu))
+            w = IsoWitness(f.scale(c), z, F.div(F.mul(c, c), mu), mu, nu)
+            out.append((d1, d2, w))
+    return out
+
+
+def test_extended_matrix_star_row_matches_the_inverse_row():
+    for d1, d2, w in _rescaled_witnesses():
+        zBf = (Matrix._wrap(d1.field, [w.z]) * d2.space.gram * w.f).data[0]
+        assert oscillator._extended_matrix(d1, d2, w, zBf) == _extended_matrix_by_inverse(
+            d1, d2, w, zBf)
+
+
+def test_witness_verdicts_match_the_inverse_row(monkeypatch):
+    witnesses = _rescaled_witnesses()
+    mine = [verify_iso_witness(d1, d2, w) for d1, d2, w in witnesses]
+    monkeypatch.setattr(oscillator, "_extended_matrix", _extended_matrix_by_inverse)
+    for (d1, d2, w), rep in zip(witnesses, mine):
+        oracle = verify_iso_witness(d1, d2, w)
+        assert (rep["verdict"], rep["conditions"]) == (oracle["verdict"], oracle["conditions"])
+        # the cross terms mu phi_2(delta_2 z, f delta_1^{-1} e_j) + phi_2(z, f e_j),
+        # read off the inverse row, vanish: (a) leaves them no way to fail
+        F = d1.field
+        zBf = (Matrix._wrap(F, [w.z]) * d2.space.gram * w.f).data[0]
+        star = oracle["extended"].data[-1][1:-1]
+        assert not any(F.add(F.mul(w.mu, a), b) for a, b in zip(star, zBf))
+    verdicts = {rep["verdict"] for rep in mine}
+    assert verdicts == {"isomorphism", "isometric-isomorphism"}
 
 
 def _sympy_norm_status(m, c):
@@ -1251,11 +1328,12 @@ def test_census_generators_join_the_reflection_components(p, n):
 
 @pytest.mark.parametrize("p, n", [(3, n) for n in range(5)] + [(5, 3), (7, 3)])
 def test_census_pairs_match_on_the_unmarked_identity_gram(p, n):
-    # the standard form skips its products with I; the same Gram passed to
-    # OrthogonalSpace() multiplies, and every pair must come out the same
+    # a space whose Gram is I skips its products with I; with the mark
+    # taken off, the same Gram multiplies, and every pair must come out the same
     F = Field.parse(f"Fp:{p}")
     marked, plain = OrthogonalSpace.standard(F, n), OrthogonalSpace(Matrix.identity(F, n))
-    assert marked.identity_gram and not plain.identity_gram
+    assert marked.identity_gram and plain.identity_gram
+    plain.identity_gram = False
     for rows in skew_census(F, n)["representatives"].values():
         M = Matrix(F, rows)
         want = skewcanon.canonical_pair(SkewEndo(plain, M)).to_json()

@@ -54,6 +54,25 @@ def test_space_validation():
     assert OrthogonalSpace.standard(Q, 3).regular
 
 
+@pytest.mark.parametrize("field", [Q, Field.parse("Fp:3"), F5, Field.parse("Fp:7")],
+                         ids=["Q", "F3", "F5", "F7"])
+@pytest.mark.parametrize("n", range(5))
+def test_identity_gram_is_read_off_the_gram(field, n):
+    # whatever constructor built the space, the mark is the Gram being I
+    R = Matrix(field, [[i + 2 * j + 1 for j in range(n)] for i in range(2)])
+    for space in (OrthogonalSpace(Matrix.identity(field, n)), OrthogonalSpace.standard(field, n)):
+        assert space.identity_gram and space.regular
+        assert space.times_gram(R) is R
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        for c in ((field.zero, field.of(2)) if i == j else (field.one,)):
+            G = Matrix.identity(field, n)
+            G.data[i][j] = G.data[j][i] = c
+            space = OrthogonalSpace(G)
+            assert not space.identity_gram
+            assert space.regular == (G.rank() == n)
+            assert space.times_gram(R) == R * G
+
+
 def test_bilin_quad_restrict():
     V = OrthogonalSpace(antidiag(Q, [1, 1]))
     e0, e1 = [Q.one, Q.zero], [Q.zero, Q.one]

@@ -13,12 +13,15 @@ Each certified object is certified once, by one routine. skewcanon checks
 every pair through _certify, which needs no inverse, and the command line
 reads pairs that canonical_pair has already verified: an inverse in
 skewcanon, or a verify() call in cli, would be a second copy of a
-certificate.
+certificate. The induced map of an isomorphism witness takes its delta*
+row from z^T B_2 f and the intertwining condition, which its caller has
+already checked, so _extended_matrix inverts nothing and needs no matvec.
 
-Every product with a space's Gram in quadspace and skewcanon goes through
-OrthogonalSpace.times_gram, which skips it on the identity Gram of a
-standard() space: a product or matvec with .gram elsewhere in those modules
-would multiply the census's pairs by I again.
+Every product with a space's Gram in quadspace, skewcanon and oscillator
+goes through OrthogonalSpace.times_gram, which skips it on a space whose
+Gram is I: a product or matvec with .gram elsewhere in those modules, or a
+name bound to .gram that could carry it into one, would multiply by I
+again.
 
 The census builds one canonical pair per scaling class of components:
 skew_census calls canonical_pair at one site, and scaled_pair, which gives
@@ -137,10 +140,27 @@ def test_census_builds_canonical_pairs_at_one_site():
     assert calls.count("scaled_pair") == 1
 
 
+def test_extended_matrix_needs_no_inverse():
+    tree = _functions("oscillator.py")["_extended_matrix"]
+    calls = {node.func.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert not calls & {"inverse", "matvec"}, sorted(calls)
+
+
 def _space_gram(node):
     # X.gram for X a space; block.gram is a CanonicalBlock's model Gram
     return (isinstance(node, ast.Attribute) and node.attr == "gram"
             and ast.unparse(node.value) != "block")
+
+
+def _bound_values(value):
+    # what a binding hands its names: the value, the items of a tuple or
+    # list, or the element of a generator or comprehension
+    if isinstance(value, (ast.Tuple, ast.List)):
+        return value.elts
+    if isinstance(value, (ast.GeneratorExp, ast.ListComp)):
+        return [value.elt]
+    return [value]
 
 
 def _gram_use(node):
@@ -151,7 +171,7 @@ def _gram_use(node):
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
         return node.func.attr == "matvec" and _space_gram(node.func.value)
     if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
-        return _space_gram(node.value)
+        return any(_space_gram(v) for v in _bound_values(node.value))
     return False
 
 
@@ -164,12 +184,14 @@ def _gram_uses(tree):
 
 
 def test_products_with_a_space_gram_only_in_times_gram():
-    for name in ("quadspace.py", "skewcanon.py"):
+    for name in ("quadspace.py", "skewcanon.py", "oscillator.py"):
         uses = _gram_uses(ast.parse((SRC / name).read_text()))
         outside = [f"{name}:{line} in {func}" for func, line in uses if func != "times_gram"]
         assert not outside, f"products with a space's Gram outside times_gram: {outside}"
         assert bool(uses) == (name == "quadspace.py")
     # and the walk sees each form it rules out
-    for line in ("v = R * space.gram", "v = f.space.gram.matvec(y)", "G = cur.gram"):
+    for line in ("v = R * space.gram", "v = f.space.gram.matvec(y)", "G = cur.gram",
+                 "B1, B2 = d1.space.gram, d2.space.gram",
+                 "G1, G2 = (space.gram for space in spaces)"):
         assert _gram_uses(ast.parse(f"def f():\n    {line}\n")) == [("f", 2)]
     assert not _gram_uses(ast.parse("def f():\n    v = T * block.gram\n"))
