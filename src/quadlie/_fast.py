@@ -17,11 +17,18 @@ set after one gcd, the value, normal form and hash of Fraction(a, d)
 without the constructor's dispatch, and int_fraction does the same for
 Field.of's integer scalars. These are the only readers and makers of
 Fraction internals in quadlie; the slot layout is checked by the tests.
-Row reduction is fraction-free, fp_rank builds no reduced row, fp_matvec is
-the first step of fp_krylov, fp_minpoly eliminates the powers of a matrix
-one at a time as they are formed, stopping at the first dependent one, and
-leading_minors is Bareiss elimination without row exchanges, the leading
-principal minors of a rational matrix for Sylvester's criterion.
+
+All row arithmetic is in _reduce, which clears the pivot columns of the
+rows reduced so far from one int row: mod p over F_p, fraction-free with
+content division over Q. _forward feeds the rows through it one at a
+time; fp_rank is that forward pass, its determinant the pivot product
+signed by the permutation that sorts the pivot columns, and fp_rref sorts
+the pivot rows and reduces each again against those below it.
+fp_minpoly feeds the powers of a matrix through _reduce as they are
+formed, stopping at the first dependent one. leading_minors is Bareiss
+elimination without row exchanges, the leading principal minors of a
+rational matrix for Sylvester's criterion. fp_matvec is the first step of
+fp_krylov.
 
 Each entry of a product or a Krylov step is one C-level dot product,
 sum(map(mul, row, col)), reduced mod p over F_p. A dot product also
@@ -93,127 +100,114 @@ def nonzero(a, p):
 
 
 def fp_rref(rows, ncols, p):
-    """Reduced row echelon form: (rows, pivot columns, rank, pivot product).
+    """Reduced row echelon form: (rows, pivot columns, rank).
 
-    The pivot product is signed by the row swaps, so for a square input of
-    full rank it is the determinant. The input rows are left untouched.
+    The pivot rows of _forward, sorted by column, each reduced again
+    against the rows below it, last to first. The input rows are left
+    untouched.
     """
-    m, pivots, r, det = _eliminate(rows, ncols, p)
-    if p:
-        return m, pivots, r, det
-    out = [field_image(m[i], m[i][c], 0) for i, c in enumerate(pivots)]
-    out.extend([_ZERO] * ncols for _ in range(r, len(m)))
-    return out, pivots, r, det
+    out = []
+    pivots = []
+    below = []
+    for c, u in sorted(_forward(rows, ncols, p)[0], reverse=True):
+        if below:
+            u = _reduce(u, below, 0, p)[0]
+        below.append((c, u))
+        pivots.append(c)
+        # over F_p a copy: _reduce hands back an input row it leaves as it is
+        out.append(list(u) if p else field_image(u, u[c], 0))
+    out.reverse()
+    pivots.reverse()
+    r = len(pivots)
+    for _ in range(r, len(rows)):
+        out.append([0 if p else _ZERO] * ncols)
+    return out, pivots, r
 
 
 def fp_rank(rows, ncols, p):
-    """(rank, pivot product) of fp_rref, from the same elimination, without
-    building the reduced rows over Q."""
-    _, _, r, det = _eliminate(rows, ncols, p)
-    return r, det
+    """(rank, det): det is the determinant of a square input.
 
-
-def _eliminate(rows, ncols, p):
-    """The one elimination behind fp_rref and fp_rank."""
-    return _eliminate_fp(rows, ncols, p) if p else _eliminate_rational(rows, ncols)
-
-
-def _eliminate_fp(rows, ncols, p):
-    """fp_rref over F_p: Gauss-Jordan on residues."""
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    pivots = []
-    det = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        for i in range(r, nrows):
-            if m[i][c]:
-                break
-        else:
-            continue
-        if i != r:
-            m[r], m[i] = m[i], m[r]
-            det = -det
-        piv = m[r][c]
-        det *= piv
-        if piv != 1:
-            inv = pow(piv, p - 2, p)
-            m[r] = [a * inv % p for a in m[r]]
-        prow = m[r]
-        for i in range(nrows):
-            f = m[i][c]
-            if not f or i == r:
-                continue
-            m[i] = [(a - f * b) % p for a, b in zip(m[i], prow)]
-        pivots.append(c)
-        r += 1
-    return m, pivots, r, det % p
-
-
-def _eliminate_rational(rows, ncols):
-    """The elimination of fp_rref over Q, fraction-free: (m, pivots, rank,
-    pivot product), with the pivot rows of m not yet divided by their pivots.
-
-    Until it pivots, row i of the Gauss-Jordan elimination on the input is
-    m[i] * num[i] / den[i], with m[i] an int row of content 1. Eliminating
-    column c from m[i] with pivot row m[r] gives ((pivot/g) m[i] - (f/g)
-    m[r]) / k, where f = m[i][c], g = gcd(pivot, f) and k is the content;
-    the Gauss-Jordan row is that times k / (pivot/g) of its old scale, so
-    num[i] takes k and den[i] takes pivot/g. Each pivot of the elimination,
-    m[r][c] * num[r] / den[r], is thus exact, and so is their signed
-    product. fp_rref divides the pivot rows by their pivots once, at the
-    end; fp_rank, which reads only the rank and the product, never does.
+    The pivot rows of _forward are an echelon form once sorted by column,
+    so a full-rank input's determinant is their pivots' product signed by
+    the permutation that sorts them; a deficient one's is zero.
     """
-    m = []
-    num = []
-    den = []
+    reduced, num, den = _forward(rows, ncols, p)
+    r = len(reduced)
+    if r < len(rows):
+        return r, 0 if p else _ZERO
+    for i, (c, _) in enumerate(reduced):
+        for b, _ in reduced[i + 1 :]:
+            if b < c:
+                num = -num
+    return r, num % p if p else Fraction(num, den)
+
+
+def _forward(rows, ncols, p):
+    """Each row reduced against the pivot rows before it: the pivot rows,
+    in input order as (pivot column, int row) pairs, and the product num /
+    den of their pivots in the field.
+
+    Over Q each row starts as its integer image divided by its content.
+    """
+    reduced = []
+    num = den = 1
     for row in rows:
-        (ints,), d = integer_image([row], 0)
-        g = gcd(*ints)
-        if g > 1:
-            ints = [a // g for a in ints]
-        m.append(ints)
-        num.append(g)
-        den.append(d)
-    nrows = len(m)
-    pivots = []
-    det_num = det_den = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        for i in range(r, nrows):
-            if m[i][c]:
-                break
+        if p:
+            v, c, k, a = _reduce(row, reduced, ncols, p)
         else:
+            (v,), d = integer_image([row], 0)
+            g = gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
+            v, c, k, a = _reduce(v, reduced, ncols, 0)
+            k *= g
+            a *= d
+        if c is not None:
+            reduced.append((c, v))
+            num *= v[c] * k
+            den *= a
+    return reduced, num, den
+
+
+def _reduce(v, reduced, width, p):
+    """(v, c, k, a): the int row v with each pivot column of reduced cleared,
+    in turn, and c its first nonzero column among the first width (None if
+    there is none); v k / a is the row that subtracting multiples of the
+    pivot rows from the given one leaves in the field.
+
+    Over F_p the update is v - v[c] u mod p, and a new pivot row is scaled
+    to a leading 1 (k is its pivot before, a = 1). Over Q it is
+    fraction-free: with f = v[c], piv = u[c] and g = gcd(piv, f), the row
+    becomes ((piv/g) v - (f/g) u) / content, so k takes the content and a
+    takes piv/g.
+    """
+    k = a = 1
+    for c, u in reduced:
+        f = v[c]
+        if not f:
             continue
-        if i != r:
-            m[r], m[i] = m[i], m[r]
-            num[r], num[i] = num[i], num[r]
-            den[r], den[i] = den[i], den[r]
-            det_num = -det_num
-        prow = m[r]
-        piv = prow[c]
-        det_num *= piv * num[r]
-        det_den *= den[r]
-        for i in range(nrows):
-            f = m[i][c]
-            if not f or i == r:
-                continue
+        if p:
+            v = [(x - f * y) % p for x, y in zip(v, u)]
+        else:
+            piv = u[c]
             g = gcd(piv, f)
-            a, b = piv // g, f // g
-            row = [a * x - b * y for x, y in zip(m[i], prow)]
-            k = gcd(*row)  # 0 on a row that cancels: it never pivots again
-            if k > 1:
-                row = [x // k for x in row]
-            m[i] = row
-            num[i] *= k
-            den[i] *= a
-        pivots.append(c)
-        r += 1
-    return m, pivots, r, Fraction(det_num, det_den)
+            s, f = piv // g, f // g
+            v = [s * x - f * y for x, y in zip(v, u)]
+            g = gcd(*v)  # 0 on a row that cancels
+            if g > 1:
+                v = [x // g for x in v]
+            k *= g
+            a *= s
+    for c in range(width):
+        if v[c]:
+            break
+    else:
+        return v, None, k, a
+    if p and v[c] != 1:
+        k = v[c]
+        inv = pow(k, p - 2, p)
+        v = [x * inv % p for x in v]
+    return v, c, k, a
 
 
 def fp_matmul(a, n, k, b, k2, m, p):
@@ -279,11 +273,10 @@ def fp_minpoly(rows, p):
     unit tag for its exponent. Every power is reduced against the rows
     before it as soon as it is formed, so the loop stops at the first power
     that reduces to zero, and a map of degree d forms d - 1 products where
-    fp_rref on all n + 1 powers would need n - 1: hence an incremental
-    elimination of its own. Over F_p the pivot rows are scaled to a leading
-    1; over Q the elimination is fraction-free with content division, as
-    in _eliminate_rational. The tags of the zero row are a dependency
-    sum_j t_j Ahat^j = 0 with t_d nonzero, so c_j = t_j D^j / (t_d D^d).
+    fp_rref on all n + 1 powers would need n - 1. Each power is one
+    _reduce, the row update of fp_rref and fp_rank. The tags of the zero
+    row are a dependency sum_j t_j Ahat^j = 0 with t_d nonzero, so
+    c_j = t_j D^j / (t_d D^d).
     """
     n = len(rows)
     size = n * n
@@ -300,29 +293,12 @@ def fp_minpoly(rows, p):
                 power = [[a % p for a in row] for row in power]
         v = [a for row in power for a in row] + [0] * (n + 1)
         v[size + d] = 1
-        for c, u in reduced:
-            f = v[c]
-            if not f:
-                continue
-            if p:
-                v = [(a - f * b) % p for a, b in zip(v, u)]
-            else:
-                piv = u[c]
-                g = gcd(piv, f)
-                a, b = piv // g, f // g
-                v = [a * x - b * y for x, y in zip(v, u)]
-                k = gcd(*v)
-                if k > 1:
-                    v = [x // k for x in v]
-        c = next((j for j in range(size) if v[j]), None)
+        v, c, _, _ = _reduce(v, reduced, size, p)
         if c is None:
             tags = v[size : size + d + 1]
             if p:
                 return tags  # t_d = 1: the pivot rows carry no tag d
             return field_image([t * D**j for j, t in enumerate(tags)], tags[d] * D**d, 0)
-        if p and v[c] != 1:
-            inv = pow(v[c], p - 2, p)
-            v = [a * inv % p for a in v]
         reduced.append((c, v))
     raise ValueError("n + 1 independent powers: the matrix is not square")
 

@@ -6,7 +6,10 @@ determinant), the matrix product, matvec and Krylov chains go through the
 kernels in quadlie._fast, which serve Q (Fraction entries) and F_p (ints
 mod p) alike. All of them compute on ints for both: over Q on rows scaled
 to integers, with one Fraction built per entry of the result, and none at
-all for rank and det, which read only the elimination.
+all for rank and det. Row reduction, rank, det and the minimal polynomial
+share one elimination: rank and det read only its forward pass, the number
+of pivot rows and their pivots' product signed by the order of their
+pivot columns, and rref also reduces each pivot row against those below.
 
 Scalars are coerced once, where data enters: the public constructor,
 from_cols, diagonal, from_json, the public Subspace constructor and the
@@ -189,12 +192,14 @@ class Matrix:
         )
 
     def rref(self):
-        """Canonical reduced row echelon form: (R, pivot columns, rank)."""
-        rows, pivots, rank, _ = _fast.fp_rref(self.data, self.ncols, self.field.p)
+        """Canonical reduced row echelon form: (R, pivot columns, rank), the
+        pivot rows of rank's forward elimination, each reduced again against
+        the rows below it."""
+        rows, pivots, rank = _fast.fp_rref(self.data, self.ncols, self.field.p)
         return Matrix._wrap(self.field, rows), tuple(pivots), rank
 
     def rank(self):
-        """Rank from the elimination of rref, without its reduced rows."""
+        """Rank from the forward elimination of rref alone."""
         return _fast.fp_rank(self.data, self.ncols, self.field.p)[0]
 
     def inverse(self):
@@ -215,10 +220,11 @@ class Matrix:
         return Matrix._wrap(F, [row[n:] for row in R.data])
 
     def det(self):
+        """The pivot product of rank's forward elimination, signed by the
+        order of its pivot columns; zero on a singular matrix."""
         if not self.is_square:
             raise ValidationError("determinant of a non-square matrix")
-        rank, det = _fast.fp_rank(self.data, self.ncols, self.field.p)
-        return det if rank == self.nrows else self.field.zero
+        return _fast.fp_rank(self.data, self.ncols, self.field.p)[1]
 
     def solve(self, rhs):
         """One exact solution of self * x = rhs, or None if inconsistent."""
@@ -394,7 +400,7 @@ def _echelon(field, rows):
     """Nonzero rows of the reduced echelon form of canonical rows."""
     if not rows:
         return []
-    R, _, rank, _ = _fast.fp_rref(rows, len(rows[0]), field.p)
+    R, _, rank = _fast.fp_rref(rows, len(rows[0]), field.p)
     return R[:rank]
 
 

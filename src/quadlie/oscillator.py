@@ -147,15 +147,14 @@ def from_lambda_tuple(field, lams):
     return OscillatorData(space, A)
 
 
-def _core_brackets(data, shift):
+def _core_brackets(omega, shift):
     """[v_i, v_j] = phi(delta v_i, v_j) delta* for i < j, nonzero only, with
     the core at indices shift..shift+n-1 and delta* last, at shift+n; the
-    coefficient is entry (i, j) of Omega = A^T B."""
-    F = data.field
-    n = data.space.dim
-    omega = data.space.times_gram(data.delta.matrix.transpose()).data
+    coefficient is entry (i, j) of the n x n matrix Omega = A^T B."""
+    F = omega.field
+    n = omega.nrows
     out = {}
-    for i, row in enumerate(omega):
+    for i, row in enumerate(omega.data):
         for j in range(i + 1, n):
             if row[j]:
                 vec = [F.zero] * (shift + n + 1)
@@ -181,7 +180,7 @@ def build_double_extension(data):
         for j, col in enumerate(A.cols())
         if any(col)
     }
-    table.update(_core_brackets(data, 1))
+    table.update(_core_brackets(data.space.times_gram(A.transpose()), 1))
     # every entry is already canonical: nothing is coerced again
     L = LieAlgebra._wrap(F, data.space.dim + 2, table)
     data.extension = QuadraticLieAlgebra(L, OrthogonalSpace(_extension_gram(data, F.zero, F.one)))
@@ -309,9 +308,10 @@ def _heisenberg_certificate(data):
     """
     F = data.field
     n = data.space.dim
-    A = data.delta.matrix
+    # phi(delta x, y) = x Omega y^T with Omega = A^T B
+    omega = data.space.times_gram(data.delta.matrix.transpose())
     # the derived algebra on basis (v_1..v_n, delta*)
-    H = LieAlgebra._wrap(F, n + 1, _core_brackets(data, 0))
+    H = LieAlgebra._wrap(F, n + 1, _core_brackets(omega, 0))
     ok, cert = is_heisenberg(H)
     if not ok:
         raise ValidationError("derived algebra of an invertible seed must be Heisenberg")
@@ -320,8 +320,6 @@ def _heisenberg_certificate(data):
         raise ValidationError("derived line escaped the star axis")
     pv = [v[:n] for v in vs]
     pw = [w[:n] for w in ws]
-    # phi(delta x, y) = x Omega y^T with Omega = A^T B
-    omega = data.space.times_gram(A.transpose())
     V, W = Matrix._wrap(F, pv), Matrix._wrap(F, pw)
     if (V * omega * W.transpose() != Matrix.identity(F, len(pv))
             or not (V * omega * V.transpose()).is_zero()

@@ -639,7 +639,7 @@ def _zero_blocks(split):
         return []
     S = kernels[0]
     H = space.restrict_gram(S.basis) if S.dim else None
-    if H is not None and H.det() == F.zero:
+    if H is not None and H.rank() < H.nrows:
         raise ValidationError("zero component carries a degenerate form")
 
     blocks = []

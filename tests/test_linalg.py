@@ -311,10 +311,15 @@ def test_rational_rref_matches_gauss_jordan(nrows, ncols, data):
     rows = data.draw(_rational_matrices(nrows, ncols))
     before = [list(row) for row in rows]
     got = _fast.fp_rref(rows, ncols, 0)
+    rank, det = _fast.fp_rank(rows, ncols, 0)
     assert rows == before
-    assert got == _gauss_jordan(before, ncols)
+    want = _gauss_jordan(before, ncols)
+    assert got == want[:3] and rank == want[2]
     assert all(type(c) is Fraction for row in got[0] for c in row)
-    assert type(got[3]) is Fraction
+    if nrows == ncols:
+        # the swap-signed pivot product is the determinant at full rank
+        assert type(det) is Fraction
+        assert det == (want[3] if rank == nrows else 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -419,11 +424,12 @@ def test_rank_and_det_match_rref(p, n, m, data):
             st.sampled_from([_rationals, _mixed_rationals]))))
     before = [list(row) for row in rows]
     M = Matrix._wrap(F, rows)
-    _, pivots, rank, product = _fast.fp_rref(rows, M.ncols, p)
-    assert M.rank() == rank == M.rref()[2]
-    assert _fast.fp_rank(rows, M.ncols, p) == (rank, product)
+    _, pivots, rank = _fast.fp_rref(rows, M.ncols, p)
+    assert M.rank() == rank == M.rref()[2] == _fast.fp_rank(rows, M.ncols, p)[0]
     if M.is_square:
-        assert M.det() == (product if rank == n else F.zero)
+        det = _fast.fp_rank(rows, M.ncols, p)[1]
+        assert M.det() == det
+        assert (det == F.zero) == (rank < n)
         assert type(M.det()) is type(F.zero)
     assert rows == before
 
@@ -436,9 +442,9 @@ def test_rank_and_det_of_empty_zero_and_deficient_matrices():
         assert zero.rank() == 0
         assert Matrix.zeros(F, 3, 3).det() == F.zero
         D = Matrix(F, [[1, 2, 3], [2, 4, 6], [0, 1, "1/2"]])
-        _, _, rank, product = _fast.fp_rref(D.data, 3, F.p)
-        assert D.rank() == rank == 2 and product != F.zero
-        assert D.det() == F.zero
+        rank, det = _fast.fp_rank(D.data, 3, F.p)
+        assert D.rank() == rank == _fast.fp_rref(D.data, 3, F.p)[2] == 2
+        assert D.det() == det == F.zero
         S = Matrix(F, [[0, 2], [3, 1]])
         assert (S.rank(), S.det()) == (2, F.of(-6))
 
@@ -489,6 +495,210 @@ def test_fp_matvec_matches_matmul_on_a_column(p, n, k, data):
     (v,) = data.draw(_fp_rows(p, 1, k))  # sparse, half-zero and dense vectors
     got = Matrix._wrap(F, a).matvec(v)
     assert got == [row[0] for row in _fast.fp_matmul(a, n, k, [[c] for c in v], k, 1, p)]
+
+
+# The three eliminations that _fast's one row reduction replaced, kept as
+# oracles: Gauss-Jordan over F_p, fraction-free Gauss-Jordan over Q, and the
+# incremental elimination of the powers in the minimal polynomial.
+
+
+def _eliminate_fp(rows, ncols, p):
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    pivots = []
+    det = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            det = -det
+        piv = m[r][c]
+        det *= piv
+        if piv != 1:
+            inv = pow(piv, p - 2, p)
+            m[r] = [a * inv % p for a in m[r]]
+        prow = m[r]
+        for i in range(nrows):
+            f = m[i][c]
+            if not f or i == r:
+                continue
+            m[i] = [(a - f * b) % p for a, b in zip(m[i], prow)]
+        pivots.append(c)
+        r += 1
+    return m, pivots, r, det % p
+
+
+def _eliminate_rational(rows, ncols):
+    m = []
+    num = []
+    den = []
+    for row in rows:
+        (ints,), d = _fast.integer_image([row], 0)
+        g = gcd(*ints)
+        if g > 1:
+            ints = [a // g for a in ints]
+        m.append(ints)
+        num.append(g)
+        den.append(d)
+    nrows = len(m)
+    pivots = []
+    det_num = det_den = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            num[r], num[i] = num[i], num[r]
+            den[r], den[i] = den[i], den[r]
+            det_num = -det_num
+        prow = m[r]
+        piv = prow[c]
+        det_num *= piv * num[r]
+        det_den *= den[r]
+        for i in range(nrows):
+            f = m[i][c]
+            if not f or i == r:
+                continue
+            g = gcd(piv, f)
+            a, b = piv // g, f // g
+            row = [a * x - b * y for x, y in zip(m[i], prow)]
+            k = gcd(*row)
+            if k > 1:
+                row = [x // k for x in row]
+            m[i] = row
+            num[i] *= k
+            den[i] *= a
+        pivots.append(c)
+        r += 1
+    return m, pivots, r, Fraction(det_num, det_den)
+
+
+def _gauss_jordan_rref(rows, ncols, p):
+    """(rows, pivots, rank, swap-signed pivot product), as fp_rref was."""
+    if p:
+        return _eliminate_fp(rows, ncols, p)
+    m, pivots, r, det = _eliminate_rational(rows, ncols)
+    out = [_fast.field_image(m[i], m[i][c], 0) for i, c in enumerate(pivots)]
+    out.extend([Fraction(0)] * ncols for _ in range(r, len(m)))
+    return out, pivots, r, det
+
+
+def _incremental_minpoly(rows, p):
+    n = len(rows)
+    size = n * n
+    ahat, D = _fast.integer_image(rows, p)
+    cols = list(zip(*ahat))
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    reduced = []
+    for d in range(n + 1):
+        if d == 1:
+            power = ahat
+        elif d:
+            power = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in power]
+            if p:
+                power = [[a % p for a in row] for row in power]
+        v = [a for row in power for a in row] + [0] * (n + 1)
+        v[size + d] = 1
+        for c, u in reduced:
+            f = v[c]
+            if not f:
+                continue
+            if p:
+                v = [(a - f * b) % p for a, b in zip(v, u)]
+            else:
+                piv = u[c]
+                g = gcd(piv, f)
+                a, b = piv // g, f // g
+                v = [a * x - b * y for x, y in zip(v, u)]
+                k = gcd(*v)
+                if k > 1:
+                    v = [x // k for x in v]
+        c = next((j for j in range(size) if v[j]), None)
+        if c is None:
+            tags = v[size : size + d + 1]
+            if p:
+                return tags
+            return _fast.field_image([t * D**j for j, t in enumerate(tags)], tags[d] * D**d, 0)
+        if p and v[c] != 1:
+            inv = pow(v[c], p - 2, p)
+            v = [a * inv % p for a in v]
+        reduced.append((c, v))
+    raise ValueError("n + 1 independent powers: the matrix is not square")
+
+
+_ORACLE_FIELDS = (3, 7, 2**61 - 1, 0)
+
+
+@st.composite
+def _elimination_rows(draw, p, n, m):
+    """n rows of length m over F_p, or over Q with int-only, Fraction, mixed
+    or huge-denominator entries: independent rows, or rows drawn from a few
+    base rows, the zero row and their multiples, so that zero, repeated
+    and proportional rows are common."""
+    if p:
+        entry = st.integers(0, p - 1)
+        scales = [1, 2, p - 1]
+    else:
+        small = st.integers(-9, 9)
+        entry = draw(st.sampled_from(
+            [small, _rationals, st.one_of(small, _rationals), _mixed_rationals]))
+        scales = [1, -3, Fraction(-3, 7), Fraction(59, 2)]
+    if draw(st.booleans()):
+        if p:
+            return draw(_fp_rows(p, n, m))
+        return draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    base = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=1, max_size=4))
+    base.append([0] * m)
+    rows = []
+    for _ in range(n):
+        row = draw(st.sampled_from(base))
+        s = draw(st.sampled_from(scales))
+        rows.append([c * s % p if p else c * s for c in row] if s != 1 else list(row))
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_ORACLE_FIELDS), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_one_elimination_matches_gauss_jordan_byte_for_byte(p, n, m, data):
+    if data.draw(st.booleans(), label="square"):
+        m = n
+    rows = data.draw(_elimination_rows(p, n, m))
+    before = repr(rows)
+    want, want_pivots, want_rank, want_product = _gauss_jordan_rref(rows, m, p)
+    got = _fast.fp_rref(rows, m, p)
+    rank, det = _fast.fp_rank(rows, m, p)
+    assert repr(rows) == before
+    assert repr(got) == repr((want, want_pivots, want_rank))
+    assert rank == want_rank
+    if n == m:
+        zero = 0 if p else Fraction(0)
+        assert repr(det) == repr(want_product if rank == n else zero)
+        assert repr(Matrix._wrap(Field(p), rows).det()) == repr(det)
+    # no output row is an input row, so a caller may change either
+    assert not {id(row) for row in got[0]} & {id(row) for row in rows}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_ORACLE_FIELDS), st.integers(0, 6), st.data())
+def test_minpoly_matches_the_incremental_elimination_byte_for_byte(p, n, data):
+    rows = data.draw(_elimination_rows(p, n, n))
+    before = repr(rows)
+    got = _fast.fp_minpoly(rows, p)
+    assert repr(rows) == before
+    assert repr(got) == repr(_incremental_minpoly(rows, p))
 
 
 def test_add_and_sub_refuse_different_shapes():
@@ -764,7 +974,7 @@ def krylov_loop_minpoly(A):
         e[i] = F.one
         u = linalg.combine(F, m.coeffs, linalg.krylov(A, e, m.degree))
         if any(u):
-            R, _, k, _ = _fast.fp_rref(list(zip(*linalg.krylov(A, u, n))), n + 1, F.p)
+            R, _, k = _fast.fp_rref(list(zip(*linalg.krylov(A, u, n))), n + 1, F.p)
             m = m * Polynomial._wrap(F, [F.neg(R[r][k]) for r in range(k)] + [F.one])
     return m
 

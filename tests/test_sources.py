@@ -23,6 +23,11 @@ Gram is I: a product or matvec with .gram elsewhere in those modules, or a
 name bound to .gram that could carry it into one, would multiply by I
 again.
 
+Row reduction is written once: _fast._reduce holds the one mod-p and the
+one fraction-free row update, and fp_rref, fp_rank and fp_minpoly all
+reach it. leading_minors' Bareiss elimination, without row exchanges, is a
+different computation and keeps its own update.
+
 The census builds one canonical pair per scaling class of components:
 skew_census calls canonical_pair at one site, and scaled_pair, which gives
 every other component its key, reaches no split, minimal polynomial or
@@ -112,9 +117,9 @@ def _called_names(node):
     ]
 
 
-def _reached(root):
-    # every module-level function of skewcanon that root reaches
-    defs = _functions("skewcanon.py")
+def _reached(root, name="skewcanon.py"):
+    # every module-level function of the module that root reaches
+    defs = _functions(name)
     reached, todo = set(), [root]
     while todo:
         for name in _called_names(defs[todo.pop()]):
@@ -195,3 +200,46 @@ def test_products_with_a_space_gram_only_in_times_gram():
                  "G1, G2 = (space.gram for space in spaces)"):
         assert _gram_uses(ast.parse(f"def f():\n    {line}\n")) == [("f", 2)]
     assert not _gram_uses(ast.parse("def f():\n    v = T * block.gram\n"))
+
+
+def _row_update(node):
+    # a comprehension over zip(row, row) whose entry subtracts a product:
+    # "mod p" when the difference is reduced mod p, "exact division" when it
+    # is divided exactly (Bareiss), "fraction-free" when it is left as it is
+    if not (isinstance(node, ast.ListComp) and isinstance(node.generators[0].iter, ast.Call)
+            and ast.unparse(node.generators[0].iter.func) == "zip"):
+        return None
+    elt = node.elt
+    kind = "fraction-free"
+    if isinstance(elt, ast.BinOp) and isinstance(elt.op, (ast.Mod, ast.FloorDiv)):
+        kind = "mod p" if isinstance(elt.op, ast.Mod) else "exact division"
+        elt = elt.left
+    if (isinstance(elt, ast.BinOp) and isinstance(elt.op, ast.Sub)
+            and isinstance(elt.right, ast.BinOp) and isinstance(elt.right.op, ast.Mult)):
+        return kind
+    return None
+
+
+def _row_updates(tree):
+    return sorted(
+        (func.name, kind)
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func) if (kind := _row_update(node))
+    )
+
+
+def test_one_row_reduction_in_fast():
+    tree = ast.parse((SRC / "_fast.py").read_text())
+    defs = _functions("_fast.py")
+    eliminations = [name for name in defs if name.startswith("_eliminate")]
+    assert not eliminations, f"eliminations besides _reduce: {eliminations}"
+    assert _row_updates(tree) == [
+        ("_reduce", "fraction-free"), ("_reduce", "mod p"), ("leading_minors", "exact division")]
+    for root in ("fp_rref", "fp_rank", "fp_minpoly"):
+        assert "_reduce" in _reached(root, "_fast.py"), root
+    # and the walk sees each update it rules out
+    for line, kind in (("m[i] = [(a - f * b) % p for a, b in zip(m[i], prow)]", "mod p"),
+                       ("row = [a * x - b * y for x, y in zip(m[i], prow)]", "fraction-free"),
+                       ("m[i] = [(piv * a - f * b) // prev for a, b in zip(m[i], prow)]",
+                        "exact division")):
+        assert _row_updates(ast.parse(f"def f():\n    {line}\n")) == [("f", kind)]
