@@ -317,11 +317,14 @@ class QuadraticLieAlgebra:
 def bracket_span(L, U, W):
     """Echelonized span of all [u, w] for generators u of U, w of W.
 
-    Runs on the integer image: the generators of U and of W are scaled to
-    integers, which keeps the span, and the integer brackets (reduced mod p
-    over F_p; over Q ints, which Subspace._wrap takes) are row-reduced
-    once. When W is U, one bracket per unordered pair a < b of generators spans the same: [u, u] = 0 and [w, u] = -[u, w].
+    With U = W = L this is derived_algebra(L). Otherwise it runs on the
+    integer image: the generators of U and of W are scaled to integers,
+    which keeps the span, and the integer brackets (reduced mod p over F_p;
+    over Q ints, which Subspace._wrap takes) are row-reduced once. When W
+    is U, the pairs a < b span all: [u, u] = 0 and [w, u] = -[u, w].
     """
+    if U.dim == W.dim == L.dim:
+        return derived_algebra(L)
     F = L.field
     _, right = L._integer_image()
     us, _ = integer_image(U.basis, F.p)
@@ -492,7 +495,7 @@ def dq_lower_bound_check(Q):
     L2 = derived_algebra(L)
     if L2.dim == 0:
         raise ValidationError("lower bound check applies to non-abelian algebras")
-    r = centre(L).dim
+    r = L.dim - L2.dim
     dq = quadratic_dimension(L)
     bound = 1 + r * (r + 1) // 2
     return dq >= bound, dq, bound

@@ -15,8 +15,9 @@ Scalars are coerced once, where data enters: the public constructor,
 from_cols, diagonal, from_json, the public Subspace constructor and the
 right-hand side of solve run Field.of. Results built here from entries that
 are already field elements go through the trusted Matrix._wrap and
-Subspace._wrap instead; kernel_basis, image_basis and sum_with row-reduce
-their canonical rows straight through the kernel, and meet_kernel keeps
+Subspace._wrap instead, and each subspace is reduced once: image_basis and
+sum_with row-reduce their canonical rows straight through the kernel,
+kernel_basis builds its echelon basis off one rref, and meet_kernel keeps
 rows that are already in echelon form as they are.
 Subspace.coords reads coordinates off the echelon basis at its pivot
 columns, checked by one product; membership, inclusion and restriction are
@@ -405,18 +406,21 @@ def _echelon(field, rows):
 
 
 def kernel_basis(A):
-    """Canonical echelon basis of {v : A v = 0}."""
-    R, pivots, rank = A.rref()
-    F = A.field
-    free = [j for j in range(A.ncols) if j not in pivots]
+    """Canonical echelon basis of {v : A v = 0}. A is reduced once, columns
+    reversed, so each pivot column lies right of the free columns it solves
+    for: the vectors below, by free column, are the kernel's echelon form."""
+    F, n = A.field, A.ncols
+    R, rev, _ = Matrix._wrap(F, [row[::-1] for row in A.data]).rref()
+    pivots = [n - 1 - c for c in rev]
     vectors = []
-    for j in free:
-        v = [F.zero] * A.ncols
-        v[j] = F.one
-        for r, c in enumerate(pivots):
-            v[c] = F.neg(R.data[r][j])
-        vectors.append(v)
-    return Subspace._wrap(F, A.ncols, vectors)
+    for j in range(n):
+        if j not in pivots:
+            v = [F.zero] * n
+            v[j] = F.one
+            for r, c in enumerate(pivots):
+                v[c] = F.neg(R.data[r][n - 1 - j])
+            vectors.append(v)
+    return Subspace._echelon_wrap(F, n, vectors)
 
 
 def image_basis(A):

@@ -1022,11 +1022,12 @@ def recover_double_extension(Q):
     """Carve the seed (V, phi, delta) out of a presented quadratic algebra.
 
     The hypotheses are diagnosed in order, each with its own message: the
-    algebra must be solvable with a one dimensional isotropic centre whose
-    orthogonal complement is the derived algebra of codimension one, and
-    the bracket of the carved core must stay on the centre line. The
-    returned seed keeps the rebuilt extension and carries a recovery record
-    with the base change, which is checked to transport it onto Q exactly.
+    algebra must be solvable with a one dimensional isotropic centre, and
+    the bracket of the carved core must stay on the centre line. The form
+    is invariant and regular, so the centre is read off as (L^2)-perp, and
+    L^2, its orthogonal, then has codimension one. The returned seed keeps
+    the rebuilt extension and carries a recovery record with the base
+    change, which is checked to transport it onto Q exactly.
     """
     L = Q.algebra
     F = Q.field
@@ -1034,7 +1035,8 @@ def recover_double_extension(Q):
     series = derived_series(L)
     if series[-1].dim:
         raise ValidationError("not a double extension: the algebra is not solvable")
-    Z = centre(L)
+    # L^2 is series[1], or L itself at dim 0, where the series stops at once
+    Z = ortho_complement(Q.space, series[1] if len(series) > 1 else series[0])
     if Z.dim != 1:
         raise ValidationError(
             f"not a double extension: centre has dimension {Z.dim}, not 1"
@@ -1042,16 +1044,6 @@ def recover_double_extension(Q):
     z = list(Z.basis[0])
     if Q.space.quad(z):
         raise ValidationError("not a double extension: the centre is not isotropic")
-    L2 = series[1]  # the centre is a line, so L is nonzero and solvable: L^2 != L
-    if L2.dim != dim - 1:
-        raise ValidationError(
-            "not a double extension: the derived algebra has codimension "
-            f"{dim - L2.dim}, not 1"
-        )
-    if ortho_complement(Q.space, Z) != L2:
-        raise ValidationError(
-            "not a double extension: the derived algebra is not the centre's complement"
-        )
 
     # x with psi(x, z) = 1, then x <- x - psi(x,x)/2 z to make it isotropic
     x = Q.space.times_gram(Matrix._wrap(F, [z])).solve([F.one])

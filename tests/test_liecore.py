@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadlie._fast import integer_image
 from quadlie.errors import ValidationError
 from quadlie.exact_field import Field
 from quadlie.liecore import (
     LieAlgebra,
     QuadraticLieAlgebra,
+    _apply,
+    _right_action,
     centre,
     derived_algebra,
     derived_series,
@@ -375,6 +378,39 @@ def _oracle_series(L, against_full):
         series.append(nxt)
 
 
+def _integer_bracket_span(L, U, W):
+    """bracket_span as it was, kept as an oracle: the brackets of the
+    generators on the integer image, also when U and W are all of L."""
+    F = L.field
+    _, right = L._integer_image()
+    us, _ = integer_image(U.basis, F.p)
+    if W is U:
+        vecs = []
+        for b in range(1, len(us)):
+            cols = _right_action(right, us[b])
+            vecs.extend(_apply(u, cols, L.dim) for u in us[:b])
+    else:
+        ws, _ = integer_image(W.basis, F.p)
+        acts = [_right_action(right, w) for w in ws]
+        vecs = [_apply(u, cols, L.dim) for u in us for cols in acts]
+    if F.p:
+        vecs = [[a % F.p for a in v] for v in vecs]
+    return Subspace._wrap(F, L.dim, vecs)
+
+
+def _integer_series(L, against_full):
+    """derived_series (against_full false) or lower_central_series as they
+    were, each term one _integer_bracket_span, the first too."""
+    full = Subspace.full(L.field, L.dim)
+    series = [full]
+    while True:
+        S = series[-1]
+        nxt = _integer_bracket_span(L, S, full if against_full else S)
+        if nxt == S:
+            return series
+        series.append(nxt)
+
+
 @pytest.mark.parametrize("field", [Q, F5])
 @pytest.mark.parametrize("build", KERNEL_ALGEBRAS)
 def test_series_match_ordered_pair_oracle(field, build):
@@ -382,8 +418,14 @@ def test_series_match_ordered_pair_oracle(field, build):
     L0 = getattr(L0, "algebra", L0)
     L, _, _ = scrambled(random.Random(17), field, build)
     for alg in (L0, L):
-        assert derived_series(alg) == _oracle_series(alg, False)
-        assert lower_central_series(alg) == _oracle_series(alg, True)
+        derived, lower = derived_series(alg), lower_central_series(alg)
+        assert derived == _oracle_series(alg, False)
+        assert lower == _oracle_series(alg, True)
+        # the first term after L is derived_algebra, byte for byte the span
+        # of every generator bracket on the integer image
+        for got, want in ((derived, _integer_series(alg, False)),
+                          (lower, _integer_series(alg, True))):
+            assert repr([S.basis for S in got]) == repr([S.basis for S in want])
 
 
 def test_quadratic_constructor_rejects_bad_jacobi():
@@ -550,10 +592,44 @@ def test_series_duality():
     assert series_duality_check(n32(Q), max_k=2) == [1, 2]
 
 
-def test_derived_perp_is_centre():
-    N = n23(Q)
-    L2 = derived_series(N.algebra)[1]
-    assert ortho_complement(N.space, L2) == centre(N.algebra)
+def sl2_killing(field):
+    """sl2_like with its Killing form: perfect, so L^2 = L and Z(L) = 0."""
+    killing = Matrix(field, [[0, 4, 0], [4, 0, 0], [0, 0, 8]])
+    return QuadraticLieAlgebra(sl2_like(field), OrthogonalSpace(killing))
+
+
+def rotation_quadratic(field):
+    return build_double_extension(from_lambda_tuple(field, (1, 2)))
+
+
+def scrambled_quadratic(rng, field, build):
+    """build(field) on the basis of the columns of a random P, with the
+    Gram P^T G P; the constructor certifies the form invariant again."""
+    Q0 = build(field)
+    L, _, P = scrambled(rng, field, lambda F: Q0.algebra)
+    return QuadraticLieAlgebra(L, OrthogonalSpace(P.transpose() * Q0.space.gram * P))
+
+
+QUADRATIC_ALGEBRAS = [n23, n32, rotation_quadratic, sl2_killing]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([Q, F5]),
+       st.sampled_from(QUADRATIC_ALGEBRAS), st.booleans())
+def test_derived_perp_is_centre(seed, field, build, scramble):
+    # a regular invariant form makes Z(L) = (L^2)-perp, which recovery and
+    # the d_q bound read instead of solving for the centre
+    Qs = scrambled_quadratic(random.Random(seed), field, build) if scramble else build(field)
+    L = Qs.algebra
+    L2 = derived_algebra(L)
+    series = derived_series(L)
+    assert L2 == (series[1] if len(series) > 1 else series[0])  # perfect: L^2 = L
+    Z = centre(L)
+    assert ortho_complement(Qs.space, L2) == Z
+    assert ortho_complement(Qs.space, Z) == L2
+    if L2.dim:
+        r = Z.dim
+        assert dq_lower_bound_check(Qs)[2] == 1 + r * (r + 1) // 2
 
 
 def test_dq_lower_bound():

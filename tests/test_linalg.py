@@ -750,6 +750,55 @@ def test_kernel_is_canonical_under_row_scaling():
     assert kernel_basis(A).basis == kernel_basis(B).basis
 
 
+def _two_reduction_kernel_basis(A):
+    """kernel_basis as it was, kept as an oracle: the kernel vectors read
+    off rref(A), each with its 1 at a free column, reduced a second time."""
+    R, pivots, rank = A.rref()
+    F = A.field
+    free = [j for j in range(A.ncols) if j not in pivots]
+    vectors = []
+    for j in free:
+        v = [F.zero] * A.ncols
+        v[j] = F.one
+        for r, c in enumerate(pivots):
+            v[c] = F.neg(R.data[r][j])
+        vectors.append(v)
+    return Subspace._wrap(F, A.ncols, vectors)
+
+
+def _full_rank(rows, perm):
+    """rows made unit upper triangular on the columns perm[:k], k the
+    smaller of their number and length: 1 at perm[i] and 0 at perm[j],
+    j < i, in row i < k, so the rank is k."""
+    rows = [list(row) for row in rows]
+    for i in range(min(len(rows), len(perm))):
+        for j in perm[:i]:
+            rows[i][j] = 0
+        rows[i][perm[i]] = 1
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_ORACLE_FIELDS), st.integers(0, 7), st.integers(1, 7),
+       st.sampled_from(["drawn", "zero", "full"]), st.data())
+def test_kernel_basis_matches_the_two_reduction_oracle_byte_for_byte(p, n, m, kind, data):
+    # int rows over Q go in through the trusted Matrix._wrap, as liecore's do
+    rows = data.draw(_elimination_rows(p, n, m))
+    if kind == "zero":
+        rows = [[0] * m for _ in range(n)]
+    elif kind == "full":
+        rows = _full_rank(rows, data.draw(st.permutations(range(m))))
+    A = Matrix._wrap(Field(p), rows)
+    before = repr(rows)
+    got = kernel_basis(A)
+    assert repr(rows) == before
+    want = _two_reduction_kernel_basis(A)
+    assert got.ambient_dim == want.ambient_dim == A.ncols
+    assert repr(got.basis) == repr(want.basis)
+    if kind == "full":
+        assert got.dim == A.ncols - min(n, A.ncols)
+
+
 # --------------------------------------------------------------- subspaces
 
 def test_subspace_reduction_membership():

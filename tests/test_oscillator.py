@@ -916,6 +916,13 @@ def test_recover_needs_small_centre():
         recover_double_extension(Qx)
 
 
+def test_recover_names_the_centre_of_the_zero_algebra():
+    # dim 0: the derived series stops at its first term, which is L^2 = L
+    empty = QuadraticLieAlgebra(LieAlgebra.abelian(Q, 0), OrthogonalSpace(Matrix(Q, [])))
+    with pytest.raises(ValidationError, match="centre has dimension 0, not 1"):
+        recover_double_extension(empty)
+
+
 def test_recover_diagnostics():
     sl2 = LieAlgebra.from_brackets(
         Q, 3, {(0, 1): [0, 0, 1], (0, 2): [-2, 0, 0], (1, 2): [0, 2, 0]}

@@ -28,6 +28,12 @@ one fraction-free row update, and fp_rref, fp_rank and fp_minpoly all
 reach it. leading_minors' Bareiss elimination, without row exchanges, is a
 different computation and keeps its own update.
 
+Each subspace on the kernel and recovery paths comes out of one
+reduction: kernel_basis reads the kernel's echelon basis off one rref and
+does not reduce it again through Subspace._wrap, and recover_double_extension
+reads the centre off the invariant form as (L^2)-perp instead of solving for
+it through centre or _centralizer_mod.
+
 The census builds one canonical pair per scaling class of components:
 skew_census calls canonical_pair at one site, and scaled_pair, which gives
 every other component its key, reaches no split, minimal polynomial or
@@ -104,9 +110,13 @@ def test_certificates_have_one_copy():
     assert not verifies, f"verify() in cli.py: {verifies}"
 
 
-def _functions(name):
-    tree = ast.parse((SRC / name).read_text())
+def _defs(source):
+    tree = ast.parse(source)
     return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _functions(name):
+    return _defs((SRC / name).read_text())
 
 
 def _called_names(node):
@@ -117,9 +127,9 @@ def _called_names(node):
     ]
 
 
-def _reached(root, name="skewcanon.py"):
+def _reached(root, name="skewcanon.py", defs=None):
     # every module-level function of the module that root reaches
-    defs = _functions(name)
+    defs = defs or _functions(name)
     reached, todo = set(), [root]
     while todo:
         for name in _called_names(defs[todo.pop()]):
@@ -243,3 +253,40 @@ def test_one_row_reduction_in_fast():
                        ("m[i] = [(piv * a - f * b) // prev for a, b in zip(m[i], prow)]",
                         "exact division")):
         assert _row_updates(ast.parse(f"def f():\n    {line}\n")) == [("f", kind)]
+
+
+def _one_reduction_faults(linalg_src, oscillator_src):
+    """What breaks one reduction per subspace in the two sources."""
+    faults = []
+    kernel = _defs(linalg_src)["kernel_basis"]
+    calls = [ast.unparse(node.func) for node in ast.walk(kernel) if isinstance(node, ast.Call)]
+    rrefs = [c for c in calls if c.endswith(".rref")]
+    if len(rrefs) != 1:
+        faults.append(f"kernel_basis makes {len(rrefs)} rref calls")
+    if "Subspace._wrap" in calls:
+        faults.append("kernel_basis reduces its kernel again through Subspace._wrap")
+    reached = _reached("recover_double_extension", defs=_defs(oscillator_src))
+    solved = sorted(reached & {"centre", "_centralizer_mod"})
+    if solved:
+        faults.append(f"recover_double_extension solves for the centre: {solved}")
+    return faults
+
+
+def test_one_reduction_per_subspace():
+    assert _one_reduction_faults((SRC / "linalg.py").read_text(),
+                                 (SRC / "oscillator.py").read_text()) == []
+    # and the check flags each fault it rules out
+    two_reductions = (
+        "def kernel_basis(A):\n"
+        "    R, pivots, rank = A.rref()\n"
+        "    return Subspace._wrap(A.field, A.ncols, [])\n"
+    )
+    no_rref = "def kernel_basis(A):\n    return Subspace._echelon_wrap(A.field, A.ncols, [])\n"
+    solving = ("def recover_double_extension(Q):\n    Z = _centre_of(Q)\n"
+               "def _centre_of(Q):\n    return centre(Q.algebra)\n")
+    assert _one_reduction_faults(two_reductions, solving) == [
+        "kernel_basis reduces its kernel again through Subspace._wrap",
+        "recover_double_extension solves for the centre: ['centre']",
+    ]
+    assert _one_reduction_faults(no_rref, "def recover_double_extension(Q):\n    pass\n") == [
+        "kernel_basis makes 0 rref calls"]
