@@ -1,5 +1,6 @@
-"""Row reduction, rank, matrix product, matvec, Krylov chains and minimal
-polynomials over F_p and Q, on lists of rows.
+"""Row reduction, rank, matrix product, scaling, matvec, Krylov chains,
+minimal polynomials, polynomials at a matrix and row comparison over F_p
+and Q, on lists of rows.
 
 p is the characteristic: an odd prime means F_p, with int entries already
 reduced into [0, p); p == 0 means Q, with Fraction entries. Results are
@@ -17,13 +18,21 @@ set after one gcd, the value, normal form and hash of Fraction(a, d)
 without the constructor's dispatch, and int_fraction does the same for
 Field.of's integer scalars. These are the only readers and makers of
 Fraction internals in quadlie; the slot layout is checked by the tests.
+Over Q each kernel takes one integer image of each operand and builds
+Fractions only for the results it returns: fp_matmul, scale_rows, fp_krylov
+and fp_poly_at (Horner on D A with the coefficients over one denominator)
+divide each result row once, and _forward images all rows at once. The
+comparisons of rational certificates read the slots too: same_rows, with
+no Fraction.__eq__ per entry. Over F_p, matrix equality stays the list
+==, and scaling the entrywise product in linalg.
 
 All row arithmetic is in _reduce, which clears the pivot columns of the
 rows reduced so far from one int row: mod p over F_p, fraction-free with
 content division over Q. _forward feeds the rows through it one at a
 time; fp_rank is that forward pass, its determinant the pivot product
 signed by the permutation that sorts the pivot columns, and fp_rref sorts
-the pivot rows and reduces each again against those below it.
+the pivot rows and reduces each again against those below it. Over Q
+_forward divides each row of the one image by its content first.
 fp_minpoly feeds the powers of a matrix through _reduce as they are
 formed, stopping at the first dependent one. leading_minors is Bareiss
 elimination without row exchanges, the leading principal minors of a
@@ -99,6 +108,30 @@ def nonzero(a, p):
     return a % p if p else a
 
 
+def same_rows(a, b):
+    """Whether two lists of rational rows hold the same rows, entry by
+    entry, read off the Fraction slots: each entry is in lowest terms, so
+    equal values have equal slots. Int entries, which Matrix._wrap allows
+    over Q, are compared by value."""
+    if len(a) != len(b):
+        return False
+    try:
+        for u, v in zip(a, b):
+            if len(u) != len(v):
+                return False
+            for x, y in zip(u, v):
+                if x is not y and (x._numerator != y._numerator
+                                   or x._denominator != y._denominator):
+                    return False
+    except AttributeError:
+        return all(
+            len(u) == len(v) and all(
+                x.numerator == y.numerator and x.denominator == y.denominator
+                for x, y in zip(u, v))
+            for u, v in zip(a, b))
+    return True
+
+
 def fp_rref(rows, ncols, p):
     """Reduced row echelon form: (rows, pivot columns, rank).
 
@@ -147,25 +180,30 @@ def _forward(rows, ncols, p):
     in input order as (pivot column, int row) pairs, and the product num /
     den of their pivots in the field.
 
-    Over Q each row starts as its integer image divided by its content.
+    Over Q all rows share one integer image over D, and each row starts as
+    its image divided by its content g, so the row in the field is g / D
+    times the int row.
     """
     reduced = []
     num = den = 1
-    for row in rows:
-        if p:
+    if p:
+        for row in rows:
             v, c, k, a = _reduce(row, reduced, ncols, p)
-        else:
-            (v,), d = integer_image([row], 0)
-            g = gcd(*v)
-            if g > 1:
-                v = [x // g for x in v]
-            v, c, k, a = _reduce(v, reduced, ncols, 0)
-            k *= g
-            a *= d
+            if c is not None:
+                reduced.append((c, v))
+                num *= v[c] * k
+                den *= a
+        return reduced, num, den
+    ints, D = integer_image(rows, 0)
+    for v in ints:
+        g = gcd(*v)
+        if g > 1:
+            v = [x // g for x in v]
+        v, c, k, a = _reduce(v, reduced, ncols, 0)
         if c is not None:
             reduced.append((c, v))
-            num *= v[c] * k
-            den *= a
+            num *= v[c] * k * g
+            den *= a * D
     return reduced, num, den
 
 
@@ -214,9 +252,9 @@ def fp_matmul(a, n, k, b, k2, m, p):
     """(n x k) times (k x m) product, both given as lists of rows.
 
     Each output entry is one dot product of a row of a with a column of b
-    (b transposed once per call); k == 0 gives n x m zeros. Over Q, b is
-    put over one denominator D and each row of a over its own d, so an
-    output entry is one integer dot product divided by d D.
+    (b transposed once per call); k == 0 gives n x m zeros. Over Q, a is
+    put over one denominator d and b over one D, each read once, so an
+    output row is one row of integer dot products divided by d D.
     """
     if k != k2:
         raise ValueError("inner dimensions differ")
@@ -225,13 +263,70 @@ def fp_matmul(a, n, k, b, k2, m, p):
     if p:
         cols = list(zip(*b))
         return [[sum(map(mul, arow, col)) % p for col in cols] for arow in a]
+    aints, d = integer_image(a, 0)
     bints, D = integer_image(b, 0)
     cols = list(zip(*bints))
-    out = []
-    for arow in a:
-        (ints,), d = integer_image([arow], 0)
-        out.append(field_image([sum(map(mul, ints, col)) for col in cols], d * D, 0))
-    return out
+    d *= D
+    return [field_image([sum(map(mul, row, col)) for col in cols], d, 0) for row in aints]
+
+
+def scale_rows(rows, c):
+    """c times the rational rows, c a Fraction: one integer image of the
+    rows times c's numerator, each row divided once by d times c's
+    denominator."""
+    ints, d = integer_image(rows, 0)
+    num = c._numerator
+    d *= c._denominator
+    return [field_image([a * num for a in row], d, 0) for row in ints]
+
+
+def fp_poly_at(coeffs, rows, p):
+    """sum_j c_j A^j for the coefficients (c_0, ..., c_d) of a polynomial
+    and a square A given by its rows, by Horner: a polynomial of degree
+    d >= 1 costs d - 1 products, a constant none.
+
+    Over F_p, H starts as c_d A (A itself when c_d = 1) and each step is
+    H <- H A + c_j I, reduced mod p. Over Q it runs on integer images:
+    with A = Ahat / D and c_j = chat_j / e, the value is H / (e D^d) for
+    the int matrix H = sum_j chat_j D^(d-j) Ahat^j, which starts as
+    chat_d Ahat + chat_(d-1) D I and steps H <- H Ahat + chat_j D^(d-j) I,
+    and each result row is one field_image.
+    """
+    n = len(rows)
+    if not coeffs:
+        return [[0 if p else _ZERO] * n for _ in range(n)]
+    if p:
+        *lower, lead = coeffs
+        if not lower:
+            h = [[0] * n for _ in range(n)]
+            lower = [lead]
+        elif lead == 1:
+            h = [list(row) for row in rows]
+        else:
+            h = [[lead * a % p for a in row] for row in rows]
+        cols = list(zip(*rows))
+        for k, c in enumerate(reversed(lower)):
+            if k:
+                h = [[sum(map(mul, row, col)) % p for col in cols] for row in h]
+            for i in range(n):
+                h[i][i] = (h[i][i] + c) % p
+        return h
+    (c,), e = integer_image([coeffs], 0)
+    d = len(c) - 1
+    if not d:
+        return [field_image([c[0] if i == j else 0 for j in range(n)], e, 0) for i in range(n)]
+    ahat, D = integer_image(rows, 0)
+    cols = list(zip(*ahat))
+    h = [[c[d] * a for a in row] for row in ahat]
+    scale = 1  # D^(d - j) once chat_j is added
+    for j in range(d - 1, -1, -1):
+        if j < d - 1:
+            h = [[sum(map(mul, row, col)) for col in cols] for row in h]
+        scale *= D
+        for i in range(n):
+            h[i][i] += c[j] * scale
+    e *= scale
+    return [field_image(row, e, 0) for row in h]
 
 
 def fp_matvec(rows, v, p):

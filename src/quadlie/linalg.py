@@ -4,10 +4,14 @@ Matrices are small (desk scale, n below ~40) and everything is computed
 exactly. Row reduction (and with it rank, inverse, solve and the
 determinant), the matrix product, matvec and Krylov chains go through the
 kernels in quadlie._fast, which serve Q (Fraction entries) and F_p (ints
-mod p) alike. All of them compute on ints for both: over Q on rows scaled
-to integers, with one Fraction built per entry of the result, and none at
-all for rank and det. Row reduction, rank, det and the minimal polynomial
-share one elimination: rank and det read only its forward pass, the number
+mod p) alike. All of them compute on ints for both: over Q on one integer
+image of each operand, with one Fraction built per entry of the result,
+and none at all for rank and det. Over Q, scale is one image times the
+scalar, and equality of matrices and subspaces, symmetry and the rebuild
+check of coords compare Fraction slots through _fast.same_rows rather
+than Fraction.__eq__ per entry; over F_p they stay list comparisons.
+Row reduction, rank, det and the minimal polynomial share one
+elimination: rank and det read only its forward pass, the number
 of pivot rows and their pivots' product signed by the order of their
 pivot columns, and rref also reduces each pivot row against those below.
 
@@ -27,7 +31,8 @@ No elimination is written out above the kernels: krylov builds the chain
 v, A v, ..., A^k v, combine takes a linear combination as one product, and
 the minimal polynomial is one _fast.fp_minpoly, the first power of A that
 the lower powers span, checked by poly_at_matrix, the one evaluator of a
-polynomial at a matrix.
+polynomial at a matrix: one _fast.fp_poly_at, Horner on the integer image
+of A, with no Matrix product.
 """
 
 from __future__ import annotations
@@ -118,10 +123,13 @@ class Matrix:
         return Matrix._wrap(self.field, [list(row) for row in self.data])
 
     def __eq__(self, other):
+        """Entrywise equality: over Q through _fast.same_rows, which reads
+        the Fraction slots rather than dispatching to Fraction.__eq__."""
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.data == other.data
+            and (self.data == other.data if self.field.p
+                 else _fast.same_rows(self.data, other.data))
         )
 
     def __repr__(self):
@@ -162,8 +170,11 @@ class Matrix:
         return Matrix._wrap(F, [[F.neg(a) for a in row] for row in self.data])
 
     def scale(self, c):
+        """c times the matrix; over Q one integer image times c."""
         F = self.field
         c = F.of(c)
+        if not F.p:
+            return Matrix._wrap(F, _fast.scale_rows(self.data, c))
         return Matrix._wrap(F, [[F.mul(c, a) for a in row] for row in self.data])
 
     def __mul__(self, other):
@@ -186,7 +197,11 @@ class Matrix:
         return all(not c for row in self.data for c in row)
 
     def is_symmetric(self):
-        return self.is_square and all(
+        if not self.is_square:
+            return False
+        if not self.field.p:
+            return _fast.same_rows(self.data, list(zip(*self.data)))
+        return all(
             self.data[i][j] == self.data[j][i]
             for i in range(self.nrows)
             for j in range(i)
@@ -312,7 +327,8 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and (self.basis == other.basis if self.field.p
+                 else _fast.same_rows(self.basis, other.basis))
         )
 
     def __repr__(self):
@@ -334,7 +350,8 @@ class Subspace:
         F = self.field
         pivots = [next(j for j, c in enumerate(row) if c) for row in self.basis]
         C = [[v[j] for j in pivots] for v in vecs]
-        if (Matrix._wrap(F, C) * Matrix._wrap(F, self.basis)).data != vecs:
+        rebuilt = (Matrix._wrap(F, C) * Matrix._wrap(F, self.basis)).data
+        if not (rebuilt == vecs if F.p else _fast.same_rows(rebuilt, vecs)):
             return None
         return C
 
@@ -429,29 +446,11 @@ def image_basis(A):
 
 
 def poly_at_matrix(p, A):
-    """Evaluate a polynomial at a square matrix (Horner).
-
-    Horner starts from the leading coefficient times A, so a polynomial of
-    degree d >= 1 costs d - 1 products, and a constant none.
-    """
-    F = A.field
-    n = A.nrows
-    if not p.coeffs:
-        return Matrix.zeros(F, n, n)
-    *lower, lead = p.coeffs
-    if not lower:
-        acc = Matrix.zeros(F, n, n)
-        lower = [lead]
-    elif lead == F.one:
-        acc = A.copy()
-    else:
-        acc = Matrix._wrap(F, [[F.mul(lead, a) for a in row] for row in A.data])
-    for k, c in enumerate(reversed(lower)):
-        if k:
-            acc = acc * A
-        for i in range(n):
-            acc.data[i][i] = F.add(acc.data[i][i], c)
-    return acc
+    """Evaluate a polynomial at a square matrix: one _fast.fp_poly_at,
+    Horner on the integer image of A with the coefficients over one
+    denominator, so a polynomial of degree d >= 1 costs d - 1 int products,
+    a constant none, and over Q one Fraction is built per result entry."""
+    return Matrix._wrap(A.field, _fast.fp_poly_at(p.coeffs, A.data, A.field.p))
 
 
 def krylov(A, v, k):

@@ -180,7 +180,7 @@ def build_double_extension(data):
         for j, col in enumerate(A.cols())
         if any(col)
     }
-    table.update(_core_brackets(data.space.times_gram(A.transpose()), 1))
+    table.update(_core_brackets(data.delta.omega, 1))
     # every entry is already canonical: nothing is coerced again
     L = LieAlgebra._wrap(F, data.space.dim + 2, table)
     data.extension = QuadraticLieAlgebra(L, OrthogonalSpace(_extension_gram(data, F.zero, F.one)))
@@ -309,7 +309,7 @@ def _heisenberg_certificate(data):
     F = data.field
     n = data.space.dim
     # phi(delta x, y) = x Omega y^T with Omega = A^T B
-    omega = data.space.times_gram(data.delta.matrix.transpose())
+    omega = data.delta.omega
     # the derived algebra on basis (v_1..v_n, delta*)
     H = LieAlgebra._wrap(F, n + 1, _core_brackets(omega, 0))
     ok, cert = is_heisenberg(H)
@@ -555,7 +555,8 @@ def verify_iso_witness(d1, d2, witness):
     the transported Gram matrix. The one product z^T B_2 f gives the delta*
     row of the induced map, and with it the cross terms
     mu phi_2(delta_2 z, f delta_1^{-1} e_j) + phi_2(z, f e_j) vanish once
-    (a) holds, so that condition is reported true, not recomputed.
+    (a) holds, so that condition is reported true, not recomputed; its row
+    z^T B_2 also gives the seed-norm term phi_2(z, z).
     """
     if d1.field != d2.field:
         raise ValidationError("witnesses need a common base field")
@@ -587,14 +588,14 @@ def verify_iso_witness(d1, d2, witness):
 
     Q1 = build_double_extension(d1)
     Q2 = build_double_extension(d2)
-    zBf = (d2.space.times_gram(Matrix._wrap(F, [witness.z])) * witness.f).data[0]
+    zB = d2.space.times_gram(Matrix._wrap(F, [witness.z]))
+    zBf = (zB * witness.f).data[0]
     M = _extended_matrix(d1, d2, witness, zBf)
     _check_isomorphism(Q1.algebra, Q2.algebra, M, "induced map")
 
     lm_one = lam_mu == F.one
-    diag_ok = not F.add(
-        F.mul(F.of(2), F.mul(witness.mu, witness.nu)), d2.space.bilin(witness.z, witness.z)
-    )
+    # phi_2(z, z) = (z^T B_2) . z, off the row that gave zBf
+    diag_ok = not F.add(F.mul(F.of(2), F.mul(witness.mu, witness.nu)), zB.matvec(witness.z)[0])
     stated = lm_one and diag_ok
     transported = Q2.space.times_gram(M.transpose()) * M == Q1.space.gram
     if stated != transported:

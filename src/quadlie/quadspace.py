@@ -96,17 +96,24 @@ def is_skew(space, A):
     I, and B symmetric, B A = M^T, so the (i, j) entry of
     the sum is M[i][j] + M[j][i]. The sum is symmetric, so its first
     nonzero entry in row-major order has j >= i (an entry with j < i
-    mirrors one in an earlier row), and the scan reads only those.
+    mirrors one in an earlier row), and the scan reads only those. Over Q
+    it reads the integer image of M, so each sum is of ints.
     """
+    return _skew_check(space, A)[:2]
+
+
+def _skew_check(space, A):
+    """is_skew's (ok, bad) and the product M = A^T B it scans."""
     if not (A.is_square and A.nrows == space.dim):
         raise ValidationError("endomorphism dimension mismatch")
     p = space.field.p
-    M = space.times_gram(A.transpose()).data
-    for i, row in enumerate(M):
+    M = space.times_gram(A.transpose())
+    rows = M.data if p else _fast.integer_image(M.data, 0)[0]
+    for i, row in enumerate(rows):
         for j in range(i, len(row)):
-            if _fast.nonzero(row[j] + M[j][i], p):
-                return False, (i, j)
-    return True, None
+            if _fast.nonzero(row[j] + rows[j][i], p):
+                return False, (i, j), M
+    return True, None, M
 
 
 class SkewEndo:
@@ -115,17 +122,20 @@ class SkewEndo:
     Skewness is checked once, here, so a SkewEndo is treated as immutable:
     its matrix is not changed after construction. That is what lets split
     hold the map's primary decomposition, computed by
-    skewcanon.primary_split on first use and shared by every later reader.
+    skewcanon.primary_split on first use and shared by every later reader,
+    and omega the matrix Omega = A^T B of the check, phi(A x, y) =
+    x Omega y^T, which the double extension and its certificates read.
     """
 
-    __slots__ = ("space", "matrix", "split")
+    __slots__ = ("space", "matrix", "omega", "split")
 
     def __init__(self, space, matrix):
-        ok, bad = is_skew(space, matrix)
+        ok, bad, omega = _skew_check(space, matrix)
         if not ok:
             raise ValidationError(f"matrix is not skew-adjoint, offending entry {bad}")
         self.space = space
         self.matrix = matrix
+        self.omega = omega
         self.split = None
 
     @property

@@ -1133,3 +1133,243 @@ def test_poly_at_matrix_zero_constant_and_non_monic(field):
     before = A.copy()
     poly_at_matrix(Polynomial.x(field), A).data[0][0] = field.zero
     assert A == before
+
+
+# --------------------------------------- oracles for the one-image rational paths
+# The code that each rational kernel replaced, kept as oracles: fp_matmul
+# imaging a row of a at a time, poly_at_matrix's Horner loop on Matrix
+# products, _forward imaging a row at a time, and the comparisons through
+# Fraction.__eq__. Each new path must give the same bytes.
+
+
+def _per_row_matmul(a, n, k, b, k2, m, p):
+    if not k:
+        return [[0 if p else _fast._ZERO] * m for _ in range(n)]
+    if p:
+        cols = list(zip(*b))
+        return [[sum(x * y for x, y in zip(arow, col)) % p for col in cols] for arow in a]
+    bints, D = _fast.integer_image(b, 0)
+    cols = list(zip(*bints))
+    out = []
+    for arow in a:
+        (ints,), d = _fast.integer_image([arow], 0)
+        out.append(_fast.field_image([sum(x * y for x, y in zip(ints, col)) for col in cols],
+                                     d * D, 0))
+    return out
+
+
+def _matrix_horner(p, A):
+    F = A.field
+    n = A.nrows
+    if not p.coeffs:
+        return Matrix.zeros(F, n, n)
+    *lower, lead = p.coeffs
+    if not lower:
+        acc = Matrix.zeros(F, n, n)
+        lower = [lead]
+    elif lead == F.one:
+        acc = A.copy()
+    else:
+        acc = Matrix._wrap(F, [[F.mul(lead, a) for a in row] for row in A.data])
+    for k, c in enumerate(reversed(lower)):
+        if k:
+            acc = acc * A
+        for i in range(n):
+            acc.data[i][i] = F.add(acc.data[i][i], c)
+    return acc
+
+
+def _per_row_forward(rows, ncols, p):
+    reduced = []
+    num = den = 1
+    for row in rows:
+        if p:
+            v, c, k, a = _fast._reduce(row, reduced, ncols, p)
+        else:
+            (v,), d = _fast.integer_image([row], 0)
+            g = gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
+            v, c, k, a = _fast._reduce(v, reduced, ncols, 0)
+            k *= g
+            a *= d
+        if c is not None:
+            reduced.append((c, v))
+            num *= v[c] * k
+            den *= a
+    return reduced, num, den
+
+
+def _eq_matrices(A, B):
+    return isinstance(B, Matrix) and A.field == B.field and A.data == B.data
+
+
+def _eq_is_symmetric(A):
+    return A.is_square and all(
+        A.data[i][j] == A.data[j][i] for i in range(A.nrows) for j in range(i))
+
+
+def _eq_coords(S, vecs):
+    vecs = [list(v) for v in vecs]
+    if not S.basis:
+        return [[] for _ in vecs] if not any(c for v in vecs for c in v) else None
+    if not vecs:
+        return []
+    F = S.field
+    pivots = [next(j for j, c in enumerate(row) if c) for row in S.basis]
+    C = [[v[j] for j in pivots] for v in vecs]
+    if (Matrix._wrap(F, C) * Matrix._wrap(F, S.basis)).data != vecs:
+        return None
+    return C
+
+
+_FIELDS = (Q, F3, F7, F_BIG)
+
+
+@st.composite
+def _field_rows(draw, F, n, m, ints=True):
+    """n x m rows over F. Over Q: small or huge denominators, rows scaled
+    by negative fractions, and with ints=True integral entries as ints, in
+    some rows or all, as Matrix._wrap carries them."""
+    if F.p:
+        return draw(_fp_rows(F.p, n, m))
+    entries = draw(st.sampled_from([_rationals, _mixed_rationals]))
+    rows = draw(_rational_matrices(n, m, entries))
+    kind = draw(st.sampled_from(["none", "some", "all"])) if ints else "none"
+    if kind == "none":
+        return rows
+    return [[c.numerator if c.denominator == 1 else c for c in row]
+            if kind == "all" or draw(st.booleans()) else row for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FIELDS), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6),
+       st.data())
+def test_one_image_matmul_matches_the_per_row_product(F, n, k, m, data):
+    a = data.draw(_field_rows(F, n, k))
+    b = data.draw(_field_rows(F, k, m))
+    before = repr((a, b))
+    got = _fast.fp_matmul(a, n, k, b, k, m, F.p)
+    assert repr((a, b)) == before
+    assert repr(got) == repr(_per_row_matmul(a, n, k, b, k, m, F.p))
+
+
+@st.composite
+def _polynomials(draw, F):
+    """Polynomials of degree -1 (zero) to 5 over F, constants included,
+    monic or not."""
+    degree = draw(st.integers(-1, 5))
+    if degree < 0:
+        return Polynomial.zero(F)
+    if F.p:
+        coeffs = draw(st.lists(st.integers(0, F.p - 1), min_size=degree + 1,
+                               max_size=degree + 1))
+        lead = st.integers(1, F.p - 1)
+    else:
+        coeffs = draw(st.lists(_mixed_rationals, min_size=degree + 1, max_size=degree + 1))
+        lead = st.one_of(st.just(1), st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                                               st.integers(1, 9)))
+    coeffs[-1] = draw(st.one_of(st.just(1), lead))
+    return Polynomial(F, coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FIELDS), st.integers(0, 6), st.data())
+def test_horner_kernel_matches_the_matrix_horner(F, n, data):
+    # poly_at_matrix takes canonical entries: no ints over Q
+    A = Matrix._wrap(F, data.draw(_field_rows(F, n, n, ints=False)))
+    p = data.draw(_polynomials(F))
+    before = repr(A.data)
+    got = poly_at_matrix(p, A)
+    assert repr(A.data) == before
+    assert repr(got.data) == repr(_matrix_horner(p, A).data)
+    assert (got.nrows, got.ncols) == (n, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FIELDS), st.integers(0, 6), st.integers(0, 7), st.data())
+def test_one_image_forward_matches_the_per_row_forward(F, n, m, data):
+    rows = data.draw(_field_rows(F, n, m))
+    reduced, num, den = _fast._forward(rows, m, F.p)
+    want, wnum, wden = _per_row_forward(rows, m, F.p)
+    # the same primitive pivot rows; over Q the pivot product's value
+    assert repr(reduced) == repr(want)
+    if F.p:
+        assert (num, den) == (wnum, wden)
+    else:
+        assert Fraction(num, den) == Fraction(wnum, wden)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), _mixed_rationals, st.data())
+def test_one_image_scale_matches_the_entrywise_products(n, m, c, data):
+    rows = data.draw(_field_rows(Q, n, m))
+    want = [[Q.mul(Q.of(c), a) for a in row] for row in rows]
+    assert repr(Matrix._wrap(Q, rows).scale(c).data) == repr(want)
+
+
+def _perturbed(F, rows, data):
+    """rows with one entry changed, over Q often in its denominator alone."""
+    rows = [list(row) for row in rows]
+    cells = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
+    if not cells:
+        return rows
+    i, j = data.draw(st.sampled_from(cells))
+    x = rows[i][j]
+    if F.p:
+        rows[i][j] = (x + data.draw(st.integers(1, F.p - 1))) % F.p
+    else:
+        x = Fraction(x)
+        den = x.denominator * data.draw(st.sampled_from([2, 3, 10**40 + 1]))
+        num = x.numerator if x.numerator else 1
+        rows[i][j] = Fraction(num, den)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FIELDS), st.integers(0, 5), st.integers(1, 5), st.data())
+def test_comparisons_match_fraction_eq(F, n, m, data):
+    rows = data.draw(_field_rows(F, n, m))
+    kind = data.draw(st.sampled_from(["copied", "coerced", "perturbed"]))
+    if kind == "copied":
+        other = [list(row) for row in rows]
+    elif kind == "coerced":
+        other = [[F.of(c) for c in row] for row in rows]  # ints made Fractions
+    else:
+        other = _perturbed(F, rows, data)
+    A, B = Matrix._wrap(F, rows), Matrix._wrap(F, other)
+    assert (A == B) == _eq_matrices(A, B)
+    assert (B == A) == _eq_matrices(B, A)
+    # symmetric matrices, and the same with one entry changed
+    sym = (A.transpose() * A).data if n else []
+    for M in (Matrix._wrap(F, sym), Matrix._wrap(F, _perturbed(F, sym, data)), A):
+        assert M.is_symmetric() == _eq_is_symmetric(M)
+    # subspaces of the rows and of the changed rows, and coordinates
+    S, T = Subspace._wrap(F, m, rows), Subspace._wrap(F, m, other)
+    assert (S == T) == (S.basis == T.basis)
+    for vecs in (rows, other, (A * A.transpose() * A).data if n else []):
+        assert repr(S.coords(vecs)) == repr(_eq_coords(S, vecs))
+
+
+def test_comparisons_read_values_not_types():
+    # Matrix._wrap carries ints over Q; they equal the Fractions Matrix makes
+    assert Matrix._wrap(Q, [[1]]) == Matrix(Q, [[1]])
+    assert Matrix(Q, [[1]]) == Matrix._wrap(Q, [[1]])
+    assert Matrix._wrap(Q, [[1, Fraction(1, 2)], [Fraction(1, 2), 3]]).is_symmetric()
+    assert Matrix._wrap(Q, [[0, 2], [Fraction(2), 0]]).is_symmetric()
+    # one denominator apart, in either slot order, is unequal
+    A = Matrix(Q, [[1, "1/2"], ["3/4", 5]])
+    for i, j, c in ((0, 1, "1/3"), (1, 0, "3/8"), (1, 1, "5/2")):
+        B = A.copy()
+        B.data[i][j] = Q.of(c)
+        assert A != B and B != A
+    assert not Matrix(Q, [[0, "1/2"], ["1/3", 0]]).is_symmetric()
+    assert not Matrix._wrap(Q, [[0, 1], [Fraction(1, 2), 0]]).is_symmetric()
+    # shape counts, even with the same entries in row-major order
+    assert Matrix(Q, [[1, 2, 3, 4]]) != Matrix(Q, [[1, 2], [3, 4]])
+    assert not _fast.same_rows([[Fraction(1)], []], [[Fraction(1)]])
+    assert not _fast.same_rows([[1], [2, 3]], [[1, 2], [3]])
+    S = Subspace(Q, 2, [[1, "1/2"]])
+    assert S == Subspace._wrap(Q, 2, [[2, 1]])
+    assert S != Subspace(Q, 2, [[1, "1/3"]])
+    assert S.coords([[2, 1]]) == [[2]] and S.coords([[2, Fraction(1, 2)]]) is None

@@ -121,7 +121,11 @@ def test_skew_check_and_endo():
     rot = Matrix(Q, [[0, -1], [1, 0]])
     ok, bad = is_skew(V, rot)
     assert ok and bad is None
-    SkewEndo(V, rot)
+    # the endo keeps the check's product Omega = A^T B for its readers
+    W = OrthogonalSpace(Matrix(Q, [[2, "1/2"], ["1/2", 3]]))
+    for space in (V, W):
+        A = skew_basis(space)[0]
+        assert SkewEndo(space, A).omega == A.transpose() * space.gram
     with pytest.raises(ValidationError):
         SkewEndo(V, Matrix.identity(Q, 2))
 

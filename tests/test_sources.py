@@ -34,6 +34,15 @@ does not reduce it again through Subspace._wrap, and recover_double_extension
 reads the centre off the invariant form as (L^2)-perp instead of solving for
 it through centre or _centralizer_mod.
 
+Over Q the certificates compare rationals without Fraction.__eq__:
+Matrix.__eq__, Matrix.is_symmetric, Subspace.__eq__ and the rebuild check
+of Subspace.coords all reach _fast.same_rows, which reads the slots, and
+poly_at_matrix forms no Matrix product: its Horner loop is one _fast
+kernel on the integer image. The matrix Omega = A^T B of a seed is formed
+once, when its SkewEndo checks skewness, and the double extension and
+the Heisenberg certificate read it there; the isomorphism check takes
+phi_2(z, z) off the row z^T B_2 it already formed, not through bilin.
+
 The census builds one canonical pair per scaling class of components:
 skew_census calls canonical_pair at one site, and scaled_pair, which gives
 every other component its key, reaches no split, minimal polynomial or
@@ -290,3 +299,79 @@ def test_one_reduction_per_subspace():
     ]
     assert _one_reduction_faults(no_rref, "def recover_double_extension(Q):\n    pass\n") == [
         "kernel_basis makes 0 rref calls"]
+
+
+def _methods(source, cls):
+    tree = ast.parse(source)
+    (node,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls]
+    return {f.name: f for f in node.body if isinstance(f, ast.FunctionDef)}
+
+
+def _rational_path_faults(linalg_src):
+    """Comparisons that skip _fast.same_rows, and Matrix products in
+    poly_at_matrix, in a linalg source."""
+    faults = []
+    sites = [("Matrix", "__eq__"), ("Matrix", "is_symmetric"),
+             ("Subspace", "__eq__"), ("Subspace", "coords")]
+    for cls, name in sites:
+        calls = {ast.unparse(node.func) for node in ast.walk(_methods(linalg_src, cls)[name])
+                 if isinstance(node, ast.Call)}
+        if "_fast.same_rows" not in calls:
+            faults.append(f"{cls}.{name} does not reach _fast.same_rows")
+    poly = _defs(linalg_src)["poly_at_matrix"]
+    products = [node.lineno for node in ast.walk(poly)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.MatMult))]
+    if products:
+        faults.append(f"poly_at_matrix forms products at {products}")
+    return faults
+
+
+def test_rational_comparisons_and_horner_stay_in_fast():
+    assert _rational_path_faults((SRC / "linalg.py").read_text()) == []
+    # and the check flags each fault it rules out
+    old = (
+        "class Matrix:\n"
+        "    def __eq__(self, other):\n        return self.data == other.data\n"
+        "    def is_symmetric(self):\n        return _fast.same_rows(self.data, self.data)\n"
+        "class Subspace:\n"
+        "    def __eq__(self, other):\n        return _fast.same_rows(self.basis, other.basis)\n"
+        "    def coords(self, vecs):\n        return (C * S).data != vecs\n"
+        "def poly_at_matrix(p, A):\n    acc = A.copy()\n    acc = acc * A\n"
+    )
+    assert _rational_path_faults(old) == [
+        "Matrix.__eq__ does not reach _fast.same_rows",
+        "Subspace.coords does not reach _fast.same_rows",
+        "poly_at_matrix forms products at [13]",
+    ]
+
+
+def _method_calls_in(tree, method):
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == method]
+
+
+def _omega_faults(oscillator_src):
+    """Products of a seed's Omega, or of z^T B_2, formed again."""
+    defs = _defs(oscillator_src)
+    faults = [f"{name} forms A^T B again"
+              for name in ("build_double_extension", "_heisenberg_certificate")
+              if _method_calls_in(defs[name], "times_gram")]
+    if _method_calls_in(defs["verify_iso_witness"], "bilin"):
+        faults.append("verify_iso_witness forms z^T B_2 again through bilin")
+    return faults
+
+
+def test_omega_is_formed_once_per_seed():
+    assert _omega_faults((SRC / "oscillator.py").read_text()) == []
+    # and the check flags each fault it rules out
+    again = (
+        "def build_double_extension(data):\n"
+        "    omega = data.space.times_gram(data.delta.matrix.transpose())\n"
+        "def _heisenberg_certificate(data):\n    omega = data.delta.omega\n"
+        "def verify_iso_witness(d1, d2, witness):\n"
+        "    return d2.space.bilin(witness.z, witness.z)\n"
+    )
+    assert _omega_faults(again) == [
+        "build_double_extension forms A^T B again",
+        "verify_iso_witness forms z^T B_2 again through bilin",
+    ]
