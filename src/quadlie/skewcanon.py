@@ -117,7 +117,7 @@ class PrimarySplit:
         return f"PrimarySplit([{facs}], unpaired={list(self.unpaired)})"
 
 
-def primary_split(f, like=None):
+def primary_split(f):
     """Split V into generalized eigenspaces of f and pair them by sign.
 
     The pairing sends the factor with root c to the factor with root -c
@@ -127,11 +127,6 @@ def primary_split(f, like=None):
     later calls. When the minimal polynomial m has one irreducible factor
     pi, m = pi^k already vanishes at A (minimal_polynomial checked it), so
     the one component is V itself and no kernel is formed.
-
-    like, the primary split of another map, lets a decision between two
-    maps factor one minimal polynomial, not two: when f's is a rescaling
-    of like's, its factors are read off like's (_rescaled_factors), and
-    otherwise it is factored.
     """
     if f.split is not None:
         return f.split
@@ -141,9 +136,7 @@ def primary_split(f, like=None):
         f.split = PrimarySplit(f, Polynomial.one(F), [], [], {}, ())
         return f.split
     m = minimal_polynomial(A)
-    factors = _rescaled_factors(m, like) if like is not None else None
-    if factors is None:
-        factors = factor_poly(m)
+    factors = factor_poly(m)
     if len(factors) == 1:
         # m = pi^k, which minimal_polynomial checked to vanish at A: V itself
         return _keep_split(f, m, factors, [Subspace.full(F, n)])
@@ -157,45 +150,10 @@ def primary_split(f, like=None):
     return _keep_split(f, m, factors, components)
 
 
-def _rescaled_factors(m, split):
-    """The factors of m read off split's, or None when m is not found to be
-    a rescaling of split.minpoly = m1.
-
-    If m.shift_scale(mu) == m1, then shift_scale(1 / mu) maps the monic
-    irreducible factors of m1 onto those of m with their multiplicities,
-    so those images, sorted, are exactly what factor_poly(m) returns (as
-    in scaled_map). mu is read off the top nonzero lower coefficient of
-    m1, the j-th: mu^e = m1_j / m_j with e = deg - j, solved when e <= 2
-    and checked exactly; m1 = x^deg, a nilpotent map's, is left to
-    factor_poly.
-    """
-    m1 = split.minpoly
-    F = m.field
-    n = m.degree
-    if m1.degree != n:
-        return None
-    j = next((j for j in range(n - 1, -1, -1) if m1.coeff(j)), None)
-    if j is None or not m.coeff(j) or n - j > 2:
-        return None
-    r = F.div(m1.coeff(j), m.coeff(j))
-    if n - j == 1:
-        mus = [r]
-    else:
-        root = sqrt_in_field(F, r)
-        mus = [] if root is None else [root, F.neg(root)]
-    for mu in mus:
-        if m.shift_scale(mu) == m1:
-            inv = F.inv(mu)
-            return sorted(
-                ((pi.shift_scale(inv), k) for pi, k in split.factors),
-                key=lambda t: t[0].sort_key(),
-            )
-    return None
-
-
 def _keep_split(f, m, factors, components):
-    """Pair the factors of f's primary split by star, check the pairing and
-    keep the split on f."""
+    """Pair the factors of f's primary split by star, check that unpaired
+    components sit in the radical and keep the split on f. poly_star is an
+    involution on monic polynomials, so the pairing is one with no check."""
     index = {tuple(pi.coeffs): i for i, (pi, _) in enumerate(factors)}
     pairing = {}
     unpaired = []
@@ -205,9 +163,6 @@ def _keep_split(f, m, factors, components):
             unpaired.append(i)
         else:
             pairing[i] = j
-    for i, j in pairing.items():
-        if pairing.get(j) != i:
-            raise ValidationError("eigenvalue pairing is not an involution")
 
     rad = radical(f.space) if unpaired else None
     for i in unpaired:
@@ -224,16 +179,15 @@ def scaled_map(f, mu):
     With pi' = pi.shift_scale(mu), pi'(mu A) = mu^deg pi(A), so mu f has the
     components of f, its factors are the shift_scale(mu) images, re-sorted
     with their components, and the pairing is found again by star. The
-    derived minimal polynomial is checked to annihilate mu A; it is minimal,
-    since one of lower degree would rescale to one for A.
+    derived minimal polynomial needs no check: m(A) = 0, which
+    minimal_polynomial certified, gives m'(mu A) = mu^deg m(A) = 0, and m'
+    is minimal, since one of lower degree would rescale to one for A.
     """
     if not mu:
         raise ValidationError("scale must be nonzero")
     split = primary_split(f)
     g = SkewEndo(f.space, f.matrix.scale(mu))
     m = split.minpoly.shift_scale(mu)
-    if not poly_at_matrix(m, g.matrix).is_zero():
-        raise ValidationError("scaled minimal polynomial does not annihilate the scaled map")
     pairs = sorted(
         (((pi.shift_scale(mu), k), comp) for (pi, k), comp in zip(split.factors, split.components)),
         key=lambda t: t[0][0].sort_key(),
@@ -733,15 +687,11 @@ def _fp_group_standardize(F, mus):
     is a nonsquare, solve_binary's (a, b) with a^2 d_0 + b^2 d_1 = 1 gives
     x = a s_0 + b s_1 (a and b nonzero, as neither value is a square), and
     s_0 + t s_1 with t = -a d_0 / (b d_1), the one row of their span
-    orthogonal to x, replaces rows 0 and 1 with value d_0 + t^2 d_1. Each
-    unit vector and the identity itself are verified exactly before return.
+    orthogonal to x, replaces rows 0 and 1 with value d_0 + t^2 d_1. The
+    identity g^T diag(mus) g = diag(nus) is verified exactly before return,
+    which checks every unit vector with it.
     """
-    p = F.p
     m = len(mus)
-
-    def quad(x):
-        return sum(mu * c * c for mu, c in zip(mus, x)) % p
-
     rows = Matrix.identity(F, m).data
     ds = list(mus)
     cols = []
@@ -761,8 +711,6 @@ def _fp_group_standardize(F, mus):
             t = F.neg(F.div(F.mul(a, d0), F.mul(b, d1)))
             rows[0:2] = [[F.add(u, F.mul(t, v)) for u, v in zip(rows[0], rows[1])]]
             ds[0:2] = [F.add(d0, F.mul(F.mul(t, t), d1))]
-        if quad(x) != F.one:
-            raise ValidationError("unit vector construction failed")
         cols.append(x)
 
     [last] = rows
@@ -872,15 +820,15 @@ def _emit_odd_block(f, w, mu, k0):
     The raw chain basis is the chain of w read from its top; the bordered
     basis is T^T applied to it, T the signed permutation of
     _conversion_matrix, taken as the reordering it encodes: f^(n-1) w, ...,
-    w, then f^n w, then f^(n+1+j) w signed (-1)^(j+1). The caller
-    certifies the block against the map and the form.
+    w, then f^n w, then f^(n+1+j) w signed (-1)^(j+1). mu is not checked
+    against phi(w, f^(k0-1) w) here: it is an entry of the block's Gram,
+    which the pair certificate of canonical_pair and scaled_pair, or
+    _verify_block in canonical_pair_zero, compares against the form.
     """
     F = f.field
     k = k0 - 1
     n = k // 2
     chain = krylov(f.matrix, w, k)
-    if f.space.bilin(w, chain[k]) != mu:
-        raise ValidationError("odd block generator does not carry its scalar")
     A, B = _bordered_model(F, n, mu)
     upper = [[F.neg(a) for a in v] if j % 2 == 0 else v for j, v in enumerate(chain[n + 1:])]
     vectors = chain[:n][::-1] + [chain[n]] + upper

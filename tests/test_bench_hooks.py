@@ -43,10 +43,12 @@ def test_traced_functions_are_module_level_functions_of_their_module():
 
 def test_patched_entry_points_keep_their_arity():
     # the tracer reads args[0] of minimal_polynomial as a Matrix, and tests
-    # stand in for minimal_polynomial(A) and primary_component(A, pi, k)
+    # stand in for minimal_polynomial(A), primary_component(A, pi, k) and
+    # primary_split(f)
     for module, name, params in [
         ("quadlie.linalg", "minimal_polynomial", ["A"]),
         ("quadlie.linalg", "primary_component", ["A", "pi", "k"]),
+        ("quadlie.skewcanon", "primary_split", ["f"]),
     ]:
         fn = getattr(importlib.import_module(module), name)
         assert list(inspect.signature(fn).parameters) == params

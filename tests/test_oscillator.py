@@ -504,6 +504,46 @@ def test_decide_definite_no():
     assert dec["verdict"] == "no"
 
 
+def test_tampered_block_model_fails_the_witness_certificate(monkeypatch):
+    # mu delta_2's paired block is moved to the model whose Gram is doubled,
+    # a valid pair of its own: the identity block map no longer scales phi
+    d1 = mk(F5, [[0, 1], [1, 0]], [[2, 0], [0, 3]])
+    d2 = mk(F5, [[0, 1], [1, 0]], [[1, 0], [0, 4]])
+    real = oscillator._treated_pair
+    two = F5.of(2)
+
+    def doubled(f):
+        cp = real(f)
+        if f is d1.delta:
+            return cp
+        [b] = cp.blocks
+        vecs = [[F5.mul(two, c) for c in b.vectors[0]]] + b.vectors[1:]
+        block = skewcanon.CanonicalBlock(b.kind, b.size, b.factor, b.n, b.matrix,
+                                         b.gram.scale(two), vectors=vecs)
+        out = skewcanon.CanonicalPair(f, [block], cp.residual, Matrix._wrap(F5, vecs).transpose())
+        out.verify()
+        return out
+
+    monkeypatch.setattr(oscillator, "_treated_pair", doubled)
+    with pytest.raises(ValidationError, match="constructed witness failed verification"):
+        decide_isometric(d1, d2)
+
+
+def test_tampered_norm_solution_fails_the_witness_certificate(monkeypatch):
+    # (alpha + 1, beta) moves a plane map off the norm equation
+    real = oscillator._norm_equation
+
+    def moved(F, m, c):
+        status, pair = real(F, m, c)
+        if status == "solved":
+            pair = (F.add(pair[0], F.one), pair[1])
+        return status, pair
+
+    monkeypatch.setattr(oscillator, "_norm_equation", moved)
+    with pytest.raises(ValidationError, match="constructed witness failed verification"):
+        decide_isometric(from_lambda_tuple(Q, (2, 4, 6)), from_lambda_tuple(Q, (1, 2, 3)))
+
+
 def test_decide_gram_scaling():
     d1 = from_lambda_tuple(Q, (1,))
     d2 = mk(Q, [[2, 0], [0, 2]], [[0, 1], [-1, 0]])
@@ -722,7 +762,7 @@ def test_norm_equation_classical(monkeypatch):
     steps = [(a, b) for a, b in calls if abs(a) <= abs(b) and 1 not in (a, b)]
     assert steps == [(13, -17), (-3, 13), (-3, 3)]
     monkeypatch.undo()
-    # every equation is solved, with the exact check, or refused by Hilbert symbols
+    # every equation is solved exactly or refused by Hilbert symbols
     for m, c in product([Fraction(n, d) for n in range(1, 25) for d in (1, 4, 6)], repeat=2):
         status, pair = _norm_equation(Q, m, c)
         if status == "solved":
@@ -810,13 +850,14 @@ def test_phi_ts_isometry_f5():
     assert phi_ts_isometry(d, (0, 1), (0, 2))["verdict"] == "class-level"
 
 
-def test_phi_ts_isometry_computes_one_invariant_form_basis(monkeypatch):
+def test_phi_ts_isometry_computes_no_invariant_form_basis(monkeypatch):
+    # invariance_check certifies each form; the span is never formed
     calls = []
     real = oscillator.invariant_forms_basis
     monkeypatch.setattr(oscillator, "invariant_forms_basis", lambda L: calls.append(L) or real(L))
     d = from_lambda_tuple(Q, (1, 2))
     assert phi_ts_isometry(d, (4, 1), (0, 4))["verdict"] == "witness"
-    assert len(calls) == 1
+    assert calls == []
 
 
 # --- recovery ----------------------------------------------------------------

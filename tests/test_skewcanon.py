@@ -626,68 +626,6 @@ def _companion_pair(field, coeffs):
     return skew(field, A, B)
 
 
-def test_split_read_off_a_rescaled_map_matches_a_fresh_split(monkeypatch):
-    A7, B7 = paired_pair(F7, 2, 3)
-    rot = Matrix(F7, [[0, -1], [1, 0]])
-    f7 = skew(F7, Matrix.block_diagonal(F7, [A7, rot]),
-              Matrix.block_diagonal(F7, [B7, Matrix.identity(F7, 2)]))
-    A7b, B7b = paired_pair(F7, 2, 1)
-    g7 = skew(F7, Matrix.block_diagonal(F7, [A7b, rot]),
-              Matrix.block_diagonal(F7, [B7b, Matrix.identity(F7, 2)]))
-    quartic = _companion_pair(Q, [2, -2])  # (x^2 - 2x + 2)(x^2 + 2x + 2) = x^4 + 4
-    degenerate = skew(Q, Matrix.diagonal(Q, [0, 0, 1]), Matrix.diagonal(Q, [1, 1, 0]))
-    # x^3 - x + 1 on the zero form: mu^2 = 1 from x^1, and only mu = -1
-    # matches the constant term
-    cubic = skew(Q, _companion(Q, [1, -1, 0]), Matrix.zeros(Q, 3, 3))
-    rng = random.Random(3)
-    # (like, map, scale, derived): the map is scaled, then scrambled
-    cases = [
-        (mixed_q_seed(), mixed_q_seed(), "-1/2", True),
-        (definite_q_seed((1, 2)).delta, definite_q_seed((1, 2)).delta, "3", True),
-        (definite_q_seed((1, 2)).delta, definite_q_seed((1, 2)).delta, "-2/5", True),
-        (f7, f7, 3, True),
-        (f7, f7, 5, True),
-        (degenerate, degenerate, "3", True),  # x^2 - x: mu from a ratio
-        (cubic, cubic, "-1", True),
-        (cubic, cubic, "-2/3", True),
-        # not rescalings: x^4 + 5x^2 + 4 against x^4 + 10x^2 + 9 (1/2 is
-        # not a square) and x^4 + 125x^2 + 484 (mu = +-1/5 fails the
-        # check), and a nonsquare ratio mod 7
-        (definite_q_seed((1, 2)).delta, definite_q_seed((1, 3)).delta, "1", False),
-        (definite_q_seed((1, 2)).delta, definite_q_seed((2, 11)).delta, "1", False),
-        (f7, g7, 1, False),
-        # x^4 + 4 against x^4 + 4 mu^4: mu^4 is not solved for
-        (quartic, quartic, "2", False),
-        (quartic, quartic, "1", False),
-    ]
-    calls = []
-    real = skewcanon.factor_poly
-
-    def counted(m):
-        calls.append(m)
-        return real(m)
-
-    monkeypatch.setattr(skewcanon, "factor_poly", counted)
-    for like, f, mu, derived in cases:
-        F = f.field
-        P = random_invertible(F, rng, f.matrix.nrows)
-
-        def target():
-            return scramble(SkewEndo(f.space, f.matrix.scale(F.of(mu))), P)
-
-        split = primary_split(like)
-        calls.clear()
-        got = primary_split(target(), like=split)
-        assert len(calls) == (0 if derived else 1), (F, mu)
-        fresh = primary_split(target())
-        for attr in ("minpoly", "factors", "components", "pairing", "unpaired"):
-            assert getattr(got, attr) == getattr(fresh, attr)
-    # a decision that answers "yes" factors one minimal polynomial
-    calls.clear()
-    _definite_decision()
-    assert len(calls) == 1
-
-
 # -------------------------------------------------------- tampered certificates
 
 def _bumped(M, i, j):
@@ -1022,3 +960,38 @@ def test_tampered_kernel_generator_fails_the_pair_certificate(monkeypatch):
     monkeypatch.setattr(skewcanon, "_kernel_generators", moved)
     with pytest.raises(ValidationError, match="canonical certificate failed on the map"):
         canonical_pair(skew(F5, A, B))
+
+
+def test_tampered_odd_block_scalar_fails_the_block_and_pair_certificates(monkeypatch):
+    # the kernel line e_2 carries mu = 1; emitted with 2 mu, the block's Gram
+    # entry no longer matches phi(w, w)
+    A, B = paired_pair(F5, 1, 2)
+    A = Matrix.block_diagonal(F5, [A, Matrix.zeros(F5, 1, 1)])
+    B = Matrix.block_diagonal(F5, [B, Matrix.identity(F5, 1)])
+    pair = canonical_pair(skew(F5, A, B))
+    real = skewcanon._emit_odd_block
+    monkeypatch.setattr(skewcanon, "_emit_odd_block",
+                        lambda f, w, mu, k0: real(f, w, f.field.add(mu, mu), k0))
+    with pytest.raises(ValidationError, match="block certificate failed: Gram mismatch"):
+        canonical_pair_zero(primary_split(skew(F5, A, B)))
+    with pytest.raises(ValidationError, match="canonical certificate failed on the form"):
+        canonical_pair(skew(F5, A, B))
+    with pytest.raises(ValidationError, match="canonical certificate failed on the form"):
+        skewcanon.scaled_pair(pair, F5.of(2))
+
+
+def test_tampered_unit_vector_fails_the_group_certificate(monkeypatch):
+    # over F7 both values 3 are nonsquares, so the first unit vector is
+    # a s_0 + b s_1 from solve_binary; with 2a in place of a its value is
+    # 1 + 3 a^2 d_0, neither 1 nor 0
+    mus = [F7.of(3), F7.of(3)]
+    skewcanon._fp_group_standardize(F7, mus)
+    real = skewcanon.solve_binary
+
+    def doubled(F, d0, d1, c):
+        a, b = real(F, d0, d1, c)
+        return F.add(a, a), b
+
+    monkeypatch.setattr(skewcanon, "solve_binary", doubled)
+    with pytest.raises(ValidationError, match="group standardization certificate failed"):
+        skewcanon._fp_group_standardize(F7, mus)
