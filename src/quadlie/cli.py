@@ -105,7 +105,7 @@ def _run_analyze(args, docs, field):
     _need(docs, "analyze", 1)
     data = _data(docs[0], field)
     rep = verify_structure(data)
-    # the extension verify_structure built and certified, kept on the seed
+    # the extension again: building it only assembles the table
     dq = len(invariant_forms_basis(build_double_extension(data).algebra))
     rep["heisenberg"] = _heisenberg_doc(data.field, rep["heisenberg"])
     return 0, {"structure": rep, "dq": dq}

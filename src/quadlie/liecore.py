@@ -60,8 +60,8 @@ class LieAlgebra:
         """Trusted constructor: table maps keys i < j below dim to nonzero
         vectors of length dim whose entries are already canonical field
         elements, as the validating constructor would have stored them.
-        Takes ownership of table without copying or coercing; the Jacobi
-        and invariance checks of QuadraticLieAlgebra still run on it."""
+        Takes ownership of table without copying or coercing, and checks
+        nothing: Jacobi is the caller's to know or to check."""
         L = object.__new__(cls)
         L.field = field
         L.dim = dim
@@ -260,7 +260,8 @@ def is_homomorphism(L1, L2, M):
 
 
 class QuadraticLieAlgebra:
-    """A Lie algebra with a regular invariant symmetric form on its basis."""
+    """A Lie algebra with a regular invariant symmetric form on its basis,
+    checked where it enters: by the constructor, which from_json calls."""
 
     __slots__ = ("algebra", "space")
 
@@ -280,6 +281,13 @@ class QuadraticLieAlgebra:
             )
         self.algebra = algebra
         self.space = space
+
+    @classmethod
+    def _wrap(cls, algebra, space):
+        """Trusted constructor for a structure quadratic by construction."""
+        Q = object.__new__(cls)
+        Q.algebra, Q.space = algebra, space
+        return Q
 
     @property
     def field(self):

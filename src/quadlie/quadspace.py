@@ -31,6 +31,15 @@ class OrthogonalSpace:
         self.identity_gram = gram == Matrix.identity(gram.field, gram.nrows)
 
     @classmethod
+    def _wrap(cls, gram):
+        """Trusted constructor for a Gram that is symmetric and regular by
+        construction; identity_gram is still read off it."""
+        S = object.__new__(cls)
+        S.field, S.dim, S.gram, S.regular = gram.field, gram.nrows, gram, True
+        S.identity_gram = gram == Matrix.identity(gram.field, gram.nrows)
+        return S
+
+    @classmethod
     def standard(cls, field, n):
         """The form v . v on F^n, whose Gram is I."""
         return cls(Matrix.identity(field, n))

@@ -31,7 +31,7 @@ from quadlie.oscillator import (
     recover_double_extension,
     verify_iso_witness,
 )
-from quadlie import liecore, quadspace, skewcanon
+from quadlie import liecore, oscillator, quadspace, skewcanon
 from quadlie.quadspace import OrthogonalSpace
 
 Q = Field.parse("Q")
@@ -312,7 +312,42 @@ def test_canon_and_analyze_certify_once(tmp_path, capsys, monkeypatch):
     assert calls == {"verify": 1}
     calls.clear()
     assert run(capsys, "analyze", "--in", path)[0] == 0
-    assert calls["jacobi"] == 1
+    assert calls["jacobi"] == 0  # the extension is quadratic by construction
+
+
+def test_roundtrip_checks_only_the_presented_algebra(tmp_path, capsys, monkeypatch):
+    # a scrambled extension through recovery, iso decide and iso verify:
+    # Jacobi and invariance run once each, where the presented algebra
+    # enters, and on no extension built from a seed
+    F5 = Field.parse("Fp:5")
+    doc = scrambled_extension(F5, 11).to_json()
+    seed = OscillatorData(
+        OrthogonalSpace(Matrix(F5, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])),
+        Matrix(F5, [[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]),
+    )
+    checked = collections.defaultdict(list)
+    jacobi, invariance = liecore.jacobi_check, liecore.invariance_check
+
+    def counted_jacobi(L):
+        checked["jacobi"].append(L)
+        return jacobi(L)
+
+    def counted_invariance(L, space):
+        checked["invariance"].append(L)
+        return invariance(L, space)
+
+    monkeypatch.setattr(liecore, "jacobi_check", counted_jacobi)
+    monkeypatch.setattr(liecore, "invariance_check", counted_invariance)
+    monkeypatch.setattr(oscillator, "invariance_check", counted_invariance)
+    presented = QuadraticLieAlgebra.from_json(doc)
+    rec = write(tmp_path, "rec.json", recover_double_extension(presented).to_json())
+    d = write(tmp_path, "seed.json", seed.to_json())
+    code, decide = run(capsys, "iso", "--in", d, "--in", rec)
+    assert (code, decide["verdict"]) == (0, "yes")
+    w = write(tmp_path, "w.json", decide["witness"])
+    code, verify = run(capsys, "iso", "--in", d, "--in", rec, "--in", w)
+    assert (code, verify["verdict"]) == (0, "isometric-isomorphism")
+    assert checked == {"jacobi": [presented.algebra], "invariance": [presented.algebra]}
 
 
 def test_validation_exit(tmp_path, capsys):

@@ -43,6 +43,13 @@ once, when its SkewEndo checks skewness, and the double extension and
 the Heisenberg certificate read it there; the isomorphism check takes
 phi_2(z, z) off the row z^T B_2 it already formed, not through bilin.
 
+A double extension is quadratic by Medina and Revoy's theorem once its
+seed is certified: the seed checks its core regular and its map skew, and
+build_double_extension wraps what it assembles. It reaches no
+jacobi_check, invariance_check, rank or symmetry test, and no validating
+QuadraticLieAlgebra or OrthogonalSpace constructor; test_oscillator runs
+the direct checks on every extension it builds from its seed corpora.
+
 The census builds one canonical pair per scaling class of components:
 skew_census calls canonical_pair at one site, and scaled_pair, which gives
 every other component its key, reaches no split, minimal polynomial or
@@ -375,3 +382,28 @@ def test_omega_is_formed_once_per_seed():
         "build_double_extension forms A^T B again",
         "verify_iso_witness forms z^T B_2 again through bilin",
     ]
+
+
+def _extension_check_faults(oscillator_src):
+    """The checks build_double_extension reaches in the source."""
+    defs = _defs(oscillator_src)
+    reached = _reached("build_double_extension", defs=defs) | {"build_double_extension"}
+    faults = sorted(reached & {"jacobi_check", "invariance_check",
+                               "QuadraticLieAlgebra", "OrthogonalSpace"})
+    methods = {node.func.attr for name in reached & defs.keys()
+               for node in ast.walk(defs[name])
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    return faults + sorted(methods & {"rank", "is_symmetric"})
+
+
+def test_double_extensions_are_built_unchecked():
+    assert _extension_check_faults((SRC / "oscillator.py").read_text()) == []
+    # and the check flags each fault it rules out
+    validating = ("def build_double_extension(data):\n"
+                  "    return QuadraticLieAlgebra(L, OrthogonalSpace(G))\n")
+    helper = ("def build_double_extension(data):\n    return _certified(data)\n"
+              "def _certified(data):\n    jacobi_check(L)\n    invariance_check(L, S)\n"
+              "    return G.rank(), G.is_symmetric()\n")
+    assert _extension_check_faults(validating) == ["OrthogonalSpace", "QuadraticLieAlgebra"]
+    assert _extension_check_faults(helper) == [
+        "invariance_check", "jacobi_check", "is_symmetric", "rank"]
