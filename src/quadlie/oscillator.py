@@ -51,7 +51,6 @@ from .liecore import (
     derived_algebra,
     derived_series,
     form_in_span,
-    invariance_check,
     invariant_forms_basis,
     is_heisenberg,
     is_homomorphism,
@@ -66,8 +65,8 @@ class OscillatorData:
     The extension basis convention is fixed once and for all: index 0 is
     delta, indices 1..n are the space V, index n+1 is delta*. recovery,
     when set, records how the seed was carved out of a presented algebra.
-    The space is checked regular and delta skew here, which makes the
-    extension quadratic.
+    The space is checked regular here, and delta skew unless it is
+    already a SkewEndo on this space, which makes the extension quadratic.
     """
 
     __slots__ = ("space", "delta", "recovery")
@@ -325,7 +324,10 @@ def classify_nilpotent(data):
 
     Requires m_delta = x^k. The blocks are those of the certified
     canonical pair, all on the zero component: sizes odd or divisible by
-    four, odd sizes <= k and even sizes <= 2k. The sorted signature tuple,
+    four, odd sizes <= k and even sizes <= 2k. skewcanon builds them so,
+    and nothing checks it again: a chain of length k0, at most k, gives a
+    zero_odd block of size k0 when k0 is odd and a zero_even block of size
+    2 k0 when k0 is even. The sorted signature tuple,
     which carries the mu square classes of the odd blocks, is the key
     invariant under isometric base change.
     """
@@ -335,21 +337,6 @@ def classify_nilpotent(data):
         raise ValidationError("classification needs a nilpotent seed map")
     k = split.factors[0][1] if split.factors else 0
     blocks = canonical_pair(data.delta).blocks
-    for b in blocks:
-        if b.size % 2 == 1:
-            if b.size > k:
-                raise ValidationError(
-                    f"odd block of size {b.size} exceeds deg m_delta = {k}"
-                )
-        else:
-            if b.size % 4 != 0:
-                raise ValidationError(
-                    f"even block of size {b.size} is not divisible by four"
-                )
-            if b.size > 2 * k:
-                raise ValidationError(
-                    f"even block of size {b.size} exceeds 2 deg m_delta = {2 * k}"
-                )
     return {
         "min_poly_degree": k,
         "blocks": blocks,
@@ -633,6 +620,13 @@ def decide_isometric(d1, d2):
     'undecided' ("outside the split and definite regimes") rather than
     guessed. Each seed's minimal polynomial goes through factor_poly,
     whose cache serves every repeat.
+
+    Every canonical pair here is made of blocks, with no untreated part:
+    split seeds have only linear factors with nonzero roots, which become
+    paired blocks; a definite rational seed's invertible skew delta has
+    delta^2 negative definite, so each factor is x^2 + m, m > 0, of
+    multiplicity one and self-paired on a definite restricted form, which
+    becomes a definite_semisimple block. The same holds for mu delta_2.
     """
     if d1.field != d2.field:
         raise ValidationError("decision needs a common base field")
@@ -674,12 +668,12 @@ def decide_isometric(d1, d2):
             return scales
         no = {"reason": "plane norm classes differ at every admissible scale"}
 
-    cp1 = _treated_pair(d1.delta)
+    cp1 = canonical_pair(d1.delta)
     sig1 = cp1.block_signature()
     for mu in scales:
         if s2.minpoly.shift_scale(mu) != s1.minpoly:
             continue
-        cp2 = _treated_pair(scaled_map(d2.delta, mu))
+        cp2 = canonical_pair(scaled_map(d2.delta, mu))
         tried.append(F.to_str(mu))
         if cp2.block_signature() != sig1:
             continue
@@ -764,15 +758,6 @@ def _definite_scales(F, split1, split2):
             "witness": None,
         }
     return [root]
-
-
-def _treated_pair(f):
-    """canonical_pair(f), whose blocks must span: the decision maps blocks
-    and has nothing to say about untreated residual parts."""
-    cp = canonical_pair(f)
-    if any(r.kind == "untreated" for r in cp.residual):
-        raise CapabilityError("seed left untreated residual parts")
-    return cp
 
 
 def _block_map(b1, b2):
@@ -899,30 +884,16 @@ def phi_ts_form(data, t, s):
 
     t sits at the seed-axis square, s scales both the hyperbolic pairing
     and the core block; s = 0 would kill regularity and is rejected, and
-    any other s keeps the form regular, as the core is. The result is
-    checked to be invariant, which puts it in the span of the invariant
-    forms of the algebra.
+    any other s keeps the form regular, as the core is. The form is
+    invariant by construction: phi_{t,s} = s phi_delta + t e_0 e_0^T, with
+    phi_delta invariant (Medina and Revoy), and no bracket has a
+    delta-component, so the t-term pairs with none. Nothing is checked.
     """
-    [space] = _phi_ts_forms(data, [(t, s)])
-    return space
-
-
-def _phi_ts_forms(data, params):
-    """phi_ts_form for each (t, s) of params in turn, every form certified
-    by invariance_check on the one extension of data, regular as s != 0."""
     F = data.field
-    L = build_double_extension(data).algebra
-    out = []
-    for t, s in params:
-        t, s = F.of(t), F.of(s)
-        if not s:
-            raise ValidationError("the form parameter s must be nonzero")
-        space = OrthogonalSpace._wrap(_extension_gram(data, t, s))
-        ok, bad = invariance_check(L, space)
-        if not ok:
-            raise ValidationError(f"the (t, s) form is not invariant at {bad[1]}")
-        out.append(space)
-    return out
+    t, s = F.of(t), F.of(s)
+    if not s:
+        raise ValidationError("the form parameter s must be nonzero")
+    return OrthogonalSpace._wrap(_extension_gram(data, t, s))
 
 
 def phi_ts_isometry(data, ts1, ts2):
@@ -933,7 +904,9 @@ def phi_ts_isometry(data, ts1, ts2):
     c^2 = s/s' and nu = (t - t')/(2 s'). A square ratio yields a checked
     witness; a nonsquare ratio is reported at the level of square classes;
     a negative ratio over a definite rational core is a proof that no
-    isometric automorphism exists.
+    isometric automorphism exists. The extension is built once, for the
+    isomorphism check; both forms are invariant by construction
+    (phi_ts_form).
     """
     F = data.field
     n = data.space.dim
@@ -974,7 +947,7 @@ def phi_ts_isometry(data, ts1, ts2):
 
     Q = build_double_extension(data)
     _check_isomorphism(Q.algebra, Q.algebra, M, "diagonal map")
-    S1, S2 = _phi_ts_forms(data, [(t1, s1), (t2, s2)])
+    S1, S2 = phi_ts_form(data, t1, s1), phi_ts_form(data, t2, s2)
     if S2.times_gram(M.transpose()) * M != S1.gram:
         raise ValidationError("diagonal map failed the isometry check")
     return {
@@ -998,8 +971,11 @@ def recover_double_extension(Q):
     the bracket of the carved core must stay on the centre line. The form
     is invariant and regular, so the centre is read off as (L^2)-perp, and
     L^2, its orthogonal, then has codimension one; z pairs with some x and
-    the core orthogonal to (x, z) is regular. The returned seed records the
-    base change, checked to transport its extension onto Q exactly.
+    the core orthogonal to (x, z) is regular. delta = ad x on the core is
+    checked to stay in the core, and the form is invariant, so
+    phi(delta u, v) = -phi(u, delta v): delta is skew by construction and
+    is not checked again. The returned seed records the base change,
+    checked to transport its extension onto Q exactly.
     """
     L = Q.algebra
     F = Q.field
@@ -1040,7 +1016,7 @@ def recover_double_extension(Q):
             "not a double extension: core brackets leave the centre line"
         )
 
-    data = OscillatorData(space, delta)
+    data = OscillatorData(space, SkewEndo._wrap(space, delta, space.times_gram(delta.transpose())))
     built = build_double_extension(data)
 
     # base change (delta, V, delta*) -> (x, core vectors, z), columns in Q
@@ -1284,7 +1260,9 @@ def skew_census(field, dim, unsafe=False):
     its size is exact; the generators need only be isometries, since a
     smaller group gives finer components. The space is
     OrthogonalSpace.standard, so the canonical pairs skip their products
-    with the identity Gram.
+    with the identity Gram. A root map's matrix holds c and -c in mirrored
+    entries, skew for the identity Gram, so it is wrapped with Omega = M^T
+    and not checked.
 
     Scaling commutes with conjugation, so mu C is a component for each
     component C and scalar mu. When mu^-1 root, its digits scaled mod p, lies
@@ -1343,7 +1321,7 @@ def skew_census(field, dim, unsafe=False):
                 break
         else:
             M = _root_matrix(field, dim, digits)
-            cp = base = canonical_pair(SkewEndo(space, M))
+            cp = base = canonical_pair(SkewEndo._wrap(space, M, M.transpose()))
             scale = field.one
         classes.append((base, scale))
         sig = cp.block_signature()

@@ -128,12 +128,13 @@ def _skew_check(space, A):
 class SkewEndo:
     """A phi-skew map: its matrix and the space it acts on.
 
-    Skewness is checked once, here, so a SkewEndo is treated as immutable:
-    its matrix is not changed after construction. That is what lets split
-    hold the map's primary decomposition, computed by
-    skewcanon.primary_split on first use and shared by every later reader,
-    and omega the matrix Omega = A^T B of the check, phi(A x, y) =
-    x Omega y^T, which the double extension and its certificates read.
+    The public constructor checks skewness once, where a map enters; _wrap
+    takes a map that is skew by construction, with its Omega. A SkewEndo is
+    treated as immutable: its matrix is not changed after construction.
+    That is what lets split hold the map's primary decomposition, computed
+    by skewcanon.primary_split on first use and shared by every later
+    reader, and omega the matrix Omega = A^T B, phi(A x, y) = x Omega y^T,
+    which the double extension and its certificates read.
     """
 
     __slots__ = ("space", "matrix", "omega", "split")
@@ -146,6 +147,14 @@ class SkewEndo:
         self.matrix = matrix
         self.omega = omega
         self.split = None
+
+    @classmethod
+    def _wrap(cls, space, matrix, omega):
+        """Trusted constructor for a map skew by construction, with its
+        Omega = A^T B already formed; nothing is checked."""
+        f = object.__new__(cls)
+        f.space, f.matrix, f.omega, f.split = space, matrix, omega, None
+        return f
 
     @property
     def field(self):

@@ -181,12 +181,13 @@ def scaled_map(f, mu):
     with their components, and the pairing is found again by star. The
     derived minimal polynomial needs no check: m(A) = 0, which
     minimal_polynomial certified, gives m'(mu A) = mu^deg m(A) = 0, and m'
-    is minimal, since one of lower degree would rescale to one for A.
+    is minimal, since one of lower degree would rescale to one for A. Nor
+    does mu f: it is skew because f is, with Omega = mu Omega_f.
     """
     if not mu:
         raise ValidationError("scale must be nonzero")
     split = primary_split(f)
-    g = SkewEndo(f.space, f.matrix.scale(mu))
+    g = SkewEndo._wrap(f.space, f.matrix.scale(mu), f.omega.scale(mu))
     m = split.minpoly.shift_scale(mu)
     pairs = sorted(
         (((pi.shift_scale(mu), k), comp) for (pi, k), comp in zip(split.factors, split.components)),
@@ -481,15 +482,14 @@ def _paired_basis(L, R, v, w, k):
 def _peel(space, parts, span):
     """Split the f-stable span of a block off each f-stable part.
 
-    The span must be independent, and each part keeps its meet with the
-    orthogonal complement, the kernel of U G for U the span and G the Gram
-    matrix; together they lose exactly len(span) dimensions, which is what
-    a regular block inside the parts leaves.
+    Each part keeps its meet with the orthogonal complement, the kernel of
+    U G for U the span's rows and G the Gram matrix; a kernel reads only
+    the row space of U G, so U needs no echelon form. Together the parts
+    lose exactly len(span) dimensions when the span is an independent,
+    regular block inside them; a dependent span loses fewer and fails the
+    same check.
     """
-    U = Subspace._wrap(space.field, space.dim, span)
-    if U.dim != len(span):
-        raise ValidationError("chain vectors are dependent")
-    C = space.times_gram(U.matrix())
+    C = space.times_gram(Matrix._wrap(space.field, span))
     rest = [S.meet_kernel(C) for S in parts]
     if sum(S.dim for S in rest) != sum(S.dim for S in parts) - len(span):
         raise ValidationError("peeled block is not regular inside the part")
@@ -1034,7 +1034,9 @@ def canonical_pair(f):
     kind, class). The pair is certified once, before return, and nothing
     else is: M and G are block-diagonal, so A V = V M and V^T B V = G on
     one block's columns are that block's certificate, and a caller has
-    nothing left to verify.
+    nothing left to verify. A self-paired component is orthogonal to every
+    other component of the regular space, so its restricted form is
+    regular by construction and is not checked.
     """
     space, F = f.space, f.field
     if not space.regular:
@@ -1056,7 +1058,7 @@ def canonical_pair(f):
             blocks.extend(_nonzero_blocks(ps, i))
         elif j == i:
             comp = ps.components[i]
-            sub = OrthogonalSpace(space.restrict_gram(comp.basis))
+            sub = OrthogonalSpace._wrap(space.restrict_gram(comp.basis))
             if pi.degree == 2 and k == 1 and is_definite(sub):
                 blocks.append(_definite_block(f, comp, pi))
                 residual.append(ResidualPart("definite_semisimple", [pi], k, comp.dim))
@@ -1110,14 +1112,15 @@ def scaled_pair(pair, mu):
 
     Blocks and residual parts are re-sorted, then certified as
     canonical_pair certifies its own: once, by CanonicalPair.verify on the
-    pair, which implies each block's certificate.
+    pair, which implies each block's certificate. mu f is skew because f
+    is, with Omega = mu Omega_f, and is not checked again.
     """
     f = pair.endo
     F = f.field
     mu = F.of(mu)
     if not mu:
         raise ValidationError("scale must be nonzero")
-    g = SkewEndo(f.space, f.matrix.scale(mu))
+    g = SkewEndo._wrap(f.space, f.matrix.scale(mu), f.omega.scale(mu))
     blocks = [_scaled_block(g, b, mu) for b in pair.blocks]
     residual = []
     for r in pair.residual:

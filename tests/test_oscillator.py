@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from quadlie import exact_field, liecore, oscillator, skewcanon
 from quadlie.errors import CapabilityError, ValidationError
-from quadlie.exact_field import Field, hilbert_symbol, sqrt_in_field, square_class
+from quadlie.exact_field import Field, Polynomial, hilbert_symbol, sqrt_in_field, square_class
 from quadlie.linalg import Matrix, kernel_basis
 from quadlie.liecore import LieAlgebra, QuadraticLieAlgebra
 from quadlie.oscillator import (
@@ -41,7 +41,7 @@ from quadlie.oscillator import (
     verify_structure,
     witt1_certify,
 )
-from quadlie.quadspace import OrthogonalSpace, SkewEndo, skew_basis
+from quadlie.quadspace import OrthogonalSpace, SkewEndo, is_skew, skew_basis
 from test_cli import canon_corpus
 
 Q = Field.parse("Q")
@@ -510,7 +510,7 @@ def test_tampered_block_model_fails_the_witness_certificate(monkeypatch):
     # a valid pair of its own: the identity block map no longer scales phi
     d1 = mk(F5, [[0, 1], [1, 0]], [[2, 0], [0, 3]])
     d2 = mk(F5, [[0, 1], [1, 0]], [[1, 0], [0, 4]])
-    real = oscillator._treated_pair
+    real = oscillator.canonical_pair
     two = F5.of(2)
 
     def doubled(f):
@@ -525,7 +525,7 @@ def test_tampered_block_model_fails_the_witness_certificate(monkeypatch):
         out.verify()
         return out
 
-    monkeypatch.setattr(oscillator, "_treated_pair", doubled)
+    monkeypatch.setattr(oscillator, "canonical_pair", doubled)
     with pytest.raises(ValidationError, match="constructed witness failed verification"):
         decide_isometric(d1, d2)
 
@@ -852,13 +852,22 @@ def test_phi_ts_isometry_f5():
 
 
 def test_phi_ts_isometry_computes_no_invariant_form_basis(monkeypatch):
-    # invariance_check certifies each form; the span is never formed
+    # each form is invariant by construction; the span is never formed
     calls = []
     real = oscillator.invariant_forms_basis
     monkeypatch.setattr(oscillator, "invariant_forms_basis", lambda L: calls.append(L) or real(L))
     d = from_lambda_tuple(Q, (1, 2))
     assert phi_ts_isometry(d, (4, 1), (0, 4))["verdict"] == "witness"
     assert calls == []
+
+
+def test_phi_ts_isometry_builds_one_extension(monkeypatch):
+    built = []
+    real = oscillator.build_double_extension
+    monkeypatch.setattr(oscillator, "build_double_extension", lambda d: built.append(d) or real(d))
+    d = from_lambda_tuple(Q, (1, 2))
+    assert phi_ts_isometry(d, (4, 1), (0, 4))["verdict"] == "witness"
+    assert built == [d]
 
 
 # --- recovery ----------------------------------------------------------------
@@ -1550,20 +1559,27 @@ def test_library_results_frozen():
     assert hashlib.sha256(text.encode()).hexdigest() == LIBRARY_DIGEST
 
 
+def _direct_check_seeds():
+    """The canon_corpus() seeds and the 100 seeds behind LIBRARY_DIGEST."""
+    fields = [Q, F3, F5, F7]
+    seeds = list(canon_corpus().values())
+    for seed in range(100):
+        seeds.append(_random_seed(random.Random(seed), fields[seed % 4], 1 + (seed // 4) % 5))
+    return seeds
+
+
 def test_extensions_pass_the_direct_checks():
     # build_double_extension checks nothing, as Medina and Revoy's theorem
     # makes every extension of a certified seed quadratic; the direct
     # checks agree on the corpus seeds and the seeds of LIBRARY_DIGEST, as
     # the validating constructor does on each trusted space: the extension
-    # form, a (t, s) form and the core carved out by recovery
-    fields = [Q, F3, F5, F7]
-    seeds = list(canon_corpus().values())
-    for seed in range(100):
-        seeds.append(_random_seed(random.Random(seed), fields[seed % 4], 1 + (seed // 4) % 5))
-    for d in seeds:
+    # form, the (t, s) forms and the core carved out by recovery
+    for d in _direct_check_seeds():
         built = build_double_extension(d)
         assert liecore.jacobi_check(built.algebra) == (True, None)
         assert liecore.invariance_check(built.algebra, built.space) == (True, None)
+        for t, s in ((0, 1), (1, 2), (3, -1)):
+            assert liecore.invariance_check(built.algebra, phi_ts_form(d, t, s)) == (True, None)
         trusted = [built.space, phi_ts_form(d, 1, 2)]
         try:
             trusted.append(recover_double_extension(built).space)
@@ -1573,3 +1589,114 @@ def test_extensions_pass_the_direct_checks():
             checked = OrthogonalSpace(space.gram)
             assert (space.regular, space.identity_gram) == (
                 checked.regular, checked.identity_gram)
+
+
+def _assert_trusted_skew(f):
+    # a map wrapped as skew by construction passes the skew check, and its
+    # Omega is the one the validating constructor forms
+    assert is_skew(f.space, f.matrix) == (True, None)
+    assert f.omega == SkewEndo(f.space, f.matrix).omega
+
+
+def test_trusted_skew_maps_pass_the_skew_check():
+    # mu f by scaled_map and scaled_pair, at every mu of F_p^x and at 2 and
+    # -1/3 over Q, and the delta recovery reads off a built extension
+    for d in _direct_check_seeds():
+        F = d.field
+        mus = [F.of(mu) for mu in (range(1, F.p) if F.p else (2, Fraction(-1, 3)))]
+        cp = skewcanon.canonical_pair(d.delta)
+        for mu in mus:
+            _assert_trusted_skew(skewcanon.scaled_map(d.delta, mu))
+            _assert_trusted_skew(skewcanon.scaled_pair(cp, mu).endo)
+        try:
+            rec = recover_double_extension(build_double_extension(d))
+        except ValidationError as exc:
+            # a singular seed leaves a centre larger than a line
+            assert "centre has dimension" in str(exc)
+            continue
+        _assert_trusted_skew(rec.delta)
+
+
+@functools.cache
+def _census_pairs(p, n):
+    """The census document at (p, n) and every canonical pair it builds,
+    by canonical_pair on a root map or by scaled_pair."""
+    pairs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("canonical_pair", "scaled_pair"):
+            def kept(*args, _real=getattr(oscillator, name)):
+                pairs.append(_real(*args))
+                return pairs[-1]
+            mp.setattr(oscillator, name, kept)
+        doc = skew_census(Field.parse(f"Fp:{p}"), n)
+    return doc, pairs
+
+
+@pytest.mark.parametrize("p, n", [(3, 4), (5, 3), (7, 3)])
+def test_census_maps_pass_the_skew_check(p, n):
+    _, pairs = _census_pairs(p, n)
+    assert pairs
+    for cp in pairs:
+        _assert_trusted_skew(cp.endo)
+
+
+def test_canonical_pair_component_forms_are_regular(monkeypatch):
+    # a self-paired component of a regular space is orthogonal to every
+    # other one, so canonical_pair wraps its restricted form as regular
+    spaces = []
+    real = skewcanon.is_definite
+    monkeypatch.setattr(skewcanon, "is_definite", lambda sub: spaces.append(sub) or real(sub))
+    endos = [d.delta for d in _direct_check_seeds()]
+    endos += [cp.endo for p, n in [(3, 4), (5, 3), (7, 3)] for cp in _census_pairs(p, n)[1]]
+    for f in endos:
+        skewcanon.canonical_pair(f)
+    assert len(spaces) > 50
+    for sub in spaces:
+        checked = OrthogonalSpace(sub.gram)
+        assert (sub.regular, sub.identity_gram) == (checked.regular, checked.identity_gram)
+
+
+def test_decided_pairs_have_no_untreated_part(monkeypatch):
+    # split seeds give paired blocks and definite rational seeds
+    # definite_semisimple blocks, for delta_1 and for mu delta_2 alike
+    pairs = []
+    real = oscillator.canonical_pair
+
+    def kept(f):
+        pairs.append(real(f))
+        return pairs[-1]
+
+    monkeypatch.setattr(oscillator, "canonical_pair", kept)
+    for d in _direct_check_seeds():
+        _outcome(lambda: decide_isometric(d, OscillatorData(d.space, d.delta.matrix.scale(2))))
+    rng = random.Random(43)
+    for F, lams, scale in [(Q, (1,), 3), (Q, (1, 2), 2), (Q, (1, 1), 1), (Q, (2, 2, 3), -2),
+                           (Q, (1, 3, 5), Fraction(1, 2)), (F5, (1, 2), 2), (F7, (1, 3, 2), 3)]:
+        d = from_lambda_tuple(F, lams)
+        for _ in range(3):
+            decide_isometric(d, scramble_data(rng, from_lambda_tuple(F, [scale * c for c in lams])))
+    assert {b.kind for cp in pairs for b in cp.blocks} == {"paired", "definite_semisimple"}
+    untreated = [cp for cp in pairs if any(r.kind == "untreated" for r in cp.residual)]
+    assert not untreated
+
+
+def test_nilpotent_block_sizes_follow_from_the_chains():
+    # odd blocks have size at most deg m_delta, even ones a size divisible
+    # by four and at most 2 deg m_delta, with no check in classify_nilpotent
+    seeds = [d for d in canon_corpus().values()
+             if all(pi == Polynomial.x(d.field)
+                    for pi, _ in skewcanon.primary_split(d.delta).factors)]
+    rng = random.Random(7)
+    for base in (n23_data(F5), n32_data(F5), n23_data(Q), n32_data(Q)):
+        seeds += [base] + [scramble_data(rng, base) for _ in range(3)]
+    for p, n in [(3, 4), (5, 3), (7, 3)]:
+        F = Field.parse(f"Fp:{p}")
+        doc, _ = _census_pairs(p, n)
+        space = OrthogonalSpace.standard(F, n)
+        seeds += [OscillatorData(space, Matrix(F, doc["representatives"][key]))
+                  for key in doc["nilpotent_degrees"]]
+    assert len(seeds) > 30
+    for d in seeds:
+        rep = classify_nilpotent(d)
+        k = rep["min_poly_degree"]
+        assert all((s % 2 == 1 and s <= k) or (s % 4 == 0 and s <= 2 * k) for s in rep["sizes"])

@@ -50,6 +50,17 @@ jacobi_check, invariance_check, rank or symmetry test, and no validating
 QuadraticLieAlgebra or OrthogonalSpace constructor; test_oscillator runs
 the direct checks on every extension it builds from its seed corpora.
 
+Data is checked once, where it enters; what is built from certified data
+goes through a trusted constructor. mu f is skew because f is, a census
+root map because it holds c and -c in mirrored entries, and the delta of
+a recovered seed because the presented form is invariant: scaled_map,
+scaled_pair, skew_census and recover_double_extension reach no skew
+check (no public SkewEndo, is_skew or _skew_check, and no OscillatorData
+handed a map it would check). A (t, s) form is invariant because phi_delta
+is, so phi_ts_form and phi_ts_isometry reach no invariance_check. _peel
+reads the orthogonal rest of a block off the kernel of its span's rows
+times the Gram, which needs no echelon form: it makes no Subspace._wrap.
+
 The census builds one canonical pair per scaling class of components:
 skew_census calls canonical_pair at one site, and scaled_pair, which gives
 every other component its key, reaches no split, minimal polynomial or
@@ -407,3 +418,57 @@ def test_double_extensions_are_built_unchecked():
     assert _extension_check_faults(validating) == ["OrthogonalSpace", "QuadraticLieAlgebra"]
     assert _extension_check_faults(helper) == [
         "invariance_check", "jacobi_check", "is_symmetric", "rank"]
+
+
+def _trusted_faults(skewcanon_src, oscillator_src):
+    """Checks made again on data built from certified data."""
+    defs = {**_defs(skewcanon_src), **_defs(oscillator_src)}
+    faults = []
+    for root in ("scaled_map", "scaled_pair", "skew_census", "recover_double_extension"):
+        for name in sorted((_reached(root, defs=defs) | {root}) & defs.keys()):
+            for call in ast.walk(defs[name]):
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
+                    continue
+                if call.func.id in ("SkewEndo", "is_skew", "_skew_check"):
+                    faults.append(f"{root} checks skewness in {name}")
+                elif call.func.id == "OscillatorData" and not (
+                        ast.unparse(call.args[-1]).startswith("SkewEndo._wrap(")):
+                    faults.append(f"{root} hands OscillatorData an unwrapped map in {name}")
+    for root in ("phi_ts_form", "phi_ts_isometry"):
+        if "invariance_check" in _reached(root, defs=defs):
+            faults.append(f"{root} reaches invariance_check")
+    peel = [ast.unparse(node.func) for node in ast.walk(defs["_peel"])
+            if isinstance(node, ast.Call)]
+    if "Subspace._wrap" in peel:
+        faults.append("_peel reduces its span through Subspace._wrap")
+    return faults
+
+
+def test_data_built_from_certified_data_is_not_checked_again():
+    assert _trusted_faults((SRC / "skewcanon.py").read_text(),
+                           (SRC / "oscillator.py").read_text()) == []
+    # and the check flags each fault it rules out
+    skewcanon_src = (
+        "def scaled_map(f, mu):\n    return SkewEndo(f.space, f.matrix.scale(mu))\n"
+        "def scaled_pair(pair, mu):\n    return _assemble(pair, mu)\n"
+        "def _assemble(pair, mu):\n    return is_skew(pair.endo.space, pair.endo.matrix)\n"
+        "def _peel(space, parts, span):\n    U = Subspace._wrap(space.field, space.dim, span)\n"
+    )
+    oscillator_src = (
+        "def skew_census(field, dim):\n    return _skew_check(space, M)\n"
+        "def recover_double_extension(Q):\n    return OscillatorData(space, delta)\n"
+        "def phi_ts_form(data, t, s):\n    return OrthogonalSpace._wrap(G)\n"
+        "def phi_ts_isometry(data, ts1, ts2):\n    return _forms(data)\n"
+        "def _forms(data):\n    return invariance_check(L, S)\n"
+    )
+    assert _trusted_faults(skewcanon_src, oscillator_src) == [
+        "scaled_map checks skewness in scaled_map",
+        "scaled_pair checks skewness in _assemble",
+        "skew_census checks skewness in skew_census",
+        "recover_double_extension hands OscillatorData an unwrapped map"
+        " in recover_double_extension",
+        "phi_ts_isometry reaches invariance_check",
+        "_peel reduces its span through Subspace._wrap",
+    ]
+    wrapped = oscillator_src.replace("(space, delta)", "(space, SkewEndo._wrap(space, d, o))")
+    assert not [f for f in _trusted_faults(skewcanon_src, wrapped) if "OscillatorData" in f]
