@@ -28,17 +28,6 @@ from .oscillator import (
 )
 from .skewcanon import canonical_pair, spectral_form
 
-VERBS = (
-    "construct",
-    "analyze",
-    "canon",
-    "spectral",
-    "iso",
-    "classify-nilpotent",
-    "lorentz",
-    "census",
-)
-
 
 def _load(path):
     try:
@@ -95,15 +84,18 @@ def _need(inputs, verb, count):
         )
 
 
+def _seed(args, docs, field):
+    """The one seed document of a verb that reads exactly one."""
+    _need(docs, args.verb, 1)
+    return _data(docs[0], field)
+
+
 def _run_construct(args, docs, field):
-    _need(docs, "construct", 1)
-    built = build_double_extension(_data(docs[0], field))
-    return 0, built.to_json()
+    return 0, build_double_extension(_seed(args, docs, field)).to_json()
 
 
 def _run_analyze(args, docs, field):
-    _need(docs, "analyze", 1)
-    data = _data(docs[0], field)
+    data = _seed(args, docs, field)
     rep = verify_structure(data)
     # the extension again: building it only assembles the table
     dq = len(invariant_forms_basis(build_double_extension(data).algebra))
@@ -112,18 +104,14 @@ def _run_analyze(args, docs, field):
 
 
 def _run_canon(args, docs, field):
-    _need(docs, "canon", 1)
-    data = _data(docs[0], field)
-    cp = canonical_pair(data.delta)  # certified before it is returned
+    cp = canonical_pair(_seed(args, docs, field).delta)  # certified before it is returned
     doc = cp.to_json()
     doc["signature"] = cp.block_signature()
     return 0, doc
 
 
 def _run_spectral(args, docs, field):
-    _need(docs, "spectral", 1)
-    data = _data(docs[0], field)
-    S, D, P = spectral_form(data.delta)
+    S, D, P = spectral_form(_seed(args, docs, field).delta)
     return 0, {
         "companion": S.to_json(),
         "gram": D.to_json(),
@@ -134,7 +122,7 @@ def _run_spectral(args, docs, field):
 def _run_iso(args, docs, field):
     if len(docs) not in (2, 3):
         raise ValidationError(
-            "iso needs two --in documents, plus an optional third witness document"
+            f"{args.verb} needs two --in documents, plus an optional third witness document"
         )
     d1 = _data(docs[0], field)
     d2 = _data(docs[1], field)
@@ -162,8 +150,7 @@ def _run_iso(args, docs, field):
 
 
 def _run_classify(args, docs, field):
-    _need(docs, "classify-nilpotent", 1)
-    rep = classify_nilpotent(_data(docs[0], field))
+    rep = classify_nilpotent(_seed(args, docs, field))
     return 0, {
         "min_poly_degree": rep["min_poly_degree"],
         "sizes": rep["sizes"],
@@ -172,21 +159,21 @@ def _run_classify(args, docs, field):
 
 
 def _run_lorentz(args, docs, field):
-    _need(docs, "lorentz", 1)
+    _need(docs, args.verb, 1)
     doc = docs[0]
     if not isinstance(doc, dict):
-        raise ValidationError("lorentz input must be a JSON object")
+        raise ValidationError(f"{args.verb} input must be a JSON object")
     F = field or Field.parse(doc.get("field", "Q"))
     if "lambda" not in doc:
-        raise ValidationError("lorentz input needs a 'lambda' list")
+        raise ValidationError(f"{args.verb} input needs a 'lambda' list")
 
     def parse():
-        lams = [F.of(c) for c in json_list(doc["lambda"], "lorentz 'lambda'")]
+        lams = [F.of(c) for c in json_list(doc["lambda"], f"{args.verb} 'lambda'")]
         if "t" in doc or "s" in doc:
             return lams, (F.of(doc.get("t", 0)), F.of(doc.get("s", 1)))
         return lams, None
 
-    lams, params = _parsed("lorentz document", parse)
+    lams, params = _parsed(f"{args.verb} document", parse)
     key = lorentz_normalize(F, lams, params)
     out = key.to_json()
     out["s_class"] = F.to_str(square_class(F, key.form_params[1]))
@@ -195,9 +182,9 @@ def _run_lorentz(args, docs, field):
 
 def _run_census(args, docs, field):
     if docs:
-        raise ValidationError("census takes no --in documents")
+        raise ValidationError(f"{args.verb} takes no --in documents")
     if field is None or args.dim is None:
-        raise ValidationError("census needs --field and --dim")
+        raise ValidationError(f"{args.verb} needs --field and --dim")
     c = skew_census(field, args.dim, unsafe=args.unsafe_size)
     return 0, c
 
@@ -212,6 +199,7 @@ _DISPATCH = {
     "lorentz": _run_lorentz,
     "census": _run_census,
 }
+VERBS = tuple(_DISPATCH)
 
 
 def _emit(doc, out_path):

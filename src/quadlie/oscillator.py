@@ -38,6 +38,7 @@ from .linalg import (
 from .quadspace import (
     OrthogonalSpace,
     SkewEndo,
+    hyperbolic_split,
     is_definite,
     isotropy_report,
     ortho_complement,
@@ -142,7 +143,8 @@ def from_lambda_tuple(field, lams):
         A.data[2 * i][2 * i + 1] = lam
         A.data[2 * i + 1][2 * i] = field.neg(lam)
     space = OrthogonalSpace.standard(field, n)
-    return OscillatorData(space, A)
+    # skew for B = I by construction, with Omega = A^T
+    return OscillatorData(space, SkewEndo._wrap(space, A, A.transpose()))
 
 
 def _core_brackets(omega, shift):
@@ -970,16 +972,15 @@ def recover_double_extension(Q):
     algebra must be solvable with a one dimensional isotropic centre, and
     the bracket of the carved core must stay on the centre line. The form
     is invariant and regular, so the centre is read off as (L^2)-perp, and
-    L^2, its orthogonal, then has codimension one; z pairs with some x and
-    the core orthogonal to (x, z) is regular. delta = ad x on the core is
-    checked to stay in the core, and the form is invariant, so
-    phi(delta u, v) = -phi(u, delta v): delta is skew by construction and
-    is not checked again. The returned seed records the base change,
+    L^2, its orthogonal, then has codimension one; hyperbolic_split pairs z
+    with an isotropic x, and the core orthogonal to (x, z) is regular.
+    delta = ad x on the core is checked to stay in the core, and the form
+    is invariant, so phi(delta u, v) = -phi(u, delta v): delta is skew by
+    construction and is not checked again. The returned seed records the base change,
     checked to transport its extension onto Q exactly.
     """
     L = Q.algebra
     F = Q.field
-    dim = L.dim
     series = derived_series(L)
     if series[-1].dim:
         raise ValidationError("not a double extension: the algebra is not solvable")
@@ -993,12 +994,7 @@ def recover_double_extension(Q):
     if Q.space.quad(z):
         raise ValidationError("not a double extension: the centre is not isotropic")
 
-    # x with psi(x, z) = 1, then x <- x - psi(x,x)/2 z to make it isotropic
-    x = Q.space.times_gram(Matrix._wrap(F, [z])).solve([F.one])
-    corr = F.half(Q.space.quad(x))
-    x = [F.sub(x[i], F.mul(corr, z[i])) for i in range(dim)]
-
-    core = ortho_complement(Q.space, Subspace._wrap(F, dim, [x, z]))
+    x, core = hyperbolic_split(Q.space, z)
     core_vecs = core.basis
     space = OrthogonalSpace._wrap(Q.space.restrict_gram(core_vecs))
 

@@ -41,8 +41,8 @@ class OrthogonalSpace:
 
     @classmethod
     def standard(cls, field, n):
-        """The form v . v on F^n, whose Gram is I."""
-        return cls(Matrix.identity(field, n))
+        """The form v . v on F^n, whose Gram I is regular unchecked."""
+        return cls._wrap(Matrix.identity(field, n))
 
     def __repr__(self):
         return f"OrthogonalSpace(dim {self.dim}, {'regular' if self.regular else 'degenerate'})"
@@ -95,6 +95,20 @@ def ortho_complement(space, U):
     if U.dim == 0:
         return Subspace.full(space.field, space.dim)
     return kernel_basis(space.times_gram(U.matrix()))
+
+
+def hyperbolic_split(space, z):
+    """(x, rest) for an isotropic z of a regular space: x isotropic with
+    phi(x, z) = 1, found by one solve against z B and corrected by
+    -(q(x)/2) z, and rest the orthogonal complement of the plane (x, z),
+    the canonical echelon kernel of [x; z] B. rest is regular."""
+    F = space.field
+    x = space.times_gram(Matrix._wrap(F, [z])).solve([F.one])
+    if x is None:
+        raise ValidationError("regular form has no hyperbolic partner")
+    corr = F.half(space.quad(x))
+    x = [F.sub(xi, F.mul(corr, zi)) for xi, zi in zip(x, z)]
+    return x, kernel_basis(space.times_gram(Matrix._wrap(F, [x, z])))
 
 
 def is_skew(space, A):
@@ -394,9 +408,10 @@ def isotropy_report(space):
     every p. Over Q the verdict is three-valued: definite forms are
     recognized by the sign test of is_definite, isotropic ones come with a
     witness vector, and the remainder is honestly 'undecided'. The rational
-    Witt index is computed by splitting off hyperbolic planes while
-    witnesses can be found, each remainder diagonalized once; the split
-    stops at a definite remainder. Only this report and
+    Witt index is computed by splitting off hyperbolic planes
+    (hyperbolic_split) while witnesses can be found, each remainder
+    regular and diagonalized once; the split stops at a definite
+    remainder. Only this report and
     oscillator.witt1_certify run the bounded witness search; a caller that
     needs definiteness alone asks is_definite.
     """
@@ -441,17 +456,12 @@ def isotropy_report(space):
             break
         if first_witness is None:
             first_witness = E.matvec(w)
-        # hyperbolic partner: u with phi(w, u) = 1, then made isotropic
-        u = cur.times_gram(Matrix._wrap(F, [w])).solve([F.one])
-        if u is None:
-            raise ValidationError("regular form has no hyperbolic partner")
-        u = [F.sub(ui, F.mul(F.half(cur.quad(u)), wi)) for ui, wi in zip(u, w)]
-        rows = kernel_basis(cur.times_gram(Matrix._wrap(F, [w, u]))).basis
+        rows = hyperbolic_split(cur, w)[1].basis
         if rows:
             E = E * Matrix._wrap(F, rows).transpose()
-            cur = OrthogonalSpace(cur.restrict_gram(rows))
+            cur = OrthogonalSpace._wrap(cur.restrict_gram(rows))
         else:
-            cur = OrthogonalSpace(Matrix(F, []))
+            cur = OrthogonalSpace._wrap(Matrix._wrap(F, []))
         splits += 1
 
     if first_witness is not None and space.quad(first_witness):

@@ -183,6 +183,10 @@ def scaled_map(f, mu):
     minimal_polynomial certified, gives m'(mu A) = mu^deg m(A) = 0, and m'
     is minimal, since one of lower degree would rescale to one for A. Nor
     does mu f: it is skew because f is, with Omega = mu Omega_f.
+
+    decide_isometric takes canonical_pair(scaled_map(f, mu)), not
+    scaled_pair: the two share blocks and key but not always the base
+    change, and the witness is built from this one (see scaled_pair).
     """
     if not mu:
         raise ValidationError("scale must be nonzero")
@@ -795,9 +799,9 @@ def _zero_odd_generator(f, S, k0):
         w = next((b for b in S.basis if space.bilin(b, top)), None)
         if w is None:
             raise ValidationError("regular form fails to pair the chain")
-        v = w
-        if space.bilin(w, krylov(A, w, k)[k]) == F.zero:
-            v = combine(F, [F.one, F.one], [u, w])
+        # phi(w, f^k w) = 0 too, as for every basis vector, so u + w has
+        # the self-product 2 phi(w, f^k u)
+        v = combine(F, [F.one, F.one], [u, w])
         if space.bilin(v, krylov(A, v, k)[k]) == F.zero:
             raise ValidationError("chain generator repair failed")
 
@@ -817,24 +821,18 @@ def _zero_odd_generator(f, S, k0):
 def _emit_odd_block(f, w, mu, k0):
     """Bordered block for a straightened generator with top value mu.
 
-    The raw chain basis is the chain of w read from its top; the bordered
-    basis is T^T applied to it, T the signed permutation of
-    _conversion_matrix, taken as the reordering it encodes: f^(n-1) w, ...,
-    w, then f^n w, then f^(n+1+j) w signed (-1)^(j+1). mu is not checked
-    against phi(w, f^(k0-1) w) here: it is an entry of the block's Gram,
-    which the pair certificate of canonical_pair and scaled_pair, or
-    _verify_block in canonical_pair_zero, compares against the form.
+    Its vectors are the chain of w in the bordered order of _bordered. mu
+    is not checked against phi(w, f^(k0-1) w) here: it is an entry of the
+    block's Gram, which the pair certificate of canonical_pair and
+    scaled_pair, or _verify_block in canonical_pair_zero, compares against
+    the form.
     """
     F = f.field
-    k = k0 - 1
-    n = k // 2
-    chain = krylov(f.matrix, w, k)
+    n = (k0 - 1) // 2
     A, B = _bordered_model(F, n, mu)
-    upper = [[F.neg(a) for a in v] if j % 2 == 0 else v for j, v in enumerate(chain[n + 1:])]
-    vectors = chain[:n][::-1] + [chain[n]] + upper
     return CanonicalBlock(
-        "zero_odd", k0, Polynomial.x(F), n, A, B, vectors=vectors,
-        mu=mu, form="bordered",
+        "zero_odd", k0, Polynomial.x(F), n, A, B,
+        vectors=_bordered(F, krylov(f.matrix, w, k0 - 1)), mu=mu, form="bordered",
     )
 
 
@@ -842,60 +840,45 @@ def _emit_odd_block(f, w, mu, k0):
 # chain convention conversion for odd zero blocks
 
 
-def _conversion_matrix(F, n):
-    """Columns express the bordered basis in raw-chain coordinates.
-
-    Raw position i holds f^{2n-i} w; the bordered order is the lower half
-    of the chain, then f^n w, then the upper half with alternating signs.
-    """
-    size = 2 * n + 1
-    T = Matrix.zeros(F, size)
-    for r in range(n):
-        T.data[n + 1 + r][r] = F.one
-    T.data[n][n] = F.one
-    sign = F.neg(F.one)
-    for j in range(n):
-        T.data[n - 1 - j][n + 1 + j] = sign
-        sign = F.neg(sign)
-    return T
+def _bordered(F, chain):
+    """The bordered order of a chain w, f w, ..., f^(2n) w: f^(n-1) w, ...,
+    w, then f^n w, then f^(n+1+j) w signed (-1)^(j+1). This is the one
+    encoding of the order, and a signed permutation that is its own
+    inverse: applied to the bordered vectors it gives the chain back."""
+    n = len(chain) // 2
+    upper = [[F.neg(a) for a in v] if j % 2 == 0 else v for j, v in enumerate(chain[n + 1:])]
+    return chain[:n][::-1] + [chain[n]] + upper
 
 
 def caalim_convert(block):
     """Re-express an odd zero block in the other chain convention.
 
     A raw block (single shift chain, alternating antidiagonal Gram)
-    becomes the bordered model, and vice versa. Attached ambient vectors
-    are transported along, and the converted pair is checked against the
-    closed-form target model before anything is returned.
+    becomes the bordered model, and vice versa. The block is checked
+    against the closed-form model of its own convention, and the
+    reordering _bordered carries that model onto the other one, which is
+    returned as built. Attached ambient vectors are reordered along:
+    raw position i holds f^(2n-i) w, so the raw vectors read backwards
+    are the chain.
     """
     if block.kind != "zero_odd":
         raise ValidationError("conversion applies to odd zero blocks")
+    if block.form not in ("raw", "bordered"):
+        raise ValidationError("block does not carry a chain convention")
     F = block.factor.field
     n = block.n
-    T = _conversion_matrix(F, n)
-    Tinv = T.transpose()  # T is a signed permutation
-    if block.form == "raw":
-        newA = Tinv * block.matrix * T
-        newB = T.transpose() * block.gram * T
-        targetA, targetB = _bordered_model(F, n, block.mu)
-        new_form = "bordered"
-    elif block.form == "bordered":
-        newA = T * block.matrix * Tinv
-        newB = Tinv.transpose() * block.gram * Tinv
-        targetA, targetB = _raw_model(F, n, block.mu)
-        new_form = "raw"
-    else:
-        raise ValidationError("block does not carry a chain convention")
-    if newA != targetA or newB != targetB:
+    models = {"raw": _raw_model(F, n, block.mu), "bordered": _bordered_model(F, n, block.mu)}
+    A, B = models[block.form]
+    if block.matrix != A or block.gram != B:
         raise ValidationError("chain conversion does not match the model")
 
-    vectors = None
-    if block.vectors is not None:
-        # new vector r is sum_i M[i][r] old_i
-        M = T if block.form == "raw" else Tinv
-        vectors = (M.transpose() * Matrix._wrap(F, block.vectors)).data
+    new_form = "bordered" if block.form == "raw" else "raw"
+    vectors = block.vectors
+    if vectors is not None:
+        vectors = (_bordered(F, vectors[::-1]) if new_form == "bordered"
+                   else _bordered(F, vectors)[::-1])
     return CanonicalBlock(
-        "zero_odd", block.size, block.factor, n, targetA, targetB,
+        "zero_odd", block.size, block.factor, n, *models[new_form],
         vectors=vectors, mu=block.mu, form=new_form,
     )
 
@@ -1114,6 +1097,17 @@ def scaled_pair(pair, mu):
     canonical_pair certifies its own: once, by CanonicalPair.verify on the
     pair, which implies each block's certificate. mu f is skew because f
     is, with Omega = mu Omega_f, and is not checked again.
+
+    The result is a certified pair of mu f with the blocks and key of
+    canonical_pair(scaled_map(f, mu)), but not always its base change. So
+    the census, which reads keys, takes this one, and decide_isometric,
+    whose witness bytes are built from the base change, takes the other.
+    Three merges were measured at 383c27b and refused: the census on
+    canonical_pair(scaled_map(...)) cost 8-10 % more CPU; the decision on a
+    fresh split in place of scaled_map was slower in 5 of 5 alternating
+    runs; and the decision on scaled_pair would move witness bytes, as
+    225 of 528 seed-and-scale comparisons with paired blocks gave another
+    base change.
     """
     f = pair.endo
     F = f.field
@@ -1211,7 +1205,8 @@ def spectral_form(f):
     # factors ascend by degree, so the kernel part comes first
     for (pi, _), comp in zip(ps.factors, ps.components):
         if pi == x:
-            P0, d0 = diagonalize_form(OrthogonalSpace(space.restrict_gram(comp.basis)))
+            # orthogonal to the other components, so regular
+            P0, d0 = diagonalize_form(OrthogonalSpace._wrap(space.restrict_gram(comp.basis)))
             cols.extend((P0.transpose() * Matrix._wrap(F, comp.basis)).data)
             amats.append(Matrix.zeros(F, comp.dim))
             grams.append(Matrix.diagonal(F, d0))

@@ -574,6 +574,58 @@ def test_missing_input_exit(capsys):
     assert "--in" in doc["error"]
 
 
+def _unreadable(tmp_path, seed):
+    path = str(tmp_path / "missing.json")
+    return ["analyze", "--in", path], (
+        f"cannot read input: [Errno 2] No such file or directory: '{path}'")
+
+
+def _not_json(tmp_path, seed):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    try:
+        json.loads("{not json")
+    except json.JSONDecodeError as e:
+        return ["canon", "--in", str(path)], f"input is not valid JSON: {e}"
+
+
+def _iso_count(count):
+    def argv(tmp_path, seed):
+        return ["iso"] + ["--in", seed] * count, (
+            "iso needs two --in documents, plus an optional third witness document")
+    return argv
+
+
+def _census_with_input(tmp_path, seed):
+    return (["census", "--field", "Fp:3", "--dim", "2", "--in", seed],
+            "census takes no --in documents")
+
+
+@pytest.mark.parametrize("case", [_unreadable, _not_json, _iso_count(1), _iso_count(4),
+                                  _census_with_input],
+                         ids=["unreadable-in", "invalid-json", "iso-1-doc", "iso-4-docs",
+                              "census-with-in"])
+def test_input_errors_exit_1_with_one_error_document(tmp_path, capsys, case):
+    argv, message = case(tmp_path, n23_doc(tmp_path))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {"error": message, "verb": argv[0],
+                                        "version": __version__}
+    assert captured.err == f"validation error: {message}\n"
+
+
+def test_python_m_quadlie_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadlie.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "quadlie", "construct", "--in", n23_doc(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["verb"], doc["algebra"]["dim"]) == ("construct", 5)
+
+
 @pytest.mark.parametrize("where", ["directory", "missing parent"])
 @pytest.mark.parametrize("argv", [
     ["census", "--field", "Fp:3", "--dim", "1"],  # a result that cannot be written

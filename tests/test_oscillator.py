@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadlie import exact_field, liecore, oscillator, skewcanon
+from quadlie import exact_field, liecore, oscillator, quadspace, skewcanon
 from quadlie.errors import CapabilityError, ValidationError
 from quadlie.exact_field import Field, Polynomial, hilbert_symbol, sqrt_in_field, square_class
 from quadlie.linalg import Matrix, kernel_basis
@@ -593,6 +593,26 @@ def test_decide_shape_mismatch():
     dec = decide_isometric(d1, d2)
     assert dec["verdict"] == "no"
     assert "factor shapes" in dec["reason"]
+
+
+def test_decide_core_dimensions_differ():
+    dec = decide_isometric(from_lambda_tuple(Q, (1,)), from_lambda_tuple(Q, (1, 2)))
+    assert dec == {"verdict": "no", "reason": "core dimensions differ", "witness": None}
+
+
+def _paired_chains(F, lam, sizes):
+    """Paired +-lam chains of the given lengths, one model block each."""
+    blocks = [skewcanon._paired_model(F, n, F.of(lam)) for n in sizes]
+    return OscillatorData(OrthogonalSpace(Matrix.block_diagonal(F, [B for _, B in blocks])),
+                          Matrix.block_diagonal(F, [A for A, _ in blocks]))
+
+
+def test_decide_skips_a_scale_whose_blocks_differ():
+    # both minimal polynomials are (x - 2)^2 (x + 2)^2, so the scales 1 and
+    # -1 = 4 match them; the chain lengths (2, 2) and (2, 1, 1) do not
+    dec = decide_isometric(_paired_chains(F5, 2, (2, 2)), _paired_chains(F5, 2, (2, 1, 1)))
+    assert dec == {"verdict": "no", "reason": "no scale matches the canonical blocks",
+                   "scales_tried": ["1", "4"], "witness": None}
 
 
 def test_decide_quartic_undecided():
@@ -1654,6 +1674,31 @@ def test_canonical_pair_component_forms_are_regular(monkeypatch):
     for sub in spaces:
         checked = OrthogonalSpace(sub.gram)
         assert (sub.regular, sub.identity_gram) == (checked.regular, checked.identity_gram)
+
+
+def test_wrapped_spaces_and_rotation_maps_match_the_validating_constructors(monkeypatch):
+    # the Gram I, the rests of isotropy_report's hyperbolic splits and
+    # spectral_form's kernel parts are regular by construction, and a
+    # rotation seed's map is skew for I
+    spaces = [OrthogonalSpace.standard(F, n) for F in (Q, F3, F5, F7) for n in range(5)]
+    for module in (quadspace, skewcanon):
+        real = module.diagonalize_form
+        monkeypatch.setattr(module, "diagonalize_form",
+                            lambda sub, _real=real: spaces.append(sub) or _real(sub))
+    for d in _direct_check_seeds():
+        for space in (d.space, build_double_extension(d).space):
+            quadspace.isotropy_report(space)
+        try:
+            skewcanon.spectral_form(d.delta)
+        except (CapabilityError, ValidationError):
+            pass
+    assert len(spaces) > 300
+    for sub in spaces:
+        checked = OrthogonalSpace(sub.gram)
+        assert (sub.regular, sub.identity_gram) == (checked.regular, checked.identity_gram)
+    for F in (Q, F5, F7):
+        for lams in ((1,), (1, 2), (2, 2, 3)):
+            _assert_trusted_skew(from_lambda_tuple(F, lams).delta)
 
 
 def test_decided_pairs_have_no_untreated_part(monkeypatch):

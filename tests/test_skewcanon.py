@@ -925,6 +925,24 @@ def test_group_standardize_matches_the_peel_loop_on_every_tuple(p):
             assert (g, nus) == (want_g, want_nus)
 
 
+def _conversion_matrix(F, n):
+    """Columns express the bordered basis in raw-chain coordinates.
+
+    Raw position i holds f^{2n-i} w; the bordered order is the lower half
+    of the chain, then f^n w, then the upper half with alternating signs.
+    """
+    size = 2 * n + 1
+    T = Matrix.zeros(F, size)
+    for r in range(n):
+        T.data[n + 1 + r][r] = F.one
+    T.data[n][n] = F.one
+    sign = F.neg(F.one)
+    for j in range(n):
+        T.data[n - 1 - j][n + 1 + j] = sign
+        sign = F.neg(sign)
+    return T
+
+
 @pytest.mark.parametrize("field", [Q, F7], ids=lambda F: F.spec())
 @pytest.mark.parametrize("n", range(5))
 def test_odd_block_basis_is_the_conversion_of_the_chain(field, n):
@@ -936,8 +954,14 @@ def test_odd_block_basis_is_the_conversion_of_the_chain(field, n):
     chain = krylov(f.matrix, w, 2 * n)
     mu = f.space.bilin(w, chain[2 * n])
     block = skewcanon._emit_odd_block(f, w, mu, 2 * n + 1)
-    T = skewcanon._conversion_matrix(field, n)
+    T = _conversion_matrix(field, n)
     assert block.vectors == (T.transpose() * Matrix._wrap(field, chain[::-1])).data
+    # and caalim_convert is the conjugation by T, back to the raw chain
+    raw = caalim_convert(block)
+    assert raw.matrix == T * block.matrix * T.transpose()
+    assert raw.gram == T * block.gram * T.transpose()
+    assert raw.vectors == (T * Matrix._wrap(field, block.vectors)).data == chain[::-1]
+    assert caalim_convert(raw).vectors == block.vectors
 
 
 def test_tampered_kernel_generator_fails_the_pair_certificate(monkeypatch):

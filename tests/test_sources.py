@@ -60,6 +60,12 @@ handed a map it would check). A (t, s) form is invariant because phi_delta
 is, so phi_ts_form and phi_ts_isometry reach no invariance_check. _peel
 reads the orthogonal rest of a block off the kernel of its span's rows
 times the Gram, which needs no echelon form: it makes no Subspace._wrap.
+A rotation seed's map is skew for I because it holds lam and -lam in
+mirrored entries, so from_lambda_tuple wraps it too. The Gram I is
+regular, the rest of a hyperbolic plane in a regular space is regular,
+and so is a primary component orthogonal to all the others:
+OrthogonalSpace.standard, isotropy_report and spectral_form build no
+validating OrthogonalSpace.
 
 The census builds one canonical pair per scaling class of components:
 skew_census calls canonical_pair at one site, and scaled_pair, which gives
@@ -420,11 +426,20 @@ def test_double_extensions_are_built_unchecked():
         "invariance_check", "jacobi_check", "is_symmetric", "rank"]
 
 
-def _trusted_faults(skewcanon_src, oscillator_src):
+def _trusted_faults(skewcanon_src, oscillator_src, quadspace_src):
     """Checks made again on data built from certified data."""
-    defs = {**_defs(skewcanon_src), **_defs(oscillator_src)}
+    defs = {**_defs(skewcanon_src), **_defs(oscillator_src), **_defs(quadspace_src)}
+    for cls in ast.parse(quadspace_src).body:
+        if isinstance(cls, ast.ClassDef):
+            defs.update({f"{cls.name}.{node.name}": node for node in cls.body
+                         if isinstance(node, ast.FunctionDef)})
     faults = []
-    for root in ("scaled_map", "scaled_pair", "skew_census", "recover_double_extension"):
+    for root in ("OrthogonalSpace.standard", "isotropy_report", "spectral_form"):
+        for call in ast.walk(defs[root]):
+            if isinstance(call, ast.Call) and ast.unparse(call.func) in ("OrthogonalSpace", "cls"):
+                faults.append(f"{root} builds a checked space")
+    for root in ("scaled_map", "scaled_pair", "skew_census", "recover_double_extension",
+                 "from_lambda_tuple"):
         for name in sorted((_reached(root, defs=defs) | {root}) & defs.keys()):
             for call in ast.walk(defs[name]):
                 if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
@@ -446,13 +461,15 @@ def _trusted_faults(skewcanon_src, oscillator_src):
 
 def test_data_built_from_certified_data_is_not_checked_again():
     assert _trusted_faults((SRC / "skewcanon.py").read_text(),
-                           (SRC / "oscillator.py").read_text()) == []
+                           (SRC / "oscillator.py").read_text(),
+                           (SRC / "quadspace.py").read_text()) == []
     # and the check flags each fault it rules out
     skewcanon_src = (
         "def scaled_map(f, mu):\n    return SkewEndo(f.space, f.matrix.scale(mu))\n"
         "def scaled_pair(pair, mu):\n    return _assemble(pair, mu)\n"
         "def _assemble(pair, mu):\n    return is_skew(pair.endo.space, pair.endo.matrix)\n"
         "def _peel(space, parts, span):\n    U = Subspace._wrap(space.field, space.dim, span)\n"
+        "def spectral_form(f):\n    return diagonalize_form(OrthogonalSpace(G))\n"
     )
     oscillator_src = (
         "def skew_census(field, dim):\n    return _skew_check(space, M)\n"
@@ -460,15 +477,26 @@ def test_data_built_from_certified_data_is_not_checked_again():
         "def phi_ts_form(data, t, s):\n    return OrthogonalSpace._wrap(G)\n"
         "def phi_ts_isometry(data, ts1, ts2):\n    return _forms(data)\n"
         "def _forms(data):\n    return invariance_check(L, S)\n"
+        "def from_lambda_tuple(field, lams):\n    return OscillatorData(space, delta)\n"
     )
-    assert _trusted_faults(skewcanon_src, oscillator_src) == [
+    quadspace_src = (
+        "class OrthogonalSpace:\n"
+        "    def standard(cls, field, n):\n        return cls(Matrix.identity(field, n))\n"
+        "def isotropy_report(space):\n    return OrthogonalSpace(Matrix._wrap(F, []))\n"
+    )
+    assert _trusted_faults(skewcanon_src, oscillator_src, quadspace_src) == [
+        "OrthogonalSpace.standard builds a checked space",
+        "isotropy_report builds a checked space",
+        "spectral_form builds a checked space",
         "scaled_map checks skewness in scaled_map",
         "scaled_pair checks skewness in _assemble",
         "skew_census checks skewness in skew_census",
         "recover_double_extension hands OscillatorData an unwrapped map"
         " in recover_double_extension",
+        "from_lambda_tuple hands OscillatorData an unwrapped map in from_lambda_tuple",
         "phi_ts_isometry reaches invariance_check",
         "_peel reduces its span through Subspace._wrap",
     ]
     wrapped = oscillator_src.replace("(space, delta)", "(space, SkewEndo._wrap(space, d, o))")
-    assert not [f for f in _trusted_faults(skewcanon_src, wrapped) if "OscillatorData" in f]
+    assert not [f for f in _trusted_faults(skewcanon_src, wrapped, quadspace_src)
+                if "OscillatorData" in f]
