@@ -212,9 +212,7 @@ def _factor_int(n):
     budget = FACTOR_STEP_BOUND
     stack = [n] if n > 1 else []
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m = stack.pop()  # > 1: rho's factors are proper, and so are square roots
         budget = _spend(budget, 4 * m.bit_length(), m)
         if _is_prime(m):
             out[m] = out.get(m, 0) + 1
@@ -512,10 +510,8 @@ def least_nonsquare(field):
     if field.p == 0:
         raise ValidationError("least nonsquare is a finite-field notion")
     p = field.p
-    for r in range(2, p):
-        if pow(r, (p - 1) // 2, p) != 1:
-            return r
-    raise ValidationError("no nonsquare found; is p prime?")
+    # Field guarantees an odd prime p, and F_p* has (p - 1) / 2 nonsquares
+    return next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) != 1)
 
 
 def square_class_representative(field, c):
@@ -802,6 +798,9 @@ class Polynomial:
         return f"Poly({self})"
 
     def to_json(self):
+        """The polynomial document: its coefficients as field strings,
+        constant term first. The one writer of the format; canonical
+        blocks, residual parts and their signatures all call it."""
         return [self.field.to_str(c) for c in self.coeffs]
 
     @classmethod
@@ -999,8 +998,7 @@ def _z_poly_divides(g, f):
         return []
     rem = list(f)
     dg = len(g) - 1
-    if len(rem) < len(g):
-        return None
+    # a g longer than f leaves quo empty and all of f as the remainder
     quo = [0] * (len(rem) - dg)
     for i in range(len(rem) - dg - 1, -1, -1):
         c, r = divmod(rem[i + dg], g[-1])

@@ -298,21 +298,12 @@ class QuadraticLieAlgebra:
         return self.algebra.dim
 
     def to_json(self):
-        return {
-            "field": self.field.spec(),
-            "algebra": self.algebra.to_json(),
-            "gram": self.space.gram.to_json(),
-        }
+        return {**self.space.to_json(), "algebra": self.algebra.to_json()}
 
     @classmethod
     def from_json(cls, doc, field=None):
-        from .exact_field import Field
-
-        F = field or Field.parse(doc["field"])
-        return cls(
-            LieAlgebra.from_json(F, doc["algebra"]),
-            OrthogonalSpace(Matrix.from_json(F, doc["gram"])),
-        )
+        space = OrthogonalSpace.from_json(doc, field)
+        return cls(LieAlgebra.from_json(space.field, doc["algebra"]), space)
 
     def __repr__(self):
         return f"QuadraticLieAlgebra(dim {self.dim} over {self.field.spec()})"

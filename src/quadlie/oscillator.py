@@ -110,19 +110,12 @@ class OscillatorData:
         return [F.zero] * (self.space.dim + 1) + [F.one]
 
     def to_json(self):
-        return {
-            "field": self.field.spec(),
-            "gram": self.space.gram.to_json(),
-            "delta": self.delta.matrix.to_json(),
-        }
+        return {**self.space.to_json(), "delta": self.delta.matrix.to_json()}
 
     @classmethod
     def from_json(cls, doc, field=None):
-        from .exact_field import Field
-
-        F = field or Field.parse(doc["field"])
-        space = OrthogonalSpace(Matrix.from_json(F, doc["gram"]))
-        return cls(space, Matrix.from_json(F, doc["delta"]))
+        space = OrthogonalSpace.from_json(doc, field)
+        return cls(space, Matrix.from_json(space.field, doc["delta"]))
 
     def __repr__(self):
         return f"OscillatorData(dim V = {self.space.dim} over {self.field.spec()})"

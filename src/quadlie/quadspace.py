@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from . import _fast
 from .errors import ValidationError
-from .exact_field import solve_binary, sqrt_in_field, square_class
+from .exact_field import Field, solve_binary, sqrt_in_field, square_class
 from .linalg import Matrix, Subspace, kernel_basis
 
 
@@ -79,8 +79,12 @@ class OrthogonalSpace:
 
     @classmethod
     def from_json(cls, doc, field=None):
-        from .exact_field import Field
-
+        """The space of a document's "field" and "gram", checked as the
+        constructor checks it; field, when given, stands in for the
+        document's own. The one reader and writer (to_json) of these two
+        keys: seeds (OscillatorData) and quadratic Lie algebras
+        (QuadraticLieAlgebra) add their "delta" or "algebra" beside them
+        and parse it after the space."""
         F = field or Field.parse(doc["field"])
         return cls(Matrix.from_json(F, doc["gram"]))
 

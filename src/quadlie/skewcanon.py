@@ -37,14 +37,12 @@ from .quadspace import (
 
 __all__ = [
     "PrimarySplit",
-    "FourPartSplit",
     "CanonicalBlock",
     "ResidualPart",
     "CanonicalPair",
     "primary_split",
     "scaled_map",
     "scaled_pair",
-    "four_part_split",
     "canonical_pair_nonzero",
     "canonical_pair_zero",
     "canonical_pair",
@@ -54,7 +52,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# chain lengths and orthogonality on the shared kernels; chains are
+# chain lengths on the shared kernels; chains are
 # linalg.krylov and combinations linalg.combine, and vectors here are lists
 # of canonical field elements that are never coerced again
 
@@ -71,14 +69,6 @@ def _chain_length(N, S):
         vecs = [w for w in (Matrix._wrap(N.field, vecs) * Nt).data if any(w)]
         k += 1
     return k
-
-
-def _pairs_to_zero(space, U, W):
-    if U.dim == 0 or W.dim == 0:
-        return True
-    F = space.field
-    return (space.times_gram(Matrix._wrap(F, U.basis))
-            * Matrix._wrap(F, W.basis).transpose()).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -201,79 +191,6 @@ def scaled_map(f, mu):
     return g
 
 
-class FourPartSplit:
-    """The orthogonal coarsening of the primary split into four parts.
-
-    zero_part          generalized kernel (factor x)
-    self_paired_part   components of nonlinear factors fixed by star
-    cross_paired_part  sums of component pairs swapped by star
-    radical_part       unpaired components, inside the radical of phi
-    """
-
-    __slots__ = (
-        "split",
-        "zero_part",
-        "self_paired_part",
-        "cross_paired_part",
-        "radical_part",
-        "self_paired_indices",
-        "cross_pairs",
-    )
-
-    def __init__(self, **kw):
-        for k, v in kw.items():
-            setattr(self, k, v)
-
-
-def four_part_split(f):
-    """Coarsen the primary split into zero / self-paired / cross-paired /
-    radical parts and verify they are mutually orthogonal."""
-    space, F = f.space, f.field
-    n = f.matrix.nrows
-    ps = primary_split(f)
-    x = Polynomial.x(F)
-
-    zero = Subspace.zero(F, n)
-    zero_part, self_part, cross_part, rad_part = zero, zero, zero, zero
-    self_idx, cross_pairs = [], []
-    for i, (pi, _) in enumerate(ps.factors):
-        if i in ps.pairing:
-            j = ps.pairing[i]
-            if j == i:
-                if pi == x:
-                    zero_part = ps.components[i]
-                else:
-                    self_idx.append(i)
-                    self_part = self_part.sum_with(ps.components[i])
-            elif i < j:
-                cross_pairs.append((i, j))
-                cross_part = cross_part.sum_with(ps.components[i])
-                cross_part = cross_part.sum_with(ps.components[j])
-        else:
-            rad_part = rad_part.sum_with(ps.components[i])
-
-    parts = [zero_part, self_part, cross_part, rad_part]
-    for a in range(len(parts)):
-        for b in range(a + 1, len(parts)):
-            if not _pairs_to_zero(space, parts[a], parts[b]):
-                raise ValidationError("four-part split is not orthogonal")
-    # each member of a swapped pair is totally isotropic on its own
-    for i, j in cross_pairs:
-        for idx in (i, j):
-            comp = ps.components[idx]
-            if comp.dim and not space.restrict_gram(comp.basis).is_zero():
-                raise ValidationError("cross-paired component is not totally isotropic")
-    return FourPartSplit(
-        split=ps,
-        zero_part=zero_part,
-        self_paired_part=self_part,
-        cross_paired_part=cross_part,
-        radical_part=rad_part,
-        self_paired_indices=self_idx,
-        cross_pairs=cross_pairs,
-    )
-
-
 # ---------------------------------------------------------------------------
 # block models
 
@@ -391,8 +308,7 @@ class CanonicalBlock:
         extension, so over a finite field any two scalars are equivalent
         and keeping them would split classes that are in fact one.
         """
-        fac = tuple(self.factor.field.to_str(c) for c in self.factor.coeffs)
-        return (self.kind, self.size, fac, self._odd_class())
+        return (self.kind, self.size, tuple(self.factor.to_json()), self._odd_class())
 
     def sort_key(self):
         return (self.factor.sort_key(), self.size, self.kind, self._odd_class())
@@ -402,7 +318,7 @@ class CanonicalBlock:
         doc = {
             "kind": self.kind,
             "size": self.size,
-            "factor": [F.to_str(c) for c in self.factor.coeffs],
+            "factor": self.factor.to_json(),
             "mu_class": None if self.mu is None else str(self.mu_class),
         }
         if self.mu is not None:
@@ -908,12 +824,11 @@ class ResidualPart:
         self.gram = gram
 
     def to_json(self):
-        F = self.factors[0].field
         return {
             "kind": self.kind,
             "dim": self.dim,
             "mult": self.mult,
-            "factors": [[F.to_str(c) for c in p.coeffs] for p in self.factors],
+            "factors": [p.to_json() for p in self.factors],
         }
 
     def __repr__(self):
@@ -1004,22 +919,32 @@ def canonical_pair(f):
     """Full canonical pair of f: exact blocks where the models apply,
     residual descriptors elsewhere.
 
-    One primary split of f feeds every part. The zero component and
-    every +-lambda pair of linear factors split into blocks,
-    read off that split by the two chain peelers. A nonlinear self-paired
-    component whose factor is quadratic and whose restricted form passes
-    quadspace.is_definite (definite over Q, anisotropic over F_p) becomes
-    a definite_semisimple block (companion planes, diagonal Gram); every
-    other nonlinear component is reported untreated with its restricted
-    pair. No isotropic vector is searched for. Cross-paired component
-    pairs stay together in one residual part, since splitting them would
-    break the block diagonality of the Gram. Blocks sort by (factor, size,
-    kind, class). The pair is certified once, before return, and nothing
-    else is: M and G are block-diagonal, so A V = V M and V^T B V = G on
-    one block's columns are that block's certificate, and a caller has
-    nothing left to verify. A self-paired component is orthogonal to every
-    other component of the regular space, so its restricted form is
-    regular by construction and is not checked.
+    One primary split of f feeds every part. Star pairs its factors, and
+    the split coarsens into mutually orthogonal parts, each read once:
+
+    zero part      the component of x, split into blocks by
+                   canonical_pair_zero
+    +-lambda pairs each pair of linear factors x - lambda, x + lambda,
+                   split into blocks by canonical_pair_nonzero
+    self-paired    a nonlinear factor fixed by star; when it is quadratic
+                   with multiplicity 1 and its restricted form passes
+                   quadspace.is_definite (definite over Q, anisotropic
+                   over F_p), a definite_semisimple block (companion
+                   planes, diagonal Gram), else one untreated residual
+                   part with its restricted pair
+    cross-paired   two nonlinear factors swapped by star, kept together
+                   in one untreated residual part, since splitting them
+                   would break the block diagonality of the Gram
+
+    There is no radical part: primary_split refuses an unpaired component
+    outside the radical, which is zero on the regular spaces accepted
+    here, so every factor has a partner. No isotropic vector is searched
+    for. Blocks sort by (factor, size, kind, class). The pair is certified
+    once, before return, and nothing else is: M and G are block-diagonal,
+    so A V = V M and V^T B V = G on one block's columns are that block's
+    certificate, and a caller has nothing left to verify. A self-paired
+    component is orthogonal to every other component of the regular space,
+    so its restricted form is regular by construction and is not checked.
     """
     space, F = f.space, f.field
     if not space.regular:
@@ -1030,9 +955,7 @@ def canonical_pair(f):
     blocks = []
     residual = []
     for i, (pi, k) in enumerate(ps.factors):
-        j = ps.pairing.get(i)
-        if j is None:
-            raise ValidationError("regular forms cannot have unpaired components")
+        j = ps.pairing[i]
         if pi == x:
             blocks.extend(_zero_blocks(ps))
         elif pi.degree == 1:

@@ -246,6 +246,13 @@ def test_lorentz(tmp_path, capsys):
     assert doc["s_class"] == "1"
 
 
+def test_lorentz_empty_tuple_is_one_error_document(tmp_path, capsys):
+    path = write(tmp_path, "lor.json", {"field": "Q", "lambda": []})
+    code, doc = run(capsys, "lorentz", "--in", path)
+    assert code == 1
+    assert doc == {"error": "rotation tuple is empty", "verb": "lorentz", "version": __version__}
+
+
 def test_lorentz_prints_huge_entries(tmp_path, capsys):
     # 5000 digits: beyond what str() of an int may print by default
     big = "9" * 4000 + "e1000"

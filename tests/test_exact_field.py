@@ -21,6 +21,7 @@ from quadlie.exact_field import (
     _factor_int,
     _is_prime,
     _squarefree_part,
+    _strong_lucas_probable_prime,
     conic_point,
     factor_poly,
     hilbert_obstructions,
@@ -411,7 +412,49 @@ def test_is_prime_rejects_strong_pseudoprimes_and_matches_sympy():
             assert _is_prime(n) == sympy.isprime(n)
 
 
+def test_strong_lucas_exits_on_squares_and_shared_factors():
+    # _is_prime runs the Lucas test only on base-2 strong probable primes,
+    # and a prime square q^2 is one only when 2^(q-1) = 1 mod q^2 (a
+    # Wieferich prime; the known ones are 1093 and 3511), so both early
+    # exits are read on the test itself: a square has no D with
+    # (D / n) = -1, and D = -43 shares the factor 43 of 43 * 58717
+    q = 1821275395081  # the least prime with q^2 above _MR_DETERMINISTIC
+    assert _is_prime(q) and not _is_prime(q * q)
+    assert _strong_lucas_probable_prime(q * q) is False
+    assert _strong_lucas_probable_prime(43 * 58717) is False
+    assert _strong_lucas_probable_prime(q) is True
+
+
+def test_scalar_edges():
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        F5.inv(0)
+    # ints are printed past the digit limit too, not only Fractions
+    assert Q.to_str(10**5000) == "1" + "0" * 5000
+    for F in (Q, F5):
+        with pytest.raises(ValidationError, match="square class of zero is undefined"):
+            square_class(F, F.zero)
+
+
+def test_conic_point_checks_its_certificate(monkeypatch):
+    monkeypatch.setattr(exact_field, "_lagrange_descent", lambda a, b: (1, 1, 1))
+    with pytest.raises(ValidationError, match=r"conic point certificate failed for \(2, 3\)"):
+        conic_point(2, 3)
+
+
 # ------------------------------------------------------------- polynomials
+
+def test_zero_polynomial_edges():
+    zero, x = Polynomial.zero(Q), Polynomial.x(Q)
+    assert zero.lc() == Q.zero and str(zero) == "0"
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        x.divmod(zero)
+    with pytest.raises(ValidationError, match="gcd of two zero polynomials"):
+        poly_gcd(zero, zero)
+    assert poly_lcm(zero, x).is_zero and poly_lcm(x, zero).is_zero
+    with pytest.raises(ValidationError, match="cannot factor the zero polynomial"):
+        factor_poly(zero)
+    assert factor_poly(poly(F5, 3)) == []
+
 
 def test_poly_arith_basics():
     p = poly(Q, -1, 0, 1)  # x^2 - 1

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadlie import liecore
 from quadlie._fast import integer_image
 from quadlie.errors import ValidationError
 from quadlie.exact_field import Field
@@ -555,6 +556,28 @@ def test_is_heisenberg():
     assert not is_heisenberg(sl2_like(Q))[0]
 
 
+def test_tampered_line_coordinates_fail_the_symplectic_certificate(monkeypatch):
+    # omega read twice too large: each partner is halved, so [v, w] = z / 2
+    real = Subspace.coords_of
+    monkeypatch.setattr(Subspace, "coords_of", lambda S, v: [Q.mul(2, c) for c in real(S, v)])
+    with pytest.raises(ValidationError, match="symplectic basis certificate failed"):
+        is_heisenberg(heisenberg(Q))
+
+
+def test_tampered_cleaning_fails_the_symplectic_certificate(monkeypatch):
+    # basis (x1, y1, x2, y2, z) with [x1, y1] = [x2, y2] = [x1, x2] = z; omega
+    # read as its positive part keeps x2 from being cleaned against y1
+    # (omega(x2, x1) = -1), so the pairs (x1, y1), (x2, y2) are found with
+    # [x1, x2] = z
+    z = [0, 0, 0, 0, 1]
+    L = LieAlgebra.from_brackets(Q, 5, {(0, 1): z, (2, 3): z, (0, 2): z})
+    assert is_heisenberg(L)[0]
+    real = Subspace.coords_of
+    monkeypatch.setattr(Subspace, "coords_of", lambda S, v: [max(c, 0) for c in real(S, v)])
+    with pytest.raises(ValidationError, match="symplectic basis certificate failed"):
+        is_heisenberg(L)
+
+
 def test_invariant_forms_abelian_dimension():
     # every symmetric form is invariant when the bracket vanishes
     for n in (1, 2, 3, 4):
@@ -590,6 +613,23 @@ def test_not_reduced_abelian():
 def test_series_duality():
     assert series_duality_check(n23(Q), max_k=3) == [1, 2, 3]
     assert series_duality_check(n32(Q), max_k=2) == [1, 2]
+
+
+def test_tampered_complement_fails_the_series_duality(monkeypatch):
+    N = n23(Q)
+    monkeypatch.setattr(liecore, "ortho_complement", lambda space, U: Subspace.full(Q, N.dim))
+    with pytest.raises(ValidationError, match="series duality fails at k = 1"):
+        series_duality_check(N)
+
+
+def test_quadratic_structure_errors_and_empty_edges():
+    L = heisenberg(Q)
+    with pytest.raises(ValidationError, match="form and algebra dimensions differ"):
+        QuadraticLieAlgebra(L, OrthogonalSpace.standard(Q, 2))
+    with pytest.raises(ValidationError, match="quadratic structure needs a regular form"):
+        QuadraticLieAlgebra(L, OrthogonalSpace(Matrix.zeros(Q, 3, 3)))
+    assert invariant_forms_basis(LieAlgebra.abelian(Q, 0)) == []
+    assert form_in_span([], Matrix.identity(Q, 2)) is None
 
 
 def sl2_killing(field):
@@ -679,6 +719,18 @@ def test_algebra_dimension_must_be_a_natural_number():
             QuadraticLieAlgebra.from_json(doc)
     with pytest.raises(ValidationError, match="impossible algebra dimension"):
         LieAlgebra.from_json(Q, {"dim": -1, "brackets": []})
+
+
+def test_document_space_is_read_before_its_algebra():
+    # the space is read whole (field, then gram) before the algebra, so a
+    # document with both parts bad reports the gram
+    doc = {"field": "Q", "gram": {"rows": 1, "cols": 2, "entries": ["1", "0"]},
+           "algebra": {"dim": -1, "brackets": []}}
+    with pytest.raises(ValidationError, match="Gram matrix must be square"):
+        QuadraticLieAlgebra.from_json(doc)
+    doc["gram"] = Matrix.identity(Q, 1).to_json()
+    with pytest.raises(ValidationError, match="impossible algebra dimension"):
+        QuadraticLieAlgebra.from_json(doc)
 
 
 @settings(max_examples=20, deadline=None)

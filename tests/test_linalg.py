@@ -69,6 +69,28 @@ def test_singular_inverse_raises():
         A.inverse()
 
 
+def test_shape_errors():
+    A = Matrix(Q, [[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValidationError, match="inner dimensions differ"):
+        A * A
+    with pytest.raises(TypeError, match="matrix multiplication needs a Matrix"):
+        A * 2
+    with pytest.raises(ValidationError, match="vector length mismatch"):
+        A.matvec([Q.one, Q.one])
+    with pytest.raises(ValidationError, match="inverse of a non-square matrix"):
+        A.inverse()
+    with pytest.raises(ValidationError, match="determinant of a non-square matrix"):
+        A.det()
+    with pytest.raises(ValidationError, match="minimal polynomial of a non-square matrix"):
+        minimal_polynomial(A)
+    with pytest.raises(ValueError, match="the matrix is not square"):
+        _fast.fp_minpoly([[1, 2, 3], [4, 5, 6]], 7)
+    # x - 1 does not divide the minimal polynomial x^2 of a nilpotent J_2
+    x = Polynomial.x(Q)
+    with pytest.raises(ValidationError, match="factor does not divide the minimal polynomial"):
+        primary_component(jordan(Q, 2), x - Polynomial.one(Q), 1)
+
+
 def test_rref_canonical_and_idempotent():
     A = Matrix(Q, [[0, 2, 4], [1, 1, 1]])
     R, pivots, rank = A.rref()
@@ -871,6 +893,11 @@ def test_subspace_restrict_refuses_a_non_invariant_subspace():
         with pytest.raises(ValidationError, match="subspace is not invariant under the map"):
             S.restrict(jordan(F, 3))
         assert Subspace(F, 3, [[1, 0, 0]]).restrict(jordan(F, 3)) == Matrix.zeros(F, 1, 1)
+
+
+def test_subspace_restrict_to_the_zero_subspace():
+    R = Subspace.zero(Q, 3).restrict(jordan(Q, 3))
+    assert (R.nrows, R.ncols) == (0, 0)
 
 
 def test_subspace_intersect_sum():

@@ -545,6 +545,92 @@ def test_tampered_norm_solution_fails_the_witness_certificate(monkeypatch):
         decide_isometric(from_lambda_tuple(Q, (2, 4, 6)), from_lambda_tuple(Q, (1, 2, 3)))
 
 
+def _identity_witness(n):
+    return IsoWitness(Matrix.identity(Q, n), [Q.zero] * n, Q.one, Q.one, Q.zero)
+
+
+def test_witness_needs_a_nonzero_core_and_invertible_seeds():
+    with pytest.raises(ValidationError, match="witness verification needs a nonzero core"):
+        verify_iso_witness(zero_data(Q, 0), zero_data(Q, 0), _identity_witness(0))
+    with pytest.raises(ValidationError, match="witness verification needs invertible seed maps"):
+        verify_iso_witness(zero_data(Q, 2), zero_data(Q, 2), _identity_witness(2))
+
+
+def test_phi_ts_needs_nonzero_s():
+    data = from_lambda_tuple(Q, (1,))
+    for ts1, ts2 in (((0, 0), (0, 1)), ((0, 1), (1, 0))):
+        with pytest.raises(ValidationError, match="the form parameter s must be nonzero"):
+            phi_ts_isometry(data, ts1, ts2)
+
+
+def test_witt1_certify_on_an_empty_core():
+    report = witt1_certify(zero_data(Q, 0))
+    assert (report["verdict"], report["reason"]) == ("not-certified", "empty core")
+
+
+def test_seed_rechecks_a_skew_map_of_another_space():
+    rotation = Matrix(Q, [[0, -1], [1, 0]])
+    f = SkewEndo(OrthogonalSpace.standard(Q, 2), rotation)
+    space = OrthogonalSpace.standard(Q, 2)
+    d = OscillatorData(space, f)
+    assert d.delta is not f and d.delta.space is space and d.delta.matrix == rotation
+    # the rotation is skew for I but not for diag(1, 2)
+    with pytest.raises(ValidationError, match="not skew"):
+        OscillatorData(OrthogonalSpace(Matrix.diagonal(Q, [Q.one, Q.of(2)])), f)
+
+
+def test_tampered_homomorphism_check_fails_the_isomorphism(monkeypatch):
+    monkeypatch.setattr(oscillator, "is_homomorphism", lambda L1, L2, M: (False, (0, 1)))
+    with pytest.raises(ValidationError, match=r"diagonal map failed re-derivation at pair \(0, 1\)"):
+        phi_ts_isometry(from_lambda_tuple(Q, (1,)), (0, 1), (0, 1))
+
+
+def _doubled_form(built):
+    """built with its Gram doubled: the same algebra, still quadratic."""
+    return QuadraticLieAlgebra._wrap(built.algebra, OrthogonalSpace._wrap(built.space.gram.scale(2)))
+
+
+def test_tampered_source_form_fails_the_transported_isometry(monkeypatch):
+    # the identity witness states an isometry; the source extension's Gram
+    # doubled makes the transported form disagree
+    d1, d2 = from_lambda_tuple(Q, (1,)), from_lambda_tuple(Q, (1,))
+    assert verify_iso_witness(d1, d2, _identity_witness(2))["verdict"] == "isometric-isomorphism"
+    real = oscillator.build_double_extension
+    monkeypatch.setattr(oscillator, "build_double_extension",
+                        lambda d: _doubled_form(real(d)) if d is d1 else real(d))
+    with pytest.raises(ValidationError, match="isometry conditions disagree with the transported form"):
+        verify_iso_witness(d1, d2, _identity_witness(2))
+
+
+def test_tampered_phi_ts_forms_fail_the_diagonal_isometry(monkeypatch):
+    # s doubled in both forms: the nu of the untampered pair, (t - t') / 2s',
+    # no longer carries one to the other when t != t'
+    data = from_lambda_tuple(Q, (1,))
+    assert phi_ts_isometry(data, (1, 1), (0, 1))["verdict"] == "witness"
+    real = oscillator.phi_ts_form
+    monkeypatch.setattr(oscillator, "phi_ts_form", lambda data, t, s: real(data, t, Q.mul(2, s)))
+    with pytest.raises(ValidationError, match="diagonal map failed the isometry check"):
+        phi_ts_isometry(data, (1, 1), (0, 1))
+
+
+def test_tampered_rebuilt_form_fails_the_recovery_isometry(monkeypatch):
+    presented = build_double_extension(from_lambda_tuple(Q, (1, 2)))
+    real = oscillator.build_double_extension
+    monkeypatch.setattr(oscillator, "build_double_extension", lambda d: _doubled_form(real(d)))
+    with pytest.raises(ValidationError, match="recovery base change failed the isometry check"):
+        recover_double_extension(presented)
+
+
+def test_tampered_inverse_fails_the_census_generators(monkeypatch):
+    # s = 2 / q(v) read as 2: the reflection in e_1 - e_2, q = 2, is no
+    # longer an isometry
+    space = OrthogonalSpace.standard(F5, 3)
+    assert len(_census_generators(space)) == 2
+    monkeypatch.setattr(Field, "inv", lambda self, a: 1)
+    with pytest.raises(ValidationError, match="census generator is not an isometry"):
+        _census_generators(space)
+
+
 def test_decide_gram_scaling():
     d1 = from_lambda_tuple(Q, (1,))
     d2 = mk(Q, [[2, 0], [0, 2]], [[0, 1], [-1, 0]])
@@ -802,6 +888,10 @@ def test_lorentz_normalize():
     assert k.form_params == (Q.zero, Q.one)
     assert lorentz_normalize(Q, (2, 4, 6)) == lorentz_normalize(Q, (1, 2, 3))
     assert lorentz_normalize(Q, (1, 1)) != lorentz_normalize(Q, (1, 2))
+
+
+def test_lorentz_keys_compare_only_with_keys():
+    assert lorentz_normalize(Q, (1,)) != (1,)
 
 
 def test_lorentz_form_parameter_classes():

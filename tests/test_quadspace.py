@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadlie import quadspace
 from quadlie.errors import ValidationError
 from quadlie.exact_field import Field, square_class
 from quadlie.linalg import Matrix, Subspace
@@ -14,6 +15,7 @@ from quadlie.quadspace import (
     _signature,
     SkewEndo,
     diagonalize_form,
+    hyperbolic_split,
     is_definite,
     is_skew,
     isotropy_report,
@@ -220,6 +222,61 @@ def test_isotropy_undecided_Q():
     assert rep.verdict == "undecided"
     assert rep.witt_index is None
     assert rep.witt_lower_bound == 0
+
+
+def test_space_shape_errors():
+    with pytest.raises(ValidationError, match="Gram matrix must be square"):
+        OrthogonalSpace(Matrix(Q, [[1, 0]]))
+    with pytest.raises(ValidationError, match="inner dimensions differ"):
+        OrthogonalSpace.standard(Q, 2).times_gram(Matrix(Q, [[1, 0, 0]]))
+    with pytest.raises(ValidationError, match="endomorphism dimension mismatch"):
+        SkewEndo(OrthogonalSpace.standard(Q, 2), Matrix.zeros(Q, 3, 3))
+    with pytest.raises(ValidationError, match="regular form has no hyperbolic partner"):
+        hyperbolic_split(OrthogonalSpace(antidiag(Q, [1, 1])), [Q.zero, Q.zero])
+    with pytest.raises(ValidationError, match="isotropy analysis requires a regular form"):
+        isotropy_report(OrthogonalSpace(Matrix.diagonal(Q, [Q.one, Q.zero])))
+
+
+def test_isotropy_report_documents():
+    rep = isotropy_report(OrthogonalSpace(Matrix.diagonal(Q, [Q.one, Q.of(-1), Q.one])))
+    assert rep.to_json() == {
+        "field": "Q", "dim": 3, "verdict": "isotropic", "witt_index": 1,
+        "witt_lower_bound": 1, "anisotropic_dim": 1, "signature": [2, 1],
+        "witness": ["1", "1", "0"],
+    }
+    doc = isotropy_report(OrthogonalSpace(Matrix.diagonal(F5, [F5.one, F5.of(2)]))).to_json()
+    assert (doc["verdict"], doc["signature"], doc["witness"]) == ("anisotropic", None, None)
+
+
+def test_tampered_gram_product_fails_the_diagonalization(monkeypatch):
+    space = OrthogonalSpace(Matrix(Q, [[0, 1], [1, 0]]))
+    real = OrthogonalSpace.times_gram
+    monkeypatch.setattr(OrthogonalSpace, "times_gram", lambda self, R: real(self, R).scale(2))
+    with pytest.raises(ValidationError, match="diagonalization certificate failed"):
+        diagonalize_form(space)
+
+
+def test_tampered_fp_witness_fails_the_isotropy_check(monkeypatch):
+    # the first column of P, whose q is d_0 != 0
+    monkeypatch.setattr(quadspace, "_fp_isotropic_vector", lambda P, d: [row[0] for row in P.data])
+    with pytest.raises(ValidationError, match="isotropy witness verification failed"):
+        isotropy_report(OrthogonalSpace.standard(F5, 3))
+
+
+def test_tampered_q_witness_fails_the_isotropy_check(monkeypatch):
+    # (1, 1) has q = 2 on the hyperbolic plane; split off all the same, it
+    # leaves nothing, and the first witness is checked at the end
+    monkeypatch.setattr(quadspace, "_q_find_isotropic", lambda space, P, d: [Q.one, Q.one])
+    with pytest.raises(ValidationError, match="isotropy witness verification failed"):
+        isotropy_report(OrthogonalSpace(antidiag(Q, [1, 1])))
+
+
+def test_isotropy_search_cap_answers_undecided(monkeypatch):
+    # the box search stops at its cap, short of the height bound, with the
+    # same honest verdict
+    monkeypatch.setattr(quadspace, "ISOTROPY_SEARCH_CAP", 5)
+    rep = isotropy_report(OrthogonalSpace(Matrix.diagonal(Q, [Q.one, Q.of(-2)])))
+    assert (rep.verdict, rep.witt_index, rep.witness) == ("undecided", None, None)
 
 
 def test_isotropy_fp_oracles():

@@ -25,7 +25,6 @@ from quadlie.skewcanon import (
     canonical_pair,
     canonical_pair_nonzero,
     canonical_pair_zero,
-    four_part_split,
     primary_split,
     spectral_form,
 )
@@ -136,16 +135,17 @@ def test_four_part_split_dims_and_isotropy():
         F5, [Matrix(F5, [[1]]),
              Matrix(F5, [[0, 1], [1, 0]]), Matrix.diagonal(F5, [F5.one, F5.of(2)])])
     f = skew(F5, A, B)
-    parts = four_part_split(f)
-    assert parts.zero_part.dim == 1
-    assert parts.cross_paired_part.dim == 2
-    assert parts.self_paired_part.dim == 2
-    assert parts.radical_part.dim == 0
-    # each swapped component is half of its cross pair and totally isotropic
-    for i, j in parts.cross_pairs:
-        ci = parts.split.components[i]
-        for x in ci.basis:
-            for y in ci.basis:
+    # canonical_pair's coarsening: the zero part, one +-1 pair, one
+    # self-paired factor, and no radical part on a regular space
+    pair = canonical_pair(f)
+    assert [(b.kind, b.size) for b in pair.blocks] == [
+        ("zero_odd", 1), ("paired", 2), ("definite_semisimple", 2)]
+    assert sum(b.size for b in pair.blocks) == f.space.dim
+    # each half of the pair (x - 1 and x + 1) is totally isotropic
+    paired = pair.blocks[1]
+    for half in (paired.vectors[:1], paired.vectors[1:]):
+        for x in half:
+            for y in half:
                 assert f.space.bilin(x, y) == F5.zero
 
 
@@ -667,6 +667,27 @@ def test_tampered_converted_block_fails_the_model():
     for changed in ({"gram": _bumped(block.gram, 0, 2)}, {"matrix": _bumped(block.matrix, 1, 0)}):
         with pytest.raises(ValidationError, match="chain conversion does not match the model"):
             caalim_convert(_with(block, **changed))
+
+
+def test_block_edges():
+    A, B = raw_zero_pair(Q, 3, 2)
+    [block] = canonical_pair_zero(primary_split(skew(Q, A, B)))
+    assert block.mu_data is None  # plane scalars belong to definite blocks
+    with pytest.raises(ValidationError, match="block does not carry a chain convention"):
+        caalim_convert(_with(block, form=None))
+    # an invertible map has no zero part
+    A, B = paired_pair(F5, 2, 1)
+    assert canonical_pair_zero(primary_split(skew(F5, A, B))) == []
+
+
+def test_degenerate_forms_are_refused():
+    f = skew(Q, [[0, 0], [0, 0]], [[1, 0], [0, 0]])
+    split = primary_split(f)
+    for build in (canonical_pair_zero, lambda s: canonical_pair_nonzero(s, 0)):
+        with pytest.raises(ValidationError, match="canonical pairs require a regular form"):
+            build(split)
+    with pytest.raises(ValidationError, match="spectral form requires a regular form"):
+        spectral_form(f)
 
 
 def test_tampered_components_fail_the_decomposition_check(monkeypatch):

@@ -72,6 +72,12 @@ skew_census calls canonical_pair at one site, and scaled_pair, which gives
 every other component its key, reaches no split, minimal polynomial or
 canonical pair of its own. Neither pair certifies a block on its own: the
 pair certificate covers every block.
+
+Each document format has one writer. Polynomial.to_json alone turns a
+polynomial's coefficients into strings; canonical blocks, residual parts
+and block signatures call it. OrthogonalSpace.from_json and to_json alone
+read and write a document's "field" and "gram"; seeds and quadratic Lie
+algebras add their "delta" or "algebra" beside them.
 """
 
 import ast
@@ -500,3 +506,47 @@ def test_data_built_from_certified_data_is_not_checked_again():
     wrapped = oscillator_src.replace("(space, delta)", "(space, SkewEndo._wrap(space, d, o))")
     assert not [f for f in _trusted_faults(skewcanon_src, wrapped, quadspace_src)
                 if "OscillatorData" in f]
+
+
+def _format_faults(sources):
+    """Second writers of the polynomial and space document formats, in a
+    {file name: source} map."""
+    faults = []
+    for name, src in sorted(sources.items()):
+        tree = ast.parse(src)
+        for scope in ast.walk(tree):
+            if not isinstance(scope, ast.FunctionDef):
+                continue
+            for node in ast.walk(scope):
+                if not isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+                    continue
+                over_coeffs = any(isinstance(g.iter, ast.Attribute) and g.iter.attr == "coeffs"
+                                  for g in node.generators)
+                prints = any(isinstance(c, ast.Attribute) and c.attr == "to_str"
+                             for c in ast.walk(node.elt))
+                if over_coeffs and prints and not (name == "exact_field.py"
+                                                    and scope.name == "to_json"):
+                    faults.append(f"{name}: {scope.name} prints coefficients")
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef)
+                    and cls.name in ("OscillatorData", "QuadraticLieAlgebra")):
+                continue
+            keys = {node.value for node in ast.walk(cls)
+                    if isinstance(node, ast.Constant) and node.value in ("field", "gram")}
+            faults += [f"{cls.name} spells {key!r}" for key in sorted(keys)]
+    return sorted(set(faults))
+
+
+def test_document_formats_are_written_once():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert _format_faults(sources) == []
+    # and the check flags each fault it rules out
+    assert _format_faults({
+        "skewcanon.py": "class CanonicalBlock:\n    def to_json(self):\n"
+                        "        return [F.to_str(c) for c in self.factor.coeffs]\n",
+        "oscillator.py": "class OscillatorData:\n    def to_json(self):\n"
+                         "        return {'field': F.spec(), 'gram': G.to_json()}\n",
+        "liecore.py": "class QuadraticLieAlgebra:\n    def from_json(cls, doc):\n"
+                      "        return Field.parse(doc['field'])\n",
+    }) == ["OscillatorData spells 'field'", "OscillatorData spells 'gram'",
+           "QuadraticLieAlgebra spells 'field'", "skewcanon.py: to_json prints coefficients"]
